@@ -89,16 +89,19 @@ def series_from_json(d: dict) -> AnalyticSeries:
 
 def flow_from_json(d: dict):
     kind = d.get("type")
-    if kind == "skew":
-        return SkewFlow(int(d.get("a", 1)), int(d["c"]), int(d.get("d", 1)),
-                        alpha_from_json(d["alpha"]), series_from_json(d["h"]))
-    if kind == "unipotent_affine":
-        return UnipotentAffine(matrix=tuple(map(tuple, d["matrix"])),
-                               translation=tuple(_num(t) for t in d["translation"]))
-    if kind == "heisenberg":
-        g = nf.HeisenbergElement(*[_num(t) for t in d["g"]])
-        ds = tuple(tuple(_num(e) for e in row) for row in d["dsigma"])
-        return nf.HeisenbergAffine(g=g, dsigma=ds)
+    try:
+        if kind == "skew":
+            return SkewFlow(int(d.get("a", 1)), int(d["c"]), int(d.get("d", 1)),
+                            alpha_from_json(d["alpha"]), series_from_json(d["h"]))
+        if kind == "unipotent_affine":
+            return UnipotentAffine(matrix=tuple(map(tuple, d["matrix"])),
+                                   translation=tuple(_num(t) for t in d["translation"]))
+        if kind == "heisenberg":
+            g = nf.HeisenbergElement(*[_num(t) for t in d["g"]])
+            ds = tuple(tuple(_num(e) for e in row) for row in d["dsigma"])
+            return nf.HeisenbergAffine(g=g, dsigma=ds)
+    except KeyError as exc:
+        raise DomainError(f"{kind} config lacks the key {exc}") from None
     raise DomainError(f"unknown flow type {kind!r}")
 
 
@@ -114,6 +117,12 @@ def _parse_checkpoints(s: str) -> list[int]:
         part = part.strip()
         out.append(int(float(part)))
     return sorted(set(out))
+
+
+def _parse_observable(s: str) -> nf.NilObservable:
+    if s.startswith("{"):
+        return nf.NilObservable.from_json(json.loads(s))
+    return nf.NilObservable.character(*[int(t) for t in s.split(",")])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +205,7 @@ def cmd_correlate(args, threads: int) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     flow = flow_from_json(cfg)
-    checkpoints = _parse_checkpoints(args.checkpoints)
+    checkpoints = args.checkpoints
     table = mobius_sieve(checkpoints[-1])
     b = tuple(int(t) for t in args.b.split(","))
     if isinstance(flow, (SkewFlow,)):
@@ -281,15 +290,8 @@ def cmd_nilflow(args, threads: int) -> int:
     if not isinstance(T, nf.HeisenbergAffine):
         raise DomainError("nilflow expects a heisenberg config")
     x = nf.HeisenbergElement(*[_num(t) for t in cfg.get("x", [0, 0, 0])])
-    obs_spec = json.loads(args.observable) if args.observable.startswith("{") else None
-    if obs_spec:
-        obs = nf.NilObservable.from_json(obs_spec)
-    else:
-        parts = [int(t) for t in args.observable.split(",")]
-        obs = nf.NilObservable.character(*parts)
-    checkpoints = _parse_checkpoints(args.checkpoints)
-    table = mobius_sieve(checkpoints[-1])
-    series = nf.correlate_nil(T, x, obs, table, checkpoints, threads=threads)
+    table = mobius_sieve(args.checkpoints[-1])
+    series = nf.correlate_nil(T, x, args.observable, table, args.checkpoints, threads=threads)
     lines = ["N,re,im,abs_over_N"]
     lines.extend(f"{n},{re!r},{im!r},{a!r}" for n, re, im, a in series.rows())
     _emit("\n".join(lines) + "\n", args.out,
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="Mobius correlation sums at checkpoints")
     p.add_argument("--config", required=True)
     p.add_argument("--b", required=True, help="observable, e.g. 0,1")
-    p.add_argument("--checkpoints", required=True)
+    p.add_argument("--checkpoints", required=True, type=_parse_checkpoints)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_correlate)
 
@@ -426,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nilflow", help="Heisenberg-orbit correlation sums")
     p.add_argument("--config", required=True)
-    p.add_argument("--observable", required=True, help="p,q[,r] or JSON")
-    p.add_argument("--checkpoints", required=True)
+    p.add_argument("--observable", required=True, type=_parse_observable,
+                   help="p,q[,r] or JSON")
+    p.add_argument("--checkpoints", required=True, type=_parse_checkpoints)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_nilflow)
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import mpmath
+import numpy as np
 
 from .analytic import (AnalyticSeries, COEFF_FLOOR, cobounding_series, e2pi_m1,
                        eval_series)
@@ -376,7 +377,7 @@ def irregularity_probe(sys: FurstenbergSystem, b, x0, windows: Sequence[int],
     flow = sys.flow(corrected=corrected)
     N = windows[-1]
     phases = character_phase_array(flow, x0, b, N)
-    z = np_exp_2pi(phases)
+    z = np.exp(2j * np.pi * phases)
     csum = z.cumsum()
     averages = [complex(csum[w - 1]) / w for w in windows]
     tail = averages[len(averages) // 2:]
@@ -388,8 +389,3 @@ def irregularity_probe(sys: FurstenbergSystem, b, x0, windows: Sequence[int],
         "oscillation": osc,
         "corrected": corrected,
     }
-
-
-def np_exp_2pi(phases):
-    import numpy as np
-    return np.exp(2j * np.pi * phases)

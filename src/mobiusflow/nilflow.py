@@ -23,7 +23,11 @@ Mobius correlator evaluates (random access in n, no orbit recursion).
 Fundamental domain: v1, v2, v3 in [0, 1), reduced in the order v1, v2 then
 v3 (the central correction is applied last).  Character observables
 e(p v1 + q v2) are lattice-invariant; a central factor e(r v3) is evaluated
-on the canonical representative.
+on the canonical representative, where the phase is the bracket polynomial
+frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) of the orbit coordinates Z_i(n).
+The correlator takes it from integer residues, so horizontal and central
+terms alike are exact rationals rounded once to float64; it honours
+`threads`, and its memory beyond the mu table is O(chunk).
 """
 
 from __future__ import annotations
@@ -285,10 +289,6 @@ def _residue_polys(A, Nmat, nu: int, u_vec) -> list[tuple[Poly, Poly, Poly]]:
     return out
 
 
-def _wrong_order_guard(nu: int, r: int, l: int) -> int:
-    return 1 if r < l else 0
-
-
 def compile_poly_orbit(T: HeisenbergAffine, x: HeisenbergElement, l: int) -> PolyOrbitRep:
     """Exact polynomial form of the orbit on the residue class n = l (mod nu).
 
@@ -312,7 +312,7 @@ def compile_poly_orbit(T: HeisenbergAffine, x: HeisenbergElement, l: int) -> Pol
         total = Poly()
         for r in range(nu):
             P = prefix_sum_poly(g_polys[r][polys_idx])
-            total = total + P.compose_linear(1, _wrong_order_guard(nu, r, l))
+            total = total + P.compose_linear(1, int(r < l))
         return total
 
     V1 = residue_sum(0)
@@ -333,7 +333,7 @@ def compile_poly_orbit(T: HeisenbergAffine, x: HeisenbergElement, l: int) -> Pol
     for r in range(nu):
         prod = g_polys[r][0] * B_at[r]
         P = prefix_sum_poly(prod)
-        sum_aB = sum_aB + P.compose_linear(1, _wrong_order_guard(nu, r, l))
+        sum_aB = sum_aB + P.compose_linear(1, int(r < l))
     V3 = sum_c - sum_aB
 
     # sigma^n(x) for n = q nu + l: first A^l, then (I + qN + q(q-1)/2 N^2).
@@ -389,10 +389,6 @@ class NilObservable:
         r = spec.get("central", 0)
         return cls.character(p, q, r)
 
-    @property
-    def is_horizontal(self) -> bool:
-        return all(t[3] == 0 for t in self.terms)
-
     def value(self, x: HeisenbergElement) -> complex:
         v1, v2, v3 = reduce_to_fundamental(x).floats()
         total = 0j
@@ -402,47 +398,81 @@ class NilObservable:
         return total
 
 
+# Largest modulus K whose residue products (K-1)^2 + K - 1 stay within int64.
+INT64_MODULUS_MAX = math.isqrt(2**63 - 1)
+
+
+def _horner_mod(coeffs: Sequence[int], n: np.ndarray, K: int) -> np.ndarray:
+    """P(n) mod K for integer coefficients (low to high), Horner on n mod K."""
+    nr, acc = n % K, np.zeros_like(n)
+    for c in reversed(coeffs):
+        acc *= nr
+        acc += c % K
+        acc %= K
+    return acc
+
+
+def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):
+    """n -> frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) on rep's residue class.
+
+    With D_i the common denominator of Z_i and K that of the phase, every
+    part is an integer polynomial mod K, D1 D2 or D2: floor(Z1) only counts
+    mod D2, as (D1 Z1 mod D1 D2) // D1.  Residues are int64 when every
+    modulus is at most INT64_MODULUS_MAX and Python ints otherwise.
+    """
+    Z1, Z2, Z3 = rep.coord_polys
+    D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
+    P = Z1.scale(p) + Z2.scale(q) + Z3.scale(r)
+    rb = r % D2  # the bracket r floor(Z1) Z2 counts mod 1
+    K = math.lcm(*(c.denominator for c in P.coeffs), D2 if rb else 1)
+    B, A1, A2 = ([int(c * d) for c in Z.coeffs] for Z, d in ((P, K), (Z1, D1), (Z2, D2)))
+    dtype = np.int64 if max(K, D1 * D2 if rb else 1) <= INT64_MODULUS_MAX else object
+
+    def phase(n: np.ndarray) -> np.ndarray:
+        n = n.astype(dtype, copy=False)
+        num = _horner_mod(B, n, K)
+        if rb:
+            floor_z1 = _horner_mod(A1, n, D1 * D2) // D1
+            num = num + (rb * floor_z1 % D2) * _horner_mod(A2, n, D2) % D2 * (K // D2)
+        return (num % K / K).astype(np.float64, copy=False)
+    return phase
+
+
 def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
                   table: MobiusTable, checkpoints: Sequence[int],
                   threads: int = 1) -> "CorrelationSeries":
     """S(N_i) = sum_{n<=N_i} mu(n) f(T^n x Gamma) via the polynomial orbit form.
 
-    Horizontal observables ride the exact-anchored polynomial mod-1 path
-    (fast, vectorized); central terms fall back to exact per-n evaluation
-    of the reduced representative.
+    Every term's phase is an exact rational from integer residues, central
+    terms included, rounded once to float64.  Each term is one
+    `_weighted_sums` pass scaled by its weight, so `threads` is honoured,
+    sums are bit-identical for any thread count, and memory beyond the mu
+    table is O(chunk).
     """
-    from .correlate import CorrelationSeries, poly_mod1_array
+    from .correlate import CHUNK, CorrelationSeries, _weighted_sums
 
     checkpoints = sorted(int(c) for c in checkpoints)
+    if not checkpoints:
+        raise DomainError("need at least one checkpoint")
     N = checkpoints[-1]
     if N > table.limit:
         raise DomainError(f"checkpoint {N} beyond sieve limit {table.limit}")
     mu = table.mu_array()
     reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
 
-    values = np.zeros(N + 1, dtype=np.complex128)
-    if f.is_horizontal:
-        for l, rep in enumerate(reps):
-            Z1, Z2, Z3 = rep.coord_polys
-            n_start = l if l >= 1 else T.nu
-            count = (N - n_start) // T.nu + 1 if N >= n_start else 0
-            if count == 0:
-                continue
-            t_start = (n_start - l) // T.nu
-            acc = np.zeros(count, dtype=np.complex128)
-            for w, p, q, _ in f.terms:
-                poly = Z1.scale(p) + Z2.scale(q)
-                ph = poly_mod1_array(poly.compose_linear(T.nu, l), t_start, count)
-                acc += w * np.exp(2j * np.pi * ph)
-            values[n_start::T.nu][:count] = acc
-    else:
-        for n in range(1, N + 1):
-            rep = reps[n % T.nu]
-            values[n] = f.value(rep.evaluate(n))
+    sums = [0j] * len(checkpoints)
+    for w, p, q, r in f.terms:
+        sources = [_residue_phase(rep, p, q, r) for rep in reps]
 
-    sums = []
-    for cp in checkpoints:
-        sums.append(complex(np.dot(mu[1:cp + 1].astype(np.float64), values[1:cp + 1])))
+        def phase_chunk(u, L):
+            n = np.arange(u, u + L, dtype=np.int64)
+            out = np.empty(L, dtype=np.float64)
+            for l, phase in enumerate(sources):
+                s = (l - u) % T.nu
+                out[s::T.nu] = phase(n[s::T.nu])
+            return out
+        term = _weighted_sums(phase_chunk, mu, N, checkpoints, threads, CHUNK)
+        sums = [s + w * t for s, t in zip(sums, term)]
     meta = {"flow": f"heisenberg(nu={T.nu})", "observable": str(f.terms),
             "threads": threads, "N": N}
     return CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums), metadata=meta)

@@ -195,3 +195,32 @@ def test_nilflow_subcommand(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "N,re,im,abs_over_N"
     assert len(lines) == 3
+
+
+def _nil_config(tmp_path, cfg=None):
+    path = tmp_path / "nil.json"
+    path.write_text(json.dumps(cfg or {"type": "heisenberg", "g": ["1/3", "1/7", "2/5"],
+                                       "dsigma": [[1, 0, 0], [1, 1, 0], ["1/2", 0, 1]]}))
+    return str(path)
+
+
+def _run_module(args):
+    proc = subprocess.run([sys.executable, "-m", "mobiusflow.cli", *args],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    return proc.returncode
+
+
+def test_nilflow_empty_checkpoints_usage_exit(tmp_path):
+    assert _run_module(["nilflow", "--config", _nil_config(tmp_path), "--observable", "1,2,1",
+                        "--checkpoints", ","]) == 2
+
+
+def test_nilflow_bad_observable_usage_exit(tmp_path):
+    assert _run_module(["nilflow", "--config", _nil_config(tmp_path), "--observable", "a,b",
+                        "--checkpoints", "100"]) == 2
+
+
+def test_nilflow_config_missing_keys_domain_exit(tmp_path):
+    assert _run_module(["nilflow", "--config", _nil_config(tmp_path, {"type": "heisenberg"}),
+                        "--observable", "1,2,1", "--checkpoints", "100"]) == 3

@@ -6,17 +6,18 @@ All algebra here is exact over Fractions; equality assertions are literal.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiusflow.errors import DomainError
 from mobiusflow.mobius import mobius_sieve, mertens
-from mobiusflow.nilflow import (HeisenbergAffine, HeisenbergElement, NilObservable,
-                                compile_poly_orbit, coord_first_from_second,
-                                coord_second_from_first, correlate_nil, heis_inv,
-                                heis_mul, make_automorphism, nil_orbit_iter,
-                                nil_step, reduce_to_fundamental)
+from mobiusflow.nilflow import (INT64_MODULUS_MAX, HeisenbergAffine, HeisenbergElement,
+                                NilObservable, _residue_phase, compile_poly_orbit,
+                                coord_first_from_second, coord_second_from_first,
+                                correlate_nil, heis_inv, heis_mul, make_automorphism,
+                                nil_orbit_iter, nil_step, reduce_to_fundamental)
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -245,3 +246,104 @@ def test_correlate_decay_trend():
     series = correlate_nil(T, x, NilObservable.character(1, 2, 0), big,
                            [1000, 10**6])
     assert series.normalized[1] < series.normalized[0]
+
+
+def _exact_phase(rep, n, p, q, r):
+    """float of frac(p v1 + q v2 + r v3) on the exact reduced representative."""
+    v1, v2, v3 = rep.evaluate_reduced(n).coords()
+    return float((p * v1 + q * v2 + r * v3) % 1)
+
+
+def _iteration_sum(T, x, obs, mu, N):
+    p = reduce_to_fundamental(x)
+    total = 0j
+    for n in range(1, N + 1):
+        p = nil_step(T, p)
+        total += int(mu[n]) * obs.value(p)
+    return total
+
+
+def test_residue_phases_equal_exact_phases():
+    """The integer-residue phases are the exact rationals rounded once: == float(Fraction)."""
+    rng = random.Random(8)
+
+    def rand_el():
+        return HeisenbergElement(*[Fraction(rng.randint(-12, 12), rng.randint(1, 8))
+                                   for _ in range(3)])
+    seen_nu, seen_r, moved_x = set(), set(), 0
+    for i in range(36):
+        ds = make_automorphism(QU_BLOCKS[i % len(QU_BLOCKS)], e=rng.randint(-2, 2),
+                               f=rng.randint(-2, 2))
+        T = HeisenbergAffine(g=rand_el(), dsigma=ds)
+        x = reduce_to_fundamental(rand_el())
+        moved_x += x.coords() != (0, 0, 0)
+        p, q, r = rng.randint(-3, 3), rng.randint(-3, 3), (1, -2, 3, 0)[i % 4]
+        seen_nu.add(T.nu)
+        seen_r.add(r)
+        for l in range(T.nu):
+            rep = compile_poly_orbit(T, x, l)
+            ns = list(range(l or T.nu, 300, T.nu)) + [l + T.nu * k for k in (10**5, 10**7 + 3)]
+            got = _residue_phase(rep, p, q, r)(np.array(ns, dtype=np.int64))
+            assert got.tolist() == [_exact_phase(rep, n, p, q, r) for n in ns], (i, l)
+    assert seen_nu >= {1, 2, 4} and seen_r == {1, -2, 3, 0} and moved_x >= 30
+
+
+def test_residue_phases_beyond_int64_guard_stay_exact():
+    g = HeisenbergElement(Fraction(1, 1000003), Fraction(1, 999983), Fraction(1, 65537))
+    T = HeisenbergAffine(g=g, dsigma=make_automorphism(((1, 0), (1, 1))))
+    x = HeisenbergElement(Fraction(1, 3), Fraction(2, 7), 0)
+    rep = compile_poly_orbit(T, x, 0)
+    Z1, Z2, _ = rep.coord_polys
+    D1, D2 = (max(c.denominator for c in Z.coeffs) for Z in (Z1, Z2))
+    assert D1 * D2 > INT64_MODULUS_MAX
+    ns = list(range(1, 200)) + [10**6 + 7, 10**9 + 9]
+    got = _residue_phase(rep, 1, 2, 1)(np.array(ns, dtype=np.int64))
+    assert got.tolist() == [_exact_phase(rep, n, 1, 2, 1) for n in ns]
+    table = mobius_sieve(1500)
+    obs = NilObservable.character(1, 2, 1)
+    series = correlate_nil(T, x, obs, table, [1500])
+    assert abs(series.sums[0] - _iteration_sum(T, x, obs, table.mu_array(), 1500)) < 1e-9 * 1500
+
+
+def test_two_term_weighted_observable_vs_iteration(table):
+    ds = make_automorphism(((0, -1), (1, 0)), e=1, f=-1)
+    T = HeisenbergAffine(g=HeisenbergElement(Fraction(2, 3), Fraction(-1, 5),
+                                             Fraction(3, 7)), dsigma=ds)
+    assert T.nu == 4
+    x = HeisenbergElement(Fraction(1, 4), Fraction(5, 6), Fraction(1, 9))
+    obs = NilObservable(terms=((0.5 + 0j, 1, 2, -2), (0.25j, 0, 1, 3)))
+    series = correlate_nil(T, x, obs, table, [700, 1500])
+    want = _iteration_sum(T, x, obs, table.mu_array(), 1500)
+    assert abs(series.sums[1] - want) < 1e-9 * 1500
+
+
+def test_correlate_threads_bit_identical(table):
+    ds = make_automorphism(((-1, 0), (0, -1)), e=1)
+    T = HeisenbergAffine(g=HeisenbergElement(Fraction(1, 3), Fraction(1, 7),
+                                             Fraction(2, 5)), dsigma=ds)
+    x = HeisenbergElement(Fraction(1, 11), Fraction(3, 13), 0)
+    cps = [10, 9000, 20_000, 50_000]
+    for obs in (NilObservable.character(1, 2, 0), NilObservable.character(1, 2, 1)):
+        one = correlate_nil(T, x, obs, table, cps, threads=1)
+        two = correlate_nil(T, x, obs, table, cps, threads=2)
+        assert one.sums == two.sums
+        assert (one.metadata["threads"], two.metadata["threads"]) == (1, 2)
+
+
+def test_correlate_central_vs_iteration_at_1e5():
+    big = mobius_sieve(10**5)
+    T = HeisenbergAffine(g=HeisenbergElement(Fraction(1, 3), Fraction(1, 7),
+                                             Fraction(2, 5)),
+                         dsigma=make_automorphism(((1, 0), (1, 1))))
+    x = HeisenbergElement.identity()
+    obs = NilObservable.character(1, 2, 1)
+    series = correlate_nil(T, x, obs, big, [10**5])
+    assert abs(series.sums[0] - _iteration_sum(T, x, obs, big.mu_array(), 10**5)) < 1e-9 * 10**5
+
+
+def test_correlate_needs_a_checkpoint(table):
+    T = HeisenbergAffine(g=HeisenbergElement(1, 0, 0),
+                         dsigma=make_automorphism(((1, 0), (0, 1))))
+    with pytest.raises(DomainError, match="need at least one checkpoint"):
+        correlate_nil(T, HeisenbergElement.identity(), NilObservable.character(1, 0, 0),
+                      table, [])
