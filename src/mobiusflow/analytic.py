@@ -131,10 +131,6 @@ class AnalyticSeries:
                 return False
         return True
 
-    def default_truncation(self, tol: float = 1e-14) -> int:
-        """M with c_up e^{-tau M} < tol; support never exceeds it by much."""
-        return max(1, math.ceil(math.log(max(self.c_up, 1e-300) / tol) / self.tau))
-
     # -- construction --------------------------------------------------------
 
     @classmethod
@@ -211,10 +207,6 @@ def eval_series(h: AnalyticSeries, x: float, M: Optional[int] = None) -> complex
         if M is None or abs(m) <= M:
             total += c * e2pi(m * xf)
     return total
-
-
-def eval_series_real(h: AnalyticSeries, x: float, M: Optional[int] = None) -> float:
-    return eval_series(h, x, M).real
 
 
 def birkhoff_sum_direct(h: AnalyticSeries, x1: float, alpha: AlphaSpec, n: int) -> complex:

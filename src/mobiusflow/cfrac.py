@@ -238,9 +238,6 @@ class AlphaSpec:
     def frac_float(self, n: int) -> float:
         return float(self.frac_fraction(n))
 
-    def frac_signed_float(self, n: int) -> float:
-        return float(self.frac_signed_fraction(n))
-
     def distance_to_integer(self, n: int) -> Fraction:
         """||n*alpha||, distance to the nearest integer (center-based)."""
         return abs(self.frac_signed_fraction(n))
@@ -301,9 +298,6 @@ class CFExpansion:
 
     def sharp_values(self) -> list[int]:
         return sorted({self.denominators[k] for k in self.sharp_idx})
-
-    def flat_values(self) -> list[int]:
-        return sorted({self.denominators[k] for k in self.flat_idx})
 
 
 def cf_expand(alpha: AlphaSpec, depth: int) -> CFExpansion:

@@ -111,14 +111,38 @@ def _num(v):
     return v
 
 
+def _usage_errors(parse):
+    """An argparse type= parser that also reports OverflowError as a usage
+    error (exit 2); argparse itself maps only ValueError and TypeError."""
+    def typed(s: str):
+        try:
+            return parse(s)
+        except OverflowError as exc:
+            raise argparse.ArgumentTypeError(f"{s!r}: {exc}") from None
+    typed.__name__ = parse.__name__
+    return typed
+
+
+_parse_count = _usage_errors(lambda s: int(float(s)))
+
+
+@_usage_errors
 def _parse_checkpoints(s: str) -> list[int]:
-    out = []
-    for part in s.split(","):
-        part = part.strip()
-        out.append(int(float(part)))
-    return sorted(set(out))
+    out = sorted({int(float(part)) for part in s.split(",")})
+    if out[0] < 1:
+        raise argparse.ArgumentTypeError(f"checkpoints must be >= 1, got {s!r}")
+    return out
 
 
+@_usage_errors
+def _parse_ints(s: str) -> tuple[int, ...]:
+    out = tuple(int(t) for t in s.split(","))
+    if any(abs(v) >= 2**63 for v in out):
+        raise argparse.ArgumentTypeError(f"components must lie within int64, got {s!r}")
+    return out
+
+
+@_usage_errors
 def _parse_observable(s: str) -> nf.NilObservable:
     if s.startswith("{"):
         return nf.NilObservable.from_json(json.loads(s))
@@ -206,8 +230,11 @@ def cmd_correlate(args, threads: int) -> int:
         cfg = json.load(fh)
     flow = flow_from_json(cfg)
     checkpoints = args.checkpoints
+    b = args.b
+    if (isinstance(flow, SkewFlow) and len(b) != 2
+            or isinstance(flow, nf.HeisenbergAffine) and len(b) not in (2, 3)):
+        raise DomainError(f"observable {b} has the wrong number of components")
     table = mobius_sieve(checkpoints[-1])
-    b = tuple(int(t) for t in args.b.split(","))
     if isinstance(flow, (SkewFlow,)):
         x = TorusPoint(*(cfg.get("x", [0.0, 0.0])))
         series = mobius_correlate(flow, x, Character(*b), table, checkpoints,
@@ -229,13 +256,12 @@ def cmd_correlate(args, threads: int) -> int:
 
 
 def cmd_expsum(args, threads: int) -> int:
-    coeffs = tuple(float(c) for c in args.coeffs.split(","))
-    phase = PolyPhase(coefficients=coeffs, nu=args.nu, residue=args.residue)
+    phase = PolyPhase(coefficients=args.coeffs, nu=args.nu, residue=args.residue)
     table = mobius_sieve(args.n)
     s = poly_exp_sum(phase, table, args.n, threads=threads)
     out = {"N": args.n, "re": s.real, "im": s.imag, "abs_over_N": abs(s) / args.n}
     _emit(json.dumps(out, indent=2) + "\n", args.out,
-          _provenance({"cmd": "expsum", "coeffs": coeffs, "nu": args.nu,
+          _provenance({"cmd": "expsum", "coeffs": args.coeffs, "nu": args.nu,
                        "l": args.residue, "N": args.n}, threads))
     return 0
 
@@ -388,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="scale report and case label")
     p.add_argument("--alpha", required=True)
     p.add_argument("--h", required=True, help="series JSON (inline or path)")
-    p.add_argument("--n", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--d1", type=int, default=2)
     p.add_argument("--b2", type=int, default=1)
     p.add_argument("--depth", type=int, default=None)
@@ -398,23 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="Mobius correlation sums at checkpoints")
     p.add_argument("--config", required=True)
-    p.add_argument("--b", required=True, help="observable, e.g. 0,1")
+    p.add_argument("--b", required=True, type=_parse_ints, help="observable, e.g. 0,1")
     p.add_argument("--checkpoints", required=True, type=_parse_checkpoints)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_correlate)
 
     p = sub.add_parser("expsum", help="polynomial-phase Mobius sum")
-    p.add_argument("--coeffs", required=True, help="low-to-high, e.g. 0,0.3,0.01")
+    p.add_argument("--coeffs", required=True, type=lambda s: tuple(map(float, s.split(","))),
+                   help="low-to-high, e.g. 0,0.3,0.01")
     p.add_argument("--nu", type=int, default=1)
     p.add_argument("--residue", type=int, default=0)
-    p.add_argument("--n", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_expsum)
 
     p = sub.add_parser("bsz", help="bilinear-criterion report")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--f", required=True, help="constant | rotation:THETA")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_bsz)
@@ -444,6 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # argparse stores [] for the value "--" without calling the type= parser
+    if getattr(args, "checkpoints", None) == []:
+        ap.error("argument --checkpoints: expected a value")
     if args.command is None:
         ap.print_help()
         return 2

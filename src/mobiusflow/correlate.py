@@ -4,9 +4,14 @@ The central object is S(N) = sum_{n<=N} mu(n) e(<b, orbit(n)>) evaluated at
 checkpoints.  Orbit phases come from closed forms, never from sequential
 iteration: rotation and quadratic parts through exact fixed-denominator
 reduction with per-chunk anchors, Birkhoff parts through the geometric
-prefix formula per Fourier mode.  Work is split into fixed-size chunks
-combined in a fixed order, so results are bit-identical for any worker
-count.
+prefix formula per Fourier mode.  Polynomial phases (`poly_exp_sum`, the
+unipotent affine maps, the Heisenberg nilflows) are exact residues: with
+the polynomial written as integer numerators over a common denominator K,
+`poly_mod1_array` runs Horner in uint64 wraparound when K is a power of two
+up to 2^64, in int64 mod K when K <= INT64_MODULUS_MAX, and on Python ints
+otherwise, and rounds the exact rational once to float64.  Work is split
+into fixed-size chunks combined in a fixed order, so every correlator
+honours `threads` and its results are bit-identical for any worker count.
 
 Also here: the bilinear-criterion test (small correlations against prime
 dilations force small multiplicative-weighted sums), the polynomial
@@ -75,6 +80,8 @@ class PolyPhase:
             raise DomainError("need 0 <= residue < nu")
         if len(self.coefficients) < 1:
             raise DomainError("need at least a constant coefficient")
+        if any(isinstance(c, float) and not math.isfinite(c) for c in self.coefficients):
+            raise DomainError(f"coefficients must be finite, got {self.coefficients}")
 
     @property
     def degree(self) -> int:
@@ -85,49 +92,50 @@ class PolyPhase:
 
 
 # ---------------------------------------------------------------------------
-# Exact-anchored mod-1 evaluation of polynomial sequences
+# Exact mod-1 evaluation of polynomial phases from integer residues
+
+# Largest modulus K whose residue products (K-1)^2 + K - 1 stay within int64.
+INT64_MODULUS_MAX = math.isqrt(2**63 - 1)
+_U64 = 1 << 64
 
 
-def poly_mod1_array(poly: Poly, t0: int, count: int, target_err: float = 1e-9
-                    ) -> np.ndarray:
-    """frac(poly(t)) for t = t0..t0+count-1 as float64, error < target_err.
+def _horner_mod(coeffs: Sequence[int], n: np.ndarray, K: int) -> np.ndarray:
+    """P(n) mod K for integer coefficients (low to high), Horner on n mod K.
 
-    Within blocks of length L the value is the binomial combination
-    sum_k C(s, k) D_k of exact finite differences D_k reduced mod 1, so the
-    roundoff is about C(L, deg) * 2^-52; L is chosen accordingly and the
-    differences are recomputed exactly at every block anchor.
+    Runs in the dtype of n: int64 needs K <= INT64_MODULUS_MAX, an object
+    array of Python ints takes any K.
     """
-    deg = max(poly.degree, 0)
-    if deg == 0:
-        v = float(poly.eval(0) % 1) if poly.coeffs else 0.0
-        return np.full(count, v)
-    L = 1
-    while L < 1 << 16:
-        err = math.comb(2 * L, deg) * (deg + 1) * 2.0**-52
-        if err > target_err:
-            break
-        L *= 2
-    L = max(L, deg + 1)
-    out = np.empty(count, dtype=np.float64)
-    pos = 0
-    while pos < count:
-        u = t0 + pos
-        take = min(L, count - pos)
-        vals = [poly.eval(u + i) for i in range(deg + 1)]
-        diffs = []
-        level = vals
-        for _ in range(deg + 1):
-            diffs.append(float(level[0] % 1))
-            level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-        s = np.arange(take, dtype=np.float64)
-        acc = np.full(take, diffs[0])
-        binom = np.ones(take, dtype=np.float64)
-        for k in range(1, deg + 1):
-            binom = binom * (s - (k - 1)) / k
-            acc += binom * diffs[k]
-        out[pos:pos + take] = np.mod(acc, 1.0)
-        pos += take
-    return out
+    nr, acc = n % K, np.zeros_like(n)
+    for c in reversed(coeffs):
+        acc *= nr
+        acc += c % K
+        acc %= K
+    return acc
+
+
+def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
+    """frac(poly(t)) for t = t0..t0+count-1: the exact rational, rounded once to float64.
+
+    With poly = sum B_k t^k / K over the common denominator K of its
+    coefficients, the residue sum B_k t^k mod K comes from Horner on
+    integers, in the cheapest exact arithmetic that K allows:
+
+    - uint64 wraparound when K is a power of two <= 2^64: it is exact mod
+      2^64 and so mod K (every float coefficient lands here);
+    - int64 mod K when K <= INT64_MODULUS_MAX;
+    - Python-int object arrays otherwise.
+    """
+    K = math.lcm(*(c.denominator for c in poly.coeffs))
+    B = [int(c * K) for c in poly.coeffs]
+    if K & (K - 1) == 0 and K <= _U64:
+        t = np.arange(count, dtype=np.uint64) + np.uint64(t0 % _U64)
+        acc = np.zeros(count, dtype=np.uint64)
+        for b in reversed(B):
+            acc *= t
+            acc += np.uint64(b % _U64)
+        return (acc & np.uint64(K - 1)).astype(np.float64) * (1.0 / K)
+    t = np.arange(count, dtype=np.int64 if K <= INT64_MODULUS_MAX else object) + t0 % K
+    return (_horner_mod(B, t, K) / K).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +286,14 @@ def _pieces(N: int, checkpoints: Sequence[int], chunk: int) -> list[tuple[int, i
     return [(a + 1, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], mu: np.ndarray,
+def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarray,
                    N: int, checkpoints: Sequence[int], threads: int,
                    chunk: int) -> list[complex]:
-    """sum mu(n) e(phase(n)) snapshotted at the checkpoints.
+    """sum_{i<=N} weights[i - 1] e(phase(i)) snapshotted at the checkpoints.
 
-    The piece layout depends only on (N, checkpoints, chunk); threads only
+    phase_chunk(a, L) gives the phases of terms a..a+L-1; weights is mu[1:]
+    for a sum over n, or a strided view of mu for a residue class.  The
+    piece layout depends only on (N, checkpoints, chunk); threads only
     parallelize piece evaluation, and the reduction runs in piece order.
     """
     pieces = _pieces(N, checkpoints, chunk)
@@ -292,7 +302,7 @@ def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], mu: np.ndarray
         a, b = ab
         ph = phase_chunk(a, b - a + 1)
         z = np.exp(2j * np.pi * ph)
-        return complex(np.dot(mu[a:b + 1].astype(np.float64), z))
+        return complex(np.dot(weights[a - 1:b].astype(np.float64), z))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -348,23 +358,22 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         v = (b.b1, b.b2) if isinstance(b, Character) else tuple(int(t) for t in b)
         if len(v) != flow.dimension:
             raise DomainError("observable vector dimension mismatch")
-        polys = [unipotent_phase_poly(flow, x, v, l).coeffs for l in range(flow.nu)]
-        tpolys = [Poly(c).compose_linear(flow.nu, l) for l, c in enumerate(polys)]
+        nu = flow.nu
+        tpolys = [Poly(unipotent_phase_poly(flow, x, v, l).coeffs).compose_linear(nu, l)
+                  for l in range(nu)]
 
         def phase_chunk(u, L):
+            # class l fills out[s::nu], from n = u + s = t nu + l on
             out = np.empty(L, dtype=np.float64)
-            ns = np.arange(u, u + L)
-            for l in range(flow.nu):
-                sel = np.nonzero(ns % flow.nu == l)[0]
-                if sel.size:
-                    t_start = (u + int(sel[0]) - l) // flow.nu
-                    out[sel] = poly_mod1_array(tpolys[l], t_start, sel.size)
+            for l, tpoly in enumerate(tpolys):
+                s = (l - u) % nu
+                out[s::nu] = poly_mod1_array(tpoly, (u + s - l) // nu, len(range(s, L, nu)))
             return out
         meta_flow = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})"
     else:
         raise DomainError(f"unsupported flow type {type(flow).__name__}")
 
-    sums = _weighted_sums(phase_chunk, mu, N, checkpoints, threads, chunk)
+    sums = _weighted_sums(phase_chunk, mu[1:], N, checkpoints, threads, chunk)
     meta = {"flow": meta_flow, "observable": str(b), "threads": threads,
             "chunk": chunk, "N": N}
     return CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
@@ -373,33 +382,27 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
 
 def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
                  threads: int = 1, chunk: int = CHUNK) -> complex:
-    """sum_{n<=N, n = l (mod nu)} mu(n) e(phi(n)) with exact mod-1 phases."""
+    """sum_{n<=N, n = l (mod nu)} mu(n) e(phi(n)) with exact mod-1 phases.
+
+    The class is walked in t = (n - l)/nu: the phases are poly_mod1_array of
+    phi(nu t + l), and the sum is one `_weighted_sums` pass over the strided
+    view mu[n_start::nu], so `threads` is honoured, the sum is bit-identical
+    for any thread count, and mu is not copied.
+    """
     if N > table.limit:
         raise DomainError(f"N={N} beyond sieve limit {table.limit}")
-    mu = table.mu_array()
     nu, l = phase.nu, phase.residue
-    tpoly = phase.as_poly().compose_linear(nu, l)
     n_start = l if l >= 1 else nu
-    t_start = (n_start - l) // nu
     count = (N - n_start) // nu + 1 if N >= n_start else 0
     if count == 0:
         return 0j
-    total = 0j
-    mu_sel = mu[n_start::nu][:count]
-    pos = 0
-    while pos < count:
-        take = min(chunk, count - pos)
-        ph = poly_mod1_array(tpoly, t_start + pos, take)
-        z = np.exp(2j * np.pi * ph)
-        total += complex(np.dot(mu_sel[pos:pos + take].astype(np.float64), z))
-        pos += take
-    return total
+    tpoly = phase.as_poly().compose_linear(nu, l)
+    t_start = (n_start - l) // nu
 
-
-def mertens_residue(table: MobiusTable, N: int, nu: int = 1, l: int = 0) -> int:
-    mu = table.mu_array()
-    n_start = l if l >= 1 else nu
-    return int(mu[n_start::nu][: (N - n_start) // nu + 1].sum(dtype=np.int64))
+    def phase_chunk(i, L):
+        return poly_mod1_array(tpoly, t_start + i - 1, L)
+    weights = table.mu_array()[n_start::nu]
+    return _weighted_sums(phase_chunk, weights, count, [count], threads, chunk)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,12 @@ def _fill_segment(mu: np.ndarray, lo: int, hi: int, primes: np.ndarray) -> None:
     """Fill mu[lo:hi] given primes up to sqrt(hi-1).
 
     Tracks the product of sieved primes per entry; any residual factor > 1 is
-    a single prime exceeding sqrt, contributing one extra sign flip.
+    a single prime exceeding sqrt, contributing one extra sign flip.  The
+    product divides n <= MAX_LIMIT < 2^31, so it fits int32.
     """
     length = hi - lo
     sign = np.ones(length, dtype=np.int8)
-    prod = np.ones(length, dtype=np.int64)
-    squarefree = np.ones(length, dtype=bool)
+    prod = np.ones(length, dtype=np.int32)
 
     for p in primes:
         p = int(p)
@@ -120,13 +120,12 @@ def _fill_segment(mu: np.ndarray, lo: int, hi: int, primes: np.ndarray) -> None:
         sign[start::p] *= -1
         prod[start::p] *= p
         p2 = p * p
-        start2 = (-lo) % p2
-        squarefree[start2::p2] = False
+        sign[(-lo) % p2::p2] = 0
 
-    n_vals = np.arange(lo, hi, dtype=np.int64)
-    has_big_prime = prod != n_vals
-    sign[has_big_prime] *= -1
-    sign[~squarefree] = 0
+    # prod differs from n by a factor >= 2 when it differs at all, so where
+    # hi <= 2 lo the test prod < n needs only prod < lo
+    n = lo if hi <= 2 * lo else np.arange(lo, hi, dtype=np.int32)
+    sign[prod < n] *= -1
     mu[lo:hi] = sign
 
 

@@ -39,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .correlate import INT64_MODULUS_MAX, _horner_mod
 from .errors import DomainError
 from .mobius import MobiusTable
 from .polyutil import Poly, prefix_sum_poly
@@ -398,20 +399,6 @@ class NilObservable:
         return total
 
 
-# Largest modulus K whose residue products (K-1)^2 + K - 1 stay within int64.
-INT64_MODULUS_MAX = math.isqrt(2**63 - 1)
-
-
-def _horner_mod(coeffs: Sequence[int], n: np.ndarray, K: int) -> np.ndarray:
-    """P(n) mod K for integer coefficients (low to high), Horner on n mod K."""
-    nr, acc = n % K, np.zeros_like(n)
-    for c in reversed(coeffs):
-        acc *= nr
-        acc += c % K
-        acc %= K
-    return acc
-
-
 def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):
     """n -> frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) on rep's residue class.
 
@@ -471,7 +458,7 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
                 s = (l - u) % T.nu
                 out[s::T.nu] = phase(n[s::T.nu])
             return out
-        term = _weighted_sums(phase_chunk, mu, N, checkpoints, threads, CHUNK)
+        term = _weighted_sums(phase_chunk, mu[1:], N, checkpoints, threads, CHUNK)
         sums = [s + w * t for s, t in zip(sums, term)]
     meta = {"flow": f"heisenberg(nu={T.nu})", "observable": str(f.terms),
             "threads": threads, "N": N}

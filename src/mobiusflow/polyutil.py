@@ -85,12 +85,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def compose_linear(self, a, b) -> "Poly":
         """p(a*x + b), exact."""
         a, b = Fraction(a), Fraction(b)

@@ -1,9 +1,15 @@
 """End-to-end CLI checks: formats, exit codes, determinism of artifacts."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mobiusflow.cli import main
 
@@ -224,3 +230,61 @@ def test_nilflow_bad_observable_usage_exit(tmp_path):
 def test_nilflow_config_missing_keys_domain_exit(tmp_path):
     assert _run_module(["nilflow", "--config", _nil_config(tmp_path, {"type": "heisenberg"}),
                         "--observable", "1,2,1", "--checkpoints", "100"]) == 3
+
+
+@pytest.mark.parametrize("args, code", [
+    (["nilflow", "--observable", "1,2,1", "--checkpoints", "1e400"], 2),
+    (["correlate", "--b", "a,b", "--checkpoints", "100"], 2),
+    (["expsum", "--coeffs", "a,1", "--n", "100"], 2),
+    (["expsum", "--coeffs", "inf,1", "--n", "100"], 3),
+    (["expsum", "--coeffs", "nan,1", "--n", "100"], 3),
+])
+def test_malformed_numbers_exit_without_traceback(tmp_path, args, code):
+    if args[0] != "expsum":
+        args = [args[0], "--config", _nil_config(tmp_path), *args[1:]]
+    assert _run_module(args) == code
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("configs")
+    nil = _nil_config(d)
+    skew = str(_skew_config(d))
+    aff = d / "aff.json"
+    aff.write_text(json.dumps({"type": "unipotent_affine", "matrix": [[1, 1], [0, 1]],
+                               "translation": ["1/3", 0], "x": ["1/7", "2/5"]}))
+    return {"nil": nil, "skew": skew, "aff": str(aff)}
+
+
+# Tokens of a comma-separated list: small numbers, numbers out of range or
+# not finite, and text that is no number. No token is a valid checkpoint
+# above 300, so no case sieves far.
+_TOKEN = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.sampled_from(["", " ", "1e400", "-1e400", "inf", "-inf", "nan", "1.5", "2e9",
+                     "0x1f", "9" * 30, "1e-400", "--"]),
+    st.text(alphabet=" .+-_eExyz;:[]{}", max_size=5),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example(option="checkpoints", flow="nil", value="--")  # argparse skips type= on "--"
+@given(option=st.sampled_from(["checkpoints", "b", "coeffs"]),
+       flow=st.sampled_from(["nil", "skew", "aff"]),
+       value=st.lists(_TOKEN, min_size=1, max_size=4).map(",".join))
+def test_malformed_lists_end_in_documented_exit_codes(configs, option, flow, value):
+    argv = {
+        "checkpoints": ["nilflow", "--config", configs["nil"], "--observable", "1,2,1",
+                        f"--checkpoints={value}"],
+        "b": ["correlate", "--config", configs[flow], f"--b={value}",
+              "--checkpoints", "100"],
+        "coeffs": ["expsum", f"--coeffs={value}", "--n", "100"],
+    }[option]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()

@@ -3,13 +3,15 @@ lemma verifiers."""
 
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mobiusflow.analytic import AnalyticSeries
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
-from mobiusflow.correlate import (CorrelationSeries, PolyPhase, bsz_test,
+from mobiusflow.correlate import (INT64_MODULUS_MAX, CorrelationSeries, PolyPhase, bsz_test,
                                   character_phase_array, mobius_correlate,
                                   phi_polys, poly_exp_sum, poly_lower_bound_check,
                                   poly_mod1_array, vdc_sum_check,
@@ -34,14 +36,81 @@ def skew():
     return SkewFlow(1, 1, 1, SQRT2, h), TorusPoint(0.3, 0.7)
 
 
+def _assert_exact_mod1(poly, t0, count):
+    got = poly_mod1_array(poly, t0, count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    for i in range(count):
+        assert got[i] == float(poly.eval(t0 + i) % 1), (poly, t0 + i)
+
+
 def test_poly_mod1_array_exact():
-    from fractions import Fraction
-    poly = Poly([Fraction(1, 7), Fraction(3, 11), Fraction(1, 13), Fraction(2, 17)])
-    got = poly_mod1_array(poly, 5, 4000)
-    for t in (0, 1, 777, 3999):
-        want = float(poly.eval(5 + t) % 1)
-        d = abs(got[t] - want) % 1.0
-        assert min(d, 1 - d) < 1e-9
+    """The exact rational frac(P(t)) rounded once: == float(P(t) % 1) on
+    random polynomials of degree 0-4 with signed coefficients."""
+    rng = random.Random(7)
+    _assert_exact_mod1(Poly([Fraction(1, 7), Fraction(3, 11), Fraction(1, 13),
+                             Fraction(2, 17)]), 5, 4000)
+    dens = [1, 2**52, 7 * 11 * 13 * 17, 3 * 2**20, 10**13 + 37, 2**70]
+    for _ in range(60):
+        den = rng.choice(dens)
+        coeffs = [Fraction(rng.randint(-10**25, 10**25), rng.choice((den, 2 * den)))
+                  for _ in range(rng.randint(1, 5))]
+        coeffs += [rng.uniform(-1e6, 1e6)] if rng.random() < 0.3 else []
+        for t0 in (0, 10**9 + rng.randrange(10**6)):
+            _assert_exact_mod1(Poly(coeffs), t0, 40)
+
+
+@pytest.mark.parametrize("K", [2**64, 2**65, INT64_MODULUS_MAX, INT64_MODULUS_MAX + 2,
+                               2**10 * 3, 2**40 * 3, 2**61 * 5])
+def test_poly_mod1_array_paths_at_their_edges(K):
+    """uint64 wraparound up to K = 2^64, int64 Horner up to INT64_MODULUS_MAX
+    (odd, as is the next odd modulus), Python ints beyond and for mixed
+    2^a * odd; residues next to K round the way float(Fraction) does."""
+    rng = random.Random(K)
+    for top in (1, K - 1, K // 2 + 1, rng.randrange(1, K)):
+        # the leading -1/K at t = -1 (mod K) makes the first Horner product (K - 1)^2
+        poly = Poly([Fraction(-top, K), Fraction(rng.randrange(K), K),
+                     Fraction(rng.randrange(-K, K) | 1, K), Fraction(-1, K)])
+        assert math.lcm(*(c.denominator for c in poly.coeffs)) == K
+        for t0 in (0, K - 6, 10**9 + 7, 2**64 - 5):
+            _assert_exact_mod1(poly, t0, 12)
+
+
+def test_poly_exp_sum_threads_bit_identical(table):
+    phase = PolyPhase((0.25, -0.1, math.sqrt(3), math.sqrt(2)), nu=3, residue=1)
+    N = 300_001
+    sums = [poly_exp_sum(phase, table, N, threads=t) for t in (1, 2)]
+    assert sums[0] == sums[1]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_poly_exp_sum_residue_class_direct(table, l):
+    coeffs = (Fraction(1, 3), -math.sqrt(5), Fraction(2, 7), math.pi)
+    poly = Poly([Fraction(c) for c in coeffs])
+    mu = table.mu_array()
+    N = 3001
+    want = sum(int(mu[n]) * cmath.exp(2j * math.pi * float(poly.eval(n) % 1))
+               for n in range(1, N + 1) if n % 3 == l)
+    got = poly_exp_sum(PolyPhase(coeffs, nu=3, residue=l), table, N, chunk=64)
+    assert abs(got - want) < 1e-12 * N
+
+
+def test_poly_exp_sum_cubic_against_uint64(table):
+    """sqrt(2) n^3 = m n^3 / 2^e: the phases from an independent uint64
+    computation, the sum within 1e-10 N."""
+    m, den = math.sqrt(2).as_integer_ratio()
+    N = 10**5
+    n = np.arange(1, N + 1, dtype=np.uint64)
+    frac = ((n * n * n * np.uint64(m)) & np.uint64(den - 1)).astype(np.float64) / den
+    want = complex(np.dot(table.mu_array()[1:N + 1].astype(np.float64),
+                          np.exp(2j * np.pi * frac)))
+    got = poly_exp_sum(PolyPhase((0.0, 0.0, 0.0, math.sqrt(2))), table, N)
+    assert abs(got - want) < 1e-10 * N
+
+
+def test_poly_phase_rejects_non_finite():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            PolyPhase((0.0, bad))
 
 
 def test_trivial_character_is_mertens(table, skew):
