@@ -250,7 +250,7 @@ def cmd_correlate(args, threads: int) -> int:
     lines = ["N,re,im,abs_over_N"]
     lines.extend(f"{n},{re!r},{im!r},{a!r}" for n, re, im, a in series.rows())
     _emit("\n".join(lines) + "\n", args.out,
-          _provenance({"cmd": "correlate", "config": cfg, "b": args.b,
+          _provenance({"cmd": "correlate", "config": cfg, "b": ",".join(map(str, b)),
                        "checkpoints": checkpoints}, threads))
     return 0
 

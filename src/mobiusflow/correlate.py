@@ -113,6 +113,61 @@ def _horner_mod(coeffs: Sequence[int], n: np.ndarray, K: int) -> np.ndarray:
     return acc
 
 
+_LIMB = 48  # limb width: a limb times t - t0 < 2^15, plus carry and coefficient, stays below 2^64
+_LIMB_BLOCK = 1 << 15
+
+
+def _pow2_limbs_mod1(B: Sequence[int], k: int, t0: int, count: int) -> np.ndarray:
+    """frac(sum B_j t^j / 2^k) for t = t0..t0+count-1, exact, for 64 < k <= 1022.
+
+    Per block of 2^15 values, the polynomial is shifted to i = t - t0 and
+    Horner runs mod 2^(48 L) on L 48-bit limbs held in uint64.  The residue
+    r mod 2^k is rounded once: a 64-bit window of bits s..s+63 < k, with a
+    sticky bit for any nonzero bit below it, converts to float64 as r does
+    once it holds 55 significant bits, so entries with fewer are retried 10
+    bits lower, down to s = 0 where the window is r itself.  k <= 1022
+    keeps the result a normal float.
+    """
+    if count > _LIMB_BLOCK:
+        return np.concatenate([_pow2_limbs_mod1(B, k, t0 + j, min(_LIMB_BLOCK, count - j))
+                               for j in range(0, count, _LIMB_BLOCK)])
+    mask, low = (1 << k) - 1, (1 << _LIMB) - 1
+    Q = [sum(b * math.comb(m, j) * t0 ** (m - j) for m, b in enumerate(B) if m >= j) & mask
+         for j in range(len(B))]
+    L = -(-k // _LIMB)
+    i = np.arange(count, dtype=np.uint64)
+    limbs = [np.full(count, (Q[-1] >> (_LIMB * l)) & low, dtype=np.uint64) for l in range(L)]
+    p, carry = np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64)
+    for q in reversed(Q[:-1]):
+        carry[:] = 0
+        for l, limb in enumerate(limbs):
+            np.multiply(limb, i, out=p)
+            p += carry
+            p += np.uint64((q >> (_LIMB * l)) & low)
+            np.bitwise_and(p, np.uint64(low), out=limb)
+            np.right_shift(p, np.uint64(_LIMB), out=carry)
+
+    out, rows, s = np.empty(count, dtype=np.float64), slice(None), k - 64
+    while True:
+        a, b = divmod(s, _LIMB)
+        u = limbs[a] >> np.uint64(b)
+        if a + 1 < L:
+            u |= limbs[a + 1] << np.uint64(_LIMB - b)
+        if a + 2 < L and b > 2 * _LIMB - 64:
+            u |= limbs[a + 2] << np.uint64(2 * _LIMB - b)
+        sticky = limbs[a] & np.uint64((1 << b) - 1)
+        for limb in limbs[:a]:
+            sticky |= limb
+        u |= np.minimum(sticky, np.uint64(1))
+        out[rows] = np.ldexp(u.astype(np.float64), s - k)
+        redo = u < np.uint64(1 << 54)
+        if s == 0 or not redo.any():
+            return out
+        rows = np.flatnonzero(redo) if isinstance(rows, slice) else rows[redo]
+        limbs = [limb[redo] for limb in limbs]
+        s = max(s - 10, 0)
+
+
 def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
     """frac(poly(t)) for t = t0..t0+count-1: the exact rational, rounded once to float64.
 
@@ -121,9 +176,13 @@ def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
     integers, in the cheapest exact arithmetic that K allows:
 
     - uint64 wraparound when K is a power of two <= 2^64: it is exact mod
-      2^64 and so mod K (every float coefficient lands here);
+      2^64 and so mod K (a float coefficient of magnitude at least about
+      2^-12, or below that with few mantissa bits, lands here);
+    - 48-bit limbs (`_pow2_limbs_mod1`) when K is a power of two up to
+      2^1022, which holds every polynomial with float coefficients of
+      magnitude above about 2^-970;
     - int64 mod K when K <= INT64_MODULUS_MAX;
-    - Python-int object arrays otherwise.
+    - Python-int object arrays otherwise, e.g. a float mixed with 1/3.
     """
     K = math.lcm(*(c.denominator for c in poly.coeffs))
     B = [int(c * K) for c in poly.coeffs]
@@ -134,6 +193,8 @@ def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
             acc *= t
             acc += np.uint64(b % _U64)
         return (acc & np.uint64(K - 1)).astype(np.float64) * (1.0 / K)
+    if K & (K - 1) == 0 and K.bit_length() <= 1023:
+        return _pow2_limbs_mod1(B, K.bit_length() - 1, t0, count)
     t = np.arange(count, dtype=np.int64 if K <= INT64_MODULUS_MAX else object) + t0 % K
     return (_horner_mod(B, t, K) / K).astype(np.float64)
 

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlate import INT64_MODULUS_MAX, _horner_mod
+from .correlate import CHUNK, INT64_MODULUS_MAX, CorrelationSeries, _horner_mod, _weighted_sums
 from .errors import DomainError
 from .mobius import MobiusTable
 from .polyutil import Poly, prefix_sum_poly
@@ -427,7 +427,7 @@ def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):
 
 def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
                   table: MobiusTable, checkpoints: Sequence[int],
-                  threads: int = 1) -> "CorrelationSeries":
+                  threads: int = 1) -> CorrelationSeries:
     """S(N_i) = sum_{n<=N_i} mu(n) f(T^n x Gamma) via the polynomial orbit form.
 
     Every term's phase is an exact rational from integer residues, central
@@ -436,8 +436,6 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
     sums are bit-identical for any thread count, and memory beyond the mu
     table is O(chunk).
     """
-    from .correlate import CHUNK, CorrelationSeries, _weighted_sums
-
     checkpoints = sorted(int(c) for c in checkpoints)
     if not checkpoints:
         raise DomainError("need at least one checkpoint")

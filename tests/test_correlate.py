@@ -62,9 +62,10 @@ def test_poly_mod1_array_exact():
 @pytest.mark.parametrize("K", [2**64, 2**65, INT64_MODULUS_MAX, INT64_MODULUS_MAX + 2,
                                2**10 * 3, 2**40 * 3, 2**61 * 5])
 def test_poly_mod1_array_paths_at_their_edges(K):
-    """uint64 wraparound up to K = 2^64, int64 Horner up to INT64_MODULUS_MAX
-    (odd, as is the next odd modulus), Python ints beyond and for mixed
-    2^a * odd; residues next to K round the way float(Fraction) does."""
+    """uint64 wraparound up to K = 2^64, 48-bit limbs for 2^65, int64 Horner
+    up to INT64_MODULUS_MAX (odd, as is the next odd modulus), Python ints
+    beyond and for mixed 2^a * odd; residues next to K round the way
+    float(Fraction) does."""
     rng = random.Random(K)
     for top in (1, K - 1, K // 2 + 1, rng.randrange(1, K)):
         # the leading -1/K at t = -1 (mod K) makes the first Horner product (K - 1)^2
@@ -73,6 +74,36 @@ def test_poly_mod1_array_paths_at_their_edges(K):
         assert math.lcm(*(c.denominator for c in poly.coeffs)) == K
         for t0 in (0, K - 6, 10**9 + 7, 2**64 - 5):
             _assert_exact_mod1(poly, t0, 12)
+
+
+@pytest.mark.parametrize("k", [65, 96, 97, 113, 144, 500, 1022, 1023])
+def test_poly_mod1_array_power_of_two_limbs(k):
+    """K = 2^k past 2^64 takes 48-bit limbs up to 2^1022 (Python ints at
+    2^1023): exact at t0 up to 2^80, across the 2^15-value blocks, and for
+    residues far below K, which the limb window retries lower down."""
+    K = 2**k
+    rng = random.Random(k)
+    for deg in range(5):
+        poly = Poly([Fraction(rng.randrange(-K, K), K) for _ in range(deg)] + [Fraction(1, K)])
+        for t0 in (0, 10**9 + 7, 2**80 + 3):
+            _assert_exact_mod1(poly, t0, 30)
+    small = Poly([Fraction(0), Fraction(rng.randrange(2**20) | 1, K)])  # r/K < 2^-k+20 t
+    _assert_exact_mod1(small, 1, 200)
+    count = 2**15 + 9
+    got = poly_mod1_array(poly, 5, count)
+    for i in list(range(2**15 - 5, count)) + [0, 1234]:
+        assert got[i] == float(poly.eval(5 + i) % 1)
+
+
+def test_poly_mod1_array_limbs_round_once_at_every_bit():
+    """The limb window rounds r/K as float(Fraction) does, at ties and next
+    to them, for every position of r's leading one."""
+    k = 200
+    K = 2**k
+    for j in range(k):
+        for r in {1 << j, (1 << j) + (1 << max(j - 53, 0)), (1 << j) + (1 << max(j - 53, 0)) + 1,
+                  (1 << j) + (3 << max(j - 54, 0)), (2 << j) - 1}:
+            _assert_exact_mod1(Poly([Fraction(r % K, K), Fraction(1, K)]), 0, 2)
 
 
 def test_poly_exp_sum_threads_bit_identical(table):
