@@ -8,8 +8,10 @@ prefix formula per Fourier mode.  Polynomial phases (`poly_exp_sum`, the
 unipotent affine maps, the Heisenberg nilflows) are exact residues: with
 the polynomial written as integer numerators over a common denominator K,
 `poly_mod1_array` runs Horner in uint64 wraparound when K is a power of two
-up to 2^64, in int64 mod K when K <= INT64_MODULUS_MAX, and on Python ints
-otherwise, and rounds the exact rational once to float64.  Work is split
+up to 2^64, on 48-bit limbs for larger powers of two up to 2^1074, in int64
+mod K when K <= INT64_MODULUS_MAX, split into 2^a times an odd m <=
+INT64_MODULUS_MAX when a <= 64, and on Python ints otherwise, and rounds
+the exact rational once to float64.  Work is split
 into fixed-size chunks combined in a fixed order, so every correlator
 honours `threads` and its results are bit-identical for any worker count.
 
@@ -113,20 +115,59 @@ def _horner_mod(coeffs: Sequence[int], n: np.ndarray, K: int) -> np.ndarray:
     return acc
 
 
+def _horner_u64(B: Sequence[int], t0: int, count: int) -> np.ndarray:
+    """B(t) mod 2^64 for t = t0..t0+count-1, in uint64 wraparound."""
+    t = np.arange(count, dtype=np.uint64) + np.uint64(t0 % _U64)
+    acc = np.zeros(count, dtype=np.uint64)
+    for b in reversed(B):
+        acc *= t
+        acc += np.uint64(b % _U64)
+    return acc
+
+
+def _round_limbs(limbs: list, width: int, k: int, sticky=0) -> np.ndarray:
+    """(r + f) / 2^k rounded once to float64, for k <= 1074.
+
+    r = sum limbs[l] 2^(width l) with 32 <= width <= 48, its bits from k on
+    ignored; 0 <= f < 1 is nonzero exactly where sticky is 1.  A 64-bit
+    window of bits s..s+63 < k, with a sticky bit for any nonzero bit below
+    it, converts to float64 as r + f does once it holds 55 significant
+    bits, so entries with fewer are retried 10 bits lower, down to s = 0.
+    With k <= 1074 a result below 2^-1022 comes only from s = 0 and f = 0,
+    where r < 2^53 and r 2^-k is an exact multiple of 2^-1074.
+    """
+    out, rows, s, L = np.empty(len(limbs[0]), dtype=np.float64), slice(None), k - 64, len(limbs)
+    while True:
+        a, b = divmod(s, width)
+        u = limbs[a] >> np.uint64(b)
+        if a + 1 < L:
+            u |= limbs[a + 1] << np.uint64(width - b)
+        if a + 2 < L and b > 2 * width - 64:
+            u |= limbs[a + 2] << np.uint64(2 * width - b)
+        below = (limbs[a] & np.uint64((1 << b) - 1)) | sticky
+        for limb in limbs[:a]:
+            below |= limb
+        u |= np.minimum(below, np.uint64(1))
+        out[rows] = np.ldexp(u.astype(np.float64), s - k)
+        redo = u < np.uint64(1 << 54)
+        if s == 0 or not redo.any():
+            return out
+        rows = np.flatnonzero(redo) if isinstance(rows, slice) else rows[redo]
+        limbs = [limb[redo] for limb in limbs]
+        sticky = sticky[redo] if isinstance(sticky, np.ndarray) else sticky
+        s = max(s - 10, 0)
+
+
 _LIMB = 48  # limb width: a limb times t - t0 < 2^15, plus carry and coefficient, stays below 2^64
 _LIMB_BLOCK = 1 << 15
 
 
 def _pow2_limbs_mod1(B: Sequence[int], k: int, t0: int, count: int) -> np.ndarray:
-    """frac(sum B_j t^j / 2^k) for t = t0..t0+count-1, exact, for 64 < k <= 1022.
+    """frac(sum B_j t^j / 2^k) for t = t0..t0+count-1, exact, for 64 < k <= 1074.
 
     Per block of 2^15 values, the polynomial is shifted to i = t - t0 and
-    Horner runs mod 2^(48 L) on L 48-bit limbs held in uint64.  The residue
-    r mod 2^k is rounded once: a 64-bit window of bits s..s+63 < k, with a
-    sticky bit for any nonzero bit below it, converts to float64 as r does
-    once it holds 55 significant bits, so entries with fewer are retried 10
-    bits lower, down to s = 0 where the window is r itself.  k <= 1022
-    keeps the result a normal float.
+    Horner runs mod 2^(48 L) on L 48-bit limbs held in uint64; the residue
+    is rounded once by `_round_limbs`.
     """
     if count > _LIMB_BLOCK:
         return np.concatenate([_pow2_limbs_mod1(B, k, t0 + j, min(_LIMB_BLOCK, count - j))
@@ -146,55 +187,55 @@ def _pow2_limbs_mod1(B: Sequence[int], k: int, t0: int, count: int) -> np.ndarra
             p += np.uint64((q >> (_LIMB * l)) & low)
             np.bitwise_and(p, np.uint64(low), out=limb)
             np.right_shift(p, np.uint64(_LIMB), out=carry)
+    return _round_limbs(limbs, _LIMB, k)
 
-    out, rows, s = np.empty(count, dtype=np.float64), slice(None), k - 64
-    while True:
-        a, b = divmod(s, _LIMB)
-        u = limbs[a] >> np.uint64(b)
-        if a + 1 < L:
-            u |= limbs[a + 1] << np.uint64(_LIMB - b)
-        if a + 2 < L and b > 2 * _LIMB - 64:
-            u |= limbs[a + 2] << np.uint64(2 * _LIMB - b)
-        sticky = limbs[a] & np.uint64((1 << b) - 1)
-        for limb in limbs[:a]:
-            sticky |= limb
-        u |= np.minimum(sticky, np.uint64(1))
-        out[rows] = np.ldexp(u.astype(np.float64), s - k)
-        redo = u < np.uint64(1 << 54)
-        if s == 0 or not redo.any():
-            return out
-        rows = np.flatnonzero(redo) if isinstance(rows, slice) else rows[redo]
-        limbs = [limb[redo] for limb in limbs]
-        s = max(s - 10, 0)
+
+def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int) -> np.ndarray:
+    """frac(sum B_j t^j / (2^a m)), exact, for a <= 64 and odd m <= INT64_MODULUS_MAX.
+
+    With r = B(t) mod 2^a m, r / 2^a m = (Z + g/m) / 2^a where g = r mod m
+    = B(t) mod m (int64 Horner) and Z = (r - g)/m = (B(t) - g) m^-1 mod 2^a
+    (uint64 wraparound).  Three 32-bit digits of g/m by long division, and
+    whether a remainder is left, let `_round_limbs` round once.
+    """
+    g = _horner_mod(B, np.arange(count, dtype=np.int64) + t0 % m, m).astype(np.uint64)
+    Z = (_horner_u64(B, t0, count) - g) * np.uint64(pow(m, -1, _U64))  # bits from a on are ignored
+    digits, rem, mu = [], g, np.uint64(m)
+    for _ in range(3):
+        rem = rem << np.uint64(32)
+        digits.insert(0, rem // mu)
+        rem -= digits[0] * mu
+    limbs = digits + [Z & np.uint64(0xFFFFFFFF), Z >> np.uint64(32)]
+    return _round_limbs(limbs, 32, a + 96, np.minimum(rem, np.uint64(1)))
 
 
 def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
     """frac(poly(t)) for t = t0..t0+count-1: the exact rational, rounded once to float64.
 
-    With poly = sum B_k t^k / K over the common denominator K of its
-    coefficients, the residue sum B_k t^k mod K comes from Horner on
-    integers, in the cheapest exact arithmetic that K allows:
+    With poly = sum B_k t^k / K over the common denominator K = 2^a m (m
+    odd) of its coefficients, the residue sum B_k t^k mod K comes from
+    Horner on integers, in the cheapest exact arithmetic that K allows:
 
     - uint64 wraparound when K is a power of two <= 2^64: it is exact mod
       2^64 and so mod K (a float coefficient of magnitude at least about
       2^-12, or below that with few mantissa bits, lands here);
     - 48-bit limbs (`_pow2_limbs_mod1`) when K is a power of two up to
-      2^1022, which holds every polynomial with float coefficients of
-      magnitude above about 2^-970;
+      2^1074, which holds every polynomial with float coefficients;
     - int64 mod K when K <= INT64_MODULUS_MAX;
-    - Python-int object arrays otherwise, e.g. a float mixed with 1/3.
+    - uint64 mod 2^a and int64 mod m (`_split_mod1`) when a <= 64 and
+      m <= INT64_MODULUS_MAX, e.g. a float mixed with 1/3;
+    - Python-int object arrays otherwise.
     """
     K = math.lcm(*(c.denominator for c in poly.coeffs))
     B = [int(c * K) for c in poly.coeffs]
-    if K & (K - 1) == 0 and K <= _U64:
-        t = np.arange(count, dtype=np.uint64) + np.uint64(t0 % _U64)
-        acc = np.zeros(count, dtype=np.uint64)
-        for b in reversed(B):
-            acc *= t
-            acc += np.uint64(b % _U64)
-        return (acc & np.uint64(K - 1)).astype(np.float64) * (1.0 / K)
-    if K & (K - 1) == 0 and K.bit_length() <= 1023:
-        return _pow2_limbs_mod1(B, K.bit_length() - 1, t0, count)
+    a = (K & -K).bit_length() - 1
+    m = K >> a
+    if m == 1 and a <= 64:
+        return (_horner_u64(B, t0, count) & np.uint64(K - 1)).astype(np.float64) * (1.0 / K)
+    if m == 1 and a <= 1074:
+        return _pow2_limbs_mod1(B, a, t0, count)
+    if K > INT64_MODULUS_MAX and a <= 64 and m <= INT64_MODULUS_MAX:
+        return _split_mod1(B, a, m, t0, count)
     t = np.arange(count, dtype=np.int64 if K <= INT64_MODULUS_MAX else object) + t0 % K
     return (_horner_mod(B, t, K) / K).astype(np.float64)
 

@@ -59,13 +59,15 @@ def test_poly_mod1_array_exact():
             _assert_exact_mod1(Poly(coeffs), t0, 40)
 
 
-@pytest.mark.parametrize("K", [2**64, 2**65, INT64_MODULUS_MAX, INT64_MODULUS_MAX + 2,
-                               2**10 * 3, 2**40 * 3, 2**61 * 5])
+@pytest.mark.parametrize("K", [2**64, 2**65, 2**1074, 2**1075, INT64_MODULUS_MAX,
+                               INT64_MODULUS_MAX + 2, 2**10 * 3, 2**40 * 3, 2**61 * 5,
+                               2**64 * INT64_MODULUS_MAX, 2**65 * 3, 2**20 * (INT64_MODULUS_MAX + 2)])
 def test_poly_mod1_array_paths_at_their_edges(K):
-    """uint64 wraparound up to K = 2^64, 48-bit limbs for 2^65, int64 Horner
-    up to INT64_MODULUS_MAX (odd, as is the next odd modulus), Python ints
-    beyond and for mixed 2^a * odd; residues next to K round the way
-    float(Fraction) does."""
+    """uint64 wraparound up to K = 2^64, 48-bit limbs from 2^65 to 2^1074,
+    int64 Horner up to INT64_MODULUS_MAX (odd, as is the next odd modulus),
+    the 2^a / odd m split for a <= 64 and m <= INT64_MODULUS_MAX, Python
+    ints beyond (2^1075, 2^65 * 3, an odd part past the int64 guard);
+    residues next to K round the way float(Fraction) does."""
     rng = random.Random(K)
     for top in (1, K - 1, K // 2 + 1, rng.randrange(1, K)):
         # the leading -1/K at t = -1 (mod K) makes the first Horner product (K - 1)^2
@@ -76,11 +78,11 @@ def test_poly_mod1_array_paths_at_their_edges(K):
             _assert_exact_mod1(poly, t0, 12)
 
 
-@pytest.mark.parametrize("k", [65, 96, 97, 113, 144, 500, 1022, 1023])
+@pytest.mark.parametrize("k", [65, 96, 97, 113, 144, 500])
 def test_poly_mod1_array_power_of_two_limbs(k):
-    """K = 2^k past 2^64 takes 48-bit limbs up to 2^1022 (Python ints at
-    2^1023): exact at t0 up to 2^80, across the 2^15-value blocks, and for
-    residues far below K, which the limb window retries lower down."""
+    """K = 2^k past 2^64 takes 48-bit limbs: exact at t0 up to 2^80, across
+    the 2^15-value blocks, and for residues far below K, which the limb
+    window retries lower down."""
     K = 2**k
     rng = random.Random(k)
     for deg in range(5):
@@ -104,6 +106,21 @@ def test_poly_mod1_array_limbs_round_once_at_every_bit():
         for r in {1 << j, (1 << j) + (1 << max(j - 53, 0)), (1 << j) + (1 << max(j - 53, 0)) + 1,
                   (1 << j) + (3 << max(j - 54, 0)), (2 << j) - 1}:
             _assert_exact_mod1(Poly([Fraction(r % K, K), Fraction(1, K)]), 0, 2)
+
+
+@pytest.mark.parametrize("a, m", [(1, INT64_MODULUS_MAX), (1, 3036971475), (32, 3), (52, 3),
+                                  (64, 7)])
+def test_poly_mod1_array_split_rounds_once(a, m):
+    """K = 2^a m split into a uint64 part and an int64 part: residues that
+    are multiples of m (dyadic values), ties of the 2^a part and residues
+    far below K round as float(Fraction) does.  For m = 3036971475, 1/K
+    reads as an exact tie in its first 96 bits, so only the remainder of
+    the long division rounds it up."""
+    K = 2**a * m
+    rs = {0, 1, m, 2 * m, K - 1, K - m, K // 2, K // 2 + 1}
+    rs |= {(1 << j) % K for j in range(K.bit_length())} | {(m << j) % K for j in range(a)}
+    for r in rs:
+        _assert_exact_mod1(Poly([Fraction(r, K), Fraction(1, K)]), 0, 2)
 
 
 def test_poly_exp_sum_threads_bit_identical(table):
