@@ -129,12 +129,12 @@ def _round_limbs(limbs: list, width: int, k: int, sticky=0) -> np.ndarray:
     """(r + f) / 2^k rounded once to float64, for k <= 1074.
 
     r = sum limbs[l] 2^(width l) with 32 <= width <= 48, its bits from k on
-    ignored; 0 <= f < 1 is nonzero exactly where sticky is 1.  A 64-bit
-    window of bits s..s+63 < k, with a sticky bit for any nonzero bit below
-    it, converts to float64 as r + f does once it holds 55 significant
-    bits, so entries with fewer are retried 10 bits lower, down to s = 0.
-    With k <= 1074 a result below 2^-1022 comes only from s = 0 and f = 0,
-    where r < 2^53 and r 2^-k is an exact multiple of 2^-1074.
+    ignored; 0 <= f < 1 is nonzero exactly where sticky is 1, and there
+    r >= 2^64.  A 64-bit window of bits s..s+63 < k, with a sticky bit for
+    any nonzero bit below it, converts to float64 as r + f does once it
+    holds 55 significant bits, so entries with fewer are retried 10 bits
+    lower, down to s = 0.  With k <= 1074 a result below 2^-1022 comes only
+    from s = 0, f = 0 and r < 2^53, where r 2^-k is a multiple of 2^-1074.
     """
     out, rows, s, L = np.empty(len(limbs[0]), dtype=np.float64), slice(None), k - 64, len(limbs)
     while True:
