@@ -1,0 +1,158 @@
+"""Golden outputs of the exact orbit machinery, frozen and compared with ==.
+
+The values below were recorded before the matrix helpers and the
+quasi-unipotence detectors of `flows` and `nilflow` were merged into
+`polyutil`; a refactor of that core must reproduce them bit for bit.
+Exact rationals are kept as `Fraction` strings and correlation sums as the
+repr of each complex sum.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from mobiusflow.flows import UnipotentAffine, unipotent_phase_poly
+from mobiusflow.mobius import mobius_sieve
+from mobiusflow.nilflow import (HeisenbergAffine, HeisenbergElement, NilObservable,
+                                compile_poly_orbit, correlate_nil, make_automorphism)
+from mobiusflow.correlate import mobius_correlate
+
+HEIS_G = ("1/3", "1/7", "2/5")
+HEIS_X = ("1/5", "2/9", "3/11")
+HEIS = {
+    "readme": (HEIS_G, ((1, 0, 0), (1, 1, 0), ("1/2", 0, 1)), (0, 0, 0)),
+    "shear": (HEIS_G, make_automorphism(((1, 1), (0, 1))), HEIS_X),
+    "order4": (HEIS_G, make_automorphism(((0, -1), (1, 0))), HEIS_X),
+    "order3": (HEIS_G, make_automorphism(((0, -1), (1, -1))), HEIS_X),
+    "order6": (HEIS_G, make_automorphism(((1, -1), (1, 0))), HEIS_X),
+    "reflection": (HEIS_G, make_automorphism(((0, 1), (1, 0)), e=1), HEIS_X),
+}
+AFFINE = {
+    # the poly-phase benchmark's map, nu = 2
+    "nu2": (((-1, 0, 0), (0, 1, 1), (0, 0, 1)), (0.1234, 0.31, 0.2718),
+            (0.2, 0.51, 0.33), (1, 1, 2)),
+    "shear3": (((1, 1, 0), (0, 1, 1), (0, 0, 1)), ("1/3", "2/7", "1/5"),
+               ("1/11", "3/13", "5/17"), (2, -1, 3)),
+}
+CHECKPOINTS = (100, 1000, 10_000)
+
+
+def _strs(rows):
+    return tuple(tuple(str(Fraction(e)) for e in row) for row in rows)
+
+
+def _heisenberg(name):
+    g, dsigma, x = HEIS[name]
+    return (HeisenbergAffine(HeisenbergElement(*(Fraction(t) for t in g)),
+                             tuple(tuple(Fraction(e) for e in row) for row in dsigma)),
+            HeisenbergElement(*(Fraction(t) for t in x)))
+
+
+def heisenberg_outputs(name):
+    T, x = _heisenberg(name)
+    polys = tuple(_strs(P.coeffs for P in compile_poly_orbit(T, x, l).coord_polys)
+                  for l in range(T.nu))
+    return {"nu": T.nu, "nilpotent": _strs(T.nilpotent), "coord_polys": polys}
+
+
+def affine_outputs(name):
+    W, b, x, v = AFFINE[name]
+    aff = UnipotentAffine(matrix=W, translation=tuple(Fraction(t) for t in b))
+    x = tuple(Fraction(t) for t in x)
+    polys = tuple(tuple(str(c) for c in unipotent_phase_poly(aff, x, v, l).coeffs)
+                  for l in range(aff.nu))
+    return {"nu": aff.nu, "nilpotent": repr(aff.nilpotent),
+            "nilpotency_order": aff.nilpotency_order, "phase_polys": polys}
+
+
+def correlation_sums(name, table):
+    if name == "affine":
+        W, b, x, v = AFFINE["nu2"]
+        series = mobius_correlate(UnipotentAffine(matrix=W, translation=b), x, v, table,
+                                  CHECKPOINTS)
+    else:
+        T, x = _heisenberg("readme")
+        pqr = {"nil-horizontal": (1, 2, 0), "nil-central": (1, 2, 1)}[name]
+        series = correlate_nil(T, x, NilObservable.character(*pqr), table, CHECKPOINTS)
+    return tuple(repr(s) for s in series.sums)
+
+
+GOLDEN_HEISENBERG = {'order3': {'nu': 3,
+            'nilpotent': (('0', '0', '0'), ('0', '0', '0'), ('0', '0', '0')),
+            'coord_polys': ((('1/5',), ('2/9',), ('3/11', '3421/6615')),
+                            (('1/9',), ('38/315',), ('69457/218295', '3421/6615')),
+                            (('67/315',), ('2/15',), ('11509/40425', '3421/6615')))},
+ 'order4': {'nu': 4,
+            'nilpotent': (('0', '0', '0'), ('0', '0', '0'), ('0', '0', '0')),
+            'coord_polys': ((('1/5',), ('2/9',), ('3/11', '1007/2205')),
+                            (('1/9',), ('12/35',), ('7088/24255', '1007/2205')),
+                            (('-1/105',), ('16/63',), ('1565/4851', '1007/2205')),
+                            (('5/63',), ('2/15',), ('21814/72765', '1007/2205')))},
+ 'order6': {'nu': 6,
+            'nilpotent': (('0', '0', '0'), ('0', '0', '0'), ('0', '0', '0')),
+            'coord_polys': ((('1/5',), ('2/9',), ('3/11', '1237/2205')),
+                            (('14/45',), ('12/35',), ('29027/121275', '1237/2205')),
+                            (('19/63',), ('143/315',), ('9253/31185', '1237/2205')),
+                            (('19/105',), ('4/9',), ('277/693', '1237/2205')),
+                            (('22/315',), ('34/105',), ('156766/363825', '1237/2205')),
+                            (('5/63',), ('67/315',), ('11266/31185', '1237/2205')))},
+ 'readme': {'nu': 1,
+            'nilpotent': (('0', '0', '0'), ('1', '0', '0'), ('1/2', '0', '0')),
+            'coord_polys': ((('0', '1/3'),
+                             ('0', '-1/42', '1/6'),
+                             ('0', '313/945', '11/126', '-1/54')),)},
+ 'reflection': {'nu': 2,
+                'nilpotent': (('0', '0', '0'), ('0', '0', '0'), ('-1', '1', '0')),
+                'coord_polys': ((('1/5', '5/21'),
+                                 ('2/9', '5/21'),
+                                 ('3/11', '337/2205', '-25/882')),
+                                (('20/63', '5/21'),
+                                 ('11/105', '5/21'),
+                                 ('39587/145530', '1/135', '-25/882')))},
+ 'shear': {'nu': 1,
+           'nilpotent': (('0', '1', '0'), ('0', '0', '0'), ('0', '1/2', '0')),
+           'coord_polys': ((('1/5', '61/126', '1/14'),
+                            ('2/9', '1/7'),
+                            ('3/11', '17767/39690', '-13/882', '-1/147')),)}}
+GOLDEN_AFFINE = {'nu2': {'nu': 2,
+         'nilpotent': '((0, 0, 0), (0, 0, 2), (0, 0, 0))',
+         'nilpotency_order': 1,
+         'phase_polys': (('24679725957990319/18014398509481984',
+                          '37747370636768549/36028797018963968',
+                          '4896313514877203/36028797018963968'),
+                         ('78787773321070407/72057594037927936',
+                          '37747370636768549/36028797018963968',
+                          '4896313514877203/36028797018963968'))},
+ 'shear3': {'nu': 1,
+            'nilpotent': '((0, 1, 0), (0, 0, 1), (0, 0, 0))',
+            'nilpotency_order': 2,
+            'phase_polys': (('2026/2431', '2481/3094', '333/1190', '1/15'),)}}
+GOLDEN_SUMS = {'affine': ('(-3.1293006008983806+1.9683932991444304j)',
+            '(-8.142449666199967-16.199751570912138j)',
+            '(14.168538095594272+23.14278840512048j)'),
+ 'nil-horizontal': ('(-5.840843422901583+4.650088386875169j)',
+                    '(-13.956691027576007+20.41726749222901j)',
+                    '(-24.39667974981292+18.366834376666752j)'),
+ 'nil-central': ('(-3.62945784394511-2.86932233656518j)',
+                 '(3.3640404316350643-14.85844628682211j)',
+                 '(76.45252025746143-70.63346984907716j)')}
+
+
+@pytest.mark.parametrize("name", sorted(HEIS))
+def test_heisenberg_orbit_form_is_frozen(name):
+    assert heisenberg_outputs(name) == GOLDEN_HEISENBERG[name]
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE))
+def test_affine_phase_polys_are_frozen(name):
+    assert affine_outputs(name) == GOLDEN_AFFINE[name]
+
+
+@pytest.fixture(scope="module")
+def table():
+    return mobius_sieve(CHECKPOINTS[-1])
+
+
+@pytest.mark.parametrize("name", ["affine", "nil-horizontal", "nil-central"])
+def test_correlation_sums_are_frozen(name, table):
+    assert correlation_sums(name, table) == GOLDEN_SUMS[name]
