@@ -479,7 +479,11 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get(ENV_THREADS, "1"))
+        value = os.environ.get(ENV_THREADS, "1")
+        try:
+            threads = int(value)
+        except ValueError:
+            ap.error(f"{ENV_THREADS} must be an integer, got {value!r}")
     try:
         return args.fn(args, threads)
     except (CapacityError, PrecisionError) as exc:

@@ -315,8 +315,6 @@ class _SkewPhaseContext:
     MODE_FLOOR = 1e-18
 
     def __init__(self, flow: SkewFlow, p: TorusPoint, b: Character, nmax: int):
-        if not flow.normalized:
-            raise DomainError("correlator needs the normalized skew form a = d = 1")
         alpha, h = flow.alpha, flow.h
         self.b = b
         self.const = (b.b1 * p.x1 + b.b2 * p.x2) % 1.0
@@ -356,23 +354,36 @@ class _SkewPhaseContext:
         return np.mod(phases, 1.0)
 
 
+def _skew_phase_chunk(flow: SkewFlow, p: TorusPoint, b: Character,
+                      nmax: int) -> Callable[[int, int], np.ndarray]:
+    """phase_chunk(u, L): <b, orbit(n)> mod 1 for n = u..u+L-1, n <= nmax.
+
+    Every path reads the first coordinate as x1 + n alpha, which holds only
+    for the normalized skew product.
+    """
+    if not flow.normalized:
+        raise DomainError("correlator needs the normalized skew form a = d = 1")
+    if b.b2 and flow.h.support():
+        return _SkewPhaseContext(flow, p, b, nmax).chunk
+    # pure rotation factor: linear-phase sum
+    ctx = _RotationTrack(flow.alpha, b.b1, b.b2 * flow.c, nmax)
+    base = (b.b1 * p.x1 + b.b2 * p.x2) % 1.0
+    lin = _LinearTrack(b.b2 * flow.c * p.x1)
+
+    def phase_chunk(u, L):
+        j = np.arange(L, dtype=np.float64)
+        return np.mod(base + ctx.chunk(u, j) + lin.chunk(u, j), 1.0)
+    return phase_chunk
+
+
 def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int,
                           chunk: int = CHUNK) -> np.ndarray:
     """Phases <b, orbit(n)> mod 1 for n = 1..N, assembled chunk-wise."""
-    if b.b2 == 0:
-        ctx_modes_free = _RotationTrack(flow.alpha, b.b1, 0, N)
-        out = np.empty(N, dtype=np.float64)
-        base = (b.b1 * p.x1) % 1.0
-        for u in range(1, N + 1, chunk):
-            L = min(chunk, N + 1 - u)
-            j = np.arange(L, dtype=np.float64)
-            out[u - 1:u - 1 + L] = np.mod(base + ctx_modes_free.chunk(u, j), 1.0)
-        return out
-    ctx = _SkewPhaseContext(flow, p, b, N)
+    phase_chunk = _skew_phase_chunk(flow, p, b, N)
     out = np.empty(N, dtype=np.float64)
     for u in range(1, N + 1, chunk):
         L = min(chunk, N + 1 - u)
-        out[u - 1:u - 1 + L] = ctx.chunk(u, L)
+        out[u - 1:u - 1 + L] = phase_chunk(u, L)
     return out
 
 
@@ -443,18 +454,7 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         if not isinstance(b, Character):
             b = Character(*b)
         p = x if isinstance(x, TorusPoint) else TorusPoint(*x)
-        if b.b2 == 0 or not flow.h.support():
-            # pure rotation factor: linear-phase sum
-            ctx = _RotationTrack(flow.alpha, b.b1, b.b2 * flow.c, N)
-            base = (b.b1 * p.x1 + b.b2 * p.x2) % 1.0
-            lin = _LinearTrack(b.b2 * flow.c * p.x1)
-
-            def phase_chunk(u, L):
-                j = np.arange(L, dtype=np.float64)
-                return np.mod(base + ctx.chunk(u, j) + lin.chunk(u, j), 1.0)
-        else:
-            sctx = _SkewPhaseContext(flow, p, b, N)
-            phase_chunk = sctx.chunk
+        phase_chunk = _skew_phase_chunk(flow, p, b, N)
         meta_flow = f"skew(c={flow.c}, alpha={flow.alpha.label}, h={flow.h.label})"
     elif isinstance(flow, UnipotentAffine):
         v = (b.b1, b.b2) if isinstance(b, Character) else tuple(int(t) for t in b)

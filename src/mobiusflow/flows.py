@@ -30,9 +30,7 @@ from typing import Sequence
 from .analytic import AnalyticSeries, birkhoff_sum_direct, birkhoff_sum_fourier
 from .cfrac import AlphaSpec
 from .errors import DomainError
-from .polyutil import Poly, binomial_poly
-
-MAX_QUASIUNIPOTENT_ORDER = 2520
+from .polyutil import mat_mul, mat_pow, mat_vec, quasi_unipotent, unipotent_orbit_polys
 
 
 def _frac1(x: Fraction) -> Fraction:
@@ -135,12 +133,12 @@ def character_phase(flow: SkewFlow, p: TorusPoint, b: Character, n: int,
     """
     if n < 0:
         raise DomainError("orbit time must be >= 0")
+    if not flow.normalized:
+        raise DomainError("character phases use the normalized closed form")
     alpha = flow.alpha
     x1f = Fraction(p.x1)
     if b.b2 == 0:
         return float((b.b1 * (x1f + alpha.frac_fraction(n))) % 1)
-    if not flow.normalized:
-        raise DomainError("character phases use the normalized closed form")
     # P(n) = b1 (x1 + n alpha) + b2 (c n(n-1)/2 alpha + c n x1 + x2)
     poly_part = (b.b1 * x1f
                  + alpha.frac_fraction(b.b1 * n + b.b2 * flow.c * (n * (n - 1) // 2))
@@ -155,19 +153,6 @@ def character_phase(flow: SkewFlow, p: TorusPoint, b: Character, n: int,
 
 # ---------------------------------------------------------------------------
 # Affine maps with quasi-unipotent linear part
-
-
-def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
-    m = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-
-
-def _mat_vec(A, v):
-    return [sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))]
-
-
-def _identity(m: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
 
 def _mat_det(A) -> int:
@@ -191,15 +176,6 @@ def _mat_det(A) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[m - 1][m - 1]
-
-
-def _is_nilpotent(M, order: int) -> bool:
-    P = M
-    for _ in range(order):
-        if all(all(e == 0 for e in row) for row in P):
-            return True
-        P = _mat_mul(P, M)
-    return all(all(e == 0 for e in row) for row in P)
 
 
 @dataclass(eq=False)
@@ -228,24 +204,14 @@ class UnipotentAffine:
         self.matrix = tuple(tuple(row) for row in W)
         self.translation = tuple(Fraction(t) for t in self.translation)
 
-        P = W
-        nu = None
-        for j in range(1, MAX_QUASIUNIPOTENT_ORDER + 1):
-            M = [[P[i][k] - (1 if i == k else 0) for k in range(m)] for i in range(m)]
-            if _is_nilpotent(M, m):
-                nu = j
-                N = M
-                break
-            P = _mat_mul(P, W)
-        if nu is None:
+        found = quasi_unipotent(self.matrix)
+        if found is None:
             raise DomainError("matrix is not quasi-unipotent (positive entropy)")
-        self.nu = nu
-        self.nilpotent = tuple(tuple(row) for row in N)
-        k = 0
-        Npow = N
-        while not all(all(e == 0 for e in row) for row in Npow):
+        self.nu, self.nilpotent = found
+        k, Npow = 0, self.nilpotent
+        while any(map(any, Npow)):
             k += 1
-            Npow = _mat_mul(Npow, N)
+            Npow = mat_mul(Npow, self.nilpotent)
         self.nilpotency_order = k
 
     @property
@@ -253,7 +219,7 @@ class UnipotentAffine:
         return len(self.matrix)
 
     def step(self, x: Sequence[Fraction]) -> list[Fraction]:
-        v = _mat_vec(self.matrix, [Fraction(t) for t in x])
+        v = mat_vec(self.matrix, [Fraction(t) for t in x])
         return [_frac1(v[i] + self.translation[i]) for i in range(self.dimension)]
 
     def orbit_point(self, x: Sequence[Fraction], n: int) -> list[Fraction]:
@@ -309,33 +275,13 @@ def unipotent_phase_poly(aff: UnipotentAffine, x: Sequence, v: Sequence[int],
     if all(int(c) == 0 for c in v):
         return PhasePolynomial(coeffs=(Fraction(0),), nu=aff.nu, residue=l)
     m = aff.dimension
-    Wt = UnipotentAffine(matrix=tuple(map(tuple, aff.doubled())),
-                         translation=(0,) * (2 * m))
+    # the doubled matrix is block triangular with diagonal blocks W and I,
+    # so it shares nu with W
+    Wt = aff.doubled()
+    nu, Nt = quasi_unipotent(Wt)
     xt = [Fraction(t) for t in x] + list(aff.translation)
     vt = [int(c) for c in v] + [0] * m
-
-    nu = Wt.nu
-    if nu != aff.nu:
-        # lcm structure can differ only by the translation block, which is
-        # identity: the doubled matrix shares nu with W.
-        raise DomainError("internal: doubled matrix changed the unipotence exponent")
-    Wl = _identity(2 * m)
-    for _ in range(l):
-        Wl = _mat_mul(Wl, [list(r) for r in Wt.matrix])
-    base = _mat_vec(Wl, xt)
-
-    N = [list(r) for r in Wt.nilpotent]
-    poly = Poly()
-    xi = base
-    t = 0
-    while True:
-        val = sum(Fraction(vt[i]) * xi[i] for i in range(2 * m))
-        if val:
-            poly = poly + binomial_poly(t).scale(val)
-        t += 1
-        if t > Wt.nilpotency_order:
-            break
-        xi = [sum(Fraction(N[i][k]) * xi[k] for k in range(2 * m)) for i in range(2 * m)]
+    (poly,) = unipotent_orbit_polys(Nt, mat_vec(mat_pow(Wt, l), xt), rows=(vt,))
 
     # q = (n - l)/nu
     poly_n = poly.compose_linear(Fraction(1, nu), Fraction(-l, nu))

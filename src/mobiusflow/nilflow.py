@@ -42,9 +42,8 @@ import numpy as np
 from .correlate import CHUNK, INT64_MODULUS_MAX, CorrelationSeries, _horner_mod, _weighted_sums
 from .errors import DomainError
 from .mobius import MobiusTable
-from .polyutil import Poly, prefix_sum_poly
-
-MAX_NU = 24
+from .polyutil import (Poly, mat_pow, mat_vec, prefix_sum_poly, quasi_unipotent,
+                       unipotent_orbit_polys)
 
 
 @dataclass(frozen=True)
@@ -117,21 +116,7 @@ def _mat_of_fractions(rows) -> tuple:
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
 
 
-def _fmat_mul(A, B):
-    n = len(A)
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
-def _fmat_vec(A, v):
-    return tuple(sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A)))
-
-
-def _fmat_identity(n=3):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def _fmat_inv3(A):
+def _inv3(A):
     a, b, c = A[0]
     d, e, f = A[1]
     g, h, i = A[2]
@@ -192,32 +177,21 @@ class HeisenbergAffine:
         self.dsigma = A
         self.g = self.g if isinstance(self.g, HeisenbergElement) else HeisenbergElement(*self.g)
 
-        Ainv = _fmat_inv3(A)
+        Ainv = _inv3(A)
         for M, name in ((A, "sigma"), (Ainv, "sigma^-1")):
             for gen in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                img = coord_second_from_first(_fmat_vec(M, coord_first_from_second(gen)))
+                img = coord_second_from_first(mat_vec(M, coord_first_from_second(gen)))
                 if any(c.denominator != 1 for c in img):
                     raise DomainError(f"{name} does not preserve the integer lattice")
 
-        P = A
-        nu = None
-        for j in range(1, MAX_NU + 1):
-            Nmat = tuple(tuple(P[i][k] - (1 if i == k else 0) for k in range(3))
-                         for i in range(3))
-            N2 = _fmat_mul(Nmat, Nmat)
-            N3 = _fmat_mul(N2, Nmat)
-            if all(all(e == 0 for e in row) for row in N3):
-                nu = j
-                self.nilpotent = Nmat
-                break
-            P = _fmat_mul(P, A)
-        if nu is None:
+        found = quasi_unipotent(A)
+        if found is None:
             raise DomainError("dsigma is not quasi-unipotent (positive entropy)")
-        self.nu = nu
+        self.nu, self.nilpotent = found
 
     def sigma(self, x: HeisenbergElement) -> HeisenbergElement:
         u = coord_first_from_second(x.coords())
-        return HeisenbergElement(*coord_second_from_first(_fmat_vec(self.dsigma, u)))
+        return HeisenbergElement(*coord_second_from_first(mat_vec(self.dsigma, u)))
 
 
 def nil_step(T: HeisenbergAffine, x: HeisenbergElement) -> HeisenbergElement:
@@ -270,24 +244,14 @@ class PolyOrbitRep:
         return reduce_to_fundamental(self.evaluate(n))
 
 
-def _residue_polys(A, Nmat, nu: int, u_vec) -> list[tuple[Poly, Poly, Poly]]:
-    """Second-kind coords of sigma^j(y) as polynomials in t, j = t nu + r."""
-    N2 = _fmat_mul(Nmat, Nmat)
-    out = []
-    Ar = _fmat_identity()
-    for r in range(nu):
-        base = _fmat_vec(Ar, u_vec)
-        w = []
-        for i in range(3):
-            c0 = base[i]
-            c1 = sum(Nmat[i][k] * base[k] for k in range(3))
-            c2h = sum(N2[i][k] * base[k] for k in range(3))
-            # (I + tN + t(t-1)/2 N^2) base, exact in t
-            w.append(Poly([c0, c1 - c2h / 2, c2h / 2]))
-        s3 = w[2] - w[0] * w[1].scale(Fraction(1, 2))
-        out.append((w[0], w[1], s3))
-        Ar = _fmat_mul(A, Ar)
-    return out
+def _orbit_polys(T: HeisenbergAffine, u, r: int) -> tuple[Poly, Poly, Poly]:
+    """Second-kind coords of sigma^j(exp u) as polynomials in t, j = t nu + r.
+
+    u holds first-kind coordinates; sigma^(t nu + r) acts on them as
+    (I + N)^t dsigma^r, and the third coordinate goes back to the second kind.
+    """
+    w1, w2, w3 = unipotent_orbit_polys(T.nilpotent, mat_vec(mat_pow(T.dsigma, r), u))
+    return w1, w2, w3 - w1 * w2.scale(Fraction(1, 2))
 
 
 def compile_poly_orbit(T: HeisenbergAffine, x: HeisenbergElement, l: int) -> PolyOrbitRep:
@@ -301,60 +265,28 @@ def compile_poly_orbit(T: HeisenbergAffine, x: HeisenbergElement, l: int) -> Pol
     if not 0 <= l < T.nu:
         raise DomainError(f"residue l={l} outside [0, {T.nu})")
     nu = T.nu
-    A, Nmat = T.dsigma, T.nilpotent
     u_g = coord_first_from_second(T.g.coords())
-    u_x = coord_first_from_second(x.coords())
-
-    g_polys = _residue_polys(A, Nmat, nu, u_g)  # (a_r(t), b_r(t), c_r(t))
+    g_polys = [_orbit_polys(T, u_g, r) for r in range(nu)]  # (a_r(t), b_r(t), c_r(t))
 
     # Prefix sums over j < n, n = q nu + l: residue r contributes t in
     # [0, q + [r < l]).  All returned as polynomials in q.
-    def residue_sum(polys_idx: int) -> Poly:
-        total = Poly()
-        for r in range(nu):
-            P = prefix_sum_poly(g_polys[r][polys_idx])
-            total = total + P.compose_linear(1, int(r < l))
-        return total
+    def residue_sum(polys, cut: int) -> Poly:
+        return sum((prefix_sum_poly(P).compose_linear(1, int(r < cut))
+                    for r, P in enumerate(polys)), Poly())
 
-    V1 = residue_sum(0)
-    V2 = residue_sum(1)
-    sum_c = residue_sum(2)
-
+    V1, V2, sum_c = (residue_sum([g[i] for g in g_polys], l) for i in range(3))
     # B(j) = sum_{i<j} b_i for j = t nu + r: polynomial in t per residue.
-    B_at = []
-    for r in range(nu):
-        acc = Poly()
-        for rp in range(nu):
-            P = prefix_sum_poly(g_polys[rp][1])
-            acc = acc + P.compose_linear(1, 1 if rp < r else 0)
-        B_at.append(acc)
-
+    B_at = [residue_sum([g[1] for g in g_polys], r) for r in range(nu)]
     # sum_{j<n} a_j B(j), again residue by residue.
-    sum_aB = Poly()
-    for r in range(nu):
-        prod = g_polys[r][0] * B_at[r]
-        P = prefix_sum_poly(prod)
-        sum_aB = sum_aB + P.compose_linear(1, int(r < l))
-    V3 = sum_c - sum_aB
+    V3 = sum_c - residue_sum([g[0] * B for g, B in zip(g_polys, B_at)], l)
 
-    # sigma^n(x) for n = q nu + l: first A^l, then (I + qN + q(q-1)/2 N^2).
-    Al = _fmat_identity()
-    for _ in range(l):
-        Al = _fmat_mul(A, Al)
-    base = _fmat_vec(Al, u_x)
-    N2 = _fmat_mul(Nmat, Nmat)
-    sx = []
-    for i in range(3):
-        c0 = base[i]
-        c1 = sum(Nmat[i][k] * base[k] for k in range(3))
-        c2h = sum(N2[i][k] * base[k] for k in range(3))
-        sx.append(Poly([c0, c1 - c2h / 2, c2h / 2]))
-    sx3 = sx[2] - sx[0] * sx[1].scale(Fraction(1, 2))
+    # sigma^n(x) for n = q nu + l
+    sx = _orbit_polys(T, coord_first_from_second(x.coords()), l)
 
     # group law: (V1,V2,V3) * (sx1,sx2,sx3) with the -w1 v2 correction.
     Z1 = V1 + sx[0]
     Z2 = V2 + sx[1]
-    Z3 = V3 + sx3 - sx[0] * V2
+    Z3 = V3 + sx[2] - sx[0] * V2
 
     Zn = [P.compose_linear(Fraction(1, nu), Fraction(-l, nu)) for P in (Z1, Z2, Z3)]
     factors = []

@@ -1,10 +1,17 @@
-"""Exact univariate polynomials over Fraction coefficients.
+"""Exact univariate polynomials over Fraction coefficients, and the exact
+matrix core of the quasi-unipotent orbits.
 
 Small helper used wherever orbits reduce to polynomial phases: binomial
 expansion of unipotent powers, discrete antiderivatives (Faulhaber sums),
 and substitutions like q -> (n - l)/nu.  Everything is exact so that
 orbit-representation identities can be asserted with == rather than a
 tolerance.
+
+The matrix core serves the affine toral maps of `flows` and the Heisenberg
+automorphisms of `nilflow` alike: `mat_mul`, `mat_vec` and `mat_pow` over
+int or Fraction entries, the one quasi-unipotence detector
+`quasi_unipotent` (A^nu = I + N with N nilpotent), and
+`unipotent_orbit_polys`, which writes (I + N)^q x as polynomials in q.
 """
 
 from __future__ import annotations
@@ -12,7 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Optional, Sequence
+
+# the largest exponent nu that quasi_unipotent tries
+MAX_QUASIUNIPOTENT_ORDER = 2520
 
 
 class Poly:
@@ -124,6 +134,7 @@ def power_sum_poly(p: int) -> Poly:
     return Poly(coeffs)
 
 
+@lru_cache(maxsize=None)
 def binomial_poly(t: int) -> Poly:
     """C(q, t) = q(q-1)...(q-t+1)/t! as a polynomial in q."""
     out = Poly.const(1)
@@ -139,3 +150,72 @@ def prefix_sum_poly(p: Poly) -> Poly:
         if c:
             out = out + power_sum_poly(k).scale(c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Exact matrices: tuples of rows, entries int or Fraction
+
+
+def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple:
+    m = len(B)
+    return tuple(tuple(sum(row[k] * B[k][j] for k in range(m)) for j in range(len(B[0])))
+                 for row in A)
+
+
+def mat_vec(A: Sequence[Sequence], v: Sequence) -> tuple:
+    return tuple(sum(a * x for a, x in zip(row, v) if a) for row in A)
+
+
+def mat_pow(A: Sequence[Sequence], k: int) -> tuple:
+    """A^k for k >= 0; A^0 is the integer identity."""
+    P = tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))
+    for _ in range(k):
+        P = mat_mul(P, A)
+    return P
+
+
+def quasi_unipotent(A: Sequence[Sequence]) -> Optional[tuple[int, tuple]]:
+    """(nu, N) with A^nu = I + N, N nilpotent and nu least, or None.
+
+    A quasi-unipotent m x m matrix has only roots of unity as eigenvalues,
+    so |tr A^j| <= m for every j, with equality to m exactly where A^j - I
+    is nilpotent.  The search gives up at the first power past that bound,
+    and after MAX_QUASIUNIPOTENT_ORDER powers; a power of trace m is tested
+    by N^(2^k) = 0 with 2^k >= m, which holds iff N is nilpotent.
+    """
+    m = len(A)
+    P = A
+    for nu in range(1, MAX_QUASIUNIPOTENT_ORDER + 1):
+        trace = sum(P[i][i] for i in range(m))
+        if abs(trace) > m:
+            return None
+        if trace == m:
+            N = tuple(tuple(P[i][k] - (1 if i == k else 0) for k in range(m))
+                      for i in range(m))
+            Q = N
+            for _ in range((m - 1).bit_length()):
+                Q = mat_mul(Q, Q)
+            if not any(map(any, Q)):
+                return nu, N
+        P = mat_mul(P, A)
+    return None
+
+
+def unipotent_orbit_polys(N: Sequence[Sequence], base: Sequence,
+                          rows: Optional[Sequence[Sequence]] = None) -> tuple[Poly, ...]:
+    """(I + N)^q base = sum_t C(q, t) N^t base, one polynomial in q per coordinate.
+
+    N is nilpotent, and the sum stops at the first t with N^t base = 0.
+    With `rows` given, the polynomials are those of <row, (I + N)^q base>,
+    one per row, so a projection is expanded only in the coordinates asked for.
+    """
+    terms = []
+    x = tuple(base)
+    for _ in range(len(x)):
+        if not any(x):
+            break
+        terms.append(x if rows is None else mat_vec(rows, x))
+        x = mat_vec(N, x)
+    width = len(base) if rows is None else len(rows)
+    return tuple(sum((binomial_poly(t).scale(c[i]) for t, c in enumerate(terms) if c[i]),
+                     Poly()) for i in range(width))

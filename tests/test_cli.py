@@ -232,6 +232,19 @@ def test_nilflow_config_missing_keys_domain_exit(tmp_path):
                         "--observable", "1,2,1", "--checkpoints", "100"]) == 3
 
 
+def test_correlate_non_normalized_skew_domain_exit(tmp_path):
+    path = _skew_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    path.write_text(json.dumps({**cfg, "a": -1}))
+    assert _run_module(["correlate", "--config", str(path), "--b", "1,0",
+                        "--checkpoints", "100"]) == 3
+
+
+def test_malformed_thread_count_env_usage_exit(monkeypatch):
+    monkeypatch.setenv("MOBIUSFLOW_THREADS", "abc")
+    assert _run_module(["sieve", "--limit", "10"]) == 2
+
+
 @pytest.mark.parametrize("args, code", [
     (["nilflow", "--observable", "1,2,1", "--checkpoints", "1e400"], 2),
     (["correlate", "--b", "a,b", "--checkpoints", "100"], 2),

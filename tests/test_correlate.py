@@ -200,6 +200,22 @@ def test_phase_array_matches_scalar(skew):
         assert min(d, 1.0 - d) < 1e-9
 
 
+@pytest.mark.parametrize("flow, b", [
+    (SkewFlow(-1, 1, 1, SQRT2, AnalyticSeries.geometric(1.5)), Character(1, 0)),
+    (SkewFlow(1, 1, -1, SQRT2, AnalyticSeries.from_entries([], tau=1.0)), Character(0, 1)),
+])
+def test_skew_phases_refuse_non_normalized_flows(table, flow, b):
+    """With a or d = -1 the orbit is not x1 + n alpha, so the rotation-only
+    paths (b2 = 0, or h empty) must refuse the flow as the mode path does."""
+    p = TorusPoint(0.3, 0.7)
+    with pytest.raises(DomainError, match="normalized"):
+        mobius_correlate(flow, p, b, table, [1000])
+    with pytest.raises(DomainError, match="normalized"):
+        character_phase_array(flow, p, b, 1000)
+    with pytest.raises(DomainError, match="normalized"):
+        character_phase(flow, p, b, 10)
+
+
 def test_thread_count_determinism(table, skew):
     flow, p = skew
     b = Character(0, 1)

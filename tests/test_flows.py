@@ -1,6 +1,7 @@
 """Skew products: closed orbit vs iteration; affine maps: phase polynomials."""
 
 import cmath
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from mobiusflow.errors import DomainError
 from mobiusflow.flows import (Character, SkewFlow, TorusPoint, UnipotentAffine,
                               character_phase, character_value, skew_orbit_closed,
                               skew_orbit_iter, skew_step, unipotent_phase_poly)
+from mobiusflow.nilflow import HeisenbergAffine, HeisenbergElement, make_automorphism
 
 RNG = np.random.default_rng(11)
 SQRT2 = AlphaSpec.sqrt2_minus_1()
@@ -209,3 +211,39 @@ def test_entropy_guard_hyperbolic():
 def test_determinant_guard():
     with pytest.raises(DomainError, match="GL_m"):
         UnipotentAffine(matrix=((2, 0), (0, 1)), translation=(0, 0))
+
+
+def test_quasi_unipotence_sweep_over_gl2():
+    """Every S in GL2(Z) with entries in [-2, 2]: the affine map of S and the
+    Heisenberg automorphism of S are accepted exactly when S is elliptic or
+    parabolic (det 1, |tr| <= 2) or a reflection (det -1, tr 0), and nu is
+    the least power with S^nu - I nilpotent."""
+    def nu_or_none(build):
+        try:
+            return build().nu
+        except DomainError as exc:
+            assert "quasi-unipotent" in str(exc)
+            return None
+
+    def nilpotent_power(S, j):
+        M = np.linalg.matrix_power(np.array(S, dtype=np.int64), j) - np.eye(2, dtype=np.int64)
+        return not (M @ M).any()
+
+    count = 0
+    for s in itertools.product(range(-2, 3), repeat=4):
+        S = (s[:2], s[2:])
+        det, tr = s[0] * s[3] - s[1] * s[2], s[0] + s[3]
+        if det not in (1, -1):
+            continue
+        count += 1
+        nus = [nu_or_none(lambda: UnipotentAffine(matrix=S, translation=(0, 0))),
+               nu_or_none(lambda: HeisenbergAffine(HeisenbergElement.identity(),
+                                                   make_automorphism(S)))]
+        if not (det == 1 and abs(tr) <= 2 or det == -1 and tr == 0):
+            assert nus == [None, None], S
+            continue
+        nu = nus[0]
+        assert nu is not None and nus == [nu, nu], (S, nus)
+        assert nilpotent_power(S, nu), S
+        assert not any(nilpotent_power(S, j) for j in range(1, nu)), S
+    assert count == 104
