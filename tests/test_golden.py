@@ -3,6 +3,8 @@
 The values below were recorded before the matrix helpers and the
 quasi-unipotence detectors of `flows` and `nilflow` were merged into
 `polyutil`; a refactor of that core must reproduce them bit for bit.
+The nil sums of the nu > 1 maps and of the float-g map were recorded
+before the Heisenberg phases moved to residue classes in t.
 Exact rationals are kept as `Fraction` strings and correlation sums as the
 repr of each complex sum.
 """
@@ -27,6 +29,12 @@ HEIS = {
     "order6": (HEIS_G, make_automorphism(((1, -1), (1, 0))), HEIS_X),
     "reflection": (HEIS_G, make_automorphism(((0, 1), (1, 0)), e=1), HEIS_X),
 }
+# maps whose nil sums are frozen but whose orbit form is not
+HEIS_SUMS_ONLY = {"readme-float-g": ((0.1234, 0.31, 0.2718),) + HEIS["readme"][1:]}
+NIL_SUMS = {"nil-horizontal": ("readme", (1, 2, 0)), "nil-central": ("readme", (1, 2, 1))}
+NIL_SUMS.update({f"nil-{name}-{p}{q}{r}": (name, (p, q, r))
+                 for name in ("order4", "order3", "order6", "readme-float-g")
+                 for p, q, r in ((1, 2, 0), (1, 2, 1))})
 AFFINE = {
     # the poly-phase benchmark's map, nu = 2
     "nu2": (((-1, 0, 0), (0, 1, 1), (0, 0, 1)), (0.1234, 0.31, 0.2718),
@@ -42,7 +50,7 @@ def _strs(rows):
 
 
 def _heisenberg(name):
-    g, dsigma, x = HEIS[name]
+    g, dsigma, x = {**HEIS, **HEIS_SUMS_ONLY}[name]
     return (HeisenbergAffine(HeisenbergElement(*(Fraction(t) for t in g)),
                              tuple(tuple(Fraction(e) for e in row) for row in dsigma)),
             HeisenbergElement(*(Fraction(t) for t in x)))
@@ -65,15 +73,16 @@ def affine_outputs(name):
             "nilpotency_order": aff.nilpotency_order, "phase_polys": polys}
 
 
-def correlation_sums(name, table):
+def correlation_sums(name, table, threads=1):
     if name == "affine":
         W, b, x, v = AFFINE["nu2"]
         series = mobius_correlate(UnipotentAffine(matrix=W, translation=b), x, v, table,
-                                  CHECKPOINTS)
+                                  CHECKPOINTS, threads=threads)
     else:
-        T, x = _heisenberg("readme")
-        pqr = {"nil-horizontal": (1, 2, 0), "nil-central": (1, 2, 1)}[name]
-        series = correlate_nil(T, x, NilObservable.character(*pqr), table, CHECKPOINTS)
+        heis, pqr = NIL_SUMS[name]
+        T, x = _heisenberg(heis)
+        series = correlate_nil(T, x, NilObservable.character(*pqr), table, CHECKPOINTS,
+                               threads=threads)
     return tuple(repr(s) for s in series.sums)
 
 
@@ -135,7 +144,31 @@ GOLDEN_SUMS = {'affine': ('(-3.1293006008983806+1.9683932991444304j)',
                     '(-24.39667974981292+18.366834376666752j)'),
  'nil-central': ('(-3.62945784394511-2.86932233656518j)',
                  '(3.3640404316350643-14.85844628682211j)',
-                 '(76.45252025746143-70.63346984907716j)')}
+                 '(76.45252025746143-70.63346984907716j)'),
+ 'nil-order3-120': ('(0.49633495756071366-5.128057594264914j)',
+                    '(0.6325641579177991-7.750670040565143j)',
+                    '(14.53195467286698-21.825817598569238j)'),
+ 'nil-order3-121': ('(10.564024885633653+1.7705051437599901j)',
+                    '(-21.575509904136194-6.191189762236938j)',
+                    '(6.271296916578981+0.8117915232663755j)'),
+ 'nil-order4-120': ('(-5.742408946760807-2.1232504717099294j)',
+                    '(-11.484817893521612-4.246500943419859j)',
+                    '(-21.739254258695514+24.207172372597274j)'),
+ 'nil-order4-121': ('(0.19222332517812624-1.5268826446795498j)',
+                    '(-3.7926146054188274+8.347136064563838j)',
+                    '(67.51431814227142-26.534753633720484j)'),
+ 'nil-order6-120': ('(10.126551507618938+5.10612684506669j)',
+                    '(42.84582594352315+28.77336418107859j)',
+                    '(71.97105707507406+74.58373058671908j)'),
+ 'nil-order6-121': ('(7.549142313422222+10.269672212869324j)',
+                    '(24.02735318342041+6.004372762300351j)',
+                    '(-43.14312403346814-25.786804508865522j)'),
+ 'nil-readme-float-g-120': ('(-5.788000743309742-0.4846415657238815j)',
+                            '(-18.91074389861322+2.0632972431600725j)',
+                            '(-89.66356826226146+13.078470818730786j)'),
+ 'nil-readme-float-g-121': ('(7.451446483651916-0.8602555954229317j)',
+                            '(4.3231195583708-23.853892622181984j)',
+                            '(40.47556101232287-4.973280396736442j)')}
 
 
 @pytest.mark.parametrize("name", sorted(HEIS))
@@ -153,6 +186,11 @@ def table():
     return mobius_sieve(CHECKPOINTS[-1])
 
 
-@pytest.mark.parametrize("name", ["affine", "nil-horizontal", "nil-central"])
+@pytest.mark.parametrize("name", ["affine", *NIL_SUMS])
 def test_correlation_sums_are_frozen(name, table):
     assert correlation_sums(name, table) == GOLDEN_SUMS[name]
+
+
+@pytest.mark.parametrize("name", ["affine", *NIL_SUMS])
+def test_correlation_sums_are_frozen_at_two_threads(name, table):
+    assert correlation_sums(name, table, threads=2) == GOLDEN_SUMS[name]
