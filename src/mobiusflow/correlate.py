@@ -5,15 +5,15 @@ checkpoints.  Orbit phases come from closed forms, never from sequential
 iteration: rotation and quadratic parts through exact fixed-denominator
 reduction with per-chunk anchors, Birkhoff parts through the geometric
 prefix formula per Fourier mode.  Polynomial phases (`poly_exp_sum`, the
-unipotent affine maps, the Heisenberg nilflows) are exact residues: with
-the polynomial written as integer numerators over a common denominator K,
-`poly_mod1_array` runs Horner in uint64 wraparound when K is a power of two
-up to 2^64, on 48-bit limbs for larger powers of two up to 2^1074, in int64
-mod K when K <= INT64_MODULUS_MAX, split into 2^a times an odd m <=
-INT64_MODULUS_MAX when a <= 64, and on Python ints otherwise, and rounds
-the exact rational once to float64.  Work is split
-into fixed-size chunks combined in a fixed order, so every correlator
-honours `threads` and its results are bit-identical for any worker count.
+unipotent affine maps, the Heisenberg nilflows) are walked in t on each
+residue class n = nu t + l, as exact residues: with the polynomial written
+as integer numerators over a common denominator K, `poly_mod1_array` runs
+Horner in uint64 wraparound when K is a power of two up to 2^64, on 48-bit
+limbs for larger powers of two up to 2^1074, split into 2^a times a small
+odd m when a <= 64, and otherwise in `_horner_mod` (int64 or Python ints),
+and rounds the exact rational once to float64.  Work is split into
+fixed-size chunks combined in a fixed order, so every correlator honours
+`threads` and its results are bit-identical for any worker count.
 
 Also here: the bilinear-criterion test (small correlations against prime
 dilations force small multiplicative-weighted sums), the polynomial
@@ -29,6 +29,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,15 +102,16 @@ INT64_MODULUS_MAX = math.isqrt(2**63 - 1)
 _U64 = 1 << 64
 
 
-def _horner_mod(coeffs: Sequence[int], n: np.ndarray, K: int) -> np.ndarray:
-    """P(n) mod K for integer coefficients (low to high), Horner on n mod K.
+def _horner_mod(coeffs: Sequence[int], K: int, t0: int, count: int) -> np.ndarray:
+    """P(t) mod K for t = t0..t0+count-1 and integer coefficients (low to high).
 
-    Runs in the dtype of n: int64 needs K <= INT64_MODULUS_MAX, an object
-    array of Python ints takes any K.
+    Horner runs on t mod K in int64 when K <= INT64_MODULUS_MAX and on an
+    object array of Python ints otherwise.
     """
-    nr, acc = n % K, np.zeros_like(n)
+    t = (np.arange(count, dtype=np.int64 if K <= INT64_MODULUS_MAX else object) + t0 % K) % K
+    acc = np.zeros_like(t)
     for c in reversed(coeffs):
-        acc *= nr
+        acc *= t
         acc += c % K
         acc %= K
     return acc
@@ -198,7 +200,7 @@ def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int) -> np.nda
     (uint64 wraparound).  Three 32-bit digits of g/m by long division, and
     whether a remainder is left, let `_round_limbs` round once.
     """
-    g = _horner_mod(B, np.arange(count, dtype=np.int64) + t0 % m, m).astype(np.uint64)
+    g = _horner_mod(B, m, t0, count).astype(np.uint64)
     Z = (_horner_u64(B, t0, count) - g) * np.uint64(pow(m, -1, _U64))  # bits from a on are ignored
     digits, rem, mu = [], g, np.uint64(m)
     for _ in range(3):
@@ -236,8 +238,7 @@ def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
         return _pow2_limbs_mod1(B, a, t0, count)
     if K > INT64_MODULUS_MAX and a <= 64 and m <= INT64_MODULUS_MAX:
         return _split_mod1(B, a, m, t0, count)
-    t = np.arange(count, dtype=np.int64 if K <= INT64_MODULUS_MAX else object) + t0 % K
-    return (_horner_mod(B, t, K) / K).astype(np.float64)
+    return (_horner_mod(B, K, t0, count) / K).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +400,35 @@ def _pieces(N: int, checkpoints: Sequence[int], chunk: int) -> list[tuple[int, i
     return [(a + 1, b) for a, b in zip(cuts, cuts[1:])]
 
 
+def _class_phase_chunk(sources: Sequence) -> Callable[[int, int], np.ndarray]:
+    """phase_chunk(u, L) for n = u..u+L-1 from one source per residue class.
+
+    sources[l](t0, count) gives the phases of n = nu t + l for t = t0..t0 +
+    count - 1, with nu = len(sources).
+    """
+    nu = len(sources)
+
+    def phase_chunk(u, L):
+        # class l fills out[s::nu], from n = u + s = t nu + l on
+        out = np.empty(L, dtype=np.float64)
+        for l, source in enumerate(sources):
+            s = (l - u) % nu
+            out[s::nu] = source((u + s - l) // nu, len(range(s, L, nu)))
+        return out
+    return phase_chunk
+
+
+def _checked_checkpoints(checkpoints: Sequence[int], table: MobiusTable) -> tuple[list, int]:
+    """The checkpoints sorted, and the last one N, which the table must cover."""
+    checkpoints = sorted(int(c) for c in checkpoints)
+    if not checkpoints:
+        raise DomainError("need at least one checkpoint")
+    N = checkpoints[-1]
+    if N > table.limit:
+        raise DomainError(f"checkpoint {N} beyond sieve limit {table.limit}")
+    return checkpoints, N
+
+
 def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarray,
                    N: int, checkpoints: Sequence[int], threads: int,
                    chunk: int) -> list[complex]:
@@ -442,14 +472,7 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
     flow: a SkewFlow (normalized) with x a TorusPoint and b a Character, or
     a UnipotentAffine with x a coordinate sequence and b an integer vector.
     """
-    checkpoints = sorted(int(c) for c in checkpoints)
-    if not checkpoints:
-        raise DomainError("need at least one checkpoint")
-    N = checkpoints[-1]
-    if N > table.limit:
-        raise DomainError(f"checkpoint {N} beyond sieve limit {table.limit}")
-    mu = table.mu_array()
-
+    checkpoints, N = _checked_checkpoints(checkpoints, table)
     if isinstance(flow, SkewFlow):
         if not isinstance(b, Character):
             b = Character(*b)
@@ -460,22 +483,14 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         v = (b.b1, b.b2) if isinstance(b, Character) else tuple(int(t) for t in b)
         if len(v) != flow.dimension:
             raise DomainError("observable vector dimension mismatch")
-        nu = flow.nu
-        tpolys = [Poly(unipotent_phase_poly(flow, x, v, l).coeffs).compose_linear(nu, l)
-                  for l in range(nu)]
-
-        def phase_chunk(u, L):
-            # class l fills out[s::nu], from n = u + s = t nu + l on
-            out = np.empty(L, dtype=np.float64)
-            for l, tpoly in enumerate(tpolys):
-                s = (l - u) % nu
-                out[s::nu] = poly_mod1_array(tpoly, (u + s - l) // nu, len(range(s, L, nu)))
-            return out
+        tpolys = [Poly(unipotent_phase_poly(flow, x, v, l).coeffs).compose_linear(flow.nu, l)
+                  for l in range(flow.nu)]
+        phase_chunk = _class_phase_chunk([partial(poly_mod1_array, P) for P in tpolys])
         meta_flow = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})"
     else:
         raise DomainError(f"unsupported flow type {type(flow).__name__}")
 
-    sums = _weighted_sums(phase_chunk, mu[1:], N, checkpoints, threads, chunk)
+    sums = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads, chunk)
     meta = {"flow": meta_flow, "observable": str(b), "threads": threads,
             "chunk": chunk, "N": N}
     return CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
@@ -486,10 +501,10 @@ def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
                  threads: int = 1, chunk: int = CHUNK) -> complex:
     """sum_{n<=N, n = l (mod nu)} mu(n) e(phi(n)) with exact mod-1 phases.
 
-    The class is walked in t = (n - l)/nu: the phases are poly_mod1_array of
-    phi(nu t + l), and the sum is one `_weighted_sums` pass over the strided
-    view mu[n_start::nu], so `threads` is honoured, the sum is bit-identical
-    for any thread count, and mu is not copied.
+    The class is walked in t: term t is n = n_start + nu (t - 1), and the sum
+    is one `_weighted_sums` pass of poly_mod1_array over the strided view
+    mu[n_start::nu], so `threads` is honoured, the sum is bit-identical for
+    any thread count, and mu is not copied.
     """
     if N > table.limit:
         raise DomainError(f"N={N} beyond sieve limit {table.limit}")
@@ -498,11 +513,7 @@ def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
     count = (N - n_start) // nu + 1 if N >= n_start else 0
     if count == 0:
         return 0j
-    tpoly = phase.as_poly().compose_linear(nu, l)
-    t_start = (n_start - l) // nu
-
-    def phase_chunk(i, L):
-        return poly_mod1_array(tpoly, t_start + i - 1, L)
+    phase_chunk = partial(poly_mod1_array, phase.as_poly().compose_linear(nu, n_start - nu))
     weights = table.mu_array()[n_start::nu]
     return _weighted_sums(phase_chunk, weights, count, [count], threads, chunk)[0]
 

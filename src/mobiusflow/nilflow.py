@@ -25,9 +25,10 @@ v3 (the central correction is applied last).  Character observables
 e(p v1 + q v2) are lattice-invariant; a central factor e(r v3) is evaluated
 on the canonical representative, where the phase is the bracket polynomial
 frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) of the orbit coordinates Z_i(n).
-The correlator takes it from integer residues, so horizontal and central
-terms alike are exact rationals rounded once to float64; it honours
-`threads`, and its memory beyond the mu table is O(chunk).
+The correlator walks each residue class n = nu t + l in t, as the affine
+one does: a term without the bracket (every horizontal character) goes to
+`poly_mod1_array`, the bracket term is an integer residue, and either way
+the phase is the exact rational rounded once to float64.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlate import CHUNK, INT64_MODULUS_MAX, CorrelationSeries, _horner_mod, _weighted_sums
+from .correlate import (CHUNK, CorrelationSeries, _checked_checkpoints, _class_phase_chunk,
+                        _horner_mod, _weighted_sums, poly_mod1_array)
 from .errors import DomainError
 from .mobius import MobiusTable
 from .polyutil import (Poly, mat_pow, mat_vec, prefix_sum_poly, quasi_unipotent,
@@ -332,27 +334,27 @@ class NilObservable:
 
 
 def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):
-    """n -> frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) on rep's residue class.
+    """frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) at n = nu t + l, as a source in t.
 
-    With D_i the common denominator of Z_i and K that of the phase, every
-    part is an integer polynomial mod K, D1 D2 or D2: floor(Z1) only counts
-    mod D2, as (D1 Z1 mod D1 D2) // D1.  Residues are int64 when every
-    modulus is at most INT64_MODULUS_MAX and Python ints otherwise.
+    With D_i the common denominator of Z_i(nu t + l), the bracket r floor(Z1) Z2
+    is an integer when r = 0 mod D2, and the source is `poly_mod1_array` of the
+    phase polynomial.  Otherwise the phase is a residue mod K = lcm(the other
+    denominators, D2), with floor(Z1) mod D2 = (D1 Z1 mod D1 D2) // D1.
     """
-    Z1, Z2, Z3 = rep.coord_polys
-    D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
+    Z1, Z2, Z3 = (Z.compose_linear(rep.nu, rep.residue) for Z in rep.coord_polys)
     P = Z1.scale(p) + Z2.scale(q) + Z3.scale(r)
-    rb = r % D2  # the bracket r floor(Z1) Z2 counts mod 1
-    K = math.lcm(*(c.denominator for c in P.coeffs), D2 if rb else 1)
+    D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
+    rb = r % D2
+    if not rb:
+        return lambda t0, count: poly_mod1_array(P, t0, count)
+    K = math.lcm(*(c.denominator for c in P.coeffs), D2)
     B, A1, A2 = ([int(c * d) for c in Z.coeffs] for Z, d in ((P, K), (Z1, D1), (Z2, D2)))
-    dtype = np.int64 if max(K, D1 * D2 if rb else 1) <= INT64_MODULUS_MAX else object
 
-    def phase(n: np.ndarray) -> np.ndarray:
-        n = n.astype(dtype, copy=False)
-        num = _horner_mod(B, n, K)
-        if rb:
-            floor_z1 = _horner_mod(A1, n, D1 * D2) // D1
-            num = num + (rb * floor_z1 % D2) * _horner_mod(A2, n, D2) % D2 * (K // D2)
+    def phase(t0: int, count: int) -> np.ndarray:
+        num = _horner_mod(B, K, t0, count)
+        floor_z1 = _horner_mod(A1, D1 * D2, t0, count) // D1
+        bracket = rb * floor_z1 % D2 * _horner_mod(A2, D2, t0, count) % D2
+        num = num + bracket.astype(num.dtype) * (K // D2)
         return (num % K / K).astype(np.float64, copy=False)
     return phase
 
@@ -368,27 +370,13 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
     sums are bit-identical for any thread count, and memory beyond the mu
     table is O(chunk).
     """
-    checkpoints = sorted(int(c) for c in checkpoints)
-    if not checkpoints:
-        raise DomainError("need at least one checkpoint")
-    N = checkpoints[-1]
-    if N > table.limit:
-        raise DomainError(f"checkpoint {N} beyond sieve limit {table.limit}")
-    mu = table.mu_array()
+    checkpoints, N = _checked_checkpoints(checkpoints, table)
     reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
 
     sums = [0j] * len(checkpoints)
     for w, p, q, r in f.terms:
-        sources = [_residue_phase(rep, p, q, r) for rep in reps]
-
-        def phase_chunk(u, L):
-            n = np.arange(u, u + L, dtype=np.int64)
-            out = np.empty(L, dtype=np.float64)
-            for l, phase in enumerate(sources):
-                s = (l - u) % T.nu
-                out[s::T.nu] = phase(n[s::T.nu])
-            return out
-        term = _weighted_sums(phase_chunk, mu[1:], N, checkpoints, threads, CHUNK)
+        phase_chunk = _class_phase_chunk([_residue_phase(rep, p, q, r) for rep in reps])
+        term = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads, CHUNK)
         sums = [s + w * t for s, t in zip(sums, term)]
     meta = {"flow": f"heisenberg(nu={T.nu})", "observable": str(f.terms),
             "threads": threads, "N": N}

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiusflow.errors import DomainError
+from mobiusflow.correlate import INT64_MODULUS_MAX
 from mobiusflow.mobius import mobius_sieve, mertens
-from mobiusflow.nilflow import (INT64_MODULUS_MAX, HeisenbergAffine, HeisenbergElement,
+from mobiusflow.nilflow import (HeisenbergAffine, HeisenbergElement,
                                 NilObservable, _residue_phase, compile_poly_orbit,
                                 coord_first_from_second, coord_second_from_first,
                                 correlate_nil, heis_inv, heis_mul, make_automorphism,
@@ -283,7 +284,9 @@ def test_residue_phases_equal_exact_phases():
         for l in range(T.nu):
             rep = compile_poly_orbit(T, x, l)
             ns = list(range(l or T.nu, 300, T.nu)) + [l + T.nu * k for k in (10**5, 10**7 + 3)]
-            got = _residue_phase(rep, p, q, r)(np.array(ns, dtype=np.int64))
+            runs = [((l or T.nu) // T.nu, len(range(l or T.nu, 300, T.nu))), (10**5, 1),
+                    (10**7 + 3, 1)]  # ns as (t0, count), n = nu t + l
+            got = np.concatenate([_residue_phase(rep, p, q, r)(*run) for run in runs])
             assert got.tolist() == [_exact_phase(rep, n, p, q, r) for n in ns], (i, l)
     assert seen_nu >= {1, 2, 4} and seen_r == {1, -2, 3, 0} and moved_x >= 30
 
@@ -297,7 +300,8 @@ def test_residue_phases_beyond_int64_guard_stay_exact():
     D1, D2 = (max(c.denominator for c in Z.coeffs) for Z in (Z1, Z2))
     assert D1 * D2 > INT64_MODULUS_MAX
     ns = list(range(1, 200)) + [10**6 + 7, 10**9 + 9]
-    got = _residue_phase(rep, 1, 2, 1)(np.array(ns, dtype=np.int64))
+    runs = [(1, 199), (10**6 + 7, 1), (10**9 + 9, 1)]  # ns as (t0, count), nu = 1
+    got = np.concatenate([_residue_phase(rep, 1, 2, 1)(*run) for run in runs])
     assert got.tolist() == [_exact_phase(rep, n, 1, 2, 1) for n in ns]
     table = mobius_sieve(1500)
     obs = NilObservable.character(1, 2, 1)
