@@ -94,30 +94,48 @@ def flow_from_json(d: dict):
             return SkewFlow(int(d.get("a", 1)), int(d["c"]), int(d.get("d", 1)),
                             alpha_from_json(d["alpha"]), series_from_json(d["h"]))
         if kind == "unipotent_affine":
-            return UnipotentAffine(matrix=tuple(map(tuple, d["matrix"])),
-                                   translation=tuple(_num(t) for t in d["translation"]))
+            W = _numbers(d["matrix"], "matrix", None, None)
+            return UnipotentAffine(matrix=W, translation=_numbers(d["translation"], "translation",
+                                                                  len(W)))
         if kind == "heisenberg":
-            g = nf.HeisenbergElement(*[_num(t) for t in d["g"]])
-            ds = tuple(tuple(_num(e) for e in row) for row in d["dsigma"])
-            return nf.HeisenbergAffine(g=g, dsigma=ds)
+            return nf.HeisenbergAffine(g=nf.HeisenbergElement(*_numbers(d["g"], "g", 3)),
+                                       dsigma=_numbers(d["dsigma"], "dsigma", 3, 3))
     except KeyError as exc:
         raise DomainError(f"{kind} config lacks the key {exc}") from None
     raise DomainError(f"unknown flow type {kind!r}")
 
 
-def _num(v):
-    if isinstance(v, str) and "/" in v:
-        return Fraction(v)
-    return v
+def _num(v, key: str):
+    """A finite config number; a string such as "1/3" or "0.25" is read exactly."""
+    try:
+        if isinstance(v, str):
+            return Fraction(v)
+        if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
+            return v
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise DomainError(f"config key {key!r}: {v!r} is not a finite number")
+
+
+def _numbers(v, key: str, *shape: Optional[int]) -> tuple:
+    """The config list v as numbers of the given shape, e.g. (3, 3) for a matrix;
+    a length None takes any length."""
+    if not isinstance(v, list) or shape[0] not in (None, len(v)):
+        size = "numeric" if shape[0] is None else shape[0]
+        raise DomainError(f"config key {key!r} needs a list of {size} entries, got {v!r}")
+    if len(shape) > 1:
+        return tuple(_numbers(row, key, *shape[1:]) for row in v)
+    return tuple(_num(t, key) for t in v)
 
 
 def _usage_errors(parse):
-    """An argparse type= parser that also reports OverflowError as a usage
-    error (exit 2); argparse itself maps only ValueError and TypeError."""
+    """An argparse type= parser that also reports OverflowError and
+    DomainError as usage errors (exit 2); argparse itself maps only
+    ValueError and TypeError."""
     def typed(s: str):
         try:
             return parse(s)
-        except OverflowError as exc:
+        except (OverflowError, DomainError) as exc:
             raise argparse.ArgumentTypeError(f"{s!r}: {exc}") from None
     typed.__name__ = parse.__name__
     return typed
@@ -146,7 +164,10 @@ def _parse_ints(s: str) -> tuple[int, ...]:
 def _parse_observable(s: str) -> nf.NilObservable:
     if s.startswith("{"):
         return nf.NilObservable.from_json(json.loads(s))
-    return nf.NilObservable.character(*[int(t) for t in s.split(",")])
+    pqr = [int(t) for t in s.split(",")]
+    if len(pqr) not in (2, 3):
+        raise argparse.ArgumentTypeError(f"observable needs p,q or p,q,r, got {s!r}")
+    return nf.NilObservable.character(*pqr)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +257,14 @@ def cmd_correlate(args, threads: int) -> int:
         raise DomainError(f"observable {b} has the wrong number of components")
     table = mobius_sieve(checkpoints[-1])
     if isinstance(flow, (SkewFlow,)):
-        x = TorusPoint(*(cfg.get("x", [0.0, 0.0])))
+        x = TorusPoint(*_numbers(cfg.get("x", [0.0, 0.0]), "x", 2))
         series = mobius_correlate(flow, x, Character(*b), table, checkpoints,
                                   threads=threads)
     elif isinstance(flow, UnipotentAffine):
-        x = tuple(_num(t) for t in cfg.get("x", [0] * flow.dimension))
+        x = _numbers(cfg.get("x", [0] * flow.dimension), "x", flow.dimension)
         series = mobius_correlate(flow, x, b, table, checkpoints, threads=threads)
     else:
-        x = nf.HeisenbergElement(*[_num(t) for t in cfg.get("x", [0, 0, 0])])
+        x = nf.HeisenbergElement(*_numbers(cfg.get("x", [0, 0, 0]), "x", 3))
         obs = nf.NilObservable.character(*b) if len(b) == 3 else \
             nf.NilObservable.character(b[0], b[1], 0)
         series = nf.correlate_nil(flow, x, obs, table, checkpoints, threads=threads)
@@ -315,7 +336,7 @@ def cmd_nilflow(args, threads: int) -> int:
     T = flow_from_json(cfg)
     if not isinstance(T, nf.HeisenbergAffine):
         raise DomainError("nilflow expects a heisenberg config")
-    x = nf.HeisenbergElement(*[_num(t) for t in cfg.get("x", [0, 0, 0])])
+    x = nf.HeisenbergElement(*_numbers(cfg.get("x", [0, 0, 0]), "x", 3))
     table = mobius_sieve(args.checkpoints[-1])
     series = nf.correlate_nil(T, x, args.observable, table, args.checkpoints, threads=threads)
     lines = ["N,re,im,abs_over_N"]
@@ -484,6 +505,8 @@ def main(argv: Optional[list] = None) -> int:
             threads = int(value)
         except ValueError:
             ap.error(f"{ENV_THREADS} must be an integer, got {value!r}")
+    if threads < 1:
+        ap.error(f"the thread count must be at least 1, got {threads}")
     try:
         return args.fn(args, threads)
     except (CapacityError, PrecisionError) as exc:

@@ -108,7 +108,8 @@ def _horner_mod(coeffs: Sequence[int], K: int, t0: int, count: int) -> np.ndarra
     Horner runs on t mod K in int64 when K <= INT64_MODULUS_MAX and on an
     object array of Python ints otherwise.
     """
-    t = (np.arange(count, dtype=np.int64 if K <= INT64_MODULUS_MAX else object) + t0 % K) % K
+    t0 %= K
+    t = np.arange(t0, t0 + count, dtype=np.int64 if K <= INT64_MODULUS_MAX else object) % K
     acc = np.zeros_like(t)
     for c in reversed(coeffs):
         acc *= t

@@ -99,6 +99,16 @@ def skew_orbit_iter(flow: SkewFlow, p: TorusPoint, n: int) -> TorusPoint:
     return p
 
 
+_BIRKHOFF = {"direct": birkhoff_sum_direct, "fourier": birkhoff_sum_fourier}
+
+
+def _birkhoff_sum(flow: SkewFlow, p: TorusPoint, n: int, mode: str) -> complex:
+    """sum_{j<n} h(x1 + j alpha) by the method birkhoff_mode names."""
+    if mode not in _BIRKHOFF:
+        raise DomainError(f"unknown birkhoff_mode {mode!r}")
+    return _BIRKHOFF[mode](flow.h, p.x1, flow.alpha, n)
+
+
 def skew_orbit_closed(flow: SkewFlow, p: TorusPoint, n: int,
                       birkhoff_mode: str = "direct") -> TorusPoint:
     """Orbit at time n from the closed form (normalized flows only)."""
@@ -114,12 +124,7 @@ def skew_orbit_closed(flow: SkewFlow, p: TorusPoint, n: int,
 
     quad = alpha.frac_fraction(flow.c * (n * (n - 1) // 2))
     lin = _frac1(flow.c * n * x1f)
-    if birkhoff_mode == "direct":
-        bsum = birkhoff_sum_direct(flow.h, p.x1, alpha, n)
-    elif birkhoff_mode == "fourier":
-        bsum = birkhoff_sum_fourier(flow.h, p.x1, alpha, n)
-    else:
-        raise DomainError(f"unknown birkhoff_mode {birkhoff_mode!r}")
+    bsum = _birkhoff_sum(flow, p, n, birkhoff_mode)
     y2 = (float(quad) + float(lin) + p.x2 + bsum.real) % 1.0
     return TorusPoint(y1, y2)
 
@@ -144,10 +149,7 @@ def character_phase(flow: SkewFlow, p: TorusPoint, b: Character, n: int,
                  + alpha.frac_fraction(b.b1 * n + b.b2 * flow.c * (n * (n - 1) // 2))
                  + b.b2 * flow.c * n * x1f
                  + b.b2 * Fraction(p.x2)) % 1
-    if birkhoff_mode == "direct":
-        bsum = birkhoff_sum_direct(flow.h, p.x1, alpha, n)
-    else:
-        bsum = birkhoff_sum_fourier(flow.h, p.x1, alpha, n)
+    bsum = _birkhoff_sum(flow, p, n, birkhoff_mode)
     return (float(poly_part) + b.b2 * bsum.real) % 1.0
 
 
@@ -193,10 +195,12 @@ class UnipotentAffine:
     nilpotency_order: int = field(init=False)
 
     def __post_init__(self):
+        if any(e != int(e) for row in self.matrix for e in row):
+            raise DomainError("matrix entries must be integers")
         W = [list(map(int, row)) for row in self.matrix]
         m = len(W)
-        if any(len(row) != m for row in W):
-            raise DomainError("matrix must be square")
+        if m == 0 or any(len(row) != m for row in W):
+            raise DomainError("matrix must be square and non-empty")
         if len(self.translation) != m:
             raise DomainError("translation dimension mismatch")
         if _mat_det(W) not in (1, -1):
@@ -272,6 +276,9 @@ def unipotent_phase_poly(aff: UnipotentAffine, x: Sequence, v: Sequence[int],
     """
     if not 0 <= l < aff.nu:
         raise DomainError(f"residue l={l} outside [0, {aff.nu})")
+    if len(x) != aff.dimension or len(v) != aff.dimension:
+        raise DomainError(f"the map acts on {aff.dimension} coordinates; the point has "
+                          f"{len(x)} and the character {len(v)}")
     if all(int(c) == 0 for c in v):
         return PhasePolynomial(coeffs=(Fraction(0),), nu=aff.nu, residue=l)
     m = aff.dimension

@@ -316,6 +316,8 @@ class NilObservable:
 
     @classmethod
     def character(cls, p: int, q: int, r: int = 0, weight: complex = 1.0) -> "NilObservable":
+        if any(isinstance(c, bool) or c != int(c) for c in (p, q, r)):
+            raise DomainError(f"frequencies must be integers, got {(p, q, r)}")
         return cls(terms=((complex(weight), int(p), int(q), int(r)),))
 
     @classmethod
@@ -354,7 +356,7 @@ def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):
         num = _horner_mod(B, K, t0, count)
         floor_z1 = _horner_mod(A1, D1 * D2, t0, count) // D1
         bracket = rb * floor_z1 % D2 * _horner_mod(A2, D2, t0, count) % D2
-        num = num + bracket.astype(num.dtype) * (K // D2)
+        num = num + bracket.astype(num.dtype, copy=False) * (K // D2)
         return (num % K / K).astype(np.float64, copy=False)
     return phase
 

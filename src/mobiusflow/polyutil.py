@@ -98,6 +98,8 @@ class Poly:
     def compose_linear(self, a, b) -> "Poly":
         """p(a*x + b), exact."""
         a, b = Fraction(a), Fraction(b)
+        if (a, b) == (1, 0):
+            return self
         acc = Poly()
         lin = Poly([b, a])
         for c in reversed(self.coeffs):

@@ -245,6 +245,57 @@ def test_malformed_thread_count_env_usage_exit(monkeypatch):
     assert _run_module(["sieve", "--limit", "10"]) == 2
 
 
+@pytest.mark.parametrize("option, env", [(["--threads", "0"], None), (["--threads", "-2"], None),
+                                         ([], "-1"), ([], "0")])
+def test_thread_count_below_one_usage_exit(monkeypatch, option, env):
+    if env is not None:
+        monkeypatch.setenv("MOBIUSFLOW_THREADS", env)
+    assert _run_module([*option, "sieve", "--limit", "10"]) == 2
+
+
+@pytest.mark.parametrize("observable", ["1,2,1,4", '{"central": 1.5}',
+                                        '{"horizontal": [1, 2.5]}', '{"central": "1"}'])
+def test_nilflow_observable_of_wrong_shape_usage_exit(tmp_path, observable):
+    assert _run_module(["nilflow", "--config", _nil_config(tmp_path), "--observable", observable,
+                        "--checkpoints", "100"]) == 2
+
+
+def test_correlate_affine_point_of_wrong_length_domain_exit(tmp_path, capsys):
+    path = tmp_path / "aff.json"
+    for x in ([0.1], [0.1, 0, 5]):
+        path.write_text(json.dumps({"type": "unipotent_affine", "matrix": [[1, 1], [0, 1]],
+                                    "translation": ["1/3", 0], "x": x}))
+        code, _, err = run_cli(["correlate", "--config", str(path), "--b", "0,1",
+                                "--checkpoints", "100"], capsys)
+        assert code == 3 and "'x'" in err
+
+
+_MALFORMED_CONFIGS = [
+    ("nil", {"g": ["1/3", "1/7", "x"]}, "g"),
+    ("nil", {"g": ["1/3", "1/7"]}, "g"),
+    ("nil", {"g": ["1/3", "1/7", "1/0"]}, "g"),
+    ("nil", {"dsigma": [[1, 0, 0], [1, 1, 0]]}, "dsigma"),
+    ("nil", {"x": [0, "nan", 0]}, "x"),
+    ("aff", {"translation": [0.1, "1/0"]}, "translation"),
+    ("aff", {"matrix": [[1, "y"], [0, 1]]}, "matrix"),
+    ("skew", {"x": [0.1]}, "x"),
+    ("skew", {"x": ["a", 0.2]}, "x"),
+    ("skew", {"x": 0.1}, "x"),
+]
+
+
+@pytest.mark.parametrize("flow, change, key", _MALFORMED_CONFIGS)
+def test_malformed_config_numbers_domain_exit(configs, tmp_path, capsys, flow, change, key):
+    cfg = {**json.loads(open(configs[flow]).read()), **change}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = (["nilflow", "--observable", "1,2,1"] if flow == "nil"
+            else ["correlate", "--b", "0,1"])
+    code, _, err = run_cli([args[0], "--config", str(path), *args[1:], "--checkpoints", "100"],
+                           capsys)
+    assert code == 3 and f"'{key}'" in err
+
+
 @pytest.mark.parametrize("args, code", [
     (["nilflow", "--observable", "1,2,1", "--checkpoints", "1e400"], 2),
     (["correlate", "--b", "a,b", "--checkpoints", "100"], 2),

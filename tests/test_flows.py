@@ -117,6 +117,13 @@ def test_character_phase_matches_orbit():
         assert abs(lhs - rhs) < 1e-8
 
 
+def test_unknown_birkhoff_mode_is_rejected():
+    flow, p = random_flow(np.random.default_rng(5))
+    for fn in (skew_orbit_closed, lambda *a: character_phase(flow, p, Character(1, 1), *a[2:])):
+        with pytest.raises(DomainError, match="birkhoff_mode"):
+            fn(flow, p, 7, "fourir")
+
+
 def test_b2_zero_never_evaluates_h(monkeypatch):
     flow, p = random_flow(RNG)
     calls = {"n": 0}
@@ -201,6 +208,24 @@ def test_phase_poly_degree_bound():
     x = (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
     pp = unipotent_phase_poly(aff, x, (1, 1, 1), 0)
     assert pp.degree <= doubled.nilpotency_order
+
+
+def test_phase_poly_checks_dimensions():
+    """A point or character of the wrong length is refused, not truncated by zip."""
+    aff = UnipotentAffine(matrix=((1, 1), (0, 1)), translation=(Fraction(1, 3), 0))
+    for x in ((0.1,), (0.1, 0, 5)):
+        with pytest.raises(DomainError, match="2 coordinates"):
+            unipotent_phase_poly(aff, x, (0, 1), 0)
+    with pytest.raises(DomainError, match="2 coordinates"):
+        unipotent_phase_poly(aff, (0.1, 0.2), (0, 1, 1), 0)
+
+
+def test_matrix_must_be_nonempty_and_integral():
+    for W in (((1, 1.5), (0, 1)), ((1, Fraction(1, 2)), (0, 1))):
+        with pytest.raises(DomainError, match="integers"):
+            UnipotentAffine(matrix=W, translation=(0, 0))
+    with pytest.raises(DomainError, match="non-empty"):
+        UnipotentAffine(matrix=(), translation=())
 
 
 def test_entropy_guard_hyperbolic():

@@ -183,6 +183,15 @@ def table():
     return mobius_sieve(50_000)
 
 
+def test_observable_frequencies_must_be_integers():
+    for pqr in ((1.5, 2, 0), (1, 2, 0.5), (1, True, 0), (1, "2", 0)):
+        with pytest.raises(DomainError, match="integers"):
+            NilObservable.character(*pqr)
+    with pytest.raises(DomainError, match="integers"):
+        NilObservable.from_json({"horizontal": [1, 2], "central": 1.5})
+    assert NilObservable.from_json({"horizontal": [1, 2], "central": 3}).terms == ((1, 1, 2, 3),)
+
+
 def test_correlate_constant_is_mertens(table):
     ds = make_automorphism(((1, 0), (1, 1)))
     T = HeisenbergAffine(g=HeisenbergElement(Fraction(1, 3), Fraction(1, 7), 0),
