@@ -63,35 +63,41 @@ def alpha_from_string(spec: str) -> AlphaSpec:
 def alpha_from_json(d: dict) -> AlphaSpec:
     kind = d.get("type")
     if kind == "rational":
-        return AlphaSpec.rational(int(d["p"]), int(d["q"]))
+        return AlphaSpec.rational(_integer(d["p"], "p"), _integer(d["q"], "q"))
     if kind == "quadratic":
-        return AlphaSpec.quadratic(d.get("initial", [0]), d["period"])
+        return AlphaSpec.quadratic(_integers(d.get("initial", [0]), "initial"),
+                                   _integers(d["period"], "period"))
     if kind == "quotients":
-        return AlphaSpec.from_quotients([int(a) for a in d["quotients"]])
+        return AlphaSpec.from_quotients(_integers(d["quotients"], "quotients"))
     if kind == "furstenberg":
-        return fb.build_alpha(float(d["tau"]), int(d["depth"]))
+        return fb.build_alpha(_real(d["tau"], "tau"), _integer(d["depth"], "depth"))
     raise DomainError(f"unknown alpha type {kind!r}")
 
 
 def series_from_json(d: dict) -> AnalyticSeries:
     kind = d.get("type")
     if kind == "coeffs":
-        entries = [(int(m), complex(re, im)) for m, re, im in d["entries"]]
-        return AnalyticSeries.from_entries(entries, tau=float(d["tau"]),
-                                           tau2=d.get("tau2"))
+        entries = [(_integer(m, "entries"), complex(_real(re, "entries"), _real(im, "entries")))
+                   for m, re, im in _numbers(d["entries"], "entries", None, 3)]
+        tau2 = None if d.get("tau2") is None else _real(d["tau2"], "tau2")
+        return AnalyticSeries.from_entries(entries, tau=_real(d["tau"], "tau"), tau2=tau2)
     if kind == "geometric":
-        return AnalyticSeries.geometric(float(d["tau"]), M=d.get("M"))
+        M = None if d.get("M") is None else _integer(d["M"], "M")
+        return AnalyticSeries.geometric(_real(d["tau"], "tau"), M=M)
     if kind == "furstenberg":
-        sysm = fb.FurstenbergSystem.build(float(d["tau"]), int(d["depth"]))
+        sysm = fb.FurstenbergSystem.build(_real(d["tau"], "tau"), _integer(d["depth"], "depth"))
         return sysm.combined
     raise DomainError(f"unknown series type {kind!r}")
 
 
 def flow_from_json(d: dict):
+    if not isinstance(d, dict):
+        raise DomainError(f"a flow config is a JSON object, got {d!r}")
     kind = d.get("type")
     try:
         if kind == "skew":
-            return SkewFlow(int(d.get("a", 1)), int(d["c"]), int(d.get("d", 1)),
+            return SkewFlow(_integer(d.get("a", 1), "a"), _integer(d["c"], "c"),
+                            _integer(d.get("d", 1), "d"),
                             alpha_from_json(d["alpha"]), series_from_json(d["h"]))
         if kind == "unipotent_affine":
             W = _numbers(d["matrix"], "matrix", None, None)
@@ -115,6 +121,21 @@ def _num(v, key: str):
     except (ValueError, ZeroDivisionError):
         pass
     raise DomainError(f"config key {key!r}: {v!r} is not a finite number")
+
+
+def _integer(v, key: str) -> int:
+    n = _num(v, key)
+    if n != int(n):
+        raise DomainError(f"config key {key!r}: {v!r} is not an integer")
+    return int(n)
+
+
+def _integers(v, key: str) -> list[int]:
+    return [_integer(t, key) for t in _numbers(v, key, None)]
+
+
+def _real(v, key: str) -> float:
+    return float(_num(v, key))
 
 
 def _numbers(v, key: str, *shape: Optional[int]) -> tuple:

@@ -281,6 +281,10 @@ _MALFORMED_CONFIGS = [
     ("skew", {"x": [0.1]}, "x"),
     ("skew", {"x": ["a", 0.2]}, "x"),
     ("skew", {"x": 0.1}, "x"),
+    ("skew", {"c": 1.5}, "c"),
+    ("skew", {"alpha": {"type": "rational", "p": "x", "q": 3}}, "p"),
+    ("skew", {"h": {"type": "geometric", "tau": "y"}}, "tau"),
+    ("skew", {"h": {"type": "coeffs", "entries": [[1, 0.2, "z"]], "tau": 1}}, "entries"),
 ]
 
 
