@@ -4,7 +4,9 @@ The values below were recorded before the matrix helpers and the
 quasi-unipotence detectors of `flows` and `nilflow` were merged into
 `polyutil`; a refactor of that core must reproduce them bit for bit.
 The nil sums of the nu > 1 maps and of the float-g map were recorded
-before the Heisenberg phases moved to residue classes in t.
+before the Heisenberg phases moved to residue classes in t, and the orbit
+form of the float-g map and the phase polynomials of the nu = 4 and nu = 6
+affine maps before both orbit compilers became one affine recursion.
 Exact rationals are kept as `Fraction` strings and correlation sums as the
 repr of each complex sum.
 """
@@ -29,8 +31,8 @@ HEIS = {
     "order6": (HEIS_G, make_automorphism(((1, -1), (1, 0))), HEIS_X),
     "reflection": (HEIS_G, make_automorphism(((0, 1), (1, 0)), e=1), HEIS_X),
 }
-# maps whose nil sums are frozen but whose orbit form is not
-HEIS_SUMS_ONLY = {"readme-float-g": ((0.1234, 0.31, 0.2718),) + HEIS["readme"][1:]}
+# g is read exactly from doubles, so its coordinates have denominator 2^52
+HEIS["readme-float-g"] = ((0.1234, 0.31, 0.2718),) + HEIS["readme"][1:]
 NIL_SUMS = {"nil-horizontal": ("readme", (1, 2, 0)), "nil-central": ("readme", (1, 2, 1))}
 NIL_SUMS.update({f"nil-{name}-{p}{q}{r}": (name, (p, q, r))
                  for name in ("order4", "order3", "order6", "readme-float-g")
@@ -41,6 +43,12 @@ AFFINE = {
             (0.2, 0.51, 0.33), (1, 1, 2)),
     "shear3": (((1, 1, 0), (0, 1, 1), (0, 0, 1)), ("1/3", "2/7", "1/5"),
                ("1/11", "3/13", "5/17"), (2, -1, 3)),
+    "order4": (((0, -1), (1, 0)), ("1/3", "2/7"), ("1/11", "3/13"), (2, -1)),
+    "order6": (((1, -1), (1, 0)), ("1/5", "-3/7"), ("2/9", "5/17"), (1, 3)),
+    # W^4 = I + N with N != 0
+    "order4-shear": (((0, -1, 0, 0), (1, 0, 0, 0), (1, 0, 1, 1), (0, 0, 0, 1)),
+                     ("1/3", "2/7", "1/5", "-1/4"), ("1/11", "3/13", "5/17", "1/2"),
+                     (2, -1, 3, 1)),
 }
 CHECKPOINTS = (100, 1000, 10_000)
 
@@ -50,7 +58,7 @@ def _strs(rows):
 
 
 def _heisenberg(name):
-    g, dsigma, x = {**HEIS, **HEIS_SUMS_ONLY}[name]
+    g, dsigma, x = HEIS[name]
     return (HeisenbergAffine(HeisenbergElement(*(Fraction(t) for t in g)),
                              tuple(tuple(Fraction(e) for e in row) for row in dsigma)),
             HeisenbergElement(*(Fraction(t) for t in x)))
@@ -105,6 +113,19 @@ GOLDEN_HEISENBERG = {'order3': {'nu': 3,
                             (('19/105',), ('4/9',), ('277/693', '1237/2205')),
                             (('22/315',), ('34/105',), ('156766/363825', '1237/2205')),
                             (('5/63',), ('67/315',), ('11266/31185', '1237/2205')))},
+ 'readme-float-g': {'nu': 1,
+                    'nilpotent': (('0', '0', '0'), ('1', '0', '0'), ('1/2', '0', '0')),
+                    'coord_polys': ((('0', '8891907104280307/72057594037927936'),
+                                     ('0',
+                                      '35783801199235013/144115188075855872',
+                                      '8891907104280307/144115188075855872'),
+                                     ('0',
+                                      '16125697868974796934781600344190799/'
+                                      '62307562302417931542365955950641152',
+                                      '322543196241565726147460489167361/'
+                                      '20769187434139310514121985316880384',
+                                      '-79066011951150594425280428014249/'
+                                      '31153781151208965771182977975320576')),)},
  'readme': {'nu': 1,
             'nilpotent': (('0', '0', '0'), ('1', '0', '0'), ('1/2', '0', '0')),
             'coord_polys': ((('0', '1/3'),
@@ -132,6 +153,22 @@ GOLDEN_AFFINE = {'nu2': {'nu': 2,
                          ('78787773321070407/72057594037927936',
                           '37747370636768549/36028797018963968',
                           '4896313514877203/36028797018963968'))},
+ 'order4': {'nu': 4,
+            'nilpotent': '((0, 0), (0, 0))',
+            'nilpotency_order': 0,
+            'phase_polys': (('-7/143',), ('-515/3003',), ('-1426/3003',), ('-1058/3003',))},
+ 'order4-shear': {'nu': 4,
+                  'nilpotent': '((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 4), (0, 0, 0, 0))',
+                  'nilpotency_order': 1,
+                  'phase_polys': (('6483/4862', '643/280', '-3/8'),
+                                  ('72092/51051', '643/280', '-3/8'),
+                                  ('19619/14586', '643/280', '-3/8'),
+                                  ('64646/51051', '643/280', '-3/8'))},
+ 'order6': {'nu': 6,
+            'nilpotent': '((0, 0), (0, 0))',
+            'nilpotency_order': 0,
+            'phase_polys': (('169/153',), ('-2629/5355',), ('-131/357',), ('7243/5355',),
+                            ('15787/5355',), ('5041/1785',))},
  'shear3': {'nu': 1,
             'nilpotent': '((0, 1, 0), (0, 0, 1), (0, 0, 0))',
             'nilpotency_order': 2,
