@@ -12,9 +12,9 @@ normalized case a = d = 1)
 
 where the quadratic term uses the exact integer n(n-1)/2 before any mod-1
 reduction.  Affine maps x -> Wx + b with quasi-unipotent integer W reduce,
-by doubling the variables to linearize the translation, to polynomial
-character phases: psi(W^n x) = e(phi(n)) on each residue class n = q nu + l,
-with deg phi bounded by the nilpotency order.
+through the linear map [[W, b], [0, 1]] on (x, 1), to polynomial character
+phases: psi(T^n x) = e(phi(n)) on each residue class n = nu t + l, with
+deg phi at most the nilpotency order plus one.
 
 Finite cyclic factors are modeled as rational coordinates (C_M embeds in the
 circle as {k/M}); full generality of finite abelian factors is not modeled.
@@ -30,7 +30,7 @@ from typing import Sequence
 from .analytic import AnalyticSeries, birkhoff_sum_direct, birkhoff_sum_fourier
 from .cfrac import AlphaSpec
 from .errors import DomainError
-from .polyutil import mat_mul, mat_pow, mat_vec, quasi_unipotent, unipotent_orbit_polys
+from .polyutil import affine_orbit_polys, mat_mul, mat_vec, quasi_unipotent
 
 
 def _frac1(x: Fraction) -> Fraction:
@@ -269,9 +269,9 @@ def unipotent_phase_poly(aff: UnipotentAffine, x: Sequence, v: Sequence[int],
                          l: int) -> PhasePolynomial:
     """Exact polynomial phase of the character e(<v, .>) along the orbit.
 
-    The translation is absorbed by doubling the variables; with
-    Wt^nu = I + N the orbit at n = q nu + l is sum_t C(q, t) N^t Wt^l xt,
-    a polynomial in q, rewritten in n.  Coefficients are exact Fractions
+    The orbit is the affine recursion x_n = W x_{n-1} + b, and with
+    W^nu unipotent `affine_orbit_polys` writes <v, x_n> at n = nu t + l as a
+    polynomial in t, rewritten here in n.  Coefficients are exact Fractions
     (floats are converted exactly).
     """
     if not 0 <= l < aff.nu:
@@ -279,20 +279,11 @@ def unipotent_phase_poly(aff: UnipotentAffine, x: Sequence, v: Sequence[int],
     if len(x) != aff.dimension or len(v) != aff.dimension:
         raise DomainError(f"the map acts on {aff.dimension} coordinates; the point has "
                           f"{len(x)} and the character {len(v)}")
-    if all(int(c) == 0 for c in v):
-        return PhasePolynomial(coeffs=(Fraction(0),), nu=aff.nu, residue=l)
-    m = aff.dimension
-    # the doubled matrix is block triangular with diagonal blocks W and I,
-    # so it shares nu with W
-    Wt = aff.doubled()
-    nu, Nt = quasi_unipotent(Wt)
-    xt = [Fraction(t) for t in x] + list(aff.translation)
-    vt = [int(c) for c in v] + [0] * m
-    (poly,) = unipotent_orbit_polys(Nt, mat_vec(mat_pow(Wt, l), xt), rows=(vt,))
-
-    # q = (n - l)/nu
-    poly_n = poly.compose_linear(Fraction(1, nu), Fraction(-l, nu))
-    return PhasePolynomial(coeffs=poly_n.coeffs or (Fraction(0),), nu=nu, residue=l)
+    (poly,) = affine_orbit_polys(aff.matrix, aff.translation, [Fraction(t) for t in x],
+                                 aff.nu, l, rows=([int(c) for c in v],))
+    # t = (n - l)/nu
+    poly_n = poly.compose_linear(Fraction(1, aff.nu), Fraction(-l, aff.nu))
+    return PhasePolynomial(coeffs=poly_n.coeffs or (Fraction(0),), nu=aff.nu, residue=l)
 
 
 def character_value(aff: UnipotentAffine, x: Sequence, v: Sequence[int], n: int) -> complex:

@@ -12,13 +12,15 @@ matrices.  Coordinates of the first kind (single exponential) differ by the
 degree-2 maps u3 = v3 + v1 v2 / 2 and back.
 
 An affine map T = (left translation by g) o sigma with sigma an
-automorphism fixing the lattice is iterated exactly over rationals.  When
-the differential of sigma is quasi-unipotent, the time-n point is a
-finite product b_1^{h_1(n)} ... b_k^{h_k(n)} with k independent of n: the
-factors are generator exponentials and the exponents are monomials whose
-exact rational coefficients come from binomial expansion of the unipotent
-part plus discrete antiderivatives.  This representation is what the
-Mobius correlator evaluates (random access in n, no orbit recursion).
+automorphism fixing the lattice is iterated exactly over rationals.  In
+first-kind coordinates the Baker-Campbell-Hausdorff series stops at step 2,
+so T lifts to the affine map u -> (I + ad_gamma / 2) dsigma u + gamma with
+gamma = log g.  When dsigma is quasi-unipotent, so is that map, and the
+time-n point is a finite product b_1^{h_1(n)} ... b_k^{h_k(n)} with k
+independent of n: the factors are generator exponentials and the exponents
+are monomials whose exact rational coefficients come from binomial
+expansion of the unipotent part.  This representation is what the Mobius
+correlator evaluates (random access in n, no orbit recursion).
 
 Fundamental domain: v1, v2, v3 in [0, 1), reduced in the order v1, v2 then
 v3 (the central correction is applied last).  Character observables
@@ -44,8 +46,7 @@ from .correlate import (CHUNK, CorrelationSeries, _checked_checkpoints, _class_p
                         _horner_mod, _weighted_sums, poly_mod1_array)
 from .errors import DomainError
 from .mobius import MobiusTable
-from .polyutil import (Poly, mat_pow, mat_vec, prefix_sum_poly, quasi_unipotent,
-                       unipotent_orbit_polys)
+from .polyutil import affine_orbit_polys, mat_vec, quasi_unipotent
 
 
 @dataclass(frozen=True)
@@ -246,58 +247,31 @@ class PolyOrbitRep:
         return reduce_to_fundamental(self.evaluate(n))
 
 
-def _orbit_polys(T: HeisenbergAffine, u, r: int) -> tuple[Poly, Poly, Poly]:
-    """Second-kind coords of sigma^j(exp u) as polynomials in t, j = t nu + r.
-
-    u holds first-kind coordinates; sigma^(t nu + r) acts on them as
-    (I + N)^t dsigma^r, and the third coordinate goes back to the second kind.
-    """
-    w1, w2, w3 = unipotent_orbit_polys(T.nilpotent, mat_vec(mat_pow(T.dsigma, r), u))
-    return w1, w2, w3 - w1 * w2.scale(Fraction(1, 2))
-
-
 def compile_poly_orbit(T: HeisenbergAffine, x: HeisenbergElement, l: int) -> PolyOrbitRep:
     """Exact polynomial form of the orbit on the residue class n = l (mod nu).
 
-    Writes sigma^j(g) in second-kind coordinates as residue-wise polynomials
-    in j, accumulates the ordered product with discrete antiderivatives, and
-    appends sigma^n(x).  Everything is Fraction-exact, so the equality with
-    step-by-step iteration is literal (acceptance checks use ==).
+    In first-kind coordinates u = log x the Baker-Campbell-Hausdorff series
+    stops at log(e^X e^Y) = X + Y + [X, Y]/2, so the orbit x_n = g sigma(x_{n-1})
+    is the affine recursion u_n = M u_{n-1} + gamma with gamma = log g and
+    M = (I + ad_gamma / 2) dsigma.  M has the diagonal blocks of dsigma, so M^nu
+    is unipotent and `affine_orbit_polys` writes u_n as polynomials in t on
+    n = nu t + l.  The central coordinate goes back to the second kind,
+    Z3 = u3 - u1 u2 / 2, and all three are rewritten in n.  Everything is
+    Fraction-exact, so the equality with step-by-step iteration is literal
+    (acceptance checks use ==).
     """
     if not 0 <= l < T.nu:
         raise DomainError(f"residue l={l} outside [0, {T.nu})")
-    nu = T.nu
-    u_g = coord_first_from_second(T.g.coords())
-    g_polys = [_orbit_polys(T, u_g, r) for r in range(nu)]  # (a_r(t), b_r(t), c_r(t))
-
-    # Prefix sums over j < n, n = q nu + l: residue r contributes t in
-    # [0, q + [r < l]).  All returned as polynomials in q.
-    def residue_sum(polys, cut: int) -> Poly:
-        return sum((prefix_sum_poly(P).compose_linear(1, int(r < cut))
-                    for r, P in enumerate(polys)), Poly())
-
-    V1, V2, sum_c = (residue_sum([g[i] for g in g_polys], l) for i in range(3))
-    # B(j) = sum_{i<j} b_i for j = t nu + r: polynomial in t per residue.
-    B_at = [residue_sum([g[1] for g in g_polys], r) for r in range(nu)]
-    # sum_{j<n} a_j B(j), again residue by residue.
-    V3 = sum_c - residue_sum([g[0] * B for g, B in zip(g_polys, B_at)], l)
-
-    # sigma^n(x) for n = q nu + l
-    sx = _orbit_polys(T, coord_first_from_second(x.coords()), l)
-
-    # group law: (V1,V2,V3) * (sx1,sx2,sx3) with the -w1 v2 correction.
-    Z1 = V1 + sx[0]
-    Z2 = V2 + sx[1]
-    Z3 = V3 + sx[2] - sx[0] * V2
-
-    Zn = [P.compose_linear(Fraction(1, nu), Fraction(-l, nu)) for P in (Z1, Z2, Z3)]
-    factors = []
-    for axis, P in enumerate(Zn):
-        for degree, c in enumerate(P.coeffs):
-            if c:
-                factors.append((axis, degree, c))
-    return PolyOrbitRep(nu=nu, residue=l, factors=tuple(factors),
-                        coord_polys=tuple(Zn))
+    nu, A = T.nu, T.dsigma
+    gamma = coord_first_from_second(T.g.coords())
+    # [gamma, w] = (gamma1 w2 - gamma2 w1) X3: half of it joins the third row
+    M = A[:2] + (tuple(a3 + (gamma[0] * a2 - gamma[1] * a1) / 2 for a1, a2, a3 in zip(*A)),)
+    u1, u2, u3 = affine_orbit_polys(M, gamma, coord_first_from_second(x.coords()), nu, l)
+    Zn = tuple(P.compose_linear(Fraction(1, nu), Fraction(-l, nu))
+               for P in (u1, u2, u3 - u1 * u2.scale(Fraction(1, 2))))
+    factors = tuple((axis, degree, c) for axis, P in enumerate(Zn)
+                    for degree, c in enumerate(P.coeffs) if c)
+    return PolyOrbitRep(nu=nu, residue=l, factors=factors, coord_polys=Zn)
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,23 @@
 matrix core of the quasi-unipotent orbits.
 
 Small helper used wherever orbits reduce to polynomial phases: binomial
-expansion of unipotent powers, discrete antiderivatives (Faulhaber sums),
-and substitutions like q -> (n - l)/nu.  Everything is exact so that
-orbit-representation identities can be asserted with == rather than a
-tolerance.
+expansion of unipotent powers and substitutions like t -> (n - l)/nu.
+Everything is exact so that orbit-representation identities can be
+asserted with == rather than a tolerance.
 
 The matrix core serves the affine toral maps of `flows` and the Heisenberg
 automorphisms of `nilflow` alike: `mat_mul`, `mat_vec` and `mat_pow` over
 int or Fraction entries, the one quasi-unipotence detector
-`quasi_unipotent` (A^nu = I + N with N nilpotent), and
-`unipotent_orbit_polys`, which writes (I + N)^q x as polynomials in q.
+`quasi_unipotent` (A^nu = I + N with N nilpotent), and `affine_orbit_polys`,
+which writes the orbit of an affine recursion u_n = M u_{n-1} + b with
+quasi-unipotent M as polynomials in t on each residue class n = nu t + l.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Optional, Sequence
 
 # the largest exponent nu that quasi_unipotent tries
@@ -31,7 +31,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -39,10 +39,6 @@ class Poly:
     @classmethod
     def const(cls, c) -> "Poly":
         return cls([Fraction(c)])
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -83,12 +79,6 @@ class Poly:
         c = Fraction(c)
         return Poly([a * c for a in self.coeffs])
 
-    def shift(self, c) -> "Poly":
-        """Add a constant."""
-        cs = list(self.coeffs) if self.coeffs else [Fraction(0)]
-        cs[0] += Fraction(c)
-        return Poly(cs)
-
     def eval(self, x) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -111,47 +101,12 @@ class Poly:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli(k: int) -> Fraction:
-    """Bernoulli number B_k with the B_1 = -1/2 convention."""
-    if k == 0:
-        return Fraction(1)
-    # B_k = -1/(k+1) * sum_{j<k} C(k+1, j) B_j
-    s = Fraction(0)
-    for j in range(k):
-        s += comb(k + 1, j) * _bernoulli(j)
-    return -s / (k + 1)
-
-
-@lru_cache(maxsize=None)
-def power_sum_poly(p: int) -> Poly:
-    """Polynomial S_p(T) = sum_{t=0}^{T-1} t^p (Faulhaber).
-
-    S_p(T) = (1/(p+1)) sum_{j=0}^{p} C(p+1, j) B_j T^{p+1-j}.
-    """
-    if p < 0:
-        raise ValueError("power must be >= 0")
-    coeffs = [Fraction(0)] * (p + 2)
-    for j in range(p + 1):
-        coeffs[p + 1 - j] += Fraction(comb(p + 1, j)) * _bernoulli(j) / (p + 1)
-    return Poly(coeffs)
-
-
-@lru_cache(maxsize=None)
 def binomial_poly(t: int) -> Poly:
     """C(q, t) = q(q-1)...(q-t+1)/t! as a polynomial in q."""
     out = Poly.const(1)
     for i in range(t):
         out = out * Poly([Fraction(-i), Fraction(1)])
     return out.scale(Fraction(1, factorial(t)))
-
-
-def prefix_sum_poly(p: Poly) -> Poly:
-    """Polynomial P(T) = sum_{t=0}^{T-1} p(t), exact in T."""
-    out = Poly()
-    for k, c in enumerate(p.coeffs):
-        if c:
-            out = out + power_sum_poly(k).scale(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +123,10 @@ def mat_vec(A: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(a * x for a, x in zip(row, v) if a) for row in A)
 
 
-def mat_pow(A: Sequence[Sequence], k: int) -> tuple:
-    """A^k for k >= 0; A^0 is the integer identity."""
-    P = tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))
-    for _ in range(k):
+def mat_pow(A: Sequence[Sequence], k: int) -> Sequence[Sequence]:
+    """A^k for k >= 1."""
+    P = A
+    for _ in range(k - 1):
         P = mat_mul(P, A)
     return P
 
@@ -203,21 +158,27 @@ def quasi_unipotent(A: Sequence[Sequence]) -> Optional[tuple[int, tuple]]:
     return None
 
 
-def unipotent_orbit_polys(N: Sequence[Sequence], base: Sequence,
-                          rows: Optional[Sequence[Sequence]] = None) -> tuple[Poly, ...]:
-    """(I + N)^q base = sum_t C(q, t) N^t base, one polynomial in q per coordinate.
+def affine_orbit_polys(M: Sequence[Sequence], b: Sequence, x: Sequence, nu: int, l: int,
+                       rows: Optional[Sequence[Sequence]] = None) -> tuple[Poly, ...]:
+    """u_n along u_n = M u_{n-1} + b, u_0 = x, as polynomials in t on n = nu t + l.
 
-    N is nilpotent, and the sum stops at the first t with N^t base = 0.
-    With `rows` given, the polynomials are those of <row, (I + N)^q base>,
-    one per row, so a projection is expanded only in the coordinates asked for.
+    H = [[M, b], [0, 1]] acts on (u, 1).  M^nu must be unipotent, so that
+    H^nu = I + N with N nilpotent and u_{nu t + l} = sum_k C(t, k) N^k H^l (x, 1);
+    the sum stops at the first k with N^k H^l (x, 1) = 0.  One polynomial per
+    coordinate, or with `rows` given one per row, of <row, u_n>.
     """
+    m = len(x)
+    H = tuple(tuple(row) + (c,) for row, c in zip(M, b)) + ((0,) * m + (1,),)
+    N = tuple(tuple(e - (i == j) for j, e in enumerate(row))
+              for i, row in enumerate(mat_pow(H, nu)))
+    y = tuple(x) + (1,)
+    for _ in range(l):
+        y = mat_vec(H, y)
     terms = []
-    x = tuple(base)
-    for _ in range(len(x)):
-        if not any(x):
+    for _ in range(m + 1):
+        if not any(y):
             break
-        terms.append(x if rows is None else mat_vec(rows, x))
-        x = mat_vec(N, x)
-    width = len(base) if rows is None else len(rows)
-    return tuple(sum((binomial_poly(t).scale(c[i]) for t, c in enumerate(terms) if c[i]),
-                     Poly()) for i in range(width))
+        terms.append(y[:m] if rows is None else mat_vec(rows, y))
+        y = mat_vec(N, y)
+    return tuple(sum((binomial_poly(k).scale(c[i]) for k, c in enumerate(terms) if c[i]),
+                     Poly()) for i in range(len(terms[0])))
