@@ -49,17 +49,36 @@ def alpha_from_string(spec: str) -> AlphaSpec:
         return AlphaSpec.sqrt2_minus_1()
     if s == "golden":
         return AlphaSpec.golden_frac()
-    if s.startswith("rational:"):
-        p, q = s.split(":", 1)[1].split("/")
-        return AlphaSpec.rational(int(p), int(q))
-    if s.startswith("quotients:"):
-        return AlphaSpec.from_quotients([int(a) for a in s.split(":", 1)[1].split(",")])
-    if s.startswith("furstenberg:"):
-        tau, K = s.split(":", 1)[1].split(",")
-        return fb.build_alpha(float(tau), int(K))
+    kind, _, arg = s.partition(":")
+    try:
+        if kind == "rational":
+            p, q = arg.split("/")
+            return AlphaSpec.rational(int(p), int(q))
+        if kind == "quotients":
+            return AlphaSpec.from_quotients([int(a) for a in arg.split(",")])
+        if kind == "furstenberg":
+            tau, K = arg.split(",")
+            return fb.build_alpha(float(tau), int(K))
+    except ValueError as exc:
+        raise DomainError(f"cannot parse alpha spec {spec!r}: {exc}") from None
     raise DomainError(f"cannot parse alpha spec {spec!r}")
 
 
+def _config(parse):
+    """A config parser that refuses a config which is no JSON object, and a
+    missing key, with DomainError."""
+    def parsed(d):
+        if not isinstance(d, dict):
+            raise DomainError(f"a config is a JSON object, got {d!r}")
+        try:
+            return parse(d)
+        except KeyError as exc:
+            raise DomainError(f"{d.get('type')} config lacks the key {exc}") from None
+    parsed.__name__ = parse.__name__
+    return parsed
+
+
+@_config
 def alpha_from_json(d: dict) -> AlphaSpec:
     kind = d.get("type")
     if kind == "rational":
@@ -74,6 +93,7 @@ def alpha_from_json(d: dict) -> AlphaSpec:
     raise DomainError(f"unknown alpha type {kind!r}")
 
 
+@_config
 def series_from_json(d: dict) -> AnalyticSeries:
     kind = d.get("type")
     if kind == "coeffs":
@@ -90,25 +110,32 @@ def series_from_json(d: dict) -> AnalyticSeries:
     raise DomainError(f"unknown series type {kind!r}")
 
 
+@_config
 def flow_from_json(d: dict):
-    if not isinstance(d, dict):
-        raise DomainError(f"a flow config is a JSON object, got {d!r}")
     kind = d.get("type")
-    try:
-        if kind == "skew":
-            return SkewFlow(_integer(d.get("a", 1), "a"), _integer(d["c"], "c"),
-                            _integer(d.get("d", 1), "d"),
-                            alpha_from_json(d["alpha"]), series_from_json(d["h"]))
-        if kind == "unipotent_affine":
-            W = _numbers(d["matrix"], "matrix", None, None)
-            return UnipotentAffine(matrix=W, translation=_numbers(d["translation"], "translation",
-                                                                  len(W)))
-        if kind == "heisenberg":
-            return nf.HeisenbergAffine(g=nf.HeisenbergElement(*_numbers(d["g"], "g", 3)),
-                                       dsigma=_numbers(d["dsigma"], "dsigma", 3, 3))
-    except KeyError as exc:
-        raise DomainError(f"{kind} config lacks the key {exc}") from None
+    if kind == "skew":
+        return SkewFlow(_integer(d.get("a", 1), "a"), _integer(d["c"], "c"),
+                        _integer(d.get("d", 1), "d"),
+                        alpha_from_json(d["alpha"]), series_from_json(d["h"]))
+    if kind == "unipotent_affine":
+        W = _numbers(d["matrix"], "matrix", None, None)
+        return UnipotentAffine(matrix=W, translation=_numbers(d["translation"], "translation",
+                                                              len(W)))
+    if kind == "heisenberg":
+        return nf.HeisenbergAffine(g=nf.HeisenbergElement(*_numbers(d["g"], "g", 3)),
+                                   dsigma=_numbers(d["dsigma"], "dsigma", 3, 3))
     raise DomainError(f"unknown flow type {kind!r}")
+
+
+def _load_json(source: str, inline: bool = False):
+    """The JSON value of the file at `source`, or of `source` itself when inline."""
+    try:
+        if inline:
+            return json.loads(source)
+        with open(source) as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise DomainError(f"{source!r} is not valid JSON: {exc}") from None
 
 
 def _num(v, key: str):
@@ -252,11 +279,7 @@ def cmd_cfrac(args, threads: int) -> int:
 
 def cmd_classify(args, threads: int) -> int:
     alpha = alpha_from_string(args.alpha)
-    if args.h.startswith("{"):
-        h = series_from_json(json.loads(args.h))
-    else:
-        with open(args.h) as fh:
-            h = series_from_json(json.load(fh))
+    h = series_from_json(_load_json(args.h, inline=args.h.startswith("{")))
     depth = args.depth if args.depth else (alpha.available_depth() or 60)
     cf = cf_expand(alpha, depth)
     report = classify_case(cf, h, args.n, d1=args.d1, b2=args.b2,
@@ -268,8 +291,7 @@ def cmd_classify(args, threads: int) -> int:
 
 
 def cmd_correlate(args, threads: int) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _load_json(args.config)
     flow = flow_from_json(cfg)
     checkpoints = args.checkpoints
     b = args.b
@@ -352,8 +374,7 @@ def cmd_furstenberg(args, threads: int) -> int:
 
 
 def cmd_nilflow(args, threads: int) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _load_json(args.config)
     T = flow_from_json(cfg)
     if not isinstance(T, nf.HeisenbergAffine):
         raise DomainError("nilflow expects a heisenberg config")

@@ -356,3 +356,29 @@ def test_malformed_lists_end_in_documented_exit_codes(configs, option, flow, val
             code = exc.code
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--alpha", "golden", "--h", '{"type": "geometric"}', "--n", "100"],
+    ["classify", "--alpha", "golden", "--h", "{bad", "--n", "100"],
+    ["classify", "--alpha", "golden", "--h", "BAD_JSON", "--n", "100"],
+    ["correlate", "--config", "BAD_JSON", "--b", "0,1", "--checkpoints", "100"],
+    ["nilflow", "--config", "BAD_JSON", "--observable", "1,2", "--checkpoints", "100"],
+    ["cfrac", "--alpha", "rational:x/3"],
+    ["cfrac", "--alpha", "quotients:"],
+    ["cfrac", "--alpha", "furstenberg:1.0"],
+])
+def test_malformed_json_and_alpha_specs_domain_exit(tmp_path, capsys, args):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    code, _, err = run_cli([str(bad) if a == "BAD_JSON" else a for a in args], capsys)
+    assert code == 3 and err.startswith("error (domain)")
+
+
+@pytest.mark.parametrize("change", [{"alpha": 5}, {"h": [1]}])
+def test_skew_config_parts_of_wrong_type_domain_exit(configs, tmp_path, capsys, change):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**json.loads(open(configs["skew"]).read()), **change}))
+    code, _, err = run_cli(["correlate", "--config", str(path), "--b", "0,1",
+                            "--checkpoints", "100"], capsys)
+    assert code == 3 and "JSON object" in err
