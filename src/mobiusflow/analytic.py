@@ -172,10 +172,6 @@ class AnalyticSeries:
         return AnalyticSeries(coeffs=d, tau=tau or min(self.tau, other.tau),
                               tau2=tau2, label=label)
 
-    def scaled(self, factor: complex) -> "AnalyticSeries":
-        return AnalyticSeries(coeffs={m: c * factor for m, c in self.coeffs.items()},
-                              tau=self.tau, tau2=self.tau2, label=self.label)
-
     def restricted(self, keep) -> "AnalyticSeries":
         return AnalyticSeries(coeffs={m: c for m, c in self.coeffs.items() if keep(m)},
                               tau=self.tau, tau2=self.tau2, label=self.label)
@@ -390,13 +386,6 @@ class ScaleFunction:
             raise PrecisionError(f"window denominator underflowed at m={m}")
         return den
 
-    def value(self, x: float) -> complex:
-        total = 0j
-        for m, c in self.window:
-            num = e2pi_m1(x * m)
-            total += c * e2pi(m * self.m_j * self.x1) * num / self._den(m)
-        return total
-
     def value_at_orbit(self, n: int) -> complex:
         """f_j(n theta) computed with the exact phase n*m*theta mod 1."""
         total = 0j
@@ -421,9 +410,6 @@ class ScaleFunction:
             num = d1**3 * e2pi(d1 * m * x) - d2**3 * e2pi(d2 * m * x)
             total += (m**3) * c * e2pi(m * self.m_j * self.x1) * num / self._den(m)
         return (2j * math.pi) ** 3 * total
-
-    def phi(self) -> float:
-        return math.fsum(m * m * abs(c) for m, c in self.window)
 
 
 def big_H(cf: CFExpansion, h: AnalyticSeries, x, x1: float, Y: float) -> complex:

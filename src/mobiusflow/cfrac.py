@@ -147,13 +147,11 @@ class AlphaSpec:
 
     # -- value and exact phases ---------------------------------------------
 
-    def _convergent_pair(self, depth: int) -> tuple[int, int, int, int]:
-        """(l_{depth-1}, q_{depth-1}, l_depth, q_depth), extending a cache."""
-        key = "conv"
-        if key not in self._cache:
-            a0 = self.quotient(0)
-            self._cache[key] = [(a0, 1)]
-        conv: list[tuple[int, int]] = self._cache[key]
+    def convergents(self, depth: int) -> list[tuple[int, int]]:
+        """[(l_0, q_0), ..., (l_depth, q_depth)], extending a cache."""
+        if "conv" not in self._cache:
+            self._cache["conv"] = [(self.quotient(0), 1)]
+        conv: list[tuple[int, int]] = self._cache["conv"]
         while len(conv) <= depth:
             k = len(conv)
             a = self.quotient(k)
@@ -162,11 +160,13 @@ class AlphaSpec:
             else:
                 conv.append((a * conv[k - 1][0] + conv[k - 2][0],
                              a * conv[k - 1][1] + conv[k - 2][1]))
-        lk, qk = conv[depth]
-        if depth == 0:
-            return 0, 1, lk, qk
-        lp, qp = conv[depth - 1]
-        return lp, qp, lk, qk
+        return conv[:depth + 1]
+
+    def _convergent_pair(self, depth: int) -> tuple[int, int, int, int]:
+        """(l_{depth-1}, q_{depth-1}, l_depth, q_depth)."""
+        conv = self.convergents(depth)
+        lp, qp = conv[depth - 1] if depth else (0, 1)
+        return lp, qp, *conv[depth]
 
     def enclosure(self, min_qbits: int = 0, min_depth: int = 1) -> tuple[Fraction, Fraction, int]:
         """Open interval (lo, hi) containing alpha, plus the depth used.
@@ -242,18 +242,6 @@ class AlphaSpec:
         """||n*alpha||, distance to the nearest integer (center-based)."""
         return abs(self.frac_signed_fraction(n))
 
-    def to_json(self) -> dict:
-        out: dict = {"type": self.kind, "precision_bits": self.precision_bits}
-        if self.kind == "rational":
-            out.update(p=self.p, q=self.q)
-        elif self.kind == "quadratic":
-            out.update(initial=list(self.initial), period=list(self.period))
-        else:
-            out.update(quotients=[str(a) for a in self.quotient_seq])
-            if self.tau is not None:
-                out.update(tau=self.tau, depth=self.depth)
-        return out
-
 
 def fractional_phase(alpha: AlphaSpec, n: int) -> float:
     """n*alpha mod 1 as a double with absolute error < 2^-53."""
@@ -317,18 +305,9 @@ def cf_expand(alpha: AlphaSpec, depth: int) -> CFExpansion:
         if depth > avail:
             raise PrecisionError(
                 f"requested depth {depth} exceeds the {avail} certified quotients")
-    quots = [alpha.quotient(k) for k in range(depth + 1)]
-
-    l, q = [quots[0]], [1]
-    if depth >= 1:
-        l.append(quots[0] * quots[1] + 1)
-        q.append(quots[1])
-    for k in range(2, depth + 1):
-        l.append(quots[k] * l[k - 1] + l[k - 2])
-        q.append(quots[k] * q[k - 1] + q[k - 2])
-
-    cf = CFExpansion(alpha=alpha, quotients=tuple(quots),
-                     numerators=tuple(l), denominators=tuple(q))
+    l, q = zip(*alpha.convergents(depth))
+    cf = CFExpansion(alpha=alpha, quotients=tuple(alpha.quotient(k) for k in range(depth + 1)),
+                     numerators=l, denominators=q)
     if not alpha.is_rational:
         for k in range(2, depth):
             if not convergent_inequality_holds(cf, k):
@@ -361,30 +340,15 @@ def convergent_inequality_holds(cf: CFExpansion, k: int) -> bool:
     return min(d1, d2) >= lower and max(d1, d2) <= upper
 
 
-def partition_Q(cf: CFExpansion, B: int) -> tuple[frozenset, frozenset]:
-    """Split the denominator set per the flat/sharp rule.
+def with_partition(cf: CFExpansion, B: int) -> CFExpansion:
+    """Copy of cf carrying B and the decidable flat/sharp index sets.
 
-    Returns (flat, sharp) as frozensets of q VALUES: flat holds 1 and every
-    q with known successor q+ <= q^B; sharp holds q >= 2 with q+ > q^B.
-    The last computed index is decidable only when its value is 1.
+    Flat holds every k with q_k = 1 and every k with known successor
+    q_{k+1} <= q_k^B; sharp holds k with q_k >= 2 and q_{k+1} > q_k^B.  The
+    last computed index is decidable only when its value is 1.
     """
     if B < 1:
         raise DomainError("partition parameter B must be >= 1")
-    flat, sharp = set(), set()
-    for k in range(cf.depth + 1):
-        qk = cf.denominators[k]
-        if qk == 1:
-            flat.add(1)
-        elif k < cf.depth:
-            if cf.denominators[k + 1] <= qk**B:
-                flat.add(qk)
-            else:
-                sharp.add(qk)
-    return frozenset(flat), frozenset(sharp)
-
-
-def with_partition(cf: CFExpansion, B: int) -> CFExpansion:
-    """Copy of cf carrying B and the decidable flat/sharp index sets."""
     flat_idx, sharp_idx = set(), set()
     for k in range(cf.depth + 1):
         qk = cf.denominators[k]
@@ -393,6 +357,14 @@ def with_partition(cf: CFExpansion, B: int) -> CFExpansion:
         elif k < cf.depth:
             (flat_idx if cf.denominators[k + 1] <= qk**B else sharp_idx).add(k)
     return replace(cf, B=B, flat_idx=frozenset(flat_idx), sharp_idx=frozenset(sharp_idx))
+
+
+def partition_Q(cf: CFExpansion, B: int) -> tuple[frozenset, frozenset]:
+    """(flat, sharp) as frozensets of q VALUES, the denominators at the index
+    sets of `with_partition`."""
+    part = with_partition(cf, B)
+    return (frozenset(cf.denominators[k] for k in part.flat_idx),
+            frozenset(cf.denominators[k] for k in part.sharp_idx))
 
 
 def choose_B(tau: float, b2: int, K_bound: float) -> int:

@@ -435,7 +435,7 @@ def cmd_verify(args, threads: int) -> int:
 
     # Cut-condition right side grows along lacunary scales.
     sysm = fb.FurstenbergSystem.build(1.0, 4)
-    cf2 = cf_expand(sysm.alpha, fb._denominators(sysm.alpha).__len__() - 1)
+    cf2 = cf_expand(sysm.alpha, sysm.alpha.available_depth())
     report = classify_case(cf2, sysm.combined, 10**6, d1=2, b2=1, B=4)
     logs = caseC_condition_rhs_logs(report, sysm.combined, [q for q in sysm.q if q >= 2])
     results["cut_condition_growth"] = {

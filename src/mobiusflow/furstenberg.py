@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
-from .analytic import (AnalyticSeries, COEFF_FLOOR, cobounding_series, e2pi_m1,
-                       eval_series)
+from .analytic import (AnalyticSeries, COEFF_FLOOR, cobounding_series, coboundary_residual,
+                       e2pi_m1)
 from .cfrac import AlphaSpec
 from .errors import CapacityError, DomainError
 
@@ -108,10 +108,7 @@ def build_alpha(tau: float, K: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Alp
 
 
 def _denominators(alpha: AlphaSpec) -> list[int]:
-    q = [1, alpha.quotient_seq[1]]
-    for k in range(2, len(alpha.quotient_seq)):
-        q.append(alpha.quotient_seq[k] * q[k - 1] + q[k - 2])
-    return q
+    return [q for _, q in alpha.convergents(alpha.available_depth())]
 
 
 def build_h(alpha: AlphaSpec, tau: float, K: int) -> AnalyticSeries:
@@ -345,19 +342,13 @@ def coboundary_check(sys: FurstenbergSystem, xs: Sequence[float],
     which = "G": |G(x+alpha) - G(x) - (H(x) - 1)|   (mean dropped)
     which = "g": |g(x+alpha) - g(x) - h(x)| for the truncated lacunary g.
     """
-    a = sys.alpha.frac_float(1)
-    worst = 0.0
     if which == "G":
         series, target = sys.G, sys.H.restricted(lambda m: m != 0)
     elif which == "g":
         series, target = build_g(sys.alpha, sys.K), sys.h
     else:
         raise DomainError("which must be 'G' or 'g'")
-    for x in xs:
-        lhs = eval_series(series, x + a) - eval_series(series, x)
-        rhs = eval_series(target, x)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return coboundary_residual(series, target, sys.alpha, xs)
 
 
 def irregularity_probe(sys: FurstenbergSystem, b, x0, windows: Sequence[int],

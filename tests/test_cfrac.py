@@ -118,6 +118,14 @@ def test_partition_is_partition():
         assert flat | sharp == decidable
 
 
+@pytest.mark.parametrize("B", [0, -3])
+def test_partition_refuses_B_below_one(B):
+    cf = cf_expand(AlphaSpec.sqrt2_minus_1(), 15)
+    for partition in (partition_Q, with_partition):
+        with pytest.raises(DomainError, match="B must be >= 1"):
+            partition(cf, B)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=5),
        st.integers(2, 9))
