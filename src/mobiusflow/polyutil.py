@@ -7,8 +7,8 @@ Everything is exact so that orbit-representation identities can be
 asserted with == rather than a tolerance.
 
 The matrix core serves the affine toral maps of `flows` and the Heisenberg
-automorphisms of `nilflow` alike: `mat_mul`, `mat_vec` and `mat_pow` over
-int or Fraction entries, the one quasi-unipotence detector
+automorphisms of `nilflow` alike: `mat_mul` and `mat_vec` over int or
+Fraction entries, the one quasi-unipotence detector
 `quasi_unipotent` (A^nu = I + N with N nilpotent), and `affine_orbit_polys`,
 which writes the orbit of an affine recursion u_n = M u_{n-1} + b with
 quasi-unipotent M as polynomials in t on each residue class n = nu t + l.
@@ -123,14 +123,6 @@ def mat_vec(A: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(a * x for a, x in zip(row, v) if a) for row in A)
 
 
-def mat_pow(A: Sequence[Sequence], k: int) -> Sequence[Sequence]:
-    """A^k for k >= 1."""
-    P = A
-    for _ in range(k - 1):
-        P = mat_mul(P, A)
-    return P
-
-
 def quasi_unipotent(A: Sequence[Sequence]) -> Optional[tuple[int, tuple]]:
     """(nu, N) with A^nu = I + N, N nilpotent and nu least, or None.
 
@@ -165,20 +157,23 @@ def affine_orbit_polys(M: Sequence[Sequence], b: Sequence, x: Sequence, nu: int,
     H = [[M, b], [0, 1]] acts on (u, 1).  M^nu must be unipotent, so that
     H^nu = I + N with N nilpotent and u_{nu t + l} = sum_k C(t, k) N^k H^l (x, 1);
     the sum stops at the first k with N^k H^l (x, 1) = 0.  One polynomial per
-    coordinate, or with `rows` given one per row, of <row, u_n>.
+    coordinate, or with `rows` given one per row, of <row, u_n>.  H is only
+    ever applied to vectors, so N y is H^nu y - y by nu steps.
     """
     m = len(x)
     H = tuple(tuple(row) + (c,) for row, c in zip(M, b)) + ((0,) * m + (1,),)
-    N = tuple(tuple(e - (i == j) for j, e in enumerate(row))
-              for i, row in enumerate(mat_pow(H, nu)))
-    y = tuple(x) + (1,)
-    for _ in range(l):
-        y = mat_vec(H, y)
+
+    def steps(y, count):
+        for _ in range(count):
+            y = mat_vec(H, y)
+        return y
+
+    y = steps(tuple(x) + (1,), l)
     terms = []
     for _ in range(m + 1):
         if not any(y):
             break
         terms.append(y[:m] if rows is None else mat_vec(rows, y))
-        y = mat_vec(N, y)
+        y = tuple(a - c for a, c in zip(steps(y, nu), y))
     return tuple(sum((binomial_poly(k).scale(c[i]) for k, c in enumerate(terms) if c[i]),
                      Poly()) for i in range(len(terms[0])))
