@@ -147,11 +147,13 @@ class AlphaSpec:
 
     # -- value and exact phases ---------------------------------------------
 
-    def convergents(self, depth: int) -> list[tuple[int, int]]:
-        """[(l_0, q_0), ..., (l_depth, q_depth)], extending a cache."""
-        if "conv" not in self._cache:
-            self._cache["conv"] = [(self.quotient(0), 1)]
-        conv: list[tuple[int, int]] = self._cache["conv"]
+    def _convergent_pair(self, depth: int) -> tuple[int, int, int, int]:
+        """(l_{depth-1}, q_{depth-1}, l_depth, q_depth), extending a cache."""
+        key = "conv"
+        if key not in self._cache:
+            a0 = self.quotient(0)
+            self._cache[key] = [(a0, 1)]
+        conv: list[tuple[int, int]] = self._cache[key]
         while len(conv) <= depth:
             k = len(conv)
             a = self.quotient(k)
@@ -160,13 +162,16 @@ class AlphaSpec:
             else:
                 conv.append((a * conv[k - 1][0] + conv[k - 2][0],
                              a * conv[k - 1][1] + conv[k - 2][1]))
-        return conv[:depth + 1]
+        lk, qk = conv[depth]
+        if depth == 0:
+            return 0, 1, lk, qk
+        lp, qp = conv[depth - 1]
+        return lp, qp, lk, qk
 
-    def _convergent_pair(self, depth: int) -> tuple[int, int, int, int]:
-        """(l_{depth-1}, q_{depth-1}, l_depth, q_depth)."""
-        conv = self.convergents(depth)
-        lp, qp = conv[depth - 1] if depth else (0, 1)
-        return lp, qp, *conv[depth]
+    def convergents(self, depth: int) -> list[tuple[int, int]]:
+        """[(l_0, q_0), ..., (l_depth, q_depth)] from the cache of `_convergent_pair`."""
+        self._convergent_pair(depth)
+        return self._cache["conv"][:depth + 1]
 
     def enclosure(self, min_qbits: int = 0, min_depth: int = 1) -> tuple[Fraction, Fraction, int]:
         """Open interval (lo, hi) containing alpha, plus the depth used.
