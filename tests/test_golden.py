@@ -7,15 +7,22 @@ The nil sums of the nu > 1 maps and of the float-g map were recorded
 before the Heisenberg phases moved to residue classes in t, and the orbit
 form of the float-g map and the phase polynomials of the nu = 4 and nu = 6
 affine maps before both orbit compilers became one affine recursion.
-Exact rationals are kept as `Fraction` strings and correlation sums as the
-repr of each complex sum.
+The skew-product sums of the criterion 9 and 10 workloads were recorded
+while the skew phases still called one complex exp per Fourier mode per
+term; they are compared within the bound of `skew_sum_bound`, the affine
+sums with ==.  Exact rationals are kept as `Fraction` strings and
+correlation sums as the repr of each complex sum.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from mobiusflow.flows import UnipotentAffine, unipotent_phase_poly
+from mobiusflow.analytic import AnalyticSeries, e2pi, e2pi_m1
+from mobiusflow.cfrac import AlphaSpec
+from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine, unipotent_phase_poly
+from mobiusflow.furstenberg import FurstenbergSystem
 from mobiusflow.mobius import mobius_sieve
 from mobiusflow.nilflow import (HeisenbergAffine, HeisenbergElement, NilObservable,
                                 compile_poly_orbit, correlate_nil, make_automorphism)
@@ -51,6 +58,16 @@ AFFINE = {
                      (2, -1, 3, 1)),
 }
 CHECKPOINTS = (100, 1000, 10_000)
+# the criterion 9 decay runs up to 1e6 and the criterion 10 thread-determinism runs
+SKEW_X, SKEW_B = TorusPoint(0.37, 0.12), Character(0, 1)
+UNIPOTENT = ((1, 1), (0, 1)), (0.1234, 0.0), (0.2, 0.51)
+SKEW_RUNS = {
+    "c9-unipotent": ("unipotent", (0, 1), (10**4, 10**5, 10**6)),
+    "c9-diophantine": ("diophantine", SKEW_B, (10**4, 10**5, 10**6)),
+    "c9-lacunary": ("lacunary", SKEW_B, (10**4, 10**5, 10**6)),
+    "c10-diophantine": ("diophantine", SKEW_B, (10**5, 10**6)),
+    "c10-affine": ("unipotent", (1, 2), (10**5, 10**6)),
+}
 
 
 def _strs(rows):
@@ -92,6 +109,58 @@ def correlation_sums(name, table, threads=1):
         series = correlate_nil(T, x, NilObservable.character(*pqr), table, CHECKPOINTS,
                                threads=threads)
     return tuple(repr(s) for s in series.sums)
+
+
+def skew_flow(name):
+    if name == "unipotent":
+        W, t, _ = UNIPOTENT
+        return UnipotentAffine(matrix=W, translation=t)
+    if name == "diophantine":
+        return SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), AnalyticSeries.geometric(1.0))
+    return FurstenbergSystem.build(1.0, 4).flow(c=0, corrected=True)
+
+
+def skew_run(name, table, threads=1):
+    flow_name, b, cps = SKEW_RUNS[name]
+    flow = skew_flow(flow_name)
+    x = UNIPOTENT[2] if flow_name == "unipotent" else SKEW_X
+    return mobius_correlate(flow, x, b, table, cps, threads=threads)
+
+
+def skew_sum_bound(flow, p, b, N):
+    """Bound on |S(N) - S_golden(N)| for a skew correlation with chunk 8192.
+
+    Each term's phase carries an error from the golden path plus one from
+    the current path, and |e(a) - e(b)| <= 2 pi |a - b| turns a phase error
+    d into at most 2 pi N d on the sum.  With the Fourier modes m > 0 of h,
+    delta_m = m alpha mod 1, coeff_m = h_hat(m) e(m x1) and
+    w_m = coeff_m / (e(delta_m) - 1), the Birkhoff part of the phase is b2
+    times sum_m 2 Re(coeff_m (e(n delta_m) - 1) / (e(delta_m) - 1)):
+
+    - golden path: e(n delta) at the float phase anchor + j float(delta),
+      j < 2^13 and |delta| <= 1/2, off by at most (3 j |delta| + 2) 2^-53
+      < 2^-39 in phase, so each mode is off by |2 w_m| 2 pi 2^-39; its
+      quadratic rotation term C(j, 2) A2 < |b2 c| 2^25 was rounded with
+      A2 off by 2^-54 and twice at magnitude 2^25, together under
+      |b2 c| 2^-26; the linear and constant parts are off by under 2^-37;
+    - current path: each mode's e(j delta) table entry and e(u delta)
+      anchor, the product with 2 w_m and the accumulation over M modes are
+      off by at most |2 w_m| (2 M + 50) 2^-53, and the exact
+      fixed-point rotation and linear parts by under 2^-37.
+
+    So |S(N) - S_golden(N)| <= 2 pi N (|b2| (sum_m |2 w_m|)
+    (2 pi 2^-39 + (2 M + 50) 2^-53) + |b2 c| 2^-26 + 2^-36).
+    """
+    x1f = Fraction(p.x1)
+    w2, M = 0.0, 0
+    for m, c in flow.h.items():
+        delta = flow.alpha.frac_signed_fraction(m) if m > 0 else 0
+        if delta != 0:
+            w2 += 2.0 * abs(c * e2pi(m * x1f) / e2pi_m1(delta))
+            M += 1
+    per_term = (abs(b.b2) * w2 * (2 * math.pi * 2.0**-39 + (2 * M + 50) * 2.0**-53)
+                + abs(b.b2 * flow.c) * 2.0**-26 + 2.0**-36)
+    return 2 * math.pi * N * per_term
 
 
 GOLDEN_HEISENBERG = {'order3': {'nu': 3,
@@ -206,6 +275,19 @@ GOLDEN_SUMS = {'affine': ('(-3.1293006008983806+1.9683932991444304j)',
  'nil-readme-float-g-121': ('(7.451446483651916-0.8602555954229317j)',
                             '(4.3231195583708-23.853892622181984j)',
                             '(40.47556101232287-4.973280396736442j)')}
+GOLDEN_SKEW = {'c10-affine': ('(-136.57371694845725+17.84132870862202j)',
+                '(632.6775944120441-36.56488574489484j)'),
+ 'c10-diophantine': ('(-14.69359896515762+322.18623815884456j)',
+                     '(-389.17990490065915+609.3480475044291j)'),
+ 'c9-diophantine': ('(10.840212205938574+53.77767376613551j)',
+                    '(-14.693598564831959+322.1862376775214j)',
+                    '(-389.17990450033346+609.3480470231059j)'),
+ 'c9-lacunary': ('(-83.97699134559306+48.629009700214354j)',
+                 '(106.53851790275566+332.5293318244406j)',
+                 '(-706.8980094722727-1273.5471794287982j)'),
+ 'c9-unipotent': ('(22.954614753850237+1.444181949174205j)',
+                  '(47.90528296455704+3.0139449374070413j)',
+                  '(-211.5816664267936-13.311590140214452j)')}
 
 
 @pytest.mark.parametrize("name", sorted(HEIS))
@@ -231,3 +313,22 @@ def test_correlation_sums_are_frozen(name, table):
 @pytest.mark.parametrize("name", ["affine", *NIL_SUMS])
 def test_correlation_sums_are_frozen_at_two_threads(name, table):
     assert correlation_sums(name, table, threads=2) == GOLDEN_SUMS[name]
+
+
+@pytest.fixture(scope="module")
+def table6():
+    return mobius_sieve(10**6)
+
+
+@pytest.mark.parametrize("name", sorted(SKEW_RUNS))
+def test_skew_workload_sums_are_frozen(name, table6):
+    """The affine sums stay ==, the skew sums within `skew_sum_bound`."""
+    series = skew_run(name, table6)
+    golden = tuple(complex(s) for s in GOLDEN_SKEW[name])
+    flow_name, b, cps = SKEW_RUNS[name]
+    if flow_name == "unipotent":
+        assert tuple(repr(s) for s in series.sums) == GOLDEN_SKEW[name]
+        return
+    flow = skew_flow(flow_name)
+    for N, got, want in zip(cps, series.sums, golden):
+        assert abs(got - want) <= skew_sum_bound(flow, SKEW_X, b, N), (N, got, want)
