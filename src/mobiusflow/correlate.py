@@ -44,6 +44,8 @@ from .polyutil import Poly
 
 CHUNK = 8192
 TWO_PI = 2.0 * math.pi
+# entries of each skew mode table (cos, sin): 8 MB apiece whatever the mode count
+MODE_TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -246,142 +248,162 @@ def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
 # Skew-product phase assembly
 
 
-class _RotationTrack:
-    """frac(alpha * (b1 n + b2 c n(n-1)/2)) via per-chunk exact anchors.
+def _fixed(r: int, D: int) -> int:
+    """floor(2^64 r / D): the fraction r / D in [0, 1) as 64-bit fixed point."""
+    return (r << 64) // D
 
-    Within a chunk at base u the multiplier is K(u) + j(b1 + b2 c u) +
-    b2 c j(j-1)/2, so three mod-1 numbers A0(u), A1(u), A2 reconstruct the
-    phase to ~C(L,2)*2^-52.
+
+class _QuadraticTrack:
+    """frac(K0 + A n + B C(n, 2)) for rational K0, A, B, as exact integer residues.
+
+    At base u, n = u + j gives K0 + A n + B C(n, 2) = [K0 + A u + B C(u, 2)]
+    + j (A + B u) + B C(j, 2).  Both anchors are residues over the common
+    denominator D, floored to 64-bit fixed point; the last term is a table
+    for j < length, floored from B mod 1 in 128-bit fixed point (exact up to
+    C(j, 2) 2^-128) and skipped when B is an integer.  The three add in uint64
+    wraparound, i.e. mod 1, so each value is off by less than (j + 2) 2^-64.
     """
 
-    def __init__(self, alpha: AlphaSpec, b1: int, b2c: int, nmax: int):
-        self.alpha = alpha
-        self.b1 = b1
-        self.b2c = b2c
-        bits = max(nmax, 2).bit_length()
-        self.center = alpha._phase_center(3 * bits + 8)
-        self.A2 = float((Fraction(self.b2c) * self.center) % 1)
+    def __init__(self, K0: Fraction, A: Fraction, B: Fraction, length: int):
+        D = math.lcm(K0.denominator, A.denominator, B.denominator)
+        self.k0, self.a, self.b = (int(x * D) for x in (K0, A, B))
+        self.D = D
+        self.j = np.arange(length, dtype=np.uint64)
+        self.quad = None
+        if self.b % D:
+            b128 = ((self.b % D) << 128) // D
+            hi, lo_h, lo_l = (np.uint64(v) for v in (b128 >> 64, (b128 >> 32) & 0xFFFFFFFF,
+                                                        b128 & 0xFFFFFFFF))
+            c = self.j * (self.j - np.uint64(1)) // np.uint64(2)  # C(j, 2) < 2^32: c lo_h fits
+            sh = np.uint64(32)
+            self.quad = c * hi + ((c * lo_h + ((c * lo_l) >> sh)) >> sh)
 
-    def _k(self, n: int) -> int:
-        return self.b1 * n + self.b2c * (n * (n - 1) // 2)
-
-    def chunk(self, u: int, j: np.ndarray) -> np.ndarray:
-        A0 = float((self._k(u) * self.center) % 1)
-        A1 = float(((self.b1 + self.b2c * u) * self.center) % 1)
-        return A0 + j * A1 + (j * (j - 1.0) / 2.0) * self.A2
-
-
-class _LinearTrack:
-    """frac(c * n) for a float coefficient c, anchored exactly per chunk."""
-
-    def __init__(self, c: float):
-        self.cf = Fraction(c) % 1
-        self.step = float(self.cf)
-
-    def chunk(self, u: int, j: np.ndarray) -> np.ndarray:
-        base = float((u * self.cf) % 1)
-        return base + j * self.step
-
-
-class _ModeTrack:
-    """One Fourier mode's geometric Birkhoff prefix r(n) = (e(n d)-1)/(e(d)-1)."""
-
-    def __init__(self, coeff: complex, delta: Fraction, nmax: int):
-        self.coeff = coeff
-        self.delta = delta
-        self.df = float(delta)
-        den = e2pi_m1(delta)
-        if self.df == 0.0 or abs(self.df) < 1e-250 or den == 0:
-            self.ramp = True
-        else:
-            self.ramp = False
-            self.inv_den = 1.0 / den
-
-    def chunk(self, u: int, j: np.ndarray) -> np.ndarray:
-        n = u + j
-        if self.ramp:
-            return self.coeff * n
-        anchor = float((u * self.delta) % 1)
-        ph = np.mod(anchor + j * self.df, 1.0)
-        return self.coeff * ((np.exp(2j * np.pi * ph) - 1.0) * self.inv_den)
+    def chunk(self, u: int, L: int) -> np.ndarray:
+        """64-bit fixed-point frac of the phase at n = u..u+L-1, L <= length."""
+        a0 = _fixed((self.k0 + self.a * u + self.b * (u * (u - 1) // 2)) % self.D, self.D)
+        a1 = _fixed((self.a + self.b * u) % self.D, self.D)
+        out = self.j[:L] * np.uint64(a1)
+        out += np.uint64(a0)
+        if self.quad is not None:
+            out += self.quad[:L]
+        return out
 
 
 class _SkewPhaseContext:
-    """Streams <b, orbit(n)> mod 1 for the normalized skew product.
+    """Streams <b, orbit(n)> mod 1 for the normalized skew product, n <= nmax.
 
-    A mode whose total phase contribution |2 coeff / (e(delta)-1)| stays
-    below MODE_FLOOR for every n is dropped; the summed bound on what was
-    dropped is recorded in `dropped_bound`.
+    The polynomial part b1 (x1 + n alpha) + b2 (x2 + c n x1 + c C(n, 2)
+    alpha), with the ramp modes folded in, is one `_QuadraticTrack` over the
+    exact centre of alpha.  The Birkhoff part b2 sum_m 2 Re(coeff_m (e(n
+    delta_m) - 1) / (e(delta_m) - 1)) over the Fourier modes m > 0, with
+    delta_m = m alpha mod 1 in [-1/2, 1/2) and coeff_m = h_hat(m) e(m x1),
+    splits at base u, n = u + j, into 2 Re(w_m(u) e(j delta_m)) minus the
+    constant 2 Re(coeff_m / (e(delta_m) - 1)), where w_m(u) = coeff_m
+    e(u delta_m) / (e(delta_m) - 1).  The constants join the phase's
+    constant once; cos and sin of 2 pi j delta_m are tabulated per call for
+    j < length = min(chunk, nmax, CHUNK, MODE_TABLE_ENTRIES / M) over the M
+    tabled modes, from delta_m rounded once to 64-bit
+    fixed point r_m (j r_m mod 2^64 in uint64 wraparound, phase error at
+    most j 2^-65 < 2^-52); the anchor frac(u delta_m) is (u num % den) / den
+    on Python ints, correctly rounded.  A block then costs one anchor per
+    mode and a real axpy per mode; pieces longer than the tables are walked
+    in blocks of `length`.
+
+    Error budget.  A mode whose Birkhoff part 2 Re(...) has |2 coeff /
+    (e(delta)-1)| below MODE_FLOOR is dropped (a ramp mode with
+    |coeff| nmax below it); `dropped_bound` bounds the dropped part of each
+    term's phase (|b2| times 4 |coeff / (e(delta)-1)|, or 2 |coeff| nmax).
+    With cos, sin and exp correct to an ulp, each kept mode's table entry,
+    anchor, product and accumulation is off by at most |2 b2 w_m| (2 M + 50)
+    2^-53 for M kept modes, and the fixed-point part and the final sums by
+    (2 M + 50) 2^-53, so `phase_error` = (|b2| sum_m |2 w_m| + 1) (2 M + 50)
+    2^-53 bounds each term's phase error, and 2 pi N `phase_error` the error
+    it puts on S(N).
     """
 
     MODE_FLOOR = 1e-18
 
-    def __init__(self, flow: SkewFlow, p: TorusPoint, b: Character, nmax: int):
+    def __init__(self, flow: SkewFlow, p: TorusPoint, b: Character, nmax: int, chunk: int):
+        if not flow.normalized:
+            raise DomainError("correlator needs the normalized skew form a = d = 1")
         alpha, h = flow.alpha, flow.h
-        self.b = b
-        self.const = (b.b1 * p.x1 + b.b2 * p.x2) % 1.0
-        self.rot = _RotationTrack(alpha, b.b1, b.b2 * flow.c, nmax)
-
-        lin_coeff = b.b2 * flow.c * p.x1
-        self.modes: list[_ModeTrack] = []
-        self.dropped_bound = 0.0
-        ramp_real = h.coeff(0).real
-        for m, c in h.items():
+        x1 = Fraction(p.x1)
+        ramp = Fraction(h.coeff(0).real)  # exact sum of the ramp modes' 2 Re(coeff)
+        self.dropped_bound, self.modes_dropped, ramps = 0.0, 0, 0
+        self.deltas, self.weights = [], []  # (num, den) of delta_m, 2 b2 coeff_m / (e(delta_m) - 1)
+        for m, c in (h.items() if b.b2 else ()):
             if m <= 0:
                 continue
             delta = alpha.frac_signed_fraction(m)
-            coeff = c * e2pi(m * p.x1)
-            mode = _ModeTrack(coeff, delta, nmax)
-            if mode.ramp:
-                if mode.df == 0.0:
-                    ramp_real += 2.0 * coeff.real
-                    continue
-                if abs(coeff) * nmax < self.MODE_FLOOR:
-                    self.dropped_bound += 2.0 * abs(coeff) * nmax
-                    continue
-            elif 2.0 * abs(coeff) * abs(mode.inv_den) < self.MODE_FLOOR:
-                self.dropped_bound += 2.0 * abs(coeff) * abs(mode.inv_den)
+            coeff = c * e2pi(m * x1)
+            df, den = float(delta), e2pi_m1(delta)
+            if df == 0.0 or abs(df) < 1e-250 or den == 0:
+                # ramp: (e(n delta) - 1) / (e(delta) - 1) = n to double precision
+                if df != 0.0 and abs(coeff) * nmax < self.MODE_FLOOR:
+                    self.dropped_bound += abs(b.b2) * 2.0 * abs(coeff) * nmax
+                    self.modes_dropped += 1
+                else:
+                    ramp += Fraction(2.0 * coeff.real)
+                    ramps += 1
                 continue
-            self.modes.append(mode)
-        self.lin = _LinearTrack(lin_coeff + b.b2 * ramp_real)
-        self.b2 = b.b2
+            w = 2.0 * coeff / den
+            if abs(w) < self.MODE_FLOOR:
+                self.dropped_bound += abs(b.b2) * 2.0 * abs(w)
+                self.modes_dropped += 1
+                continue
+            self.deltas.append((delta.numerator, delta.denominator))
+            self.weights.append(b.b2 * w)
+        M = len(self.deltas)
+        self.length = max(1, min(chunk, nmax, CHUNK, MODE_TABLE_ENTRIES // max(M, 1)))
+        self.modes_kept = M + ramps
+        self.phase_error = (sum(map(abs, self.weights)) + 1.0) * (2 * M + 50) * 2.0**-53
+
+        center = alpha._phase_center(3 * max(nmax, 2).bit_length() + 8)
+        b2c = b.b2 * flow.c
+        self.track = _QuadraticTrack(
+            b.b1 * x1 + b.b2 * Fraction(p.x2),
+            b.b1 * center + b2c * x1 + b.b2 * ramp,
+            b2c * center, self.length)
+        self.const = -sum(w.real for w in self.weights) % 1.0
+        j = self.track.j
+        self.cos = np.empty((M, self.length))
+        self.sin = np.empty((M, self.length))
+        for i, (num, den) in enumerate(self.deltas):
+            r = np.uint64((((num << 65) + den) // (2 * den)) % _U64)  # round(2^64 delta)
+            x = (j * r).view(np.int64) * 2.0**-64
+            np.cos(TWO_PI * x, out=self.cos[i])
+            np.sin(TWO_PI * x, out=self.sin[i])
+
+    def budget(self, N: int) -> dict:
+        """The error budget of a correlation up to N (see the class docstring)."""
+        return {"modes_kept": self.modes_kept, "modes_dropped": self.modes_dropped,
+                "dropped_bound": self.dropped_bound,
+                "table_anchor_bound": TWO_PI * N * self.phase_error}
+
+    def _block(self, u: int, L: int) -> np.ndarray:
+        out = self.track.chunk(u, L).view(np.int64) * 2.0**-64
+        out += self.const
+        tmp = np.empty(L)
+        for (num, den), w, C, S in zip(self.deltas, self.weights, self.cos, self.sin):
+            z = w * e2pi((u * num % den) / den)  # 2 b2 w_m(u)
+            np.multiply(C[:L], z.real, out=tmp)
+            out += tmp
+            np.multiply(S[:L], z.imag, out=tmp)
+            out -= tmp
+        return np.mod(out, 1.0, out=out)
 
     def chunk(self, u: int, L: int) -> np.ndarray:
-        j = np.arange(L, dtype=np.float64)
-        birkhoff = np.zeros(L, dtype=np.complex128)
-        for mode in self.modes:
-            birkhoff += mode.chunk(u, j)
-        phases = (self.const + self.rot.chunk(u, j) + self.lin.chunk(u, j)
-                  + self.b2 * (2.0 * birkhoff.real))
-        return np.mod(phases, 1.0)
-
-
-def _skew_phase_chunk(flow: SkewFlow, p: TorusPoint, b: Character,
-                      nmax: int) -> Callable[[int, int], np.ndarray]:
-    """phase_chunk(u, L): <b, orbit(n)> mod 1 for n = u..u+L-1, n <= nmax.
-
-    Every path reads the first coordinate as x1 + n alpha, which holds only
-    for the normalized skew product.
-    """
-    if not flow.normalized:
-        raise DomainError("correlator needs the normalized skew form a = d = 1")
-    if b.b2 and flow.h.support():
-        return _SkewPhaseContext(flow, p, b, nmax).chunk
-    # pure rotation factor: linear-phase sum
-    ctx = _RotationTrack(flow.alpha, b.b1, b.b2 * flow.c, nmax)
-    base = (b.b1 * p.x1 + b.b2 * p.x2) % 1.0
-    lin = _LinearTrack(b.b2 * flow.c * p.x1)
-
-    def phase_chunk(u, L):
-        j = np.arange(L, dtype=np.float64)
-        return np.mod(base + ctx.chunk(u, j) + lin.chunk(u, j), 1.0)
-    return phase_chunk
+        """<b, orbit(n)> mod 1 for n = u..u+L-1."""
+        if L <= self.length:
+            return self._block(u, L)
+        return np.concatenate([self._block(v, min(self.length, u + L - v))
+                               for v in range(u, u + L, self.length)])
 
 
 def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int,
                           chunk: int = CHUNK) -> np.ndarray:
     """Phases <b, orbit(n)> mod 1 for n = 1..N, assembled chunk-wise."""
-    phase_chunk = _skew_phase_chunk(flow, p, b, N)
+    phase_chunk = _SkewPhaseContext(flow, p, b, N, chunk).chunk
     out = np.empty(N, dtype=np.float64)
     for u in range(1, N + 1, chunk):
         L = min(chunk, N + 1 - u)
@@ -478,7 +500,8 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         if not isinstance(b, Character):
             b = Character(*b)
         p = x if isinstance(x, TorusPoint) else TorusPoint(*x)
-        phase_chunk = _skew_phase_chunk(flow, p, b, N)
+        ctx = _SkewPhaseContext(flow, p, b, N, chunk)
+        phase_chunk, budget = ctx.chunk, ctx.budget(N)
         meta_flow = f"skew(c={flow.c}, alpha={flow.alpha.label}, h={flow.h.label})"
     elif isinstance(flow, UnipotentAffine):
         v = (b.b1, b.b2) if isinstance(b, Character) else tuple(int(t) for t in b)
@@ -487,13 +510,13 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         tpolys = [Poly(unipotent_phase_poly(flow, x, v, l).coeffs).compose_linear(flow.nu, l)
                   for l in range(flow.nu)]
         phase_chunk = _class_phase_chunk([partial(poly_mod1_array, P) for P in tpolys])
-        meta_flow = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})"
+        meta_flow, budget = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})", {}
     else:
         raise DomainError(f"unsupported flow type {type(flow).__name__}")
 
     sums = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads, chunk)
     meta = {"flow": meta_flow, "observable": str(b), "threads": threads,
-            "chunk": chunk, "N": N}
+            "chunk": chunk, "N": N, **budget}
     return CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
                              metadata=meta)
 

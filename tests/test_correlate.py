@@ -9,15 +9,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobiusflow.analytic import AnalyticSeries
+from mobiusflow.analytic import AnalyticSeries, e2pi, e2pi_m1, geometric_ratio
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
-from mobiusflow.correlate import (INT64_MODULUS_MAX, CorrelationSeries, PolyPhase, bsz_test,
+from mobiusflow.correlate import (CHUNK, INT64_MODULUS_MAX, CorrelationSeries, PolyPhase, bsz_test,
                                   character_phase_array, mobius_correlate,
                                   phi_polys, poly_exp_sum, poly_lower_bound_check,
                                   poly_mod1_array, vdc_sum_check,
                                   ftilde_third_derivative)
 from mobiusflow.errors import DomainError
 from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine, character_phase
+from mobiusflow.furstenberg import FurstenbergSystem
 from mobiusflow.mobius import mertens, mobius_sieve
 from mobiusflow.polyutil import Poly
 
@@ -34,6 +35,23 @@ def table():
 def skew():
     h = AnalyticSeries.geometric(1.5)
     return SkewFlow(1, 1, 1, SQRT2, h), TorusPoint(0.3, 0.7)
+
+
+@pytest.fixture(scope="module")
+def lacunary():
+    """The criterion 9 lacunary flow (tau = 1, depth 4, corrected): its modes
+    +-q_k have tiny delta, and its centre has an 11,689-bit denominator."""
+    return FurstenbergSystem.build(1.0, 4).flow(c=0, corrected=True)
+
+
+def ramp_flow():
+    """alpha = 1/(3 + 10^-300): delta_3 and delta_6 are below 1e-250, so modes
+    3 and 6 are ramps; modes 1, 2 and 4 are tabled."""
+    alpha = AlphaSpec.from_quotients([0, 3, 10**300])
+    h = AnalyticSeries.from_entries([(1, 0.4), (-1, 0.4), (2, 0.1 + 0.2j), (-2, 0.1 - 0.2j),
+                                     (3, 0.3 - 0.1j), (-3, 0.3 + 0.1j), (4, 0.05), (-4, 0.05),
+                                     (6, 0.02j), (-6, -0.02j)], tau=0.5)
+    return SkewFlow(1, 2, 1, alpha, h)
 
 
 def _assert_exact_mod1(poly, t0, count):
@@ -216,13 +234,13 @@ def test_skew_phases_refuse_non_normalized_flows(table, flow, b):
         character_phase(flow, p, b, 10)
 
 
-def test_thread_count_determinism(table, skew):
-    flow, p = skew
+def test_thread_count_determinism(table, skew, lacunary):
     b = Character(0, 1)
     cps = [10**4, 10**5]
-    runs = [mobius_correlate(flow, p, b, table, cps, threads=t).sums
-            for t in (1, 4, 8)]
-    assert runs[0] == runs[1] == runs[2]
+    for flow, p in (skew, (lacunary, TorusPoint(0.37, 0.12))):
+        runs = [mobius_correlate(flow, p, b, table, cps, threads=t).sums
+                for t in (1, 2, 4, 8)]
+        assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 def test_checkpoint_beyond_sieve(table, skew):
@@ -460,3 +478,153 @@ def _E_value(rep, h, d1, d2, x1, x, theta, b2):
     from mobiusflow.analytic import ScaleFunction
     sf = ScaleFunction.from_report(rep, h, x1)
     return (b2 * sf.tilde_value(x * theta, d1, d2)).real
+
+
+# ---------------------------------------------------------------------------
+# Skew phases from e(j delta) tables and integer anchors
+
+
+def _modes(flow, p, b, nmax=10**7):
+    """(delta_m, coeff_m, |2 b2 w_m|, size) of the modes m > 0; a ramp mode
+    (|delta| < 1e-250) has w = 0 and size |coeff| nmax, the others size
+    |2 w_m|; modes below size 1e-18 are dropped."""
+    out = []
+    for m, c in (flow.h.items() if b.b2 else ()):
+        if m <= 0:
+            continue
+        delta = flow.alpha.frac_signed_fraction(m)
+        coeff = c * e2pi(m * Fraction(p.x1))
+        tiny = abs(float(delta)) < 1e-250
+        size = abs(coeff) * nmax if tiny else abs(2 * coeff / e2pi_m1(delta))
+        out.append((delta, coeff, 0.0 if tiny else abs(b.b2) * size, size))
+    return out
+
+
+def _kept_modes(flow, p, b):
+    return [mode[:3] for mode in _modes(flow, p, b) if mode[3] >= 1e-18]
+
+
+def _phase_bound(flow, p, b):
+    """The written per-term bound of the table path: (sum_m |2 b2 w_m| + 1)
+    (2 M + 50) 2^-53 over the M tabled modes."""
+    modes = [w for _, _, w in _kept_modes(flow, p, b) if w]
+    return (sum(modes) + 1) * (2 * len(modes) + 50) * 2.0**-53
+
+
+def _per_mode_phase(flow, p, b, n, modes):
+    """<b, orbit(n)> mod 1 with each mode's Birkhoff prefix coeff (e(n delta) - 1)
+    / (e(delta) - 1) taken at its own exact phase n delta mod 1."""
+    x1 = Fraction(p.x1)
+    b2c = b.b2 * flow.c
+    poly = (b.b1 * x1 + b.b2 * Fraction(p.x2) + b2c * n * x1
+            + flow.alpha.frac_fraction(b.b1 * n + b2c * (n * (n - 1) // 2))) % 1
+    # h_hat(0) and the ramp modes, whose ratio is n, enter the exact part
+    ramp = Fraction(flow.h.coeff(0).real)
+    birk = 0.0
+    for delta, coeff, w in modes:
+        if not w:
+            assert geometric_ratio(n, delta) == n
+            ramp += Fraction(2.0 * coeff.real)
+            continue
+        # n delta reduced exactly into [-1/2, 1/2), then rounded once
+        r, den = n * delta.numerator % delta.denominator, delta.denominator
+        ratio = e2pi_m1((r - den if 2 * r >= den else r) / den) / e2pi_m1(delta)
+        birk += 2.0 * (coeff * ratio).real
+    poly = (poly + b.b2 * ramp * n) % 1
+    return (float(poly) + b.b2 * birk) % 1.0
+
+
+def _circle(a, b):
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
+
+
+def _flow_case(name, skew, lacunary):
+    if name == "diophantine":
+        return skew[0], skew[1], Character(3, 2)
+    if name == "lacunary":
+        return lacunary, TorusPoint(0.37, 0.12), Character(0, 1)
+    if name == "many":
+        # 150 modes: MODE_TABLE_ENTRIES // 150 = 6990 < CHUNK entries per table
+        return SkewFlow(1, 1, 1, SQRT2, AnalyticSeries.geometric(0.2, 150)), \
+            TorusPoint(0.3, 0.7), Character(1, 1)
+    return ramp_flow(), TorusPoint(0.3, 0.7), Character(1, 2)
+
+
+@pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many"])
+@pytest.mark.parametrize("chunk, N", [(1, 400), (3, 2000), (20_000, 30_000), (CHUNK, 100)])
+def test_skew_phase_tables_match_per_mode_formula(name, chunk, N, skew, lacunary):
+    """character_phase_array against the per-mode formula, within twice the
+    written bound (the formula carries rounding of the same order); with
+    chunk 20000 the pieces are longer than the tables and walk in blocks,
+    of 6990 terms for the flow with 150 modes."""
+    flow, p, b = _flow_case(name, skew, lacunary)
+    modes = _kept_modes(flow, p, b)
+    assert modes
+    bound = _phase_bound(flow, p, b)
+    ph = character_phase_array(flow, p, b, N, chunk=chunk)
+    ns = set(range(1, N + 1, max(1, N // 300))) | {N}
+    ns |= {n for k in (CHUNK, 6990, chunk) for v in range(k, N, k) for n in (v, v + 1)}
+    for n in sorted(ns):
+        assert _circle(ph[n - 1], _per_mode_phase(flow, p, b, n, modes)) <= 2 * bound, n
+
+
+@pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp"])
+@pytest.mark.parametrize("chunk", [1, 3, 20_000])
+def test_skew_sums_match_per_mode_formula(name, chunk, table, skew, lacunary):
+    """Checkpoints that cut pieces mid-way: sums == at threads 1 and 2, and
+    within 2 pi N times twice the written bound of the per-mode sums."""
+    flow, p, b = _flow_case(name, skew, lacunary)
+    modes = _kept_modes(flow, p, b)
+    N, cps = 1500, [7, 701, 1111, 1499, 1500]
+    runs = [mobius_correlate(flow, p, b, table, cps, threads=t, chunk=chunk) for t in (1, 2)]
+    assert runs[0].sums == runs[1].sums
+    mu = table.mu_array()
+    terms = [int(mu[n]) * cmath.exp(2j * math.pi * _per_mode_phase(flow, p, b, n, modes))
+             for n in range(1, N + 1)]
+    bound = 2 * math.pi * 2 * _phase_bound(flow, p, b)
+    for cp, got in zip(cps, runs[0].sums):
+        assert abs(got - sum(terms[:cp])) <= bound * cp + 1e-12 * cp, cp
+
+
+def test_long_pieces_thread_identity(table, lacunary):
+    """Pieces of 20000 terms walk the tables in blocks: == for threads 1, 2, 4."""
+    p, b = TorusPoint(0.37, 0.12), Character(0, 1)
+    cps = [12_345, 40_000, 60_001]
+    runs = [mobius_correlate(lacunary, p, b, table, cps, threads=t, chunk=20_000).sums
+            for t in (1, 2, 4)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("c, b", [(1, Character(2, 1)), (5, Character(1, -1))])
+def test_rotation_phases_exact_near_1e7(c, b):
+    """b2 c = 1 and -5, no modes: at n near 1e7 the phase is within 1e-12 of
+    the exact rational phase.  Reconstructing the quadratic term C(j, 2) A2
+    in floats (up to 3.4e7 in magnitude) was off by up to 4e-9 here."""
+    flow = SkewFlow(1, c, 1, SQRT2, AnalyticSeries.from_entries([], tau=1.0))
+    p = TorusPoint(0.37, 0.12)
+    N = 10**7
+    ph = character_phase_array(flow, p, b, N)
+    assert _kept_modes(flow, p, b) == []
+    for n in range(N - 8191, N + 1, 3):
+        assert _circle(ph[n - 1], _per_mode_phase(flow, p, b, n, [])) <= 1e-12, n
+
+
+def test_skew_metadata_reports_error_budget(table, lacunary):
+    p, b = TorusPoint(0.37, 0.12), Character(0, 1)
+    N = 50_000
+    meta = mobius_correlate(lacunary, p, b, table, [N]).metadata
+    modes = _kept_modes(lacunary, p, b)
+    assert (meta["modes_kept"], meta["modes_dropped"]) == (len(modes), 325) == (20, 325)
+    dropped = sum(2 * size for _, _, _, size in _modes(lacunary, p, b) if size < 1e-18)
+    assert meta["dropped_bound"] == pytest.approx(dropped, rel=1e-9)
+    assert 0 < meta["dropped_bound"] < 1e-17
+    assert meta["table_anchor_bound"] == pytest.approx(
+        2 * math.pi * N * _phase_bound(lacunary, p, b), rel=1e-12)
+
+    flow = ramp_flow()
+    meta = mobius_correlate(flow, p, Character(1, 2), table, [N]).metadata
+    assert (meta["modes_kept"], meta["modes_dropped"], meta["dropped_bound"]) == (5, 0, 0.0)
+    meta = mobius_correlate(flow, p, Character(1, 0), table, [N]).metadata
+    assert (meta["modes_kept"], meta["modes_dropped"]) == (0, 0)
+    assert meta["table_anchor_bound"] == pytest.approx(2 * math.pi * N * 50 * 2.0**-53)
