@@ -2,11 +2,15 @@
 
 The central object is S(N) = sum_{n<=N} mu(n) e(<b, orbit(n)>) evaluated at
 checkpoints.  Orbit phases come from closed forms, never from sequential
-iteration: rotation and quadratic parts through exact fixed-denominator
-reduction with per-chunk anchors, Birkhoff parts through the geometric
-prefix formula per Fourier mode.  Polynomial phases (`poly_exp_sum`, the
-unipotent affine maps, the Heisenberg nilflows) are walked in t on each
-residue class n = nu t + l, as exact residues: with the polynomial written
+iteration.  On the skew products the rotation, linear and quadratic parts
+are integer residues over the exact centre of alpha, summed in 64-bit fixed
+point with a per-call table of the quadratic term; each Fourier mode's
+Birkhoff prefix is an anchor e(u delta) per chunk, taken from integer
+residues, times a per-call table of e(j delta), so no exp runs per mode
+per term, and the error budget goes into the series metadata.
+Polynomial phases (`poly_exp_sum`, the unipotent affine maps, the
+Heisenberg nilflows) are walked in t on each residue class n = nu t + l,
+as exact residues: with the polynomial written
 as integer numerators over a common denominator K, `poly_mod1_array` runs
 Horner in uint64 wraparound when K is a power of two up to 2^64, on 48-bit
 limbs for larger powers of two up to 2^1074, split into 2^a times a small
@@ -36,7 +40,6 @@ import numpy as np
 
 from .analytic import (AnalyticSeries, CaseReport, ScaleFunction, e2pi,
                        e2pi_m1, scale_window)
-from .cfrac import AlphaSpec
 from .errors import DomainError, PrecisionError
 from .flows import Character, SkewFlow, TorusPoint, UnipotentAffine, unipotent_phase_poly
 from .mobius import MobiusTable
@@ -494,6 +497,9 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
 
     flow: a SkewFlow (normalized) with x a TorusPoint and b a Character, or
     a UnipotentAffine with x a coordinate sequence and b an integer vector.
+    A skew series carries its error budget in the metadata: `modes_kept`,
+    `modes_dropped`, `dropped_bound` (on each term's phase) and
+    `table_anchor_bound` (on |S(N)|); see `_SkewPhaseContext`.
     """
     checkpoints, N = _checked_checkpoints(checkpoints, table)
     if isinstance(flow, SkewFlow):
