@@ -120,11 +120,10 @@ def skew_flow(name):
     return FurstenbergSystem.build(1.0, 4).flow(c=0, corrected=True)
 
 
-def skew_run(name, table, threads=1):
+def skew_run(name, table):
     flow_name, b, cps = SKEW_RUNS[name]
-    flow = skew_flow(flow_name)
     x = UNIPOTENT[2] if flow_name == "unipotent" else SKEW_X
-    return mobius_correlate(flow, x, b, table, cps, threads=threads)
+    return mobius_correlate(skew_flow(flow_name), x, b, table, cps)
 
 
 def skew_sum_bound(flow, p, b, N):
