@@ -10,23 +10,31 @@ affine maps before both orbit compilers became one affine recursion.
 The skew-product sums of the criterion 9 and 10 workloads were recorded
 while the skew phases still called one complex exp per Fourier mode per
 term; they are compared within the bound of `skew_sum_bound`, the affine
-sums with ==.  Exact rationals are kept as `Fraction` strings and
-correlation sums as the repr of each complex sum.
+sums with ==.  The `poly_exp_sum` sums, the reduced Heisenberg orbit
+points, the skew closed form and character phases, the `bsz_test` reports
+and the series CSV of the `correlate` and `nilflow` commands were recorded
+before the two phase-polynomial types and the two stored forms of the
+Heisenberg orbit became one each.  Exact rationals are kept as `Fraction`
+strings and correlation sums as the repr of each complex sum.
 """
 
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mobiusflow.analytic import AnalyticSeries, e2pi, e2pi_m1
 from mobiusflow.cfrac import AlphaSpec
-from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine, unipotent_phase_poly
+from mobiusflow.cli import main
+from mobiusflow.flows import (Character, SkewFlow, TorusPoint, UnipotentAffine, character_phase,
+                              skew_orbit_closed, unipotent_phase_poly)
 from mobiusflow.furstenberg import FurstenbergSystem
 from mobiusflow.mobius import mobius_sieve
 from mobiusflow.nilflow import (HeisenbergAffine, HeisenbergElement, NilObservable,
                                 compile_poly_orbit, correlate_nil, make_automorphism)
-from mobiusflow.correlate import mobius_correlate
+from mobiusflow.correlate import PolyPhase, bsz_test, mobius_correlate, poly_exp_sum
 
 HEIS_G = ("1/3", "1/7", "2/5")
 HEIS_X = ("1/5", "2/9", "3/11")
@@ -67,6 +75,25 @@ SKEW_RUNS = {
     "c9-lacunary": ("lacunary", SKEW_B, (10**4, 10**5, 10**6)),
     "c10-diophantine": ("diophantine", SKEW_B, (10**5, 10**6)),
     "c10-affine": ("unipotent", (1, 2), (10**5, 10**6)),
+}
+POLY_SUMS = {"cubic-sqrt2": ((0.0, 0.0, 0.0, math.sqrt(2)), 1, 0),
+             "nu3-class": ((0.25, -0.1, math.sqrt(3), math.sqrt(2)), 3, 1)}
+EVALUATE_NS = (0, 1, 2, 3, 5, 7, 12, 97, 1000, 123457)
+SKEW_CLOSED_NS = (0, 1, 2, 10, 1000, 12345)
+SKEW_CLOSED_CHARACTERS = {"phase-11": Character(1, 1), "phase-2m3": Character(2, -3),
+                          "phase-20": Character(2, 0)}
+SQRT2_M1 = math.sqrt(2) - 1
+BSZ_RUNS = {  # (sequence, tau, M); N = 10^4
+    "rotation": (lambda n: np.exp(2j * np.pi * np.mod(np.asarray(n, dtype=np.float64)
+                                                      * SQRT2_M1, 1.0)), 0.25, 4000),
+    "constant": (lambda n: np.ones(np.asarray(n).shape, dtype=np.complex128), 0.2, 200),
+}
+CLI_CONFIG = {"type": "heisenberg", "g": ["1/3", "1/7", "2/5"],
+              "dsigma": [[1, 0, 0], [1, 1, 0], ["1/2", 0, 1]], "x": ["1/5", "2/9", "3/11"]}
+CLI_RUNS = {
+    "correlate-121": ["correlate", "--b", "1,2,1"],
+    "correlate-12": ["correlate", "--b", "1,2"],
+    "nilflow-121": ["nilflow", "--observable", "1,2,1"],
 }
 
 
@@ -160,6 +187,30 @@ def skew_sum_bound(flow, p, b, N):
     per_term = (abs(b.b2) * w2 * (2 * math.pi * 2.0**-39 + (2 * M + 50) * 2.0**-53)
                 + abs(b.b2 * flow.c) * 2.0**-26 + 2.0**-36)
     return 2 * math.pi * N * per_term
+
+
+def evaluate_outputs(name):
+    T, x = _heisenberg(name)
+    reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
+    return tuple(tuple(str(c) for c in reps[n % T.nu].evaluate_reduced(n).coords())
+                 for n in EVALUATE_NS)
+
+
+def skew_closed_outputs():
+    flow = skew_flow("diophantine")
+    out = {"orbit": tuple((repr(q.x1), repr(q.x2)) for q in
+                          (skew_orbit_closed(flow, SKEW_X, n) for n in SKEW_CLOSED_NS))}
+    for name, b in SKEW_CLOSED_CHARACTERS.items():
+        out[name] = tuple(repr(character_phase(flow, SKEW_X, b, n)) for n in SKEW_CLOSED_NS)
+    return out
+
+
+def cli_csv(name, tmp_path):
+    config, out = tmp_path / "heisenberg.json", tmp_path / f"{name}.csv"
+    config.write_text(json.dumps(CLI_CONFIG))
+    args = CLI_RUNS[name][:1] + ["--config", str(config)] + CLI_RUNS[name][1:]
+    assert main(args + ["--checkpoints", "100,1000,10000", "--out", str(out)]) == 0
+    return out.read_text()
 
 
 GOLDEN_HEISENBERG = {'order3': {'nu': 3,
@@ -288,6 +339,157 @@ GOLDEN_SKEW = {'c10-affine': ('(-136.57371694845725+17.84132870862202j)',
                   '(47.90528296455704+3.0139449374070413j)',
                   '(-211.5816664267936-13.311590140214452j)')}
 
+GOLDEN_POLY_SUMS = {'cubic-sqrt2': '(21.091973992914568-44.45011007796152j)',
+ 'nu3-class': '(-0.9225531090646799-39.58210871520852j)'}
+GOLDEN_EVALUATE = {'order3': (('1/5', '2/9', '3/11'),
+            ('1/9', '38/315', '5210/6237'),
+            ('67/315', '2/15', '116066/363825'),
+            ('1/5', '2/9', '19991/24255'),
+            ('67/315', '2/15', '316706/363825'),
+            ('1/9', '38/315', '204823/218295'),
+            ('1/5', '2/9', '11609/24255'),
+            ('1/9', '38/315', '105328/218295'),
+            ('1/9', '38/315', '103942/218295'),
+            ('1/9', '38/315', '19693/218295')),
+ 'order4': (('1/5', '2/9', '3/11'),
+            ('1/9', '12/35', '173/231'),
+            ('104/105', '16/63', '23819/24255'),
+            ('5/63', '2/15', '48742/72765'),
+            ('1/9', '12/35', '13963/24255'),
+            ('5/63', '2/15', '36136/72765'),
+            ('1/5', '2/9', '6088/8085'),
+            ('1/9', '12/35', '1593/2695'),
+            ('1/5', '2/9', '4667/4851'),
+            ('1/9', '12/35', '6374/8085')),
+ 'order6': (('1/5', '2/9', '3/11'),
+            ('14/45', '12/35', '4622/5775'),
+            ('19/63', '143/315', '91402/218295'),
+            ('19/105', '4/9', '2006/24255'),
+            ('5/63', '67/315', '36292/218295'),
+            ('14/45', '12/35', '6724/40425'),
+            ('1/5', '2/9', '38/8085'),
+            ('14/45', '12/35', '26524/40425'),
+            ('22/315', '34/105', '155941/363825'),
+            ('14/45', '12/35', '4533/13475')),
+ 'readme': (('0', '0', '0'),
+            ('1/3', '1/7', '2/5'),
+            ('2/3', '13/21', '272/315'),
+            ('0', '3/7', '223/315'),
+            ('2/3', '1/21', '4/7'),
+            ('1/3', '0', '11/45'),
+            ('0', '5/7', '127/315'),
+            ('1/3', '6/7', '197/315'),
+            ('1/3', '6/7', '5/7'),
+            ('1/3', '5/7', '262/315')),
+ 'readme-float-g': (('0', '0', '0'),
+                    ('8891907104280307/72057594037927936',
+                     '5584463537939415/18014398509481984',
+                     '4896313514877203/18014398509481984'),
+                    ('8891907104280307/36028797018963968',
+                     '53567615407795627/72057594037927936',
+                     '5809476316938328845421373285026991/10384593717069655257060992658440192'),
+                    ('26675721312840921/72057594037927936',
+                     '21631689730185965/72057594037927936',
+                     '8802699210014088885226848521220283/10384593717069655257060992658440192'),
+                    ('44459535521401535/72057594037927936',
+                     '28246576862867749/36028797018963968',
+                     '1895430314398819498856789621191889/5192296858534827628530496329220096'),
+                    ('62243349729962149/72057594037927936',
+                     '54864652100478323/72057594037927936',
+                     '7291148071571083494839927458086949/10384593717069655257060992658440192'),
+                    ('8661322803358937/18014398509481984',
+                     '31143292143192443/36028797018963968',
+                     '4262166037722467678675813984467283/5192296858534827628530496329220096'),
+                    ('69881454697982483/72057594037927936',
+                     '11176132835282267/18014398509481984',
+                     '488315996508969627666524729219135/649037107316853453566312041152512'),
+                    ('3602879701896359/9007199254740992',
+                     '5404319552806793/18014398509481984',
+                     '2417974762343468283764311832257529/2596148429267413814265248164610048'),
+                    ('42787799339684275/72057594037927936',
+                     '13626090456438255/18014398509481984',
+                     '80392695948877338436252199597917/324518553658426726783156020576256')),
+ 'reflection': (('1/5', '2/9', '3/11'),
+                ('5/9', '12/35', '58/231'),
+                ('71/105', '44/63', '11279/24255'),
+                ('2/63', '86/105', '62446/72765'),
+                ('32/63', '31/105', '65174/72765'),
+                ('62/63', '27/35', '17134/24255'),
+                ('2/35', '5/63', '304/1155'),
+                ('26/63', '1/5', '3103/3465'),
+                ('31/105', '20/63', '4810/4851'),
+                ('53/63', '22/35', '62/24255')),
+ 'shear': (('1/5', '2/9', '3/11'),
+           ('34/45', '23/63', '21793/31185'),
+           ('143/315', '32/63', '122807/218295'),
+           ('31/105', '41/63', '43726/72765'),
+           ('128/315', '59/63', '34/891'),
+           ('4/45', '2/9', '28261/31185'),
+           ('31/105', '59/63', '7807/10395'),
+           ('73/315', '5/63', '90907/218295'),
+           ('283/315', '5/63', '39341/43659'),
+           ('268/315', '59/63', '26611/31185'))}
+GOLDEN_SKEW_CLOSED = {'orbit': (('0.37', '0.12'),
+           ('0.784213562373095', '0.017557262889595082'),
+           ('0.1984271247461901', '0.6855386493543384'),
+           ('0.5121356237309505', '0.11656201421678136'),
+           ('0.5835623730950488', '0.18063662192392682'),
+           ('0.8364274958583775', '0.07368299531566458')),
+ 'phase-11': ('0.49',
+              '0.8017708252626901',
+              '0.8839657741005282',
+              '0.6286976379477318',
+              '0.7641989950189756',
+              '0.9101104911740419'),
+ 'phase-2m3': ('0.38',
+               '0.5157553360774048',
+               '0.34023830142936573',
+               '0.6745852048115566',
+               '0.6252148804183175',
+               '0.4518060057697615'),
+ 'phase-20': ('0.74',
+              '0.5684271247461901',
+              '0.3968542494923802',
+              '0.024271247461900968',
+              '0.1671247461900976',
+              '0.6728549917167549')}
+GOLDEN_BSZ = {'rotation': {'tau': 0.25,
+              'M': 4000,
+              'N': 10000,
+              'prime_bound': 54,
+              'prime_count': 16,
+              'capped': False,
+              'worst_pair': (2, 31),
+              'worst_bilinear_ratio': 0.004266999048312259,
+              'hypothesis_holds': True,
+              'mobius_sum_ratio': 0.00977902206530187,
+              'conclusion_bound': 1.1774100225154747,
+              'conclusion_holds': True},
+ 'constant': {'tau': 0.2,
+              'M': 200,
+              'N': 10000,
+              'prime_bound': 148,
+              'prime_count': 34,
+              'capped': False,
+              'worst_pair': (2, 3),
+              'worst_bilinear_ratio': 1.0,
+              'hypothesis_holds': False,
+              'mobius_sum_ratio': 0.0023,
+              'conclusion_bound': 1.1347027495988895,
+              'conclusion_holds': True}}
+GOLDEN_CSV = {'correlate-121': 'N,re,im,abs_over_N\n'
+                  '100,2.7463484790953205,2.4001801231239064,0.03647368173363949\n'
+                  '1000,3.6579150348296823,2.322260713635295,0.004332809391621901\n'
+                  '10000,42.254684382673695,111.49697029230904,0.01192351992351395\n',
+ 'correlate-12': 'N,re,im,abs_over_N\n'
+                 '100,-3.4230832328545495,-3.1167310535600268,0.046294180281408324\n'
+                 '1000,-18.09036340195485,3.136095882374532,0.018360183697290013\n'
+                 '10000,-63.297524900427845,6.619988914485937,0.006364276008901719\n',
+ 'nilflow-121': 'N,re,im,abs_over_N\n'
+                '100,2.7463484790953205,2.4001801231239064,0.03647368173363949\n'
+                '1000,3.6579150348296823,2.322260713635295,0.004332809391621901\n'
+                '10000,42.254684382673695,111.49697029230904,0.01192351992351395\n'}
+
 
 @pytest.mark.parametrize("name", sorted(HEIS))
 def test_heisenberg_orbit_form_is_frozen(name):
@@ -331,3 +533,30 @@ def test_skew_workload_sums_are_frozen(name, table6):
     flow = skew_flow(flow_name)
     for N, got, want in zip(cps, series.sums, golden):
         assert abs(got - want) <= skew_sum_bound(flow, SKEW_X, b, N), (N, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(POLY_SUMS))
+def test_poly_exp_sums_are_frozen(name, table):
+    coeffs, nu, l = POLY_SUMS[name]
+    got = poly_exp_sum(PolyPhase(coeffs, nu=nu, residue=l), table, CHECKPOINTS[-1])
+    assert repr(got) == GOLDEN_POLY_SUMS[name]
+
+
+@pytest.mark.parametrize("name", sorted(HEIS))
+def test_reduced_orbit_points_are_frozen(name):
+    assert evaluate_outputs(name) == GOLDEN_EVALUATE[name]
+
+
+def test_skew_closed_form_is_frozen():
+    assert skew_closed_outputs() == GOLDEN_SKEW_CLOSED
+
+
+@pytest.mark.parametrize("name", sorted(BSZ_RUNS))
+def test_bsz_report_is_frozen(name, table):
+    f, tau, M = BSZ_RUNS[name]
+    assert bsz_test(f, tau, M, CHECKPOINTS[-1], table) == GOLDEN_BSZ[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_series_csv_is_frozen(name, tmp_path):
+    assert cli_csv(name, tmp_path) == GOLDEN_CSV[name]

@@ -19,6 +19,7 @@ from mobiusflow.nilflow import (HeisenbergAffine, HeisenbergElement,
                                 coord_first_from_second, coord_second_from_first,
                                 correlate_nil, heis_inv, heis_mul, make_automorphism,
                                 nil_orbit_iter, nil_step, reduce_to_fundamental)
+from test_golden import HEIS, _heisenberg
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -147,6 +148,39 @@ def test_random_quasiunipotent_reps_exact():
                 assert rep.evaluate_reduced(n).coords() == \
                     nil_orbit_iter(T, x, n).coords(), (S, l, n)
 
+
+
+def _factor_product(rep, n):
+    """b_1^{h_1(n)} ... b_k^{h_k(n)}: the factors multiplied in order by heis_mul."""
+    acc = HeisenbergElement.identity()
+    for axis, degree, c in rep.factors:
+        coords = [0, 0, 0]
+        coords[axis] = c * n**degree
+        acc = heis_mul(acc, HeisenbergElement(*coords))
+    return acc
+
+
+def _golden_and_random_maps():
+    maps = [_heisenberg(name) for name in sorted(HEIS)]
+    rng = random.Random(7)
+
+    def rand_el():
+        return HeisenbergElement(*[Fraction(rng.randint(-12, 12), rng.randint(1, 8))
+                                   for _ in range(3)])
+    for S in QU_BLOCKS:
+        ds = make_automorphism(S, e=rng.randint(-2, 2), f=rng.randint(-2, 2))
+        maps.append((HeisenbergAffine(g=rand_el(), dsigma=ds), rand_el()))
+    return maps
+
+
+def test_factor_product_is_the_orbit_form():
+    """The time-n point is the product of the generator factors, in order."""
+    for T, x in _golden_and_random_maps():
+        for l in range(T.nu):
+            rep = compile_poly_orbit(T, x, l)
+            assert rep.k == len(rep.factors)
+            for n in list(range(l, 40, T.nu)) + [l + 1001 * T.nu]:
+                assert _factor_product(rep, n).coords() == rep.evaluate(n).coords(), (l, n)
 
 def test_lattice_preservation_guard():
     # a naive integer shear misses the half-integer central correction
