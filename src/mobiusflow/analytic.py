@@ -39,7 +39,7 @@ COEFF_FLOOR = 1e-300
 
 def e2pi(t) -> complex:
     """e(t) = exp(2 pi i t), with t reduced mod 1 first."""
-    tf = float(t % 1) if isinstance(t, Fraction) else float(t) % 1.0
+    tf = float(t % 1) if type(t) is Fraction else float(t) % 1.0
     return complex(math.cos(TWO_PI * tf), math.sin(TWO_PI * tf))
 
 
@@ -442,14 +442,6 @@ def big_H(cf: CFExpansion, h: AnalyticSeries, x, x1: float, Y: float) -> complex
                     num = e2pi(Fraction(xf) * l_part) * e2pi(xf * float(t)) - 1.0
                 total += c * e2pi(key * x1) * num / e2pi_m1(t)
     return complex(total)
-
-
-def phi_j(report: CaseReport, h: AnalyticSeries, j: int) -> float:
-    """Phi_j = sum_{1<=|m|<M_j} m^2 |h_hat(m_j m)| for the j-th sharp scale."""
-    if not 0 <= j < report.J:
-        raise DomainError(f"scale index {j} out of range (J={report.J})")
-    return math.fsum(m * m * abs(c)
-                     for m, c in scale_window(h, report.scales[j], report.M[j]))
 
 
 def caseB_taylor(h: AnalyticSeries, report: CaseReport, x1: float

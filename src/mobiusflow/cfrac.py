@@ -60,22 +60,21 @@ class AlphaSpec:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def rational(cls, p: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> "AlphaSpec":
+    def rational(cls, p: int, q: int) -> "AlphaSpec":
         if q < 1:
             raise DomainError(f"rational alpha needs q >= 1, got {q}")
         g = math.gcd(p, q)
-        return cls(kind="rational", p=p // g, q=q // g,
-                   precision_bits=precision_bits, label=f"{p//g}/{q//g}")
+        return cls(kind="rational", p=p // g, q=q // g, label=f"{p//g}/{q//g}")
 
     @classmethod
     def quadratic(cls, initial: Sequence[int], period: Sequence[int],
-                  precision_bits: int = DEFAULT_PRECISION_BITS, label: str = "") -> "AlphaSpec":
+                  label: str = "") -> "AlphaSpec":
         if not period:
             raise DomainError("quadratic spec needs a nonempty period")
         if any(a < 1 for a in period) or any(a < 1 for a in initial[1:]):
             raise DomainError("partial quotients a_k must be >= 1 for k >= 1")
         return cls(kind="quadratic", initial=tuple(initial), period=tuple(period),
-                   precision_bits=precision_bits, label=label or "quadratic")
+                   label=label or "quadratic")
 
     @classmethod
     def from_quotients(cls, quotients: Sequence[int], kind: str = "quotients",
@@ -90,12 +89,12 @@ class AlphaSpec:
                    precision_bits=precision_bits, label=label or kind)
 
     @classmethod
-    def sqrt2_minus_1(cls, **kw) -> "AlphaSpec":
-        return cls.quadratic([0], [2], label="sqrt2-1", **kw)
+    def sqrt2_minus_1(cls) -> "AlphaSpec":
+        return cls.quadratic([0], [2], label="sqrt2-1")
 
     @classmethod
-    def golden_frac(cls, **kw) -> "AlphaSpec":
-        return cls.quadratic([0], [1], label="golden", **kw)
+    def golden_frac(cls) -> "AlphaSpec":
+        return cls.quadratic([0], [1], label="golden")
 
     # -- structure ---------------------------------------------------------
 
@@ -233,7 +232,7 @@ class AlphaSpec:
             raise PrecisionError(
                 f"n={n} exceeds the declared precision budget of {self.precision_bits} bits")
         c = self._phase_center(bits)
-        return (n * c) % 1
+        return Fraction(n * c.numerator % c.denominator, c.denominator)
 
     def frac_signed_fraction(self, n: int) -> Fraction:
         """n*alpha mod 1 mapped to [-1/2, 1/2)."""

@@ -28,10 +28,10 @@ from . import __version__
 from .analytic import AnalyticSeries
 from .cfrac import (AlphaSpec, cf_expand, classify_case, partition_Q,
                     two_series_partial_sums, with_partition, caseC_condition_rhs_logs)
-from .correlate import (PolyPhase, bsz_test, mobius_correlate, poly_exp_sum,
-                        poly_lower_bound_check, vdc_sum_check)
+from .correlate import (bsz_test, mobius_correlate, poly_exp_sum, poly_lower_bound_check,
+                        vdc_sum_check)
 from .errors import CapacityError, DomainError, MobiusflowError, PrecisionError
-from .flows import Character, SkewFlow, TorusPoint, UnipotentAffine
+from .flows import Character, PolyPhase, SkewFlow, TorusPoint, UnipotentAffine
 from .mobius import mobius_sieve
 from . import furstenberg as fb
 from . import nilflow as nf
@@ -228,6 +228,11 @@ def _provenance(payload: dict, threads: int) -> dict:
             "version": __version__, "threads": threads}
 
 
+def _series_csv(series) -> str:
+    rows = (f"{n},{re!r},{im!r},{a!r}" for n, re, im, a in series.rows())
+    return "\n".join(["N,re,im,abs_over_N", *rows]) + "\n"
+
+
 def _emit(text: str, path: Optional[str], provenance: dict) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -299,7 +304,7 @@ def cmd_correlate(args, threads: int) -> int:
             or isinstance(flow, nf.HeisenbergAffine) and len(b) not in (2, 3)):
         raise DomainError(f"observable {b} has the wrong number of components")
     table = mobius_sieve(checkpoints[-1])
-    if isinstance(flow, (SkewFlow,)):
+    if isinstance(flow, SkewFlow):
         x = TorusPoint(*_numbers(cfg.get("x", [0.0, 0.0]), "x", 2))
         series = mobius_correlate(flow, x, Character(*b), table, checkpoints,
                                   threads=threads)
@@ -308,19 +313,16 @@ def cmd_correlate(args, threads: int) -> int:
         series = mobius_correlate(flow, x, b, table, checkpoints, threads=threads)
     else:
         x = nf.HeisenbergElement(*_numbers(cfg.get("x", [0, 0, 0]), "x", 3))
-        obs = nf.NilObservable.character(*b) if len(b) == 3 else \
-            nf.NilObservable.character(b[0], b[1], 0)
-        series = nf.correlate_nil(flow, x, obs, table, checkpoints, threads=threads)
-    lines = ["N,re,im,abs_over_N"]
-    lines.extend(f"{n},{re!r},{im!r},{a!r}" for n, re, im, a in series.rows())
-    _emit("\n".join(lines) + "\n", args.out,
+        series = nf.correlate_nil(flow, x, nf.NilObservable.character(*b), table,
+                                  checkpoints, threads=threads)
+    _emit(_series_csv(series), args.out,
           _provenance({"cmd": "correlate", "config": cfg, "b": ",".join(map(str, b)),
                        "checkpoints": checkpoints}, threads))
     return 0
 
 
 def cmd_expsum(args, threads: int) -> int:
-    phase = PolyPhase(coefficients=args.coeffs, nu=args.nu, residue=args.residue)
+    phase = PolyPhase(coeffs=args.coeffs, nu=args.nu, residue=args.residue)
     table = mobius_sieve(args.n)
     s = poly_exp_sum(phase, table, args.n, threads=threads)
     out = {"N": args.n, "re": s.real, "im": s.imag, "abs_over_N": abs(s) / args.n}
@@ -381,9 +383,7 @@ def cmd_nilflow(args, threads: int) -> int:
     x = nf.HeisenbergElement(*_numbers(cfg.get("x", [0, 0, 0]), "x", 3))
     table = mobius_sieve(args.checkpoints[-1])
     series = nf.correlate_nil(T, x, args.observable, table, args.checkpoints, threads=threads)
-    lines = ["N,re,im,abs_over_N"]
-    lines.extend(f"{n},{re!r},{im!r},{a!r}" for n, re, im, a in series.rows())
-    _emit("\n".join(lines) + "\n", args.out,
+    _emit(_series_csv(series), args.out,
           _provenance({"cmd": "nilflow", "config": cfg,
                        "observable": args.observable}, threads))
     return 0

@@ -8,21 +8,23 @@ point with a per-call table of the quadratic term; each Fourier mode's
 Birkhoff prefix is an anchor e(u delta) per chunk, taken from integer
 residues, times a per-call table of e(j delta), so no exp runs per mode
 per term, and the error budget goes into the series metadata.
-Polynomial phases (`poly_exp_sum`, the unipotent affine maps, the
-Heisenberg nilflows) are walked in t on each residue class n = nu t + l,
-as exact residues: with the polynomial written
-as integer numerators over a common denominator K, `poly_mod1_array` runs
-Horner in uint64 wraparound when K is a power of two up to 2^64, on 48-bit
-limbs for larger powers of two up to 2^1074, split into 2^a times a small
-odd m when a <= 64, and otherwise in `_horner_mod` (int64 or Python ints),
-and rounds the exact rational once to float64.  Work is split into
+Polynomial phases (`poly_exp_sum` of a `flows.PolyPhase`, the unipotent
+affine maps, whose phase on each class is a `PolyPhase` too, and the
+Heisenberg nilflows) are walked in t on each residue class n = nu t + l, as
+exact residues: with the polynomial written as integer numerators over a
+common denominator K, `poly_mod1_array` runs Horner in uint64 wraparound
+when K is a power of two up to 2^64, on 48-bit limbs for larger powers of
+two up to 2^1074, split into 2^a times a small odd m when a <= 64, and
+otherwise in `_horner_mod` (int64 or Python ints), and rounds the exact
+rational once to float64.  Work is split into
 fixed-size chunks combined in a fixed order, so every correlator honours
 `threads` and its results are bit-identical for any worker count.
 
 Also here: the bilinear-criterion test (small correlations against prime
 dilations force small multiplicative-weighted sums), the polynomial
 lower-bound verifier on the unit circle, the third-derivative van der
-Corput bound, and the dilation-difference polynomials of the sharp-scale
+Corput bound (their fixed settings are the module constants BSZ_PRIME_CAP
+and VDC_*), and the dilation-difference polynomials of the sharp-scale
 analysis.
 """
 
@@ -38,17 +40,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import (AnalyticSeries, CaseReport, ScaleFunction, e2pi,
-                       e2pi_m1, scale_window)
+from .analytic import AnalyticSeries, CaseReport, e2pi, e2pi_m1, scale_window
 from .errors import DomainError, PrecisionError
-from .flows import Character, SkewFlow, TorusPoint, UnipotentAffine, unipotent_phase_poly
-from .mobius import MobiusTable
+from .flows import (Character, PolyPhase, SkewFlow, TorusPoint, UnipotentAffine,
+                    unipotent_phase_poly)
+from .mobius import MobiusTable, _primes_upto
 from .polyutil import Poly
 
 CHUNK = 8192
 TWO_PI = 2.0 * math.pi
 # entries of each skew mode table (cos, sin): 8 MB apiece whatever the mode count
 MODE_TABLE_ENTRIES = 1 << 20
+BSZ_PRIME_CAP = 10_000  # bsz_test takes primes up to min(e^(1/tau), this)
+VDC_DERIVATIVE_SAMPLES = 200  # vdc_sum_check's samples of the third derivative
+VDC_IMPLIED_CONSTANT = 10.0  # and the implied constant of its bound
 
 
 @dataclass(frozen=True)
@@ -73,30 +78,6 @@ class CorrelationSeries:
     def rows(self):
         for cp, s in zip(self.checkpoints, self.sums):
             yield cp, s.real, s.imag, abs(s) / cp
-
-
-@dataclass(frozen=True)
-class PolyPhase:
-    """Real polynomial phase on a residue class: coefficients low-to-high."""
-
-    coefficients: tuple
-    nu: int = 1
-    residue: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.residue < self.nu:
-            raise DomainError("need 0 <= residue < nu")
-        if len(self.coefficients) < 1:
-            raise DomainError("need at least a constant coefficient")
-        if any(isinstance(c, float) and not math.isfinite(c) for c in self.coefficients):
-            raise DomainError(f"coefficients must be finite, got {self.coefficients}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def as_poly(self) -> Poly:
-        return Poly([Fraction(c) for c in self.coefficients])
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +494,7 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         v = (b.b1, b.b2) if isinstance(b, Character) else tuple(int(t) for t in b)
         if len(v) != flow.dimension:
             raise DomainError("observable vector dimension mismatch")
-        tpolys = [Poly(unipotent_phase_poly(flow, x, v, l).coeffs).compose_linear(flow.nu, l)
+        tpolys = [unipotent_phase_poly(flow, x, v, l).as_poly().compose_linear(flow.nu, l)
                   for l in range(flow.nu)]
         phase_chunk = _class_phase_chunk([partial(poly_mod1_array, P) for P in tpolys])
         meta_flow, budget = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})", {}
@@ -553,24 +534,19 @@ def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
 
 
 def bsz_test(f: Callable[[np.ndarray], np.ndarray], tau: float, M: int, N: int,
-             table: MobiusTable, prime_cap: int = 10_000) -> dict:
+             table: MobiusTable) -> dict:
     """Check the bilinear hypothesis and the multiplicative-sum conclusion.
 
     Hypothesis: |sum_{m<=M} f(p1 m) conj(f(p2 m))| <= tau M for all primes
-    p1 != p2 <= e^{1/tau} (the prime range is capped at prime_cap, recorded).
-    Conclusion: |sum_{n<=N} mu(n) f(n)| <= 2 sqrt(tau log(1/tau)) N.
+    p1 != p2 <= e^{1/tau} (the prime range is capped at BSZ_PRIME_CAP,
+    recorded).  Conclusion: |sum_{n<=N} mu(n) f(n)| <= 2 sqrt(tau log(1/tau)) N.
     """
     if not 0.0 < tau < 1.0 / math.e:
         raise DomainError("tau must lie in (0, 1/e)")
     bound = math.exp(1.0 / tau)
-    capped = bound > prime_cap
-    pbound = min(int(bound), prime_cap)
-    sieve = np.ones(pbound + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, int(pbound**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = False
-    primes = np.nonzero(sieve)[0]
+    capped = bound > BSZ_PRIME_CAP
+    pbound = min(int(bound), BSZ_PRIME_CAP)
+    primes = _primes_upto(pbound)
     if primes.size < 2:
         raise DomainError(f"prime range e^(1/tau)={bound:.1f} holds fewer than two primes")
 
@@ -679,13 +655,6 @@ def phi_polys(report: CaseReport, h: AnalyticSeries, d1: int, d2: int,
                     D=D, d1=d1, d2=d2)
 
 
-def ftilde_third_derivative(report: CaseReport, h: AnalyticSeries, d1: int,
-                            d2: int, x1: float, x: float) -> complex:
-    """Third derivative of the dilation difference f_J(d1 x) - f_J(d2 x)."""
-    sf = ScaleFunction.from_report(report, h, x1)
-    return sf.tilde_third_derivative(x, d1, d2)
-
-
 # ---------------------------------------------------------------------------
 # Lemma verifiers
 
@@ -733,21 +702,19 @@ def poly_lower_bound_check(coefficients: Sequence[complex], delta: float,
 
 def vdc_sum_check(F_value: Callable[[float], float],
                   F_third: Callable[[float], float],
-                  Lambda: float, eta: float, a: float, b: float,
-                  derivative_samples: int = 200,
-                  implied_constant: float = 10.0) -> dict:
+                  Lambda: float, eta: float, a: float, b: float) -> dict:
     """Compare |sum_{a<n<b} e(F(n))| with the third-derivative bound.
 
-    Bound: implied_constant * (eta^(1/2) Lambda^(1/6) (b-a) +
+    Bound: VDC_IMPLIED_CONSTANT * (eta^(1/2) Lambda^(1/6) (b-a) +
     Lambda^(-1/6) (b-a)^(1/2)), valid when Lambda <= |F'''| <= eta Lambda
-    on (a, b).  The derivative window is checked by sampling; violations are
-    reported, not raised.
+    on (a, b).  The derivative window is checked at VDC_DERIVATIVE_SAMPLES
+    points; violations are reported, not raised.
     """
     if b - a < 1:
         raise DomainError("need b - a >= 1")
     if Lambda <= 0 or eta < 1:
         raise DomainError("need Lambda > 0 and eta >= 1")
-    xs = np.linspace(a + 1e-9 * (b - a), b - 1e-9 * (b - a), derivative_samples)
+    xs = np.linspace(a + 1e-9 * (b - a), b - 1e-9 * (b - a), VDC_DERIVATIVE_SAMPLES)
     d3 = np.array([abs(F_third(float(x))) for x in xs])
     precondition_ok = bool(np.all(d3 >= Lambda * (1 - 1e-9))
                            and np.all(d3 <= eta * Lambda * (1 + 1e-9)))
@@ -757,7 +724,7 @@ def vdc_sum_check(F_value: Callable[[float], float],
         if n > a:
             total += cmath.exp(2j * math.pi * (F_value(float(n)) % 1.0))
         n += 1
-    bound = implied_constant * (math.sqrt(eta) * Lambda ** (1 / 6) * (b - a)
+    bound = VDC_IMPLIED_CONSTANT * (math.sqrt(eta) * Lambda ** (1 / 6) * (b - a)
                                 + Lambda ** (-1 / 6) * math.sqrt(b - a))
     return {
         "precondition_ok": precondition_ok,

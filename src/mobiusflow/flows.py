@@ -11,10 +11,12 @@ normalized case a = d = 1)
     y2(n) = c n(n-1)/2 alpha + c n x1 + x2 + sum_{j<n} h(x1 + j alpha),
 
 where the quadratic term uses the exact integer n(n-1)/2 before any mod-1
-reduction.  Affine maps x -> Wx + b with quasi-unipotent integer W reduce,
-through the linear map [[W, b], [0, 1]] on (x, 1), to polynomial character
-phases: psi(T^n x) = e(phi(n)) on each residue class n = nu t + l, with
-deg phi at most the nilpotency order plus one.
+reduction and the Birkhoff sum is summed directly.  Affine maps x -> Wx + b
+with quasi-unipotent integer W reduce, through the linear map [[W, b], [0, 1]]
+on (x, 1), to polynomial character phases: psi(T^n x) = e(phi(n)) on each
+residue class n = nu t + l, with deg phi at most the nilpotency order plus
+one.  `PolyPhase` holds such a phi with exact coefficients; it is the one
+phase-polynomial type of the package, and `poly_exp_sum` sums it.
 
 Finite cyclic factors are modeled as rational coordinates (C_M embeds in the
 circle as {k/M}); full generality of finite abelian factors is not modeled.
@@ -27,14 +29,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .analytic import AnalyticSeries, birkhoff_sum_direct, birkhoff_sum_fourier
+from .analytic import AnalyticSeries, birkhoff_sum_direct, eval_series
 from .cfrac import AlphaSpec
 from .errors import DomainError
-from .polyutil import affine_orbit_polys, mat_mul, mat_vec, quasi_unipotent
-
-
-def _frac1(x: Fraction) -> Fraction:
-    return x % 1
+from .polyutil import Poly, affine_orbit_polys, mat_mul, mat_vec, quasi_unipotent
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class SkewFlow:
 
 def skew_step(flow: SkewFlow, p: TorusPoint) -> TorusPoint:
     """One application of T; h is evaluated at the incoming x1."""
-    from .analytic import eval_series
     hval = eval_series(flow.h, p.x1).real
     x1 = (flow.a * p.x1 + flow.alpha.frac_float(1)) % 1.0
     x2 = (flow.c * p.x1 + flow.d * p.x2 + hval) % 1.0
@@ -99,18 +96,7 @@ def skew_orbit_iter(flow: SkewFlow, p: TorusPoint, n: int) -> TorusPoint:
     return p
 
 
-_BIRKHOFF = {"direct": birkhoff_sum_direct, "fourier": birkhoff_sum_fourier}
-
-
-def _birkhoff_sum(flow: SkewFlow, p: TorusPoint, n: int, mode: str) -> complex:
-    """sum_{j<n} h(x1 + j alpha) by the method birkhoff_mode names."""
-    if mode not in _BIRKHOFF:
-        raise DomainError(f"unknown birkhoff_mode {mode!r}")
-    return _BIRKHOFF[mode](flow.h, p.x1, flow.alpha, n)
-
-
-def skew_orbit_closed(flow: SkewFlow, p: TorusPoint, n: int,
-                      birkhoff_mode: str = "direct") -> TorusPoint:
+def skew_orbit_closed(flow: SkewFlow, p: TorusPoint, n: int) -> TorusPoint:
     """Orbit at time n from the closed form (normalized flows only)."""
     if n < 0:
         raise DomainError("orbit time must be >= 0")
@@ -123,14 +109,13 @@ def skew_orbit_closed(flow: SkewFlow, p: TorusPoint, n: int,
     y1 = float((x1f + alpha.frac_fraction(n)) % 1)
 
     quad = alpha.frac_fraction(flow.c * (n * (n - 1) // 2))
-    lin = _frac1(flow.c * n * x1f)
-    bsum = _birkhoff_sum(flow, p, n, birkhoff_mode)
+    lin = (flow.c * n * x1f) % 1
+    bsum = birkhoff_sum_direct(flow.h, p.x1, alpha, n)
     y2 = (float(quad) + float(lin) + p.x2 + bsum.real) % 1.0
     return TorusPoint(y1, y2)
 
 
-def character_phase(flow: SkewFlow, p: TorusPoint, b: Character, n: int,
-                    birkhoff_mode: str = "direct") -> float:
+def character_phase(flow: SkewFlow, p: TorusPoint, b: Character, n: int) -> float:
     """<b, orbit(n)> mod 1.
 
     With b2 = 0 the phase depends only on the rotation factor and no h
@@ -149,7 +134,7 @@ def character_phase(flow: SkewFlow, p: TorusPoint, b: Character, n: int,
                  + alpha.frac_fraction(b.b1 * n + b.b2 * flow.c * (n * (n - 1) // 2))
                  + b.b2 * flow.c * n * x1f
                  + b.b2 * Fraction(p.x2)) % 1
-    bsum = _birkhoff_sum(flow, p, n, birkhoff_mode)
+    bsum = birkhoff_sum_direct(flow.h, p.x1, alpha, n)
     return (float(poly_part) + b.b2 * bsum.real) % 1.0
 
 
@@ -224,7 +209,7 @@ class UnipotentAffine:
 
     def step(self, x: Sequence[Fraction]) -> list[Fraction]:
         v = mat_vec(self.matrix, [Fraction(t) for t in x])
-        return [_frac1(v[i] + self.translation[i]) for i in range(self.dimension)]
+        return [(v[i] + self.translation[i]) % 1 for i in range(self.dimension)]
 
     def orbit_point(self, x: Sequence[Fraction], n: int) -> list[Fraction]:
         p = [Fraction(t) for t in x]
@@ -232,41 +217,42 @@ class UnipotentAffine:
             p = self.step(p)
         return p
 
-    def doubled(self) -> tuple:
-        """Linearization: Wtilde (x, b) = (Wx + b, b) on T^{2m}."""
-        m = self.dimension
-        top = [list(self.matrix[i]) + [1 if j == i else 0 for j in range(m)]
-               for i in range(m)]
-        bot = [[0] * m + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-        return top + bot
-
 
 @dataclass(frozen=True)
-class PhasePolynomial:
-    """phi with psi(T^n x) = e(phi(n)) on the residue class n = l (mod nu)."""
+class PolyPhase:
+    """Real phase phi(n) on n = residue (mod nu); exact Fraction coefficients, low to high."""
 
     coeffs: tuple
-    nu: int
-    residue: int
+    nu: int = 1
+    residue: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.residue < self.nu:
+            raise DomainError("need 0 <= residue < nu")
+        if len(self.coeffs) < 1:
+            raise DomainError("need at least a constant coefficient")
+        if any(isinstance(c, float) and not math.isfinite(c) for c in self.coeffs):
+            raise DomainError(f"coefficients must be finite, got {self.coeffs}")
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else 0
+        return len(self.coeffs) - 1
+
+    def as_poly(self) -> Poly:
+        return Poly(self.coeffs)
 
     def value_fraction(self, n: int) -> Fraction:
         if n % self.nu != self.residue:
             raise DomainError(f"n={n} is not {self.residue} mod {self.nu}")
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
+        return self.as_poly().eval(n)
 
     def value_mod1(self, n: int) -> float:
         return float(self.value_fraction(n) % 1)
 
 
 def unipotent_phase_poly(aff: UnipotentAffine, x: Sequence, v: Sequence[int],
-                         l: int) -> PhasePolynomial:
+                         l: int) -> PolyPhase:
     """Exact polynomial phase of the character e(<v, .>) along the orbit.
 
     The orbit is the affine recursion x_n = W x_{n-1} + b, and with
@@ -283,7 +269,7 @@ def unipotent_phase_poly(aff: UnipotentAffine, x: Sequence, v: Sequence[int],
                                  aff.nu, l, rows=([int(c) for c in v],))
     # t = (n - l)/nu
     poly_n = poly.compose_linear(Fraction(1, aff.nu), Fraction(-l, aff.nu))
-    return PhasePolynomial(coeffs=poly_n.coeffs or (Fraction(0),), nu=aff.nu, residue=l)
+    return PolyPhase(poly_n.coeffs or (Fraction(0),), nu=aff.nu, residue=l)
 
 
 def character_value(aff: UnipotentAffine, x: Sequence, v: Sequence[int], n: int) -> complex:

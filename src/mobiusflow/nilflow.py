@@ -19,8 +19,10 @@ gamma = log g.  When dsigma is quasi-unipotent, so is that map, and the
 time-n point is a finite product b_1^{h_1(n)} ... b_k^{h_k(n)} with k
 independent of n: the factors are generator exponentials and the exponents
 are monomials whose exact rational coefficients come from binomial
-expansion of the unipotent part.  This representation is what the Mobius
-correlator evaluates (random access in n, no orbit recursion).
+expansion of the unipotent part; `PolyOrbitRep` reads them off the
+second-kind coordinate polynomials Z_i(n), which is all it stores.  This
+form is what the Mobius correlator evaluates (random access in n, no orbit
+recursion).
 
 Fundamental domain: v1, v2, v3 in [0, 1), reduced in the order v1, v2 then
 v3 (the central correction is applied last).  Character observables
@@ -217,15 +219,20 @@ def nil_orbit_iter(T: HeisenbergAffine, x: HeisenbergElement, n: int) -> Heisenb
 class PolyOrbitRep:
     """T^n(x Gamma) = b_1^{h_1(n)} ... b_k^{h_k(n)} Gamma on n = l (mod nu).
 
-    Factors are generator exponentials: each entry is (axis, degree, c)
-    meaning exp(c X_axis)^(n^degree); the coordinate polynomials Z_axis(n)
-    are kept alongside for direct evaluation.  k never depends on n.
+    Stored as the second-kind coordinate polynomials Z_axis(n); a factor
+    (axis, degree, c) means exp(c X_axis)^(n^degree).  Every X1 factor comes
+    before the first X2 factor, so the group law's term -w1 v2 is always 0
+    and the product is (Z1(n), Z2(n), Z3(n)).  k never depends on n.
     """
 
     nu: int
     residue: int
-    factors: tuple
     coord_polys: tuple
+
+    @property
+    def factors(self) -> tuple:
+        return tuple((axis, degree, c) for axis, P in enumerate(self.coord_polys)
+                     for degree, c in enumerate(P.coeffs) if c)
 
     @property
     def k(self) -> int:
@@ -235,13 +242,7 @@ class PolyOrbitRep:
         """Unreduced group element at time n (n = residue mod nu, n >= 0)."""
         if n < 0 or n % self.nu != self.residue:
             raise DomainError(f"n={n} is not {self.residue} (mod {self.nu})")
-        acc = HeisenbergElement.identity()
-        for axis, degree, c in self.factors:
-            exponent = c * n**degree
-            coords = [Fraction(0)] * 3
-            coords[axis] = exponent
-            acc = heis_mul(acc, HeisenbergElement(*coords))
-        return acc
+        return HeisenbergElement(*(Z.eval(n) for Z in self.coord_polys))
 
     def evaluate_reduced(self, n: int) -> HeisenbergElement:
         return reduce_to_fundamental(self.evaluate(n))
@@ -269,9 +270,7 @@ def compile_poly_orbit(T: HeisenbergAffine, x: HeisenbergElement, l: int) -> Pol
     u1, u2, u3 = affine_orbit_polys(M, gamma, coord_first_from_second(x.coords()), nu, l)
     Zn = tuple(P.compose_linear(Fraction(1, nu), Fraction(-l, nu))
                for P in (u1, u2, u3 - u1 * u2.scale(Fraction(1, 2))))
-    factors = tuple((axis, degree, c) for axis, P in enumerate(Zn)
-                    for degree, c in enumerate(P.coeffs) if c)
-    return PolyOrbitRep(nu=nu, residue=l, factors=factors, coord_polys=Zn)
+    return PolyOrbitRep(nu=nu, residue=l, coord_polys=Zn)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_criterion_01_orbit_oracle_equivalence():
                 p = skew_step(flow, p)
                 n += 1
                 p = TorusPoint(float((x1f + alpha.frac_fraction(n)) % 1), p.x2)
-            q = skew_orbit_closed(flow, p0, target, "direct")
+            q = skew_orbit_closed(flow, p0, target)
             for a, b in ((p.x1, q.x1), (p.x2, q.x2)):
                 d = abs(a - b) % 1.0
                 worst = max(worst, min(d, 1.0 - d))
@@ -170,7 +170,7 @@ def test_criterion_05_polynomial_phase_decay(table6):
     for i in range(5):
         deg = 1 + i % 3
         coeffs = tuple(float(rng.random()) for _ in range(deg + 1))
-        phase = PolyPhase(coefficients=coeffs, nu=1, residue=0)
+        phase = PolyPhase(coeffs=coeffs, nu=1, residue=0)
         r3 = abs(poly_exp_sum(phase, table6, 10**3)) / 10**3
         r6 = abs(poly_exp_sum(phase, table6, 10**6)) / 10**6
         assert r6 < 0.02, (coeffs, r6)

@@ -13,7 +13,7 @@ from mobiusflow.analytic import (AnalyticSeries, ScaleFunction, big_H,
                                  birkhoff_sum_direct, birkhoff_sum_fourier,
                                  birkhoff_tail_bound, caseB_polynomial,
                                  caseB_taylor, cobounding_series,
-                                 coboundary_residual, e2pi, eval_series, phi_j,
+                                 coboundary_residual, e2pi, eval_series,
                                  rational_case_decompose, scale_window)
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case, phi_scale, with_partition
 from mobiusflow.errors import DomainError
@@ -235,7 +235,7 @@ def test_phi_j_matches_direct_window_sum():
     j = rep.J - 1
     direct = sum((m * m) * abs(c)
                  for m, c in scale_window(sysm.combined, rep.scales[j], rep.M[j]))
-    assert phi_j(rep, sysm.combined, j) == pytest.approx(direct)
+    assert phi_scale(sysm.combined, rep.scales[j], rep.M[j]) == pytest.approx(direct)
 
 
 def test_phi_monotone_in_tau():

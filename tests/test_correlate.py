@@ -9,13 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobiusflow.analytic import AnalyticSeries, e2pi, e2pi_m1, geometric_ratio
+from mobiusflow.analytic import AnalyticSeries, ScaleFunction, e2pi, e2pi_m1, geometric_ratio
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
 from mobiusflow.correlate import (CHUNK, INT64_MODULUS_MAX, CorrelationSeries, PolyPhase, bsz_test,
                                   character_phase_array, mobius_correlate,
                                   phi_polys, poly_exp_sum, poly_lower_bound_check,
-                                  poly_mod1_array, vdc_sum_check,
-                                  ftilde_third_derivative)
+                                  poly_mod1_array, vdc_sum_check)
 from mobiusflow.errors import DomainError
 from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine, character_phase
 from mobiusflow.furstenberg import FurstenbergSystem
@@ -391,7 +390,7 @@ def test_phi_tail_bound_pointwise():
 
 def test_ftilde_third_derivative_trivials():
     h, rep = _context()
-    assert ftilde_third_derivative(rep, h, 2, 2, 0.3, 0.11) == 0
+    assert ScaleFunction.from_report(rep, h, 0.3).tilde_third_derivative(0.11, 2, 2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +447,10 @@ def test_vdc_on_dilation_difference_phase():
     theta = float(rep.theta_J_signed)
     delta = rep.delta
 
+    sf = ScaleFunction.from_report(rep, h, x1)
+
     def E3(x):
-        return (b2 * ftilde_third_derivative(rep, h, d1, d2, x1, x * theta)
-                * theta**3).real
+        return (b2 * sf.tilde_third_derivative(x * theta, d1, d2) * theta**3).real
 
     # sample x in (0, 1/|theta|) with e(x theta) off the root discs of phi_D
     roots = np.roots(np.array([pp.phi_D.get(f, 0j)
@@ -475,7 +475,6 @@ def test_vdc_on_dilation_difference_phase():
 
 
 def _E_value(rep, h, d1, d2, x1, x, theta, b2):
-    from mobiusflow.analytic import ScaleFunction
     sf = ScaleFunction.from_report(rep, h, x1)
     return (b2 * sf.tilde_value(x * theta, d1, d2)).real
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobiusflow import analytic
+from mobiusflow import flows
 from mobiusflow.analytic import AnalyticSeries
 from mobiusflow.cfrac import AlphaSpec
 from mobiusflow.errors import DomainError
@@ -66,9 +66,7 @@ def test_closed_orbit_matches_iteration():
     for _ in range(5):
         flow, p = random_flow(RNG)
         q_iter = skew_orbit_iter(flow, p, 2000)
-        for mode in ("direct", "fourier"):
-            q_closed = skew_orbit_closed(flow, p, 2000, mode)
-            assert q_closed.close_to(q_iter, 1e-9)
+        assert skew_orbit_closed(flow, p, 2000).close_to(q_iter, 1e-9)
 
 
 def test_closed_orbit_requires_normalized():
@@ -117,13 +115,6 @@ def test_character_phase_matches_orbit():
         assert abs(lhs - rhs) < 1e-8
 
 
-def test_unknown_birkhoff_mode_is_rejected():
-    flow, p = random_flow(np.random.default_rng(5))
-    for fn in (skew_orbit_closed, lambda *a: character_phase(flow, p, Character(1, 1), *a[2:])):
-        with pytest.raises(DomainError, match="birkhoff_mode"):
-            fn(flow, p, 7, "fourir")
-
-
 def test_b2_zero_never_evaluates_h(monkeypatch):
     flow, p = random_flow(RNG)
     calls = {"n": 0}
@@ -131,10 +122,13 @@ def test_b2_zero_never_evaluates_h(monkeypatch):
     def poisoned(*a, **k):
         calls["n"] += 1
         raise AssertionError("h must not be evaluated when b2 = 0")
-    monkeypatch.setattr(analytic, "birkhoff_sum_direct", poisoned)
-    monkeypatch.setattr(analytic, "birkhoff_sum_fourier", poisoned)
+    monkeypatch.setattr(flows, "birkhoff_sum_direct", poisoned)
     character_phase(flow, p, Character(5, 0), 77)
     assert calls["n"] == 0
+    # the patch reaches the closed form: with b2 != 0 it is called
+    with pytest.raises(AssertionError, match="must not be evaluated"):
+        character_phase(flow, p, Character(5, 1), 77)
+    assert calls["n"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +197,11 @@ def test_phase_poly_degree_bound():
     """deg phi <= nilpotency order of the linearized (doubled) map."""
     aff = UnipotentAffine(matrix=((1, 1, 0), (0, 1, 1), (0, 0, 1)),
                           translation=(Fraction(1, 3), 0, 0))
-    doubled = UnipotentAffine(matrix=tuple(map(tuple, aff.doubled())),
-                              translation=(0,) * 6)
+    # Wtilde (x, b) = (Wx + b, b) on T^6
+    m = aff.dimension
+    eye = [[int(i == j) for j in range(m)] for i in range(m)]
+    wtilde = [list(aff.matrix[i]) + eye[i] for i in range(m)] + [[0] * m + row for row in eye]
+    doubled = UnipotentAffine(matrix=tuple(map(tuple, wtilde)), translation=(0,) * 6)
     x = (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
     pp = unipotent_phase_poly(aff, x, (1, 1, 1), 0)
     assert pp.degree <= doubled.nilpotency_order
