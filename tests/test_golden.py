@@ -14,7 +14,9 @@ sums with ==.  The `poly_exp_sum` sums, the reduced Heisenberg orbit
 points, the skew closed form and character phases, the `bsz_test` reports
 and the series CSV of the `correlate` and `nilflow` commands were recorded
 before the two phase-polynomial types and the two stored forms of the
-Heisenberg orbit became one each.  Exact rationals are kept as `Fraction`
+Heisenberg orbit became one each.  The orbit forms, reduced points and nil
+sums of the dyadic-g maps were recorded while the bracket term still ran
+in int64 on every rational map.  Exact rationals are kept as `Fraction`
 strings and correlation sums as the repr of each complex sum.
 """
 
@@ -48,9 +50,14 @@ HEIS = {
 }
 # g is read exactly from doubles, so its coordinates have denominator 2^52
 HEIS["readme-float-g"] = ((0.1234, 0.31, 0.2718),) + HEIS["readme"][1:]
+# dyadic g: with g1 = 3/8 the three moduli of the (1, 2, 1) bracket (K, D1 D2 and D2) divide
+# 2^64; with g1 = 1/8 the 1/6 of the cubic coefficient leaves a 3 in K, while D2 is 16
+HEIS["readme-dyadic-g"] = (("3/8", "3/16", "5/32"),) + HEIS["readme"][1:]
+HEIS["readme-odd-k"] = (("1/8", "3/16", "5/32"),) + HEIS["readme"][1:]
 NIL_SUMS = {"nil-horizontal": ("readme", (1, 2, 0)), "nil-central": ("readme", (1, 2, 1))}
 NIL_SUMS.update({f"nil-{name}-{p}{q}{r}": (name, (p, q, r))
-                 for name in ("order4", "order3", "order6", "readme-float-g")
+                 for name in ("order4", "order3", "order6", "readme-float-g", "readme-dyadic-g",
+                              "readme-odd-k")
                  for p, q, r in ((1, 2, 0), (1, 2, 1))})
 AFFINE = {
     # the poly-phase benchmark's map, nu = 2
@@ -250,6 +257,16 @@ GOLDEN_HEISENBERG = {'order3': {'nu': 3,
             'coord_polys': ((('0', '1/3'),
                              ('0', '-1/42', '1/6'),
                              ('0', '313/945', '11/126', '-1/54')),)},
+ 'readme-dyadic-g': {'nu': 1,
+                     'nilpotent': (('0', '0', '0'), ('1', '0', '0'), ('1/2', '0', '0')),
+                     'coord_polys': ((('0', '3/8'),
+                                      ('0', '0', '3/16'),
+                                      ('0', '11/128', '3/32', '-3/128')),)},
+ 'readme-odd-k': {'nu': 1,
+                  'nilpotent': (('0', '0', '0'), ('1', '0', '0'), ('1/2', '0', '0')),
+                  'coord_polys': ((('0', '1/8'),
+                                   ('0', '1/8', '1/16'),
+                                   ('0', '13/96', '3/128', '-1/384')),)},
  'reflection': {'nu': 2,
                 'nilpotent': (('0', '0', '0'), ('0', '0', '0'), ('-1', '1', '0')),
                 'coord_polys': ((('1/5', '5/21'),
@@ -319,6 +336,18 @@ GOLDEN_SUMS = {'affine': ('(-3.1293006008983806+1.9683932991444304j)',
  'nil-order6-121': ('(7.549142313422222+10.269672212869324j)',
                     '(24.02735318342041+6.004372762300351j)',
                     '(-43.14312403346814-25.786804508865522j)'),
+ 'nil-readme-dyadic-g-120': ('(2.999999999999999-2.0000000000000004j)',
+                             '(7.999999999999998-10j)',
+                             '(-4.440892098500626e-15-51j)'),
+ 'nil-readme-dyadic-g-121': ('(-3.042411735534719-1.2020926609761466j)',
+                             '(-16.705439571939973-0.1812609316248961j)',
+                             '(47.01006085654936-37.894347380279264j)'),
+ 'nil-readme-odd-k-120': ('(-6.661338147750939e-16-5j)',
+                          '(-4.000000000000002-14j)',
+                          '(-44-6.999999999999998j)'),
+ 'nil-readme-odd-k-121': ('(-8.36097281793879+2.1231173812851223j)',
+                          '(-19.53498254669959-8.380979114041804j)',
+                          '(-30.770931411815482+9.973648853123347j)'),
  'nil-readme-float-g-120': ('(-5.788000743309742-0.4846415657238815j)',
                             '(-18.91074389861322+2.0632972431600725j)',
                             '(-89.66356826226146+13.078470818730786j)'),
@@ -409,6 +438,26 @@ GOLDEN_EVALUATE = {'order3': (('1/5', '2/9', '3/11'),
                     ('42787799339684275/72057594037927936',
                      '13626090456438255/18014398509481984',
                      '80392695948877338436252199597917/324518553658426726783156020576256')),
+ 'readme-dyadic-g': (('0', '0', '0'),
+                     ('3/8', '3/16', '5/32'),
+                     ('3/4', '3/4', '23/64'),
+                     ('1/8', '11/16', '5/32'),
+                     ('7/8', '11/16', '17/32'),
+                     ('5/8', '3/16', '17/32'),
+                     ('1/2', '0', '1/32'),
+                     ('3/8', '3/16', '13/32'),
+                     ('0', '0', '15/16'),
+                     ('3/8', '3/16', '21/32')),
+ 'readme-odd-k': (('0', '0', '0'),
+                  ('1/8', '3/16', '5/32'),
+                  ('1/4', '1/2', '11/32'),
+                  ('3/8', '15/16', '35/64'),
+                  ('5/8', '3/16', '15/16'),
+                  ('7/8', '15/16', '13/64'),
+                  ('1/2', '1/2', '0'),
+                  ('1/8', '3/16', '5/32'),
+                  ('0', '0', '1/4'),
+                  ('1/8', '3/16', '5/32')),
  'reflection': (('1/5', '2/9', '3/11'),
                 ('5/9', '12/35', '58/231'),
                 ('71/105', '44/63', '11279/24255'),
