@@ -25,8 +25,6 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, PrecisionError
 
-DEFAULT_PRECISION_BITS = 256
-
 
 # ---------------------------------------------------------------------------
 # Alpha specifications
@@ -42,7 +40,7 @@ class AlphaSpec:
         "quotients"   explicit finite quotient list; semantics are "any
                       irrational whose expansion starts with these quotients"
         "furstenberg" quotient list produced by the lacunary construction
-                      (behaves like "quotients", carries tau/depth metadata)
+                      (behaves like "quotients")
     """
 
     kind: str
@@ -51,9 +49,6 @@ class AlphaSpec:
     initial: tuple[int, ...] = ()
     period: tuple[int, ...] = ()
     quotient_seq: tuple[int, ...] = ()
-    tau: Optional[float] = None
-    depth: Optional[int] = None
-    precision_bits: int = DEFAULT_PRECISION_BITS
     label: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -78,15 +73,13 @@ class AlphaSpec:
 
     @classmethod
     def from_quotients(cls, quotients: Sequence[int], kind: str = "quotients",
-                       tau: Optional[float] = None, depth: Optional[int] = None,
-                       precision_bits: int = DEFAULT_PRECISION_BITS, label: str = "") -> "AlphaSpec":
+                       label: str = "") -> "AlphaSpec":
         qs = tuple(int(a) for a in quotients)
         if len(qs) < 2:
             raise DomainError("explicit quotient list needs at least a_0, a_1")
         if any(a < 1 for a in qs[1:]):
             raise DomainError("partial quotients a_k must be >= 1 for k >= 1")
-        return cls(kind=kind, quotient_seq=qs, tau=tau, depth=depth,
-                   precision_bits=precision_bits, label=label or kind)
+        return cls(kind=kind, quotient_seq=qs, label=label or kind)
 
     @classmethod
     def sqrt2_minus_1(cls) -> "AlphaSpec":
@@ -113,16 +106,11 @@ class AlphaSpec:
     def _rational_quotients(self) -> tuple[int, ...]:
         key = "rat_quots"
         if key not in self._cache:
-            out = []
-            p, q = self.p, self.q
-            a0 = p // q
-            out.append(a0)
-            p -= a0 * q
-            while p:
-                p, q = q, p
-                a = p // q
+            out, p, q = [], self.p, self.q
+            while q:
+                a, r = divmod(p, q)
                 out.append(a)
-                p -= a * q
+                p, q = q, r
             self._cache[key] = tuple(out)
         return self._cache[key]
 
@@ -227,11 +215,7 @@ class AlphaSpec:
         """Exact-center value of n*alpha mod 1 in [0, 1)."""
         if n == 0:
             return Fraction(0)
-        bits = abs(n).bit_length()
-        if bits + 64 > self.precision_bits:
-            raise PrecisionError(
-                f"n={n} exceeds the declared precision budget of {self.precision_bits} bits")
-        c = self._phase_center(bits)
+        c = self._phase_center(abs(n).bit_length())
         return Fraction(n * c.numerator % c.denominator, c.denominator)
 
     def frac_signed_fraction(self, n: int) -> Fraction:

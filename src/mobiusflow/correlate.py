@@ -11,14 +11,13 @@ per term, and the error budget goes into the series metadata.
 Polynomial phases (`poly_exp_sum` of a `flows.PolyPhase`, the unipotent
 affine maps, whose phase on each class is a `PolyPhase` too, and the
 Heisenberg nilflows) are walked in t on each residue class n = nu t + l, as
-exact residues: with the polynomial written as integer numerators over a
-common denominator K, `poly_mod1_array` runs Horner in uint64 wraparound
-when K is a power of two up to 2^64, on 48-bit limbs for larger powers of
-two up to 2^1074, split into 2^a times a small odd m when a <= 64, and
-otherwise in `_horner_mod` (int64 or Python ints), and rounds the exact
-rational once to float64.  Work is split into
-fixed-size chunks combined in a fixed order, so every correlator honours
-`threads` and its results are bit-identical for any worker count.
+exact residues over the common denominator K of the polynomial.
+`poly_mod1_array` has three routes: 48-bit limbs for powers of two from
+2^65 to 2^1074, K = 2^a m split into uint64 and int64 parts, and otherwise
+the one Horner, `_horner_mod`; the Heisenberg bracket runs on the same
+residues, and either rounds the exact rational once to float64.  Work is
+split into fixed-size chunks combined in a fixed order, so every correlator
+honours `threads` and its results are bit-identical for any worker count.
 
 Also here: the bilinear-criterion test (small correlations against prime
 dilations force small multiplicative-weighted sums), the polynomial
@@ -88,30 +87,44 @@ INT64_MODULUS_MAX = math.isqrt(2**63 - 1)
 _U64 = 1 << 64
 
 
-def _horner_mod(coeffs: Sequence[int], K: int, t0: int, count: int) -> np.ndarray:
+def _residue_dtype(*moduli: int):
+    """uint64 if all moduli divide 2^64, else int64 if all are <= INT64_MODULUS_MAX, else object."""
+    if all(_U64 % K == 0 for K in moduli):
+        return np.uint64
+    return np.int64 if max(moduli) <= INT64_MODULUS_MAX else object
+
+
+def _horner_mod(coeffs: Sequence[int], K: int, t0: int, count: int, dtype=None) -> np.ndarray:
     """P(t) mod K for t = t0..t0+count-1 and integer coefficients (low to high).
 
-    Horner runs on t mod K in int64 when K <= INT64_MODULUS_MAX and on an
-    object array of Python ints otherwise.
+    dtype defaults to `_residue_dtype(K)`.  uint64 wraps mod 2^64, which K
+    divides, and masks once at the end; int64 and Python ints reduce t and
+    every step mod K.
     """
-    t0 %= K
-    t = np.arange(t0, t0 + count, dtype=np.int64 if K <= INT64_MODULUS_MAX else object) % K
+    dtype = dtype or _residue_dtype(K)
+    wrap = dtype is np.uint64
+    t = np.arange(count, dtype=dtype) + t0 % K
+    if not wrap:
+        t %= K
     acc = np.zeros_like(t)
     for c in reversed(coeffs):
         acc *= t
         acc += c % K
-        acc %= K
-    return acc
+        if not wrap:
+            acc %= K
+    return acc & np.uint64(K - 1) if wrap else acc
 
 
-def _horner_u64(B: Sequence[int], t0: int, count: int) -> np.ndarray:
-    """B(t) mod 2^64 for t = t0..t0+count-1, in uint64 wraparound."""
-    t = np.arange(count, dtype=np.uint64) + np.uint64(t0 % _U64)
-    acc = np.zeros(count, dtype=np.uint64)
-    for b in reversed(B):
-        acc *= t
-        acc += np.uint64(b % _U64)
-    return acc
+def _mod(x: np.ndarray, K: int) -> np.ndarray:
+    """x mod K in a dtype of `_residue_dtype` (in uint64, K divides 2^64: a mask)."""
+    return x & np.uint64(K - 1) if x.dtype == np.uint64 else x % K
+
+
+def _residues_mod1(r: np.ndarray, K: int) -> np.ndarray:
+    """r / K rounded once to float64 for residues 0 <= r < K (in uint64, 1/K scales exactly)."""
+    if r.dtype == np.uint64:
+        return r.astype(np.float64) * (1.0 / K)
+    return (r / K).astype(np.float64, copy=False)
 
 
 def _round_limbs(limbs: list, width: int, k: int, sticky=0) -> np.ndarray:
@@ -188,7 +201,7 @@ def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int) -> np.nda
     whether a remainder is left, let `_round_limbs` round once.
     """
     g = _horner_mod(B, m, t0, count).astype(np.uint64)
-    Z = (_horner_u64(B, t0, count) - g) * np.uint64(pow(m, -1, _U64))  # bits from a on are ignored
+    Z = (_horner_mod(B, _U64, t0, count) - g) * np.uint64(pow(m, -1, _U64))  # bits from a ignored
     digits, rem, mu = [], g, np.uint64(m)
     for _ in range(3):
         rem = rem << np.uint64(32)
@@ -202,30 +215,46 @@ def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
     """frac(poly(t)) for t = t0..t0+count-1: the exact rational, rounded once to float64.
 
     With poly = sum B_k t^k / K over the common denominator K = 2^a m (m
-    odd) of its coefficients, the residue sum B_k t^k mod K comes from
-    Horner on integers, in the cheapest exact arithmetic that K allows:
+    odd) of its coefficients, the residue sum B_k t^k mod K comes by one of
+    three routes:
 
-    - uint64 wraparound when K is a power of two <= 2^64: it is exact mod
-      2^64 and so mod K (a float coefficient of magnitude at least about
-      2^-12, or below that with few mantissa bits, lands here);
-    - 48-bit limbs (`_pow2_limbs_mod1`) when K is a power of two up to
-      2^1074, which holds every polynomial with float coefficients;
-    - int64 mod K when K <= INT64_MODULUS_MAX;
+    - 48-bit limbs (`_pow2_limbs_mod1`) when K is a power of two from 2^65
+      to 2^1074;
     - uint64 mod 2^a and int64 mod m (`_split_mod1`) when a <= 64 and
-      m <= INT64_MODULUS_MAX, e.g. a float mixed with 1/3;
-    - Python-int object arrays otherwise.
+      1 < m <= INT64_MODULUS_MAX < K, e.g. a float mixed with 1/3;
+    - otherwise `_horner_mod` (in uint64 when K divides 2^64, as for float
+      coefficients of magnitude about 2^-12 or more), and `_residues_mod1`.
     """
     K = math.lcm(*(c.denominator for c in poly.coeffs))
-    B = [int(c * K) for c in poly.coeffs]
+    B = [c.numerator * (K // c.denominator) for c in poly.coeffs]
     a = (K & -K).bit_length() - 1
     m = K >> a
-    if m == 1 and a <= 64:
-        return (_horner_u64(B, t0, count) & np.uint64(K - 1)).astype(np.float64) * (1.0 / K)
-    if m == 1 and a <= 1074:
+    if m == 1 and 64 < a <= 1074:
         return _pow2_limbs_mod1(B, a, t0, count)
-    if K > INT64_MODULUS_MAX and a <= 64 and m <= INT64_MODULUS_MAX:
+    if K > INT64_MODULUS_MAX and a <= 64 and 1 < m <= INT64_MODULUS_MAX:
         return _split_mod1(B, a, m, t0, count)
-    return (_horner_mod(B, K, t0, count) / K).astype(np.float64)
+    return _residues_mod1(_horner_mod(B, K, t0, count), K)
+
+
+def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[[int, int], np.ndarray]:
+    """The source (t0, count) -> frac(P(t) + r floor(Z1(t)) Z2(t)), exact, rounded once.
+
+    With D_i the common denominator of Z_i this is B(t) + (r K / D2) floor(Z1)
+    Z2 mod K = lcm(the denominators of P, D2), where floor(Z1) mod D2 = (D1 Z1
+    mod D1 D2) // D1.  Its three Horners run in one dtype, picked from all
+    three moduli.  (If D2 divides r, `poly_mod1_array` of P is cheaper.)
+    """
+    D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
+    K = math.lcm(*(c.denominator for c in P.coeffs), D2)
+    B, A1, A2 = ([c.numerator * (d // c.denominator) for c in Z.coeffs]
+                 for Z, d in ((P, K), (Z1, D1), (Z2, D2)))
+    c, dtype = r * (K // D2) % K, _residue_dtype(K, D1 * D2, D2)
+
+    def phase(t0: int, count: int) -> np.ndarray:
+        floor_z1 = _horner_mod(A1, D1 * D2, t0, count, dtype) // D1
+        bracket = _mod(_mod(c * floor_z1, K) * _horner_mod(A2, D2, t0, count, dtype), K)
+        return _residues_mod1(_mod(_horner_mod(B, K, t0, count, dtype) + bracket, K), K)
+    return phase
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +459,8 @@ def _checked_checkpoints(checkpoints: Sequence[int], table: MobiusTable) -> tupl
     checkpoints = sorted(int(c) for c in checkpoints)
     if not checkpoints:
         raise DomainError("need at least one checkpoint")
+    if checkpoints[0] < 1:
+        raise DomainError(f"checkpoints must be >= 1, got {checkpoints[0]}")
     N = checkpoints[-1]
     if N > table.limit:
         raise DomainError(f"checkpoint {N} beyond sieve limit {table.limit}")

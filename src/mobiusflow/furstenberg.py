@@ -101,10 +101,8 @@ def build_alpha(tau: float, K: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Alp
         if not math.log(RATIO_BRACKET[0]) <= log_ratio <= math.log(RATIO_BRACKET[1]):
             raise DomainError(f"growth ratio left {RATIO_BRACKET} at k={j}")
 
-    return AlphaSpec.from_quotients(
-        quots, kind="furstenberg", tau=tau, depth=K,
-        precision_bits=q[-1].bit_length() + 256,
-        label=f"furstenberg(tau={tau}, K={K})")
+    return AlphaSpec.from_quotients(quots, kind="furstenberg",
+                                    label=f"furstenberg(tau={tau}, K={K})")
 
 
 def _denominators(alpha: AlphaSpec) -> list[int]:

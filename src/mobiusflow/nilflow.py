@@ -31,8 +31,10 @@ on the canonical representative, where the phase is the bracket polynomial
 frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) of the orbit coordinates Z_i(n).
 The correlator walks each residue class n = nu t + l in t, as the affine
 one does: a term without the bracket (every horizontal character) goes to
-`poly_mod1_array`, the bracket term is an integer residue, and either way
-the phase is the exact rational rounded once to float64.
+`poly_mod1_array`, and the bracket term is an integer residue from
+`correlate.bracket_mod1_source`, in uint64 when every modulus divides 2^64,
+in int64 up to isqrt(2^63 - 1) and on Python ints beyond.  Either way the
+phase is the exact rational rounded once to float64.
 """
 
 from __future__ import annotations
@@ -42,10 +44,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .correlate import (CHUNK, CorrelationSeries, _checked_checkpoints, _class_phase_chunk,
-                        _horner_mod, _weighted_sums, poly_mod1_array)
+                        _weighted_sums, bracket_mod1_source, poly_mod1_array)
 from .errors import DomainError
 from .mobius import MobiusTable
 from .polyutil import affine_orbit_polys, mat_vec, quasi_unipotent
@@ -311,27 +311,14 @@ class NilObservable:
 def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):
     """frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) at n = nu t + l, as a source in t.
 
-    With D_i the common denominator of Z_i(nu t + l), the bracket r floor(Z1) Z2
-    is an integer when r = 0 mod D2, and the source is `poly_mod1_array` of the
-    phase polynomial.  Otherwise the phase is a residue mod K = lcm(the other
-    denominators, D2), with floor(Z1) mod D2 = (D1 Z1 mod D1 D2) // D1.
+    When the common denominator of Z2 divides r, the bracket r floor(Z1) Z2
+    is an integer and `poly_mod1_array` evaluates the rest.
     """
     Z1, Z2, Z3 = (Z.compose_linear(rep.nu, rep.residue) for Z in rep.coord_polys)
     P = Z1.scale(p) + Z2.scale(q) + Z3.scale(r)
-    D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
-    rb = r % D2
-    if not rb:
-        return lambda t0, count: poly_mod1_array(P, t0, count)
-    K = math.lcm(*(c.denominator for c in P.coeffs), D2)
-    B, A1, A2 = ([int(c * d) for c in Z.coeffs] for Z, d in ((P, K), (Z1, D1), (Z2, D2)))
-
-    def phase(t0: int, count: int) -> np.ndarray:
-        num = _horner_mod(B, K, t0, count)
-        floor_z1 = _horner_mod(A1, D1 * D2, t0, count) // D1
-        bracket = rb * floor_z1 % D2 * _horner_mod(A2, D2, t0, count) % D2
-        num = num + bracket.astype(num.dtype, copy=False) * (K // D2)
-        return (num % K / K).astype(np.float64, copy=False)
-    return phase
+    if r % math.lcm(*(c.denominator for c in Z2.coeffs)):
+        return bracket_mod1_source(P, Z1, Z2, r)
+    return lambda t0, count: poly_mod1_array(P, t0, count)
 
 
 def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,

@@ -3,6 +3,7 @@
 All algebra here is exact over Fractions; equality assertions are literal.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiusflow.errors import DomainError
-from mobiusflow.correlate import INT64_MODULUS_MAX
+from mobiusflow.correlate import INT64_MODULUS_MAX, mobius_correlate
+from mobiusflow.flows import UnipotentAffine
 from mobiusflow.mobius import mobius_sieve, mertens
 from mobiusflow.nilflow import (HeisenbergAffine, HeisenbergElement,
                                 NilObservable, _residue_phase, compile_poly_orbit,
@@ -334,6 +336,37 @@ def test_residue_phases_equal_exact_phases():
     assert seen_nu >= {1, 2, 4} and seen_r == {1, -2, 3, 0} and moved_x >= 30
 
 
+def test_dyadic_bracket_phases_equal_exact_phases():
+    """Dyadic g and x: the bracket phases are == float(Fraction) on every class.
+
+    g3 = 3/2^64 takes K to 2^64 on some classes.  With g1 = 1/8 and a
+    unipotent block the 1/6 of the cubic coefficient leaves a 3 in K while
+    D1 D2 and D2 stay powers of two, so the three residues share one dtype."""
+    rng = random.Random(9)
+    gs = [("3/8", "3/16", "5/32"), ("1/8", "3/16", "5/32"), ("1/2", "1/4", Fraction(3, 2**64))]
+    kinds = set()  # (K, D1 D2, D2 divide 2^64; K == 2^64) of each bracket term
+    for i, (g, block) in enumerate((g, block) for g in gs for block in QU_BLOCKS):
+        T = HeisenbergAffine(g=HeisenbergElement(*g), dsigma=make_automorphism(block))
+        x = HeisenbergElement(*[Fraction(rng.randint(-12, 12), 2**rng.randint(0, 5))
+                                for _ in range(3)])
+        p, q, r = rng.randint(-3, 3), rng.randint(-3, 3), (1, -2, 3)[i % 3]
+        for l in range(T.nu):
+            rep = compile_poly_orbit(T, x, l)
+            Z1, Z2, Z3 = (Z.compose_linear(T.nu, l) for Z in rep.coord_polys)
+            D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
+            P = Z1.scale(p) + Z2.scale(q) + Z3.scale(r)
+            K = math.lcm(D2, *(c.denominator for c in P.coeffs))
+            if r % D2:
+                kinds.add(tuple(2**64 % m == 0 for m in (K, D1 * D2, D2)) + (K == 2**64,))
+            ns = list(range(l or T.nu, 300, T.nu)) + [l + T.nu * k for k in (10**5, 10**7 + 3)]
+            runs = [((l or T.nu) // T.nu, len(range(l or T.nu, 300, T.nu))), (10**5, 1),
+                    (10**7 + 3, 1)]  # ns as (t0, count), n = nu t + l
+            got = np.concatenate([_residue_phase(rep, p, q, r)(*run) for run in runs])
+            assert got.tolist() == [_exact_phase(rep, n, p, q, r) for n in ns], (i, l)
+    assert {(True, True, True, False), (True, True, True, True)} <= kinds
+    assert any(not k and d1d2 and d2 for k, d1d2, d2, _ in kinds)
+
+
 def test_residue_phases_beyond_int64_guard_stay_exact():
     g = HeisenbergElement(Fraction(1, 1000003), Fraction(1, 999983), Fraction(1, 65537))
     T = HeisenbergAffine(g=g, dsigma=make_automorphism(((1, 0), (1, 1))))
@@ -386,6 +419,17 @@ def test_correlate_central_vs_iteration_at_1e5():
     obs = NilObservable.character(1, 2, 1)
     series = correlate_nil(T, x, obs, big, [10**5])
     assert abs(series.sums[0] - _iteration_sum(T, x, obs, big.mu_array(), 10**5)) < 1e-9 * 10**5
+
+
+@pytest.mark.parametrize("checkpoints", [[-5, 100], [0, 100], [0]])
+def test_correlators_refuse_checkpoints_below_one(table, checkpoints):
+    """No piece ends at a checkpoint <= 0, so its sum would be dropped silently."""
+    aff = UnipotentAffine(matrix=((1, 1), (0, 1)), translation=(0.2, 0.0))
+    with pytest.raises(DomainError, match="checkpoints must be >= 1"):
+        mobius_correlate(aff, (0.2, 0.51), (1, 2), table, checkpoints)
+    T, x = _heisenberg("readme")
+    with pytest.raises(DomainError, match="checkpoints must be >= 1"):
+        correlate_nil(T, x, NilObservable.character(1, 2, 1), table, checkpoints)
 
 
 def test_correlate_needs_a_checkpoint(table):
