@@ -39,8 +39,7 @@ class AlphaSpec:
         "quadratic"   eventually periodic quotients (quadratic irrational)
         "quotients"   explicit finite quotient list; semantics are "any
                       irrational whose expansion starts with these quotients"
-        "furstenberg" quotient list produced by the lacunary construction
-                      (behaves like "quotients")
+        "furstenberg" the lacunary construction's quotient list, as "quotients"
     """
 
     kind: str

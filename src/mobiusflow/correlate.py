@@ -89,17 +89,15 @@ _U64 = 1 << 64
 
 def _residue_dtype(*moduli: int):
     """uint64 if all moduli divide 2^64, else int64 if all are <= INT64_MODULUS_MAX, else object."""
-    if all(_U64 % K == 0 for K in moduli):
-        return np.uint64
-    return np.int64 if max(moduli) <= INT64_MODULUS_MAX else object
+    return (np.uint64 if all(_U64 % K == 0 for K in moduli) else
+            np.int64 if max(moduli) <= INT64_MODULUS_MAX else object)
 
 
 def _horner_mod(coeffs: Sequence[int], K: int, t0: int, count: int, dtype=None) -> np.ndarray:
     """P(t) mod K for t = t0..t0+count-1 and integer coefficients (low to high).
 
-    dtype defaults to `_residue_dtype(K)`.  uint64 wraps mod 2^64, which K
-    divides, and masks once at the end; int64 and Python ints reduce t and
-    every step mod K.
+    dtype defaults to `_residue_dtype(K)`.  uint64 wraps mod 2^64, which K divides,
+    and masks once at the end; int64 and Python ints reduce t and every step mod K.
     """
     dtype = dtype or _residue_dtype(K)
     wrap = dtype is np.uint64
@@ -215,15 +213,12 @@ def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
     """frac(poly(t)) for t = t0..t0+count-1: the exact rational, rounded once to float64.
 
     With poly = sum B_k t^k / K over the common denominator K = 2^a m (m
-    odd) of its coefficients, the residue sum B_k t^k mod K comes by one of
-    three routes:
+    odd), the residue sum B_k t^k mod K takes one of three routes:
 
-    - 48-bit limbs (`_pow2_limbs_mod1`) when K is a power of two from 2^65
-      to 2^1074;
+    - 48-bit limbs (`_pow2_limbs_mod1`) for K = 2^a with 64 < a <= 1074;
     - uint64 mod 2^a and int64 mod m (`_split_mod1`) when a <= 64 and
       1 < m <= INT64_MODULUS_MAX < K, e.g. a float mixed with 1/3;
-    - otherwise `_horner_mod` (in uint64 when K divides 2^64, as for float
-      coefficients of magnitude about 2^-12 or more), and `_residues_mod1`.
+    - otherwise `_horner_mod`, rounded by `_residues_mod1`.
     """
     K = math.lcm(*(c.denominator for c in poly.coeffs))
     B = [c.numerator * (K // c.denominator) for c in poly.coeffs]
@@ -252,8 +247,8 @@ def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[[int, i
 
     def phase(t0: int, count: int) -> np.ndarray:
         floor_z1 = _horner_mod(A1, D1 * D2, t0, count, dtype) // D1
-        bracket = _mod(_mod(c * floor_z1, K) * _horner_mod(A2, D2, t0, count, dtype), K)
-        return _residues_mod1(_mod(_horner_mod(B, K, t0, count, dtype) + bracket, K), K)
+        bracket = _mod(c * floor_z1, K) * _horner_mod(A2, D2, t0, count, dtype)  # <= (K - 1)^2
+        return _residues_mod1(_mod(bracket + _horner_mod(B, K, t0, count, dtype), K), K)
     return phase
 
 

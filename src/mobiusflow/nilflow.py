@@ -309,16 +309,12 @@ class NilObservable:
 
 
 def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):
-    """frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) at n = nu t + l, as a source in t.
-
-    When the common denominator of Z2 divides r, the bracket r floor(Z1) Z2
-    is an integer and `poly_mod1_array` evaluates the rest.
-    """
+    """frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) at n = nu t + l, as a source in t."""
     Z1, Z2, Z3 = (Z.compose_linear(rep.nu, rep.residue) for Z in rep.coord_polys)
     P = Z1.scale(p) + Z2.scale(q) + Z3.scale(r)
     if r % math.lcm(*(c.denominator for c in Z2.coeffs)):
         return bracket_mod1_source(P, Z1, Z2, r)
-    return lambda t0, count: poly_mod1_array(P, t0, count)
+    return lambda t0, count: poly_mod1_array(P, t0, count)  # r floor(Z1) Z2 is an integer
 
 
 def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
