@@ -234,10 +234,9 @@ def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
 def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[[int, int], np.ndarray]:
     """The source (t0, count) -> frac(P(t) + r floor(Z1(t)) Z2(t)), exact, rounded once.
 
-    With D_i the common denominator of Z_i this is B(t) + (r K / D2) floor(Z1)
-    Z2 mod K = lcm(the denominators of P, D2), where floor(Z1) mod D2 = (D1 Z1
-    mod D1 D2) // D1.  Its three Horners run in one dtype, picked from all
-    three moduli.  (If D2 divides r, `poly_mod1_array` of P is cheaper.)
+    With D_i the common denominator of Z_i, this is B(t) + (r K / D2) floor(Z1) Z2
+    mod K = lcm(the denominators of P, D2), with floor(Z1) mod D2 = (D1 Z1 mod
+    D1 D2) // D1, from three Horners in one dtype picked from all three moduli.
     """
     D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
     K = math.lcm(*(c.denominator for c in P.coeffs), D2)

@@ -31,10 +31,9 @@ on the canonical representative, where the phase is the bracket polynomial
 frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) of the orbit coordinates Z_i(n).
 The correlator walks each residue class n = nu t + l in t, as the affine
 one does: a term without the bracket (every horizontal character) goes to
-`poly_mod1_array`, and the bracket term is an integer residue from
-`correlate.bracket_mod1_source`, in uint64 when every modulus divides 2^64,
-in int64 up to isqrt(2^63 - 1) and on Python ints beyond.  Either way the
-phase is the exact rational rounded once to float64.
+`poly_mod1_array`, the bracket term to `correlate.bracket_mod1_source` (in
+uint64 when every modulus divides 2^64, int64 up to isqrt(2^63 - 1), Python
+ints beyond), and either way the exact rational is rounded once to float64.
 """
 
 from __future__ import annotations
@@ -43,6 +42,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np  # noqa: F401 (bench/spans.py wraps nilflow.np.exp)
 
 from .correlate import (CHUNK, CorrelationSeries, _checked_checkpoints, _class_phase_chunk,
                         _weighted_sums, bracket_mod1_source, poly_mod1_array)
