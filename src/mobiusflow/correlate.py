@@ -104,7 +104,7 @@ def _horner_mod(coeffs: Sequence[int], K: int, t0: int, count: int, dtype=None) 
     t = np.arange(count, dtype=dtype) + t0 % K
     if not wrap:
         t %= K
-    acc = np.zeros_like(t)
+    acc = np.zeros(count, dtype=dtype)
     for c in reversed(coeffs):
         acc *= t
         acc += c % K
