@@ -397,7 +397,8 @@ class _SkewPhaseContext:
             out += tmp
             np.multiply(S[:L], z.imag, out=tmp)
             out -= tmp
-        return np.mod(out, 1.0, out=out)
+        out -= np.floor(out)  # the bits of np.mod(out, 1.0), at a fraction of its cost
+        return out
 
     def chunk(self, u: int, L: int) -> np.ndarray:
         """<b, orbit(n)> mod 1 for n = u..u+L-1."""
