@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mobiusflow import correlate, nilflow
 from mobiusflow.analytic import AnalyticSeries, e2pi, e2pi_m1
 from mobiusflow.cfrac import AlphaSpec
 from mobiusflow.cli import main
@@ -609,3 +610,64 @@ def test_bsz_report_is_frozen(name, table):
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))
 def test_cli_series_csv_is_frozen(name, tmp_path):
     assert cli_csv(name, tmp_path) == GOLDEN_CSV[name]
+
+
+def _reference_weighted_sums(bounds):
+    """`_weighted_sums` as the sums were first recorded: np.exp(2j pi ph) and np.dot per piece.
+
+    It takes the program's own phases from phase_chunk and the program's own
+    piece layout, and appends to bounds, per checkpoint N with P pieces up to
+    N and pieces of at most L terms, a bound on |S(N) - reference|:
+    np.exp within 8 2^-53 and the correlator's e(.) within 3 2^-53 per term;
+    np.dot in whatever order BLAS takes, within (L - 1) 2^-53 of the sum of
+    the moduli per piece, and the running sum P 2^-53 N, each of Re and Im;
+    and the correlator's own fixed-order reduction within 2 N (26 +
+    bit_length(L) + P) 2^-53.
+    """
+    def weighted_sums(phase_chunk, weights, N, checkpoints, threads, chunk):
+        pieces = correlate._pieces(N, checkpoints, chunk)
+        running, at = 0j, {}
+        for a, b in pieces:
+            z = np.exp(2j * np.pi * phase_chunk(a, b - a + 1))
+            running += complex(np.dot(weights[a - 1:b].astype(np.float64), z))
+            at[b] = running
+        L = max(b - a + 1 for a, b in pieces)
+        for c in sorted(checkpoints):
+            P = sum(1 for _, b in pieces if b <= c)
+            bounds.append(c * (8 + 3 + 2 * (L - 1 + P) + 2 * (26 + L.bit_length() + P)) * 2.0**-53)
+        return [at[c] for c in sorted(checkpoints)]
+    return weighted_sums
+
+
+def _csv_sums(text):
+    return tuple(complex(float(re), float(im)) for _, re, im, _ in
+                 (row.split(",") for row in text.splitlines()[1:]))
+
+
+REFERENCE_CASES = ([("sums", name) for name in GOLDEN_SUMS]
+                   + [("skew", name) for name in ("c9-unipotent", "c10-affine")]
+                   + [("poly", name) for name in sorted(GOLDEN_POLY_SUMS)]
+                   + [("csv", name) for name in sorted(GOLDEN_CSV)])
+
+
+@pytest.mark.parametrize("kind, name", REFERENCE_CASES)
+def test_golden_sums_within_bound_of_exp_dot_reference(kind, name, table, table6, tmp_path,
+                                                       monkeypatch):
+    """Every frozen correlation sum against today's np.exp and np.dot over the same phases."""
+    bounds = []
+    reference = _reference_weighted_sums(bounds)
+    monkeypatch.setattr(correlate, "_weighted_sums", reference)
+    monkeypatch.setattr(nilflow, "_weighted_sums", reference)
+    if kind == "sums":
+        got, golden = correlation_sums(name, table), GOLDEN_SUMS[name]
+    elif kind == "skew":
+        got, golden = tuple(map(repr, skew_run(name, table6).sums)), GOLDEN_SKEW[name]
+    elif kind == "poly":
+        coeffs, nu, l = POLY_SUMS[name]
+        got = (repr(poly_exp_sum(PolyPhase(coeffs, nu=nu, residue=l), table, CHECKPOINTS[-1])),)
+        golden = (GOLDEN_POLY_SUMS[name],)
+    else:
+        got, golden = _csv_sums(cli_csv(name, tmp_path)), _csv_sums(GOLDEN_CSV[name])
+    assert len(got) == len(golden) == len(bounds)
+    for ref, want, bound in zip(got, golden, bounds):
+        assert abs(complex(ref) - complex(want)) <= bound, (ref, want, bound)
