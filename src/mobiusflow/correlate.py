@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
+import mpmath
 import numpy as np
 
 from .analytic import AnalyticSeries, CaseReport, e2pi, e2pi_m1, scale_window
@@ -47,6 +49,7 @@ from .mobius import MobiusTable, _primes_upto
 from .polyutil import Poly
 
 CHUNK = 8192
+BATCH = 2 * CHUNK  # terms per unit of work of `_weighted_sums`
 TWO_PI = 2.0 * math.pi
 # entries of each skew mode table (cos, sin): 8 MB apiece whatever the mode count
 MODE_TABLE_ENTRIES = 1 << 20
@@ -320,12 +323,14 @@ class _SkewPhaseContext:
     (e(delta)-1)| below MODE_FLOOR is dropped (a ramp mode with
     |coeff| nmax below it); `dropped_bound` bounds the dropped part of each
     term's phase (|b2| times 4 |coeff / (e(delta)-1)|, or 2 |coeff| nmax).
-    With cos, sin and exp correct to an ulp, each kept mode's table entry,
-    anchor, product and accumulation is off by at most |2 b2 w_m| (2 M + 50)
-    2^-53 for M kept modes, and the fixed-point part and the final sums by
-    (2 M + 50) 2^-53, so `phase_error` = (|b2| sum_m |2 w_m| + 1) (2 M + 50)
-    2^-53 bounds each term's phase error, and 2 pi N `phase_error` the error
-    it puts on S(N).
+    With the tables' cos and sin and the anchors' e2pi correct to an ulp,
+    each kept mode's table entry, anchor, product and accumulation is off by
+    at most |2 b2 w_m| (2 M + 50) 2^-53 for M kept modes, and the
+    fixed-point part by under 2^-50, so `phase_error` = (|b2| sum_m |2 w_m|
+    + 1) (2 M + 50) 2^-53 bounds each term's phase error, and 2 pi N
+    `phase_error` the error it puts on S(N); its + 1 term also covers
+    `E_TERM_ERROR`, the error of `_e_sums`' e(phase) per term.
+    `table_anchor_bound` adds `reduction_bound`, the error of the sums.
     """
 
     MODE_FLOOR = 1e-18
@@ -361,6 +366,7 @@ class _SkewPhaseContext:
             self.deltas.append((delta.numerator, delta.denominator))
             self.weights.append(b.b2 * w)
         M = len(self.deltas)
+        self.nmax, self.chunk_len = nmax, chunk
         self.length = max(1, min(chunk, nmax, CHUNK, MODE_TABLE_ENTRIES // max(M, 1)))
         self.modes_kept = M + ramps
         self.phase_error = (sum(map(abs, self.weights)) + 1.0) * (2 * M + 50) * 2.0**-53
@@ -381,11 +387,13 @@ class _SkewPhaseContext:
             np.cos(TWO_PI * x, out=self.cos[i])
             np.sin(TWO_PI * x, out=self.sin[i])
 
-    def budget(self, N: int) -> dict:
-        """The error budget of a correlation up to N (see the class docstring)."""
+    def budget(self, checkpoints: Sequence[int]) -> dict:
+        """The error budget of a correlation at these checkpoints (see the class docstring)."""
+        pieces = _pieces(self.nmax, checkpoints, self.chunk_len)
+        reduce = reduction_bound(self.nmax, len(pieces), max(b - a + 1 for a, b in pieces))
         return {"modes_kept": self.modes_kept, "modes_dropped": self.modes_dropped,
                 "dropped_bound": self.dropped_bound,
-                "table_anchor_bound": TWO_PI * N * self.phase_error}
+                "table_anchor_bound": TWO_PI * self.nmax * self.phase_error + reduce}
 
     def _block(self, u: int, L: int) -> np.ndarray:
         out = self.track.chunk(u, L).view(np.int64) * 2.0**-64
@@ -417,6 +425,93 @@ def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int,
         L = min(chunk, N + 1 - u)
         out[u - 1:u - 1 + L] = phase_chunk(u, L)
     return out
+
+
+# ---------------------------------------------------------------------------
+# e(phase) weighted by mu and reduced in a fixed order
+
+
+def _e_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi k / size for k < size, correctly rounded.
+
+    The first octant k <= size / 8 comes from mpmath, the rest by symmetry:
+    e(1/4 - x) = i conj(e(x)) and e(q/4 + x) = i^q e(x).
+    """
+    with mpmath.workprec(64):
+        octant = [(float(mpmath.cospi(mpmath.mpf(2 * j) / size)),
+                   float(mpmath.sinpi(mpmath.mpf(2 * j) / size))) for j in range(size // 8 + 1)]
+    c8, s8 = np.array(octant).T
+    q, r = np.divmod(np.arange(size), size // 4)
+    j = np.minimum(r, size // 4 - r)
+    swap = r > size // 8
+    c, s = np.where(swap, s8[j], c8[j]), np.where(swap, c8[j], s8[j])
+    return np.choose(q, (c, -s, -c, s)), np.choose(q, (s, c, -s, -c))
+
+
+E_TABLE_SIZE = 4096
+_E_COS, _E_SIN = _e_table(E_TABLE_SIZE)
+# bound on |mu e(phi) as computed by `_e_sums` - mu e(phi)| per term (see there)
+E_TERM_ERROR = 3 * 2.0**-53
+_ROUND_BITS = 1.5 * 2.0**52  # an integer k plus this holds k mod 2^51 in its low bits
+
+
+def _e_sums(mu: np.ndarray, starts: Sequence[int], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of sum mu e(ph) over each segment ph[starts[i]:starts[i + 1]].
+
+    ph, with entries in [0, 1], is rows[0, :len(mu)], and rows is float64
+    scratch of five rows; all five are overwritten.  With y = 4096 ph
+    (exact) and k = rint(y), theta = 2 pi (y - k) / 4096, |theta| <= pi /
+    4096, and e(ph) = T[k mod 4096] (cos theta + i sin theta) with the table
+    T of `_e_table`, cos theta = 1 - theta^2/2 + theta^4/24 (truncation
+    below 2^-71) and sin theta = theta - theta^3/6 (below 2^-58); mu is
+    folded into both before the product.  Per term the error is at most
+    `E_TERM_ERROR`: the table entry 2^-53 / sqrt 2, cos theta + i sin theta
+    0.53 2^-53, the product's rounding 2^-53 in each of Re and Im.  Each
+    segment is summed by np.add.reduceat, numpy's pairwise summation, in an
+    order set by the segment length alone (see `reduction_bound`).
+    """
+    y, k, t, c, s = rows[:, :len(mu)]
+    idx = k.view(np.int64)
+    y *= E_TABLE_SIZE
+    np.rint(y, out=t)
+    np.add(t, _ROUND_BITS, out=k)  # k mod 2^51 in the low bits
+    idx &= E_TABLE_SIZE - 1
+    y -= t
+    y *= TWO_PI / E_TABLE_SIZE  # theta
+    np.multiply(y, y, out=t)
+    np.multiply(t, 1 / 24, out=c)
+    c -= 0.5
+    c *= t
+    c += 1.0
+    c *= mu  # mu cos theta
+    np.multiply(t, -1 / 6, out=s)
+    s *= y
+    s += y
+    s *= mu  # mu sin theta
+    np.take(_E_SIN, idx, out=t, mode="clip")
+    np.take(_E_COS, idx, out=y, mode="clip")
+    np.multiply(t, s, out=k)
+    s *= y
+    y *= c
+    c *= t
+    y -= k  # Re: T_re mu cos - T_im mu sin
+    c += s  # Im: T_im mu cos + T_re mu sin
+    return np.add.reduceat(y, starts), np.add.reduceat(c, starts)
+
+
+def reduction_bound(N: int, pieces: int, longest: int) -> float:
+    """Bound on what the reduction can move |S(N)|, for N terms of modulus <= 1 + E_TERM_ERROR.
+
+    numpy's pairwise sum of n terms adds each term at most 25 times in a
+    block of <= 128 (16-term runs in 8 accumulators, three levels to join
+    them, up to 7 left over), plus one per halving of n, <= max(0,
+    bit_length(n) - 6) of them; reduceat adds that to the segment's first
+    term, so a piece of L terms is within (20 + max(6, bit_length(L - 1)))
+    u of the sum of its moduli, u = 2^-53.  Adding the pieces in order
+    costs at most pieces u N more, and Re and Im together at most twice.
+    """
+    depth = 20 + max(6, (longest - 1).bit_length())
+    return 2.0 * N * (depth + pieces) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -462,40 +557,63 @@ def _checked_checkpoints(checkpoints: Sequence[int], table: MobiusTable) -> tupl
     return checkpoints, N
 
 
+def _checked_work(threads, chunk) -> None:
+    for name, v in (("threads", threads), ("chunk", chunk)):
+        if not isinstance(v, (int, np.integer)) or v < 1:
+            raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
+
+
+def _batches(pieces: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Runs of consecutive pieces of at most BATCH terms together (a longer piece runs alone)."""
+    runs, size = [], BATCH
+    for a, b in pieces:
+        if size + b - a + 1 > BATCH:
+            runs.append([])
+            size = 0
+        runs[-1].append((a, b))
+        size += b - a + 1
+    return runs
+
+
 def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarray,
                    N: int, checkpoints: Sequence[int], threads: int,
                    chunk: int) -> list[complex]:
     """sum_{i<=N} weights[i - 1] e(phase(i)) snapshotted at the checkpoints.
 
-    phase_chunk(a, L) gives the phases of terms a..a+L-1; weights is mu[1:]
-    for a sum over n, or a strided view of mu for a residue class.  The
-    piece layout depends only on (N, checkpoints, chunk); threads only
-    parallelize piece evaluation, and the reduction runs in piece order.
+    phase_chunk(a, L) gives the phases in [0, 1] of terms a..a+L-1; weights
+    is mu[1:] for a sum over n, or a strided view of mu for a residue class.
+    The piece layout depends only on (N, checkpoints, chunk).  Each piece is
+    summed by `_e_sums` in its batch (`_batches`), and the piece sums are
+    added in piece order, so the result is bit-identical for any number of
+    threads, which take whole batches, each worker with its own scratch for
+    the length of this call.
     """
+    _checked_work(threads, chunk)
     pieces = _pieces(N, checkpoints, chunk)
+    batches = _batches(pieces)
+    width = max((run[-1][1] - run[0][0] + 1 for run in batches), default=0)
+    local = threading.local()
 
-    def piece_sum(ab: tuple[int, int]) -> complex:
-        a, b = ab
-        ph = phase_chunk(a, b - a + 1)
-        z = np.exp(2j * np.pi * ph)
-        return complex(np.dot(weights[a - 1:b].astype(np.float64), z))
+    def batch_sums(run: list[tuple[int, int]]) -> list[complex]:
+        if not hasattr(local, "rows"):
+            local.rows = np.empty((5, width))
+        A, B = run[0][0], run[-1][1]
+        for a, b in run:
+            local.rows[0, a - A:b - A + 1] = phase_chunk(a, b - a + 1)
+        re, im = _e_sums(weights[A - 1:B], [a - A for a, _ in run], local.rows)
+        return [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            sums = list(ex.map(piece_sum, pieces))
+            sums = [s for run in ex.map(batch_sums, batches) for s in run]
     else:
-        sums = [piece_sum(p) for p in pieces]
+        sums = [s for run in batches for s in batch_sums(run)]
 
-    out = []
-    running = 0j
-    want = iter(sorted(int(c) for c in checkpoints))
-    nxt = next(want, None)
+    running, at = 0j, {0: 0j}
     for (a, b), s in zip(pieces, sums):
         running += s
-        while nxt is not None and b == nxt:
-            out.append(running)
-            nxt = next(want, None)
-    return out
+        at[b] = running
+    return [at[c] for c in sorted(int(c) for c in checkpoints)]
 
 
 def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
@@ -509,12 +627,13 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
     `table_anchor_bound` (on |S(N)|); see `_SkewPhaseContext`.
     """
     checkpoints, N = _checked_checkpoints(checkpoints, table)
+    ctx = None
     if isinstance(flow, SkewFlow):
         if not isinstance(b, Character):
             b = Character(*b)
         p = x if isinstance(x, TorusPoint) else TorusPoint(*x)
         ctx = _SkewPhaseContext(flow, p, b, N, chunk)
-        phase_chunk, budget = ctx.chunk, ctx.budget(N)
+        phase_chunk = ctx.chunk
         meta_flow = f"skew(c={flow.c}, alpha={flow.alpha.label}, h={flow.h.label})"
     elif isinstance(flow, UnipotentAffine):
         v = (b.b1, b.b2) if isinstance(b, Character) else tuple(int(t) for t in b)
@@ -523,13 +642,13 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         tpolys = [unipotent_phase_poly(flow, x, v, l).as_poly().compose_linear(flow.nu, l)
                   for l in range(flow.nu)]
         phase_chunk = _class_phase_chunk([partial(poly_mod1_array, P) for P in tpolys])
-        meta_flow, budget = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})", {}
+        meta_flow = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})"
     else:
         raise DomainError(f"unsupported flow type {type(flow).__name__}")
 
     sums = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads, chunk)
     meta = {"flow": meta_flow, "observable": str(b), "threads": threads,
-            "chunk": chunk, "N": N, **budget}
+            "chunk": chunk, "N": N, **(ctx.budget(checkpoints) if ctx else {})}
     return CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
                              metadata=meta)
 
@@ -548,8 +667,6 @@ def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
     nu, l = phase.nu, phase.residue
     n_start = l if l >= 1 else nu
     count = (N - n_start) // nu + 1 if N >= n_start else 0
-    if count == 0:
-        return 0j
     phase_chunk = partial(poly_mod1_array, phase.as_poly().compose_linear(nu, n_start - nu))
     weights = table.mu_array()[n_start::nu]
     return _weighted_sums(phase_chunk, weights, count, [count], threads, chunk)[0]
