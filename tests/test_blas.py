@@ -1,0 +1,52 @@
+"""The correlators' sums do not depend on the BLAS that numpy loads.
+
+OpenBLAS reads its kernel and thread count when it loads, so each run is a
+subprocess: tests/test_golden.py under an SSE-class kernel at two BLAS
+threads, and a correlation of 2^18-term pieces, longer than the 10,000
+entries past which a BLAS dot splits over threads, at one and at two.
+`bsz_test` still reduces with np.dot, so its frozen reports are the only
+golden outputs allowed to differ under another kernel.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+LONG_PIECES = """
+from mobiusflow.analytic import AnalyticSeries
+from mobiusflow.cfrac import AlphaSpec
+from mobiusflow.correlate import mobius_correlate
+from mobiusflow.flows import Character, SkewFlow, TorusPoint
+from mobiusflow.mobius import mobius_sieve
+
+flow = SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), AnalyticSeries.geometric(1.0))
+series = mobius_correlate(flow, TorusPoint(0.37, 0.12), Character(0, 1), mobius_sieve(10**6),
+                          [10**5, 10**6], chunk=2**18)
+print(repr(series.sums))
+"""
+
+
+def _run(args, **blas) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **blas)
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT, capture_output=True,
+                          text=True, timeout=600)
+
+
+def test_golden_outputs_hold_under_another_blas_kernel():
+    proc = _run(["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "tests/test_golden.py"],
+                OPENBLAS_CORETYPE="Nehalem", OPENBLAS_NUM_THREADS="2")
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED", "ERROR"))]
+    assert proc.returncode in (0, 1) and " passed" in proc.stdout, proc.stdout[-4000:]
+    assert all(f.startswith("tests/test_golden.py::test_bsz_report_is_frozen[") for f in failed), \
+        failed
+
+
+def test_long_piece_sums_identical_at_one_and_two_blas_threads():
+    runs = [_run(["-c", LONG_PIECES], OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
+    assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith("((")

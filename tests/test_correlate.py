@@ -2,23 +2,27 @@
 lemma verifiers."""
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from mobiusflow.analytic import AnalyticSeries, ScaleFunction, e2pi, e2pi_m1, geometric_ratio
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
-from mobiusflow.correlate import (CHUNK, INT64_MODULUS_MAX, CorrelationSeries, PolyPhase, bsz_test,
-                                  character_phase_array, mobius_correlate,
-                                  phi_polys, poly_exp_sum, poly_lower_bound_check,
-                                  poly_mod1_array, vdc_sum_check)
+from mobiusflow.correlate import (_E_COS, _E_SIN, CHUNK, E_TABLE_SIZE, E_TERM_ERROR,
+                                  INT64_MODULUS_MAX, CorrelationSeries, PolyPhase, _e_sums,
+                                  bsz_test, character_phase_array, mobius_correlate, phi_polys,
+                                  poly_exp_sum, poly_lower_bound_check, poly_mod1_array,
+                                  reduction_bound, vdc_sum_check)
 from mobiusflow.errors import DomainError
 from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine, character_phase
 from mobiusflow.furstenberg import FurstenbergSystem
 from mobiusflow.mobius import mertens, mobius_sieve
+from mobiusflow.nilflow import HeisenbergAffine, HeisenbergElement, NilObservable, correlate_nil
 from mobiusflow.polyutil import Poly
 
 RNG = np.random.default_rng(99)
@@ -629,3 +633,117 @@ def test_skew_metadata_reports_error_budget(table, lacunary):
     meta = mobius_correlate(flow, p, Character(1, 0), table, [N]).metadata
     assert (meta["modes_kept"], meta["modes_dropped"]) == (0, 0)
     assert meta["table_anchor_bound"] == pytest.approx(2 * math.pi * N * 50 * 2.0**-53 + reduce)
+
+
+# ---------------------------------------------------------------------------
+# The e(.)-and-reduce kernel: table, per-term error, reduction order, threads
+
+
+def _e_reference(ph):
+    """Re and Im of e(ph) from mpmath, each as a double-double (hi, lo)."""
+    with mpmath.workprec(120):
+        zs = [mpmath.expjpi(2 * mpmath.mpf(x)) for x in ph]
+        parts = [(float(z.real), float(z.real - float(z.real)),
+                  float(z.imag), float(z.imag - float(z.imag))) for z in zs]
+    return np.array(parts).T
+
+
+def test_e_table_entries_within_1_5_ulp():
+    re_hi, re_lo, im_hi, im_lo = _e_reference(np.arange(E_TABLE_SIZE) / E_TABLE_SIZE)
+    err = np.hypot((_E_COS - re_hi) - re_lo, (_E_SIN - im_hi) - im_lo)
+    assert err.max() <= 1.5 * 2.0**-53
+
+
+def test_e_kernel_per_term_error_against_mpmath():
+    """10^5 seeded phases and the edges, the rint ties (2j + 1) / 8192 among
+    them, within E_TERM_ERROR = 3 2^-53 for mu = 1 and -1; mu = 0 gives 0."""
+    edges = [0.0, 0.5, 1 - 2.0**-53, 2.0**-60, 4095.5 / 4096, 1.0]
+    ph = np.concatenate([np.random.default_rng(20261019).random(10**5), edges,
+                         (2 * np.arange(4096) + 1) / 8192])
+    re_hi, re_lo, im_hi, im_lo = _e_reference(ph)
+    assert E_TERM_ERROR == 3 * 2.0**-53
+    for mu in (1, -1, 0):
+        rows = np.empty((5, len(ph)))
+        rows[0] = ph
+        re, im = _e_sums(np.full(len(ph), mu, dtype=np.int8), np.arange(len(ph)), rows)
+        err = np.hypot((re - mu * re_hi) - mu * re_lo, (im - mu * im_hi) - mu * im_lo)
+        assert err.max() <= E_TERM_ERROR, (mu, ph[err.argmax()], err.max() / 2.0**-53)
+
+
+def _pairwise(a):
+    """numpy's pairwise sum of the floats a, in its order."""
+    n = len(a)
+    if n < 8:
+        res = 0.0
+        for x in a:
+            res += x
+        return res
+    if n <= 128:
+        r = a[:8]
+        for i in range(8, n - n % 8, 8):
+            r = [x + y for x, y in zip(r, a[i:i + 8])]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[n - n % 8:]:
+            res += x
+        return res
+    n2 = n // 2 - n // 2 % 8
+    return _pairwise(a[:n2]) + _pairwise(a[n2:])
+
+
+@functools.lru_cache(maxsize=None)
+def _pairwise_depth(n):
+    """The most additions any term passes through in `_pairwise` of n terms."""
+    if n < 8:
+        return n
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    n2 = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_depth(n2), _pairwise_depth(n - n2))
+
+
+def test_reduction_is_numpy_pairwise_within_the_written_depth():
+    """np.add.reduceat sums a segment as its first term plus `_pairwise` of
+    the rest, bit for bit, and `reduction_bound`'s depth 20 + max(6,
+    bit_length(L - 1)) covers that order's for every L up to 2^17."""
+    rng = np.random.default_rng(5)
+    for L in [*range(1, 300), 1000, 4097, 8192, 16384, 20_000]:
+        x = rng.standard_normal(L) * np.exp(5 * rng.standard_normal(L))
+        xs = x.tolist()
+        assert np.add.reduceat(x, [0])[0] == xs[0] + _pairwise(xs[1:]), L
+    for L in range(2, 2**17):
+        assert 1 + _pairwise_depth(L - 1) <= 20 + max(6, (L - 1).bit_length()), L
+    assert reduction_bound(10**6, 123, CHUNK) == 2 * 10**6 * (33 + 123) * 2.0**-53
+
+
+def test_sums_identical_at_one_two_and_three_threads(table, skew):
+    """Checkpoints that cut pieces, pieces of 3000 terms (five to a batch)
+    and of 40000 (one to a batch): == at threads 1, 2 and 3."""
+    flow, p = skew
+    cps = [777, 20_000, 50_001, 99_999]
+    heis = HeisenbergAffine(HeisenbergElement(Fraction(1, 3), Fraction(1, 7), Fraction(2, 5)),
+                            ((1, 0, 0), (1, 1, 0), (Fraction(1, 2), 0, 1)))
+    affine = UnipotentAffine(matrix=((1, 1), (0, 1)), translation=(0.1234, 0.0))
+    phase = PolyPhase((0.25, -0.1, math.sqrt(3), math.sqrt(2)), nu=3, residue=1)
+    for chunk in (3000, 40_000):
+        runs = [(mobius_correlate(flow, p, Character(1, 2), table, cps, threads=t,
+                                  chunk=chunk).sums,
+                 mobius_correlate(affine, (0.2, 0.51), (1, 2), table, cps, threads=t,
+                                  chunk=chunk).sums,
+                 poly_exp_sum(phase, table, 99_999, threads=t, chunk=chunk),
+                 correlate_nil(heis, HeisenbergElement(0, 0, 0),
+                               NilObservable.character(1, 2, 1), table, cps, threads=t).sums)
+                for t in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2], chunk
+
+
+@pytest.mark.parametrize("kwargs", [{"chunk": 0}, {"chunk": -4}, {"threads": 0},
+                                    {"threads": -2}, {"chunk": 8192.0}])
+def test_correlators_refuse_bad_chunk_and_threads(table, skew, kwargs):
+    flow, p = skew
+    name = next(iter(kwargs))
+    with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+        mobius_correlate(flow, p, Character(1, 1), table, [100], **kwargs)
+    with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+        poly_exp_sum(PolyPhase((0.0, math.sqrt(2))), table, 100, **kwargs)
+    with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+        poly_exp_sum(PolyPhase((0.0, math.sqrt(2)), nu=7, residue=3), table, 2, **kwargs)
