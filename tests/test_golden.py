@@ -185,7 +185,13 @@ def skew_sum_bound(flow, p, b, N):
     - current path: each mode's e(j delta) table entry and e(u delta)
       anchor, the product with 2 w_m and the accumulation over M modes are
       off by at most |2 w_m| (2 M + 50) 2^-53, and the exact
-      fixed-point rotation and linear parts by under 2^-37.
+      fixed-point rotation and linear parts by under 2^-50;
+    - e(.) and the sums: on the golden path np.exp within 8 2^-53 per term
+      and np.dot, in whatever order, within (L - 1 + P) 2^-53 N in each of
+      Re and Im, with L = 8192 and P <= 125 pieces at N <= 10^6; on the
+      current path `E_TERM_ERROR` = 3 2^-53 per term and `reduction_bound`
+      = 2 (33 + P) 2^-53 N.  Together under 2e-12 N, less than the 2 pi N
+      2^-38 left of the current path's 2^-37 for its linear parts.
 
     So |S(N) - S_golden(N)| <= 2 pi N (|b2| (sum_m |2 w_m|)
     (2 pi 2^-39 + (2 M + 50) 2^-53) + |b2 c| 2^-26 + 2^-36).
