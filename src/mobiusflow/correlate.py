@@ -15,9 +15,14 @@ exact residues over the common denominator K of the polynomial.
 `poly_mod1_array` has three routes: 48-bit limbs for powers of two from
 2^65 to 2^1074, K = 2^a m split into uint64 and int64 parts, and otherwise
 the one Horner, `_horner_mod`; the Heisenberg bracket runs on the same
-residues, and either rounds the exact rational once to float64.  Work is
-split into fixed-size chunks combined in a fixed order, so every correlator
-honours `threads` and its results are bit-identical for any worker count.
+residues, and either rounds the exact rational once to float64.  Every
+correlator ends in `_weighted_sums`: work is split into fixed-size pieces,
+and e(phase), weighted by mu, comes from a 4096-entry table of e(k/4096)
+and a short polynomial in the remainder (`_e_sums`, within 3 2^-53 per
+term), summed per piece by numpy's pairwise reduction, with no BLAS call.
+Pieces run in batches of up to 2 CHUNK terms and add up in piece order, so
+every correlator honours `threads` and its results are bit-identical for
+any worker count and any BLAS.
 
 Also here: the bilinear-criterion test (small correlations against prime
 dilations force small multiplicative-weighted sums), the polynomial
@@ -389,8 +394,8 @@ class _SkewPhaseContext:
 
     def budget(self, checkpoints: Sequence[int]) -> dict:
         """The error budget of a correlation at these checkpoints (see the class docstring)."""
-        pieces = _pieces(self.nmax, checkpoints, self.chunk_len)
-        reduce = reduction_bound(self.nmax, len(pieces), max(b - a + 1 for a, b in pieces))
+        pieces = len(_pieces(self.nmax, checkpoints, self.chunk_len))
+        reduce = reduction_bound(self.nmax, pieces, min(self.chunk_len, self.nmax))
         return {"modes_kept": self.modes_kept, "modes_dropped": self.modes_dropped,
                 "dropped_bound": self.dropped_bound,
                 "table_anchor_bound": TWO_PI * self.nmax * self.phase_error + reduce}
@@ -466,7 +471,8 @@ def _e_sums(mu: np.ndarray, starts: Sequence[int], rows: np.ndarray) -> tuple[np
     below 2^-71) and sin theta = theta - theta^3/6 (below 2^-58); mu is
     folded into both before the product.  Per term the error is at most
     `E_TERM_ERROR`: the table entry 2^-53 / sqrt 2, cos theta + i sin theta
-    0.53 2^-53, the product's rounding 2^-53 in each of Re and Im.  Each
+    0.53 2^-53, the product's rounding 2^-53 in each of Re and Im, 2.65
+    2^-53 together.  Each
     segment is summed by np.add.reduceat, numpy's pairwise summation, in an
     order set by the segment length alone (see `reduction_bound`).
     """
@@ -558,6 +564,7 @@ def _checked_checkpoints(checkpoints: Sequence[int], table: MobiusTable) -> tupl
 
 
 def _checked_work(threads, chunk) -> None:
+    """Refuse a thread count or chunk length that is not a positive integer."""
     for name, v in (("threads", threads), ("chunk", chunk)):
         if not isinstance(v, (int, np.integer)) or v < 1:
             raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
@@ -565,7 +572,7 @@ def _checked_work(threads, chunk) -> None:
 
 def _batches(pieces: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     """Runs of consecutive pieces of at most BATCH terms together (a longer piece runs alone)."""
-    runs, size = [], BATCH
+    runs, size = [], BATCH  # the first piece opens a run
     for a, b in pieces:
         if size + b - a + 1 > BATCH:
             runs.append([])
