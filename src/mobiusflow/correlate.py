@@ -472,15 +472,15 @@ def _e_sums(mu: np.ndarray, starts: Sequence[int], rows: np.ndarray) -> tuple[np
     folded into both before the product.  Per term the error is at most
     `E_TERM_ERROR`: the table entry 2^-53 / sqrt 2, cos theta + i sin theta
     0.53 2^-53, the product's rounding 2^-53 in each of Re and Im, 2.65
-    2^-53 together.  Each
-    segment is summed by np.add.reduceat, numpy's pairwise summation, in an
-    order set by the segment length alone (see `reduction_bound`).
+    2^-53 together.  Each segment is summed by np.add.reduceat, numpy's
+    pairwise summation, in an order set by the segment length alone (see
+    `reduction_bound`).
     """
     y, k, t, c, s = rows[:, :len(mu)]
     idx = k.view(np.int64)
     y *= E_TABLE_SIZE
     np.rint(y, out=t)
-    np.add(t, _ROUND_BITS, out=k)  # k mod 2^51 in the low bits
+    np.add(t, _ROUND_BITS, out=k)
     idx &= E_TABLE_SIZE - 1
     y -= t
     y *= TWO_PI / E_TABLE_SIZE  # theta
