@@ -656,7 +656,7 @@ def test_e_table_entries_within_1_5_ulp():
 
 def test_e_kernel_per_term_error_against_mpmath():
     """10^5 seeded phases and the edges, the rint ties (2j + 1) / 8192 among
-    them, within E_TERM_ERROR = 3 2^-53 for mu = 1 and -1; mu = 0 gives 0."""
+    them, within E_TERM_ERROR = 3 2^-53 for mu = 1, -1 and 0."""
     edges = [0.0, 0.5, 1 - 2.0**-53, 2.0**-60, 4095.5 / 4096, 1.0]
     ph = np.concatenate([np.random.default_rng(20261019).random(10**5), edges,
                          (2 * np.arange(4096) + 1) / 8192])
