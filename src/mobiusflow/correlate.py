@@ -634,13 +634,13 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
     `table_anchor_bound` (on |S(N)|); see `_SkewPhaseContext`.
     """
     checkpoints, N = _checked_checkpoints(checkpoints, table)
-    ctx = None
+    _checked_work(threads, chunk)  # before the skew budget lays out the pieces
     if isinstance(flow, SkewFlow):
         if not isinstance(b, Character):
             b = Character(*b)
         p = x if isinstance(x, TorusPoint) else TorusPoint(*x)
         ctx = _SkewPhaseContext(flow, p, b, N, chunk)
-        phase_chunk = ctx.chunk
+        phase_chunk, budget = ctx.chunk, ctx.budget(checkpoints)
         meta_flow = f"skew(c={flow.c}, alpha={flow.alpha.label}, h={flow.h.label})"
     elif isinstance(flow, UnipotentAffine):
         v = (b.b1, b.b2) if isinstance(b, Character) else tuple(int(t) for t in b)
@@ -649,13 +649,13 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         tpolys = [unipotent_phase_poly(flow, x, v, l).as_poly().compose_linear(flow.nu, l)
                   for l in range(flow.nu)]
         phase_chunk = _class_phase_chunk([partial(poly_mod1_array, P) for P in tpolys])
-        meta_flow = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})"
+        meta_flow, budget = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})", {}
     else:
         raise DomainError(f"unsupported flow type {type(flow).__name__}")
 
     sums = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads, chunk)
     meta = {"flow": meta_flow, "observable": str(b), "threads": threads,
-            "chunk": chunk, "N": N, **(ctx.budget(checkpoints) if ctx else {})}
+            "chunk": chunk, "N": N, **budget}
     return CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
                              metadata=meta)
 
