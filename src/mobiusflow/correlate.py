@@ -54,7 +54,9 @@ from .mobius import MobiusTable, _primes_upto
 from .polyutil import Poly
 
 CHUNK = 8192
-BATCH = 2 * CHUNK  # terms per unit of work of `_weighted_sums`
+# terms per unit of work of `_weighted_sums`; with one piece per unit, two threads
+# summed `mu-scale` a third slower (BENCH_e_kernel.json, "batches")
+BATCH = 2 * CHUNK
 TWO_PI = 2.0 * math.pi
 # entries of each skew mode table (cos, sin): 8 MB apiece whatever the mode count
 MODE_TABLE_ENTRIES = 1 << 20
