@@ -212,15 +212,18 @@ class AlphaSpec:
 
     def frac_fraction(self, n: int) -> Fraction:
         """Exact-center value of n*alpha mod 1 in [0, 1)."""
-        if n == 0:
-            return Fraction(0)
-        c = self._phase_center(abs(n).bit_length())
+        c = self._phase_center(abs(n).bit_length()) if n else Fraction(0)
         return Fraction(n * c.numerator % c.denominator, c.denominator)
+
+    def frac_signed_residue(self, n: int) -> tuple[int, int]:
+        """(r, q), not reduced, with r / q = n*alpha mod 1 in [-1/2, 1/2) over the exact centre."""
+        c = self._phase_center(abs(n).bit_length()) if n else Fraction(0)
+        r, q = n * c.numerator % c.denominator, c.denominator
+        return (r - q if 2 * r >= q else r), q
 
     def frac_signed_fraction(self, n: int) -> Fraction:
         """n*alpha mod 1 mapped to [-1/2, 1/2)."""
-        t = self.frac_fraction(n)
-        return t - 1 if t >= Fraction(1, 2) else t
+        return Fraction(*self.frac_signed_residue(n))
 
     def frac_float(self, n: int) -> float:
         return float(self.frac_fraction(n))

@@ -5,9 +5,9 @@ checkpoints.  Orbit phases come from closed forms, never from sequential
 iteration.  On the skew products the rotation, linear and quadratic parts
 are integer residues over the exact centre of alpha, summed in 64-bit fixed
 point with a per-call table of the quadratic term; each Fourier mode's
-Birkhoff prefix is an anchor e(u delta) per chunk, taken from integer
-residues, times a per-call table of e(j delta), so no exp runs per mode
-per term, and the error budget goes into the series metadata.
+Birkhoff prefix is an anchor e(u delta) per block, from delta in 128-bit
+fixed point, times a per-call table of e(j delta); one einsum per block, with
+no BLAS call, sums all modes, and the error budget goes into the metadata.
 Polynomial phases (`poly_exp_sum` of a `flows.PolyPhase`, the unipotent
 affine maps, whose phase on each class is a `PolyPhase` too, and the
 Heisenberg nilflows) are walked in t on each residue class n = nu t + l, as
@@ -35,6 +35,7 @@ analysis.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -58,7 +59,7 @@ CHUNK = 8192
 # summed `mu-scale` a third slower (BENCH_e_kernel.json, "batches")
 BATCH = 2 * CHUNK
 TWO_PI = 2.0 * math.pi
-# entries of each skew mode table (cos, sin): 8 MB apiece whatever the mode count
+# entries of each half (cos, sin) of the skew mode table: 16 MB in all, whatever the mode count
 MODE_TABLE_ENTRIES = 1 << 20
 BSZ_PRIME_CAP = 10_000  # bsz_test takes primes up to min(e^(1/tau), this)
 VDC_DERIVATIVE_SAMPLES = 200  # vdc_sum_check's samples of the third derivative
@@ -95,6 +96,7 @@ class CorrelationSeries:
 # Largest modulus K whose residue products (K-1)^2 + K - 1 stay within int64.
 INT64_MODULUS_MAX = math.isqrt(2**63 - 1)
 _U64 = 1 << 64
+_U128 = 1 << 128
 
 
 def _residue_dtype(*moduli: int):
@@ -107,25 +109,27 @@ def _horner_mod(coeffs: Sequence[int], K: int, t0: int, count: int, dtype=None) 
     """P(t) mod K for t = t0..t0+count-1 and integer coefficients (low to high).
 
     dtype defaults to `_residue_dtype(K)`.  uint64 wraps mod 2^64, which K divides,
-    and masks once at the end; int64 and Python ints reduce t and every step mod K.
+    and masks once at the end; int64 and Python ints reduce t and every step by `_mod`.
     """
     dtype = dtype or _residue_dtype(K)
     wrap = dtype is np.uint64
     t = np.arange(count, dtype=dtype) + t0 % K
     if not wrap:
-        t %= K
+        t = _mod(t, K)
     acc = np.zeros(count, dtype=dtype)
     for c in reversed(coeffs):
         acc *= t
         acc += c % K
         if not wrap:
-            acc %= K
+            acc = _mod(acc, K)
     return acc & np.uint64(K - 1) if wrap else acc
 
 
 def _mod(x: np.ndarray, K: int) -> np.ndarray:
-    """x mod K in a dtype of `_residue_dtype` (in uint64, K divides 2^64: a mask)."""
-    return x & np.uint64(K - 1) if x.dtype == np.uint64 else x % K
+    """x mod K in a dtype of `_residue_dtype`; in int64 as x - (x // K) K, at half the cost of %."""
+    if x.dtype == np.uint64:
+        return x & np.uint64(K - 1)
+    return x - x // K * K if x.dtype == np.int64 else x % K
 
 
 def _residues_mod1(r: np.ndarray, K: int) -> np.ndarray:
@@ -317,26 +321,28 @@ class _SkewPhaseContext:
     splits at base u, n = u + j, into 2 Re(w_m(u) e(j delta_m)) minus the
     constant 2 Re(coeff_m / (e(delta_m) - 1)), where w_m(u) = coeff_m
     e(u delta_m) / (e(delta_m) - 1).  The constants join the phase's
-    constant once; cos and sin of 2 pi j delta_m are tabulated per call for
-    j < length = min(chunk, nmax, CHUNK, MODE_TABLE_ENTRIES / M) over the M
-    tabled modes, from delta_m rounded once to 64-bit
-    fixed point r_m (j r_m mod 2^64 in uint64 wraparound, phase error at
-    most j 2^-65 < 2^-52); the anchor frac(u delta_m) is (u num % den) / den
-    on Python ints, correctly rounded.  A block then costs one anchor per
-    mode and a real axpy per mode; pieces longer than the tables are walked
-    in blocks of `length`.
+    constant once.  From the residue delta_m = (m p mod q) / q over the
+    centre p / q come d_m = floor(2^128 delta_m) mod 2^128 and the anchor
+    frac(u delta_m) = (u d_m mod 2^128) 2^-128, off by under u 2^-128, and
+    one per-call table of cos and sin of 2 pi j delta_m, the M cos rows and
+    then the M sin rows for j < length = min(chunk, nmax, CHUNK,
+    MODE_TABLE_ENTRIES / M), from j round(2^64 delta_m) mod 2^64 (off by at
+    most j 2^-65).  A block is one einsum of the table with the 2 M
+    coefficients (Re, -Im) of 2 b2 w_m(u), so the numpy calls per block do
+    not grow with M and none calls BLAS; longer pieces take blocks of `length`.
 
     Error budget.  A mode whose Birkhoff part 2 Re(...) has |2 coeff /
     (e(delta)-1)| below MODE_FLOOR is dropped (a ramp mode with
     |coeff| nmax below it); `dropped_bound` bounds the dropped part of each
     term's phase (|b2| times 4 |coeff / (e(delta)-1)|, or 2 |coeff| nmax).
-    With the tables' cos and sin and the anchors' e2pi correct to an ulp,
-    each kept mode's table entry, anchor, product and accumulation is off by
-    at most |2 b2 w_m| (2 M + 50) 2^-53 for M kept modes, and the
-    fixed-point part by under 2^-50, so `phase_error` = (|b2| sum_m |2 w_m|
-    + 1) (2 M + 50) 2^-53 bounds each term's phase error, and 2 pi N
-    `phase_error` the error it puts on S(N); its + 1 term also covers
-    `E_TERM_ERROR`, the error of `_e_sums`' e(phase) per term.
+    With cos and sin correct to an ulp, each kept mode's table entry,
+    anchor, product and share of the sum (in any order, as |Re z cos| +
+    |Im z sin| <= |z|) is off by at most |2 b2 w_m| (2 M + 50) 2^-53, its
+    fixed-point anchor by 2 pi nmax 2^-128 |2 b2 w_m| more, and the
+    fixed-point part by under 2^-50.  So `phase_error`, (|b2| sum_m |2 w_m|
+    + 1) (2 M + 50) 2^-53 plus that anchor term, bounds each term's phase
+    error, and 2 pi N `phase_error` the error it puts on S(N); its + 1 term
+    also covers `E_TERM_ERROR`, the error of `_e_sums`' e(phase) per term.
     `table_anchor_bound` adds `reduction_bound`, the error of the sums.
     """
 
@@ -349,13 +355,13 @@ class _SkewPhaseContext:
         x1 = Fraction(p.x1)
         ramp = Fraction(h.coeff(0).real)  # exact sum of the ramp modes' 2 Re(coeff)
         self.dropped_bound, self.modes_dropped, ramps = 0.0, 0, 0
-        self.deltas, self.weights = [], []  # (num, den) of delta_m, 2 b2 coeff_m / (e(delta_m) - 1)
+        weights, self.anchors = [], []  # 2 b2 coeff_m / (e(delta_m) - 1), floor(2^128 delta_m)
         for m, c in (h.items() if b.b2 else ()):
             if m <= 0:
                 continue
-            delta = alpha.frac_signed_fraction(m)
-            coeff = c * e2pi(m * x1)
-            df, den = float(delta), e2pi_m1(delta)
+            r, q = alpha.frac_signed_residue(m)
+            coeff = c * e2pi(m * x1.numerator % x1.denominator / x1.denominator)
+            df, den = r / q, e2pi_m1(r / q)
             if df == 0.0 or abs(df) < 1e-250 or den == 0:
                 # ramp: (e(n delta) - 1) / (e(delta) - 1) = n to double precision
                 if df != 0.0 and abs(coeff) * nmax < self.MODE_FLOOR:
@@ -370,13 +376,14 @@ class _SkewPhaseContext:
                 self.dropped_bound += abs(b.b2) * 2.0 * abs(w)
                 self.modes_dropped += 1
                 continue
-            self.deltas.append((delta.numerator, delta.denominator))
-            self.weights.append(b.b2 * w)
-        M = len(self.deltas)
+            weights.append(b.b2 * w)
+            self.anchors.append(((r << 128) // q) % _U128)
+        M = len(weights)
         self.nmax, self.chunk_len = nmax, chunk
         self.length = max(1, min(chunk, nmax, CHUNK, MODE_TABLE_ENTRIES // max(M, 1)))
         self.modes_kept = M + ramps
-        self.phase_error = (sum(map(abs, self.weights)) + 1.0) * (2 * M + 50) * 2.0**-53
+        size = sum(map(abs, weights))
+        self.phase_error = (size + 1.0) * (2 * M + 50) * 2.0**-53 + size * TWO_PI * nmax * 2.0**-128
 
         center = alpha._phase_center(3 * max(nmax, 2).bit_length() + 8)
         b2c = b.b2 * flow.c
@@ -384,15 +391,14 @@ class _SkewPhaseContext:
             b.b1 * x1 + b.b2 * Fraction(p.x2),
             b.b1 * center + b2c * x1 + b.b2 * ramp,
             b2c * center, self.length)
-        self.const = -sum(w.real for w in self.weights) % 1.0
-        j = self.track.j
-        self.cos = np.empty((M, self.length))
-        self.sin = np.empty((M, self.length))
-        for i, (num, den) in enumerate(self.deltas):
-            r = np.uint64((((num << 65) + den) // (2 * den)) % _U64)  # round(2^64 delta)
-            x = (j * r).view(np.int64) * 2.0**-64
-            np.cos(TWO_PI * x, out=self.cos[i])
-            np.sin(TWO_PI * x, out=self.sin[i])
+        self.const = -sum(w.real for w in weights) % 1.0
+        self.wr, self.wi = np.array([w.real for w in weights]), np.array([w.imag for w in weights])
+        self.cs = np.empty((2 * M, self.length))  # the cos rows, then the sin rows
+        for i, d in enumerate(self.anchors):
+            r = np.uint64(((d + (1 << 63)) >> 64) % _U64)  # round(2^64 delta_m)
+            x = (self.track.j * r).view(np.int64) * 2.0**-64
+            np.cos(TWO_PI * x, out=self.cs[i])
+            np.sin(TWO_PI * x, out=self.cs[M + i])
 
     def budget(self, checkpoints: Sequence[int]) -> dict:
         """The error budget of a correlation at these checkpoints (see the class docstring)."""
@@ -405,13 +411,11 @@ class _SkewPhaseContext:
     def _block(self, u: int, L: int) -> np.ndarray:
         out = self.track.chunk(u, L).view(np.int64) * 2.0**-64
         out += self.const
-        tmp = np.empty(L)
-        for (num, den), w, C, S in zip(self.deltas, self.weights, self.cos, self.sin):
-            z = w * e2pi((u * num % den) / den)  # 2 b2 w_m(u)
-            np.multiply(C[:L], z.real, out=tmp)
-            out += tmp
-            np.multiply(S[:L], z.imag, out=tmp)
-            out -= tmp
+        if self.anchors:
+            x = TWO_PI * np.array([(u * d % _U128) / _U128 for d in self.anchors])
+            c, s = np.cos(x), np.sin(x)
+            re, im = self.wr * c - self.wi * s, self.wr * s + self.wi * c
+            out += np.einsum("ml,m->l", self.cs[:, :L], np.concatenate((re, -im)))
         out -= np.floor(out)  # the bits of np.mod(out, 1.0), at a fraction of its cost
         return out
 
@@ -692,6 +696,7 @@ def bsz_test(f: Callable[[np.ndarray], np.ndarray], tau: float, M: int, N: int,
     Hypothesis: |sum_{m<=M} f(p1 m) conj(f(p2 m))| <= tau M for all primes
     p1 != p2 <= e^{1/tau} (the prime range is capped at BSZ_PRIME_CAP,
     recorded).  Conclusion: |sum_{n<=N} mu(n) f(n)| <= 2 sqrt(tau log(1/tau)) N.
+    Both sums are numpy's pairwise sums of the products, with no BLAS call.
     """
     if not 0.0 < tau < 1.0 / math.e:
         raise DomainError("tau must lie in (0, 1/e)")
@@ -703,33 +708,25 @@ def bsz_test(f: Callable[[np.ndarray], np.ndarray], tau: float, M: int, N: int,
         raise DomainError(f"prime range e^(1/tau)={bound:.1f} holds fewer than two primes")
 
     ms = np.arange(1, M + 1, dtype=np.int64)
-    cache: dict[int, np.ndarray] = {}
-
-    def fp(p: int) -> np.ndarray:
-        if p not in cache:
-            vals = np.asarray(f(p * ms), dtype=np.complex128)
-            if np.max(np.abs(vals)) > 1.0 + 1e-9:
-                raise DomainError("sequence oracle must satisfy |f| <= 1")
-            cache[p] = vals
-        return cache[p]
+    fp = {p: np.asarray(f(p * ms), dtype=np.complex128) for p in primes.tolist()}
+    if any(np.max(np.abs(v)) > 1.0 + 1e-9 for v in fp.values()):
+        raise DomainError("sequence oracle must satisfy |f| <= 1")
 
     worst_pair, worst_abs = None, -1.0
     hypothesis_holds = True
-    for i in range(len(primes)):
-        fi = fp(int(primes[i]))
-        for k in range(i + 1, len(primes)):
-            s = abs(np.dot(fi, np.conj(fp(int(primes[k])))))
-            if s > worst_abs:
-                worst_abs, worst_pair = s, (int(primes[i]), int(primes[k]))
-            if s > tau * M:
-                hypothesis_holds = False
+    for p1, p2 in itertools.combinations(fp, 2):
+        s = abs(np.add.reduce(fp[p1] * np.conj(fp[p2])))
+        if s > worst_abs:
+            worst_abs, worst_pair = s, (p1, p2)
+        if s > tau * M:
+            hypothesis_holds = False
 
     mu = table.mu_array()
     if N > table.limit:
         raise DomainError(f"N={N} beyond sieve limit {table.limit}")
     ns = np.arange(1, N + 1, dtype=np.int64)
     fn = np.asarray(f(ns), dtype=np.complex128)
-    msum = complex(np.dot(mu[1:N + 1].astype(np.float64), fn))
+    msum = complex(np.add.reduce(mu[1:N + 1] * fn))
     conclusion_bound = 2.0 * math.sqrt(tau * math.log(1.0 / tau))
     return {
         "tau": tau, "M": M, "N": N,

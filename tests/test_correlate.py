@@ -14,7 +14,8 @@ import pytest
 from mobiusflow.analytic import AnalyticSeries, ScaleFunction, e2pi, e2pi_m1, geometric_ratio
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
 from mobiusflow.correlate import (_E_COS, _E_SIN, CHUNK, E_TABLE_SIZE, E_TERM_ERROR,
-                                  INT64_MODULUS_MAX, CorrelationSeries, PolyPhase, _e_sums,
+                                  INT64_MODULUS_MAX, CorrelationSeries, PolyPhase,
+                                  _SkewPhaseContext, _e_sums,
                                   bsz_test, character_phase_array, mobius_correlate, phi_polys,
                                   poly_exp_sum, poly_lower_bound_check, poly_mod1_array,
                                   reduction_bound, vdc_sum_check)
@@ -597,6 +598,22 @@ def test_long_pieces_thread_identity(table, lacunary):
     runs = [mobius_correlate(lacunary, p, b, table, cps, threads=t, chunk=20_000).sums
             for t in (1, 2, 4)]
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("name", ["diophantine", "lacunary"])
+def test_skew_anchors_near_1e9(name, skew, lacunary):
+    """nmax = 10^9 and the block at u = 10^9 - 8191: each anchor frac(u
+    delta_m), from delta_m in 128-bit fixed point, is off by under u 2^-128,
+    and the phases stay within twice the written bound of the per-mode
+    formula.  Anchors in 64-bit fixed point would be off by up to u 2^-64,
+    about 5e-11."""
+    flow, p, b = _flow_case(name, skew, lacunary)
+    modes = _kept_modes(flow, p, b)
+    u, L = 10**9 - 8191, 8192
+    ph = _SkewPhaseContext(flow, p, b, 10**9, CHUNK).chunk(u, L)
+    bound = _phase_bound(flow, p, b)
+    for n in [*range(u, u + L, 97), u + L - 1]:
+        assert _circle(ph[n - u], _per_mode_phase(flow, p, b, n, modes)) <= 2 * bound, n
 
 
 @pytest.mark.parametrize("c, b", [(1, Character(2, 1)), (5, Character(1, -1))])

@@ -20,9 +20,10 @@ in int64 on every rational map.  The sums compared with == (GOLDEN_SUMS,
 the affine runs of GOLDEN_SKEW, GOLDEN_POLY_SUMS and GOLDEN_CSV) were
 re-recorded when a table-driven e(.) and numpy's pairwise reduction
 replaced np.exp and np.dot in the correlators; a test holds them within a
-written bound of np.exp and np.dot over the same phases.  Exact rationals
-are kept as `Fraction` strings and correlation sums as the repr of each
-complex sum.
+written bound of np.exp and np.dot over the same phases.  The `bsz_test`
+reports were re-recorded when its two sums moved from np.dot to numpy's
+pairwise sum of the products.  Exact rationals are kept as `Fraction`
+strings and correlation sums as the repr of each complex sum.
 """
 
 import json
@@ -517,9 +518,9 @@ GOLDEN_BSZ = {'rotation': {'tau': 0.25,
               'prime_count': 16,
               'capped': False,
               'worst_pair': (2, 31),
-              'worst_bilinear_ratio': 0.004266999048312259,
+              'worst_bilinear_ratio': 0.004266999048312257,
               'hypothesis_holds': True,
-              'mobius_sum_ratio': 0.00977902206530187,
+              'mobius_sum_ratio': 0.009779022065301875,
               'conclusion_bound': 1.1774100225154747,
               'conclusion_holds': True},
  'constant': {'tau': 0.2,
