@@ -65,11 +65,7 @@ def main() -> int:
         t1 = time.time()
         series = job()
         dt = time.time() - t1
-        path = out / f"decay_{name}.csv"
-        with open(path, "w") as fh:
-            fh.write("N,re,im,abs_over_N\n")
-            for row in series.rows():
-                fh.write(",".join(repr(v) for v in row) + "\n")
+        (out / f"decay_{name}.csv").write_text(series.csv())
         summary["flows"][name] = {
             "seconds": dt,
             "normalized": list(series.normalized),

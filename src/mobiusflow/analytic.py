@@ -146,22 +146,21 @@ class AnalyticSeries:
         return cls(coeffs={1: 0.5 + 0j, -1: 0.5 + 0j}, tau=tau, tau2=tau, label="cos")
 
     @classmethod
-    def geometric(cls, tau: float, M: Optional[int] = None, amplitude: float = 1.0,
-                  label: str = "") -> "AnalyticSeries":
-        """Dense h_hat(m) = amplitude * e^{-tau |m|} for 0 < |m| <= M.
+    def geometric(cls, tau: float, M: Optional[int] = None) -> "AnalyticSeries":
+        """Dense h_hat(m) = e^{-tau |m|} for 0 < |m| <= M.
 
-        Exact two-sided decay, so tau2 = tau with witnesses c_up=c_low=amplitude.
+        Exact two-sided decay, so tau2 = tau with witnesses c_up = c_low = 1.
         """
         if M is None:
             M = max(1, math.ceil(math.log(1e16) / tau))
         d = {}
         for m in range(1, M + 1):
-            v = amplitude * math.exp(-tau * m)
+            v = math.exp(-tau * m)
             if v > COEFF_FLOOR:
                 d[m] = complex(v)
                 d[-m] = complex(v)
-        s = cls(coeffs=d, tau=tau, tau2=tau, label=label or f"geometric(tau={tau})")
-        s.c_low = amplitude
+        s = cls(coeffs=d, tau=tau, tau2=tau, label=f"geometric(tau={tau})")
+        s.c_low = 1.0
         return s
 
     def plus(self, other: "AnalyticSeries", tau: Optional[float] = None,
@@ -366,19 +365,13 @@ class ScaleFunction:
                 f"theta at scale m_j={self.m_j} underflows double precision")
 
     @classmethod
-    def from_report(cls, report: CaseReport, h: AnalyticSeries, x1: float,
-                    j: Optional[int] = None) -> "ScaleFunction":
+    def from_report(cls, report: CaseReport, h: AnalyticSeries, x1: float) -> "ScaleFunction":
+        """f_J at the top sharp scale, the only one whose theta the report stores."""
         if report.J == 0:
             raise DomainError("no sharp scales below the truncation height")
-        jj = report.J - 1 if j is None else j
-        if not 0 <= jj < report.J:
-            raise DomainError(f"scale index {jj} out of range")
-        mj = report.scales[jj]
-        theta = report.theta_J_signed if jj == report.J - 1 else None
-        if theta is None:
-            raise DomainError("only the top scale carries a stored theta; pass j=None")
-        return cls(h=h, m_j=mj, m_j_plus=report.successors[jj], M_j=report.M[jj],
-                   theta=theta, x1=float(x1), j=jj)
+        j = report.J - 1
+        return cls(h=h, m_j=report.scales[j], m_j_plus=report.successors[j], M_j=report.M[j],
+                   theta=report.theta_J_signed, x1=float(x1), j=j)
 
     def _den(self, m: int) -> complex:
         den = e2pi_m1(m * self.theta)

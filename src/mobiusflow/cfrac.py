@@ -159,29 +159,21 @@ class AlphaSpec:
         self._convergent_pair(depth)
         return self._cache["conv"][:depth + 1]
 
-    def enclosure(self, min_qbits: int = 0, min_depth: int = 1) -> tuple[Fraction, Fraction, int]:
-        """Open interval (lo, hi) containing alpha, plus the depth used.
+    def enclosure(self, min_depth: int = 1) -> tuple[Fraction, Fraction]:
+        """Open interval (lo, hi) containing alpha.
 
-        For irrational specs alpha lies strictly between the last two
-        convergents computed; the depth grows until it reaches min_depth and
-        q_K has min_qbits bits (or the quotient list is exhausted, which is
-        still a valid enclosure).
+        For irrational specs alpha lies strictly between the convergents at
+        depths K - 1 and K, with K at least min_depth and at least the depth
+        of the last enclosure.
         """
         if self.kind == "rational":
             v = Fraction(self.p, self.q)
-            return v, v, len(self._rational_quotients()) - 1
+            return v, v
         depth = max(self._cache.get("enc_depth", 1), 1, min_depth)
-        while True:
-            lp, qp, lk, qk = self._convergent_pair(depth)
-            if qk.bit_length() >= min_qbits:
-                break
-            avail = self.available_depth()
-            if avail is not None and depth >= avail:
-                break
-            depth += 1
+        lp, qp, lk, qk = self._convergent_pair(depth)
         self._cache["enc_depth"] = depth
         a, b = Fraction(lp, qp), Fraction(lk, qk)
-        return (a, b, depth) if a < b else (b, a, depth)
+        return (a, b) if a < b else (b, a)
 
     def center(self, err_bound: Fraction) -> Fraction:
         """A rational within err_bound of alpha (exact for rational kind)."""
@@ -324,7 +316,7 @@ def convergent_inequality_holds(cf: CFExpansion, k: int) -> bool:
         # |alpha - c_{K-1}| in the open interval (|c_K-c_{K-1}| - |alpha-c_K|, |c_K-c_{K-1}|);
         # any continuation has q_{K+1} >= q_K + q_{K-1} > 2 q_{K-1}, forcing the lower half.
         return cf.denominators[K] > cf.denominators[K - 1]
-    lo, hi, _ = cf.alpha.enclosure(min_depth=cf.depth)
+    lo, hi = cf.alpha.enclosure(min_depth=cf.depth)
     ck = cf.convergent(k)
     d1, d2 = abs(lo - ck), abs(hi - ck)
     return min(d1, d2) >= lower and max(d1, d2) <= upper
@@ -552,7 +544,7 @@ def classify_case(cf: CFExpansion, h, N: int, d1: int, b2: int,
     # irrational alpha; the computed value carries the enclosure width, so the
     # consistency check allows exactly that slack (it is zero-width whenever
     # the expansion reaches past the scale's successor).
-    lo_a, hi_a, _ = cf.alpha.enclosure(min_depth=cf.depth)
+    lo_a, hi_a = cf.alpha.enclosure(min_depth=cf.depth)
     slack = mJ * (hi_a - lo_a)
     if not (Fraction(1, 2 * mJp) - slack < thetaJ < Fraction(1, mJp) + slack):
         raise DomainError(f"||m_J alpha|| outside (1/(2 m_J+), 1/m_J+) at m_J={mJ}")

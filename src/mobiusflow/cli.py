@@ -228,11 +228,6 @@ def _provenance(payload: dict, threads: int) -> dict:
             "version": __version__, "threads": threads}
 
 
-def _series_csv(series) -> str:
-    rows = (f"{n},{re!r},{im!r},{a!r}" for n, re, im, a in series.rows())
-    return "\n".join(["N,re,im,abs_over_N", *rows]) + "\n"
-
-
 def _emit(text: str, path: Optional[str], provenance: dict) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -315,7 +310,7 @@ def cmd_correlate(args, threads: int) -> int:
         x = nf.HeisenbergElement(*_numbers(cfg.get("x", [0, 0, 0]), "x", 3))
         series = nf.correlate_nil(flow, x, nf.NilObservable.character(*b), table,
                                   checkpoints, threads=threads)
-    _emit(_series_csv(series), args.out,
+    _emit(series.csv(), args.out,
           _provenance({"cmd": "correlate", "config": cfg, "b": ",".join(map(str, b)),
                        "checkpoints": checkpoints}, threads))
     return 0
@@ -383,7 +378,7 @@ def cmd_nilflow(args, threads: int) -> int:
     x = nf.HeisenbergElement(*_numbers(cfg.get("x", [0, 0, 0]), "x", 3))
     table = mobius_sieve(args.checkpoints[-1])
     series = nf.correlate_nil(T, x, args.observable, table, args.checkpoints, threads=threads)
-    _emit(_series_csv(series), args.out,
+    _emit(series.csv(), args.out,
           _provenance({"cmd": "nilflow", "config": cfg,
                        "observable": args.observable}, threads))
     return 0

@@ -20,9 +20,10 @@ correlator ends in `_weighted_sums`: work is split into fixed-size pieces,
 and e(phase), weighted by mu, comes from a 4096-entry table of e(k/4096)
 and a short polynomial in the remainder (`_e_sums`, within 3 2^-53 per
 term), summed per piece by numpy's pairwise reduction, with no BLAS call.
-Pieces run in batches of up to 2 CHUNK terms and add up in piece order, so
-every correlator honours `threads` and its results are bit-identical for
-any worker count and any BLAS.
+Pieces run in batches of up to 2 CHUNK terms, each worker sums one
+contiguous span of batches, and the pieces add up in piece order, so every
+correlator honours `threads` and its results are bit-identical for any
+worker count and any BLAS.
 
 Also here: the bilinear-criterion test (small correlations against prime
 dilations force small multiplicative-weighted sums), the polynomial
@@ -37,7 +38,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,6 +88,11 @@ class CorrelationSeries:
     def rows(self):
         for cp, s in zip(self.checkpoints, self.sums):
             yield cp, s.real, s.imag, abs(s) / cp
+
+    def csv(self) -> str:
+        """A header line, then one line N,re,im,abs_over_N per checkpoint."""
+        rows = (f"{n},{re!r},{im!r},{a!r}" for n, re, im, a in self.rows())
+        return "\n".join(["N,re,im,abs_over_N", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +435,7 @@ class _SkewPhaseContext:
 def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int,
                           chunk: int = CHUNK) -> np.ndarray:
     """Phases <b, orbit(n)> mod 1 for n = 1..N, assembled chunk-wise."""
+    _checked_work(1, chunk)
     phase_chunk = _SkewPhaseContext(flow, p, b, N, chunk).chunk
     out = np.empty(N, dtype=np.float64)
     for u in range(1, N + 1, chunk):
@@ -596,31 +602,34 @@ def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.nd
     phase_chunk(a, L) gives the phases in [0, 1] of terms a..a+L-1; weights
     is mu[1:] for a sum over n, or a strided view of mu for a residue class.
     The piece layout depends only on (N, checkpoints, chunk).  Each piece is
-    summed by `_e_sums` in its batch (`_batches`), and the piece sums are
-    added in piece order, so the result is bit-identical for any number of
-    threads, which take whole batches, each worker with its own scratch for
-    the length of this call.
+    summed by `_e_sums` in its batch (`_batches`).  The batches are split
+    into contiguous spans of ceil(batches / threads); a worker sums one span
+    in five rows of scratch of its own, a single span runs in the calling
+    thread, and the piece sums are added in piece order, so the result is
+    bit-identical for any number of threads.
     """
     _checked_work(threads, chunk)
     pieces = _pieces(N, checkpoints, chunk)
     batches = _batches(pieces)
     width = max((run[-1][1] - run[0][0] + 1 for run in batches), default=0)
-    local = threading.local()
+    step = max(1, -(-len(batches) // threads))
+    spans = [batches[i:i + step] for i in range(0, len(batches), step)]
 
-    def batch_sums(run: list[tuple[int, int]]) -> list[complex]:
-        if not hasattr(local, "rows"):
-            local.rows = np.empty((5, width))
-        A, B = run[0][0], run[-1][1]
-        for a, b in run:
-            local.rows[0, a - A:b - A + 1] = phase_chunk(a, b - a + 1)
-        re, im = _e_sums(weights[A - 1:B], [a - A for a, _ in run], local.rows)
-        return [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
+    def span_sums(span: list[list[tuple[int, int]]]) -> list[complex]:
+        rows, sums = np.empty((5, width)), []
+        for run in span:
+            A, B = run[0][0], run[-1][1]
+            for a, b in run:
+                rows[0, a - A:b - A + 1] = phase_chunk(a, b - a + 1)
+            re, im = _e_sums(weights[A - 1:B], [a - A for a, _ in run], rows)
+            sums += map(complex, re.tolist(), im.tolist())
+        return sums
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            sums = [s for run in ex.map(batch_sums, batches) for s in run]
+    if len(spans) > 1:
+        with ThreadPoolExecutor(len(spans)) as ex:
+            sums = [s for part in ex.map(span_sums, spans) for s in part]
     else:
-        sums = [s for run in batches for s in batch_sums(run)]
+        sums = span_sums(batches)
 
     running, at = 0j, {0: 0j}
     for (a, b), s in zip(pieces, sums):

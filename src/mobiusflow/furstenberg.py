@@ -34,6 +34,7 @@ import numpy as np
 from .analytic import (AnalyticSeries, COEFF_FLOOR, cobounding_series, coboundary_residual,
                        e2pi_m1)
 from .cfrac import AlphaSpec
+from .correlate import CHUNK, _SkewPhaseContext, _weighted_sums
 from .errors import CapacityError, DomainError
 
 SEED_Q = (1, 2)
@@ -41,6 +42,7 @@ RATIO_BRACKET = (0.5, 2.0)
 RATIO_START_INDEX = 1  # the seed transition q_1/e^{tau q_0} is exempt
 DEFAULT_MAX_DIGITS = 100_000
 COEFF_BRACKET = (1.0 / (4.0 * math.pi), 4.0 * math.pi)
+TAIL_M_CAP = 400  # correction_tail_report sums m up to this
 
 
 def _quotient_from_growth(tau: float, q_k: int, max_digits: int) -> Optional[int]:
@@ -189,9 +191,8 @@ class FurstenbergSystem:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, tau: float, K: int, max_digits: int = DEFAULT_MAX_DIGITS
-              ) -> "FurstenbergSystem":
-        alpha = build_alpha(tau, K, max_digits)
+    def build(cls, tau: float, K: int) -> "FurstenbergSystem":
+        alpha = build_alpha(tau, K)
         q_all = _denominators(alpha)
         q = tuple(q_all[: K + 1])
         h = build_h(alpha, tau, K)
@@ -308,20 +309,20 @@ def verify_combined_coefficients(sys: FurstenbergSystem,
     return {"levels": levels, "off_support": off, "bracket": COEFF_BRACKET, "pass": ok}
 
 
-def correction_tail_report(sys: FurstenbergSystem, m_cap: int = 400) -> list[dict]:
+def correction_tail_report(sys: FurstenbergSystem) -> list[dict]:
     """Per-scale sums  sum_{q_k <= m < q_{k+1}, q_k !| m} H_hat(m)/||m alpha||.
 
-    The sums should stay within a moderate constant of e^{-tau q_k}; the
+    m runs up to TAIL_M_CAP.  The sums should stay within a moderate constant of e^{-tau q_k}; the
     report carries the normalized value sum * e^{tau q_k}.
     """
     out = []
     q_all = _denominators(sys.alpha)
     for k in range(1, len(q_all) - 1):
         qk, qk1 = q_all[k], q_all[k + 1]
-        if qk > m_cap:
+        if qk > TAIL_M_CAP:
             break
         total = 0.0
-        for m in range(qk, min(qk1, m_cap + 1)):
+        for m in range(qk, min(qk1, TAIL_M_CAP + 1)):
             if m % qk == 0:
                 continue
             c = abs(sys.H.coeff(m))
@@ -356,19 +357,17 @@ def irregularity_probe(sys: FurstenbergSystem, b, x0, windows: Sequence[int],
     Reports the averages and the oscillation statistic: the diameter of
     {A(N_i)} over the tail half of the window list.  The uncorrected flow
     (h alone) shows non-convergence for suitable observables at windows
-    tied to the denominators q_k.
+    tied to the denominators q_k.  The sums run through the correlators'
+    `_weighted_sums`, with weight 1 for every n.
     """
-    from .correlate import character_phase_array
-
     windows = sorted(int(w) for w in windows)
     if not windows or windows[0] < 1:
         raise DomainError("windows must be positive and increasing")
     flow = sys.flow(corrected=corrected)
     N = windows[-1]
-    phases = character_phase_array(flow, x0, b, N)
-    z = np.exp(2j * np.pi * phases)
-    csum = z.cumsum()
-    averages = [complex(csum[w - 1]) / w for w in windows]
+    sums = _weighted_sums(_SkewPhaseContext(flow, x0, b, N, CHUNK).chunk,
+                          np.broadcast_to(np.int8(1), (N,)), N, windows, 1, CHUNK)
+    averages = [s / w for s, w in zip(sums, windows)]
     tail = averages[len(averages) // 2:]
     osc = max(abs(u - v) for u in tail for v in tail) if len(tail) > 1 else 0.0
     return {

@@ -289,10 +289,10 @@ class NilObservable:
     terms: tuple
 
     @classmethod
-    def character(cls, p: int, q: int, r: int = 0, weight: complex = 1.0) -> "NilObservable":
+    def character(cls, p: int, q: int, r: int = 0) -> "NilObservable":
         if any(isinstance(c, bool) or c != int(c) for c in (p, q, r)):
             raise DomainError(f"frequencies must be integers, got {(p, q, r)}")
-        return cls(terms=((complex(weight), int(p), int(q), int(r)),))
+        return cls(terms=((1 + 0j, int(p), int(q), int(r)),))
 
     @classmethod
     def from_json(cls, spec: dict) -> "NilObservable":

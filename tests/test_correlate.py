@@ -15,7 +15,7 @@ from mobiusflow.analytic import AnalyticSeries, ScaleFunction, e2pi, e2pi_m1, ge
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
 from mobiusflow.correlate import (_E_COS, _E_SIN, CHUNK, E_TABLE_SIZE, E_TERM_ERROR,
                                   INT64_MODULUS_MAX, CorrelationSeries, PolyPhase,
-                                  _SkewPhaseContext, _e_sums,
+                                  _SkewPhaseContext, _batches, _e_sums, _pieces,
                                   bsz_test, character_phase_array, mobius_correlate, phi_polys,
                                   poly_exp_sum, poly_lower_bound_check, poly_mod1_array,
                                   reduction_bound, vdc_sum_check)
@@ -23,6 +23,7 @@ from mobiusflow.errors import DomainError
 from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine, character_phase
 from mobiusflow.furstenberg import FurstenbergSystem
 from mobiusflow.mobius import mertens, mobius_sieve
+from mobiusflow import correlate
 from mobiusflow.nilflow import HeisenbergAffine, HeisenbergElement, NilObservable, correlate_nil
 from mobiusflow.polyutil import Poly
 
@@ -764,3 +765,47 @@ def test_correlators_refuse_bad_chunk_and_threads(table, skew, kwargs):
         poly_exp_sum(PolyPhase((0.0, math.sqrt(2))), table, 100, **kwargs)
     with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
         poly_exp_sum(PolyPhase((0.0, math.sqrt(2)), nu=7, residue=3), table, 2, **kwargs)
+
+
+@pytest.mark.parametrize("chunk", [-3, 0, 2.5])
+def test_phase_array_refuses_bad_chunk(skew, chunk):
+    """A negative chunk once returned uninitialised memory, 0 and 2.5 raised
+    from range(); all three are refused as the correlators refuse them."""
+    flow, p = skew
+    with pytest.raises(DomainError, match="chunk must be an integer >= 1"):
+        character_phase_array(flow, p, Character(1, 1), 10, chunk=chunk)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_empty_sums_are_zero_at_any_thread_count(table, threads):
+    """No term <= N: a class mod 5 whose first term is beyond N, and N = 0.
+    Each layout has no batch, so it has no span either."""
+    assert _batches(_pieces(0, [0], CHUNK)) == []
+    phase = PolyPhase((0.0, math.sqrt(2)), nu=5, residue=4)
+    assert poly_exp_sum(phase, table, 3, threads=threads) == 0j
+    assert poly_exp_sum(PolyPhase((0.0, math.sqrt(2))), table, 0, threads=threads) == 0j
+
+
+def test_more_threads_than_batches(table, skew):
+    """threads = 8 over three batches (pieces 8192, 8192 | 8192, 8192 | 7808):
+    three spans of one batch, == the threads = 1 sums."""
+    flow, p = skew
+    N = 40_000
+    assert len(_batches(_pieces(N, [N], CHUNK))) == 3
+    phase = PolyPhase((0.25, -0.1, math.sqrt(3), math.sqrt(2)))
+    runs = [(mobius_correlate(flow, p, Character(1, 2), table, [777, N], threads=t).sums,
+             poly_exp_sum(phase, table, N, threads=t)) for t in (1, 8)]
+    assert runs[0] == runs[1]
+
+
+def test_one_batch_starts_no_pool(table, monkeypatch):
+    """A call of one batch sums in the calling thread at threads = 2; a call
+    of two batches does start the (here refused) pool."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+    phase = PolyPhase((0.25, -0.1, math.sqrt(3), math.sqrt(2)))
+    want = poly_exp_sum(phase, table, 10_000)
+    monkeypatch.setattr(correlate, "ThreadPoolExecutor", refuse)
+    assert poly_exp_sum(phase, table, 10_000, threads=2) == want
+    with pytest.raises(AssertionError, match="thread pool"):
+        poly_exp_sum(phase, table, 20_000, threads=2)

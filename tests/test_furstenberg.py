@@ -8,6 +8,7 @@ import pytest
 
 from mobiusflow.analytic import eval_series
 from mobiusflow.cfrac import cf_expand, choose_B, classify_case, partition_Q
+from mobiusflow.correlate import CHUNK, _SkewPhaseContext, character_phase_array
 from mobiusflow.errors import CapacityError
 from mobiusflow.flows import Character, TorusPoint
 from mobiusflow.furstenberg import (FurstenbergSystem, build_alpha,
@@ -149,6 +150,27 @@ def test_probe_rotation_observable_decays(sys1):
     rep = irregularity_probe(sys1, Character(1, 0), TorusPoint(0.0, 0.0), windows)
     assert rep["abs_averages"][-1] < 0.01
     assert rep["oscillation"] < 0.05
+
+
+@pytest.mark.parametrize("b, corrected", [(Character(0, 1), False), (Character(1, 1), True)])
+def test_probe_averages_match_exp_and_cumsum(sys1, b, corrected):
+    """The probe's averages against np.exp and a cumsum over the phases of
+    `character_phase_array`.  Both phase routes are within `phase_error` per
+    term of the same phase, the probe's sums within `table_anchor_bound`,
+    np.exp(2j pi ph) within (2 pi + 4) u per term and the cumsum to window w
+    within 2 w^2 u (u = 2^-53), so A(w) moves by at most the sum over w."""
+    windows, x0, u = [2, 9, 81, 729, 8102], TorusPoint(0.37, 0.12), 2.0**-53
+    N = windows[-1]
+    rep = irregularity_probe(sys1, b, x0, windows, corrected=corrected)
+    flow = sys1.flow(corrected=corrected)
+    ctx = _SkewPhaseContext(flow, x0, b, N, CHUNK)
+    shared = (ctx.budget(windows)["table_anchor_bound"] + 2 * math.pi * N * ctx.phase_error
+              + (2 * math.pi + 4) * N * u)
+    csum = np.exp(2j * np.pi * character_phase_array(flow, x0, b, N)).cumsum()
+    for w, (re, im) in zip(windows, rep["averages"]):
+        bound = (shared + 2 * w * w * u) / w
+        assert bound < 1e-8
+        assert abs(complex(re, im) - complex(csum[w - 1]) / w) <= bound, w
 
 
 def test_probe_vertical_oscillation(sys1):
