@@ -211,9 +211,9 @@ def birkhoff_sum_direct(h: AnalyticSeries, x1: float, alpha: AlphaSpec, n: int) 
     if n == 0:
         return 0j
     x1f = float(x1) % 1.0
-    step = alpha.frac_fraction(1)
-    # j*alpha reduced exactly per term, then a vectorized sweep per coefficient.
-    phases = np.array([float((j * step) % 1) for j in range(n)], dtype=np.float64)
+    r, q = alpha.frac_fraction(1).as_integer_ratio()
+    # j*alpha mod 1 rounded once from its integer residue, then a sweep per coefficient.
+    phases = np.array([j * r % q / q for j in range(n)], dtype=np.float64)
     total = 0j
     for m, c in h.items():
         theta = np.mod(m * x1f + m * phases, 1.0)

@@ -332,7 +332,7 @@ def _bsz_sequence(spec: str):
         return lambda n: np.ones(np.asarray(n).shape, dtype=np.complex128)
     if spec.startswith("rotation:"):
         arg = spec.split(":", 1)[1]
-        theta = math.sqrt(2) - 1 if arg in ("sqrt2-1", "sqrt2m1") else float(arg)
+        theta = math.sqrt(2) - 1 if arg in ("sqrt2-1", "sqrt2m1") else _real(arg, "rotation")
         return lambda n: np.exp(2j * np.pi * np.mod(np.asarray(n, dtype=np.float64) * theta, 1.0))
     raise DomainError(f"cannot parse sequence spec {spec!r}")
 

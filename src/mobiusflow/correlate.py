@@ -709,6 +709,8 @@ def bsz_test(f: Callable[[np.ndarray], np.ndarray], tau: float, M: int, N: int,
     """
     if not 0.0 < tau < 1.0 / math.e:
         raise DomainError("tau must lie in (0, 1/e)")
+    if M < 1 or not 1 <= N <= table.limit:
+        raise DomainError(f"need M >= 1 and 1 <= N <= {table.limit}, got M={M}, N={N}")
     bound = math.exp(1.0 / tau)
     capped = bound > BSZ_PRIME_CAP
     pbound = min(int(bound), BSZ_PRIME_CAP)
@@ -731,8 +733,6 @@ def bsz_test(f: Callable[[np.ndarray], np.ndarray], tau: float, M: int, N: int,
             hypothesis_holds = False
 
     mu = table.mu_array()
-    if N > table.limit:
-        raise DomainError(f"N={N} beyond sieve limit {table.limit}")
     ns = np.arange(1, N + 1, dtype=np.int64)
     fn = np.asarray(f(ns), dtype=np.complex128)
     msum = complex(np.add.reduce(mu[1:N + 1] * fn))

@@ -31,7 +31,7 @@ from mobiusflow.mobius import mobius_sieve
 from mobiusflow.nilflow import (HeisenbergAffine, HeisenbergElement,
                                 compile_poly_orbit, coord_first_from_second,
                                 coord_second_from_first, heis_mul,
-                                make_automorphism, nil_orbit_iter,
+                                make_automorphism, nil_step,
                                 reduce_to_fundamental)
 
 SEED = 20260811
@@ -254,7 +254,7 @@ def test_criterion_08_heisenberg_exactness():
         assert heis_mul(heis_mul(x, y), z).coords() == heis_mul(x, heis_mul(y, z)).coords()
         assert coord_second_from_first(coord_first_from_second(x.coords())) == x.coords()
 
-    configs = 0
+    configs = checked = 0
     t0 = time.time()
     while configs < 100:
         S0 = blocks[configs % len(blocks)]
@@ -265,19 +265,23 @@ def test_criterion_08_heisenberg_exactness():
         ds = make_automorphism(S, e=int(rng.integers(-2, 3)), f=int(rng.integers(-2, 3)))
         T = HeisenbergAffine(g=rand_el(), dsigma=ds)
         x = reduce_to_fundamental(rand_el())
+        # One walk per config: orbit[n] is nil_orbit_iter(T, x, n) by its definition.
+        orbit = [reduce_to_fundamental(x)]
+        for _ in range(500):
+            orbit.append(nil_step(T, orbit[-1]))
         for l in range(T.nu):
             rep = compile_poly_orbit(T, x, l)
-            for n in range(l, 501, max(T.nu, T.nu * 7)):
-                assert rep.evaluate_reduced(n).coords() == \
-                    nil_orbit_iter(T, x, n).coords(), (S, l, n)
             n_top = l + ((500 - l) // T.nu) * T.nu
-            assert rep.evaluate_reduced(n_top).coords() == \
-                nil_orbit_iter(T, x, n_top).coords()
+            for n in [*range(l, 501, max(T.nu, T.nu * 7)), n_top]:
+                assert rep.evaluate_reduced(n).coords() == orbit[n].coords(), (S, l, n)
+                checked += 1
         configs += 1
     elapsed = time.time() - t0
+    assert checked == 7384, checked
+    assert elapsed < 30.0, elapsed
     report(f"criterion 8 PASS: polynomial orbit form == iteration exactly "
-           f"(rational arithmetic) across {configs} automorphism configs, "
-           f"n <= 500, in {elapsed:.1f}s")
+           f"(rational arithmetic), {checked} equalities across {configs} "
+           f"automorphism configs, n <= 500, in {elapsed:.1f}s")
 
 
 def _conj2(P, S):

@@ -17,7 +17,7 @@ from mobiusflow.analytic import (AnalyticSeries, ScaleFunction, big_H,
                                  rational_case_decompose, scale_window)
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case, phi_scale, with_partition
 from mobiusflow.errors import DomainError
-from mobiusflow.furstenberg import FurstenbergSystem
+from mobiusflow.furstenberg import FurstenbergSystem, build_alpha
 
 RNG = np.random.default_rng(2024)
 SQRT2 = AlphaSpec.sqrt2_minus_1()
@@ -65,6 +65,21 @@ def test_birkhoff_direct_trivials():
     assert birkhoff_sum_direct(h, 0.3, SQRT2, 0) == 0
     assert birkhoff_sum_direct(h, 0.3, SQRT2, 1) == pytest.approx(
         eval_series(h, 0.3), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [SQRT2, AlphaSpec.golden_frac(), AlphaSpec.rational(3, 7),
+                                   build_alpha(1.0, 4)],
+                         ids=["sqrt2-1", "golden", "3/7", "furstenberg-1-4"])
+def test_birkhoff_direct_equals_per_term_fraction_formula(alpha):
+    """Phases from integer residues are float((j * alpha) % 1) in Fraction: the sum is ==."""
+    h = AnalyticSeries.geometric(1.3)
+    x1, n = 0.123, 10**4
+    step = alpha.frac_fraction(1)
+    phases = np.array([float((j * step) % 1) for j in range(n)], dtype=np.float64)
+    want = 0j
+    for m, c in h.items():
+        want += c * np.exp(2j * np.pi * np.mod(m * x1 + m * phases, 1.0)).sum()
+    assert birkhoff_sum_direct(h, x1, alpha, n) == complex(want)
 
 
 def test_birkhoff_fourier_vs_direct_cosine():

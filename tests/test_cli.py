@@ -367,6 +367,9 @@ def test_malformed_lists_end_in_documented_exit_codes(configs, option, flow, val
     ["cfrac", "--alpha", "rational:x/3"],
     ["cfrac", "--alpha", "quotients:"],
     ["cfrac", "--alpha", "furstenberg:1.0"],
+    ["bsz", "--tau", "0.25", "--m", "0", "--n", "1000", "--f", "constant"],
+    ["bsz", "--tau", "0.25", "--m", "-5", "--n", "1000", "--f", "constant"],
+    ["bsz", "--tau", "0.25", "--m", "100", "--n", "1000", "--f", "rotation:abc"],
 ])
 def test_malformed_json_and_alpha_specs_domain_exit(tmp_path, capsys, args):
     bad = tmp_path / "bad.json"

@@ -270,7 +270,10 @@ def test_unipotent_correlator_matches_character_values(table):
     v = (1, 2)
     N = 500
     mu = table.mu_array()
-    want = sum(int(mu[n]) * character_value(aff, x, v, n) for n in range(1, N + 1))
+    want, p = 0j, list(x)  # one walk; character_value at T^n x with n = 0 is psi(T^n x)
+    for n in range(1, N + 1):
+        p = aff.step(p)
+        want += int(mu[n]) * character_value(aff, p, v, 0)
     series = mobius_correlate(aff, x, v, table, [N])
     assert abs(series.sums[0] - want) < 1e-8
 
@@ -351,6 +354,12 @@ def test_bsz_implication_on_constructed_instances(table):
 def test_bsz_tau_domain(table):
     with pytest.raises(DomainError):
         bsz_test(rotation_sequence(0.3), tau=0.5, M=100, N=1000, table=table)
+
+
+@pytest.mark.parametrize("M, N", [(0, 1000), (-5, 1000), (100, 0), (100, -3), (100, 10**9)])
+def test_bsz_refuses_empty_or_unsieved_ranges(table, M, N):
+    with pytest.raises(DomainError):
+        bsz_test(rotation_sequence(0.3), tau=0.25, M=M, N=N, table=table)
 
 
 # ---------------------------------------------------------------------------
