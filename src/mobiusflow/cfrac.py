@@ -176,10 +176,12 @@ class AlphaSpec:
         return (a, b) if a < b else (b, a)
 
     def center(self, err_bound: Fraction) -> Fraction:
-        """A rational within err_bound of alpha (exact for rational kind)."""
+        """A rational within err_bound of alpha (exact for rational kind): the first
+        convergent l_K/q_K with 1/q_K^2 <= err_bound, or the last one a short
+        quotient list certifies, whatever earlier calls asked."""
         if self.kind == "rational":
             return Fraction(self.p, self.q)
-        depth = max(self._cache.get("enc_depth", 1), 1)
+        depth = 1
         while True:
             lp, qp, lk, qk = self._convergent_pair(depth)
             # |alpha - l_K/q_K| < 1/(q_K q_{K+1}) <= 1/q_K^2
@@ -207,15 +209,11 @@ class AlphaSpec:
         c = self._phase_center(abs(n).bit_length()) if n else Fraction(0)
         return Fraction(n * c.numerator % c.denominator, c.denominator)
 
-    def frac_signed_residue(self, n: int) -> tuple[int, int]:
-        """(r, q), not reduced, with r / q = n*alpha mod 1 in [-1/2, 1/2) over the exact centre."""
+    def frac_signed_fraction(self, n: int) -> Fraction:
+        """n*alpha mod 1 mapped to [-1/2, 1/2), over the same centre as `frac_fraction`."""
         c = self._phase_center(abs(n).bit_length()) if n else Fraction(0)
         r, q = n * c.numerator % c.denominator, c.denominator
-        return (r - q if 2 * r >= q else r), q
-
-    def frac_signed_fraction(self, n: int) -> Fraction:
-        """n*alpha mod 1 mapped to [-1/2, 1/2)."""
-        return Fraction(*self.frac_signed_residue(n))
+        return Fraction(r - q if 2 * r >= q else r, q)
 
     def frac_float(self, n: int) -> float:
         return float(self.frac_fraction(n))

@@ -318,6 +318,8 @@ def cmd_correlate(args, threads: int) -> int:
 
 def cmd_expsum(args, threads: int) -> int:
     phase = PolyPhase(coeffs=args.coeffs, nu=args.nu, residue=args.residue)
+    if args.n < 1:
+        raise DomainError(f"need N >= 1, got N={args.n}")
     table = mobius_sieve(args.n)
     s = poly_exp_sum(phase, table, args.n, threads=threads)
     out = {"N": args.n, "re": s.real, "im": s.imag, "abs_over_N": abs(s) / args.n}
@@ -339,6 +341,8 @@ def _bsz_sequence(spec: str):
 
 def cmd_bsz(args, threads: int) -> int:
     f = _bsz_sequence(args.f)
+    if args.n < 1:
+        raise DomainError(f"need N >= 1, got N={args.n}")
     table = mobius_sieve(args.n)
     report = bsz_test(f, args.tau, args.m, args.n, table)
     _emit(json.dumps(report, indent=2) + "\n", args.out,

@@ -3,11 +3,11 @@
 The central object is S(N) = sum_{n<=N} mu(n) e(<b, orbit(n)>) evaluated at
 checkpoints.  Orbit phases come from closed forms, never from sequential
 iteration.  On the skew products the rotation, linear and quadratic parts
-are integer residues over the exact centre of alpha, summed in 64-bit fixed
-point with a per-call table of the quadratic term; each Fourier mode's
-Birkhoff prefix is an anchor e(u delta) per block, from delta in 128-bit
-fixed point, times a per-call table of e(j delta); one einsum per block, with
-no BLAS call, sums all modes, and the error budget goes into the metadata.
+are integer residues over one exact centre of alpha, summed in 64-bit fixed
+point with per-call 128-bit tables of the linear and quadratic terms; the
+Birkhoff part is the coboundary G(frac(x1 + n alpha)) - G(x1), read from one
+per-call Taylor table of G on 4096 grid points at a cost per term that does
+not grow with the mode count, and the error budget goes into the metadata.
 Polynomial phases (`poly_exp_sum` of a `flows.PolyPhase`, the unipotent
 affine maps, whose phase on each class is a `PolyPhase` too, and the
 Heisenberg nilflows) are walked in t on each residue class n = nu t + l, as
@@ -59,8 +59,8 @@ CHUNK = 8192
 # summed `mu-scale` a third slower (BENCH_e_kernel.json, "batches")
 BATCH = 2 * CHUNK
 TWO_PI = 2.0 * math.pi
-# entries of each half (cos, sin) of the skew mode table: 16 MB in all, whatever the mode count
-MODE_TABLE_ENTRIES = 1 << 20
+# bound on the Taylor remainder of the skew coboundary table, which sets its degree
+TAYLOR_FLOOR = 2.0**-60
 BSZ_PRIME_CAP = 10_000  # bsz_test takes primes up to min(e^(1/tau), this)
 VDC_DERIVATIVE_SAMPLES = 200  # vdc_sum_check's samples of the third derivative
 VDC_IMPLIED_CONSTANT = 10.0  # and the implied constant of its bound
@@ -101,7 +101,6 @@ class CorrelationSeries:
 # Largest modulus K whose residue products (K-1)^2 + K - 1 stay within int64.
 INT64_MODULUS_MAX = math.isqrt(2**63 - 1)
 _U64 = 1 << 64
-_U128 = 1 << 128
 
 
 def _residue_dtype(*moduli: int):
@@ -279,15 +278,24 @@ def _fixed(r: int, D: int) -> int:
     return (r << 64) // D
 
 
+def _times_fixed128(c: np.ndarray, x: int) -> np.ndarray:
+    """floor(c x / 2^64) mod 2^64, less at most 2, for uint64 c < 2^32 and 0 <= x < 2^128."""
+    hi, mid, lo = (np.uint64(v) for v in (x >> 64, (x >> 32) & 0xFFFFFFFF, x & 0xFFFFFFFF))
+    sh = np.uint64(32)
+    return c * hi + ((c * mid + ((c * lo) >> sh)) >> sh)
+
+
 class _QuadraticTrack:
     """frac(K0 + A n + B C(n, 2)) for rational K0, A, B, as exact integer residues.
 
     At base u, n = u + j gives K0 + A n + B C(n, 2) = [K0 + A u + B C(u, 2)]
-    + j (A + B u) + B C(j, 2).  Both anchors are residues over the common
-    denominator D, floored to 64-bit fixed point; the last term is a table
-    for j < length, floored from B mod 1 in 128-bit fixed point (exact up to
-    C(j, 2) 2^-128) and skipped when B is an integer.  The three add in uint64
-    wraparound, i.e. mod 1, so each value is off by less than (j + 2) 2^-64.
+    + j A + j (B u) + B C(j, 2).  The anchor and B u mod 1 are residues over
+    the common denominator D, floored to 64-bit fixed point; j A and B C(j, 2)
+    are tables for j < length, from A and B mod 1 floored to 128-bit fixed
+    point, each off by under 2 2^-64 + C(j, 2) 2^-128.  The B terms are
+    skipped when B is an integer.  The terms add in uint64 wraparound, i.e.
+    mod 1, so each value is off by less than (j + 6) 2^-64, or 4 2^-64 when B
+    is an integer.
     """
 
     def __init__(self, K0: Fraction, A: Fraction, B: Fraction, length: int):
@@ -295,59 +303,93 @@ class _QuadraticTrack:
         self.k0, self.a, self.b = (int(x * D) for x in (K0, A, B))
         self.D = D
         self.j = np.arange(length, dtype=np.uint64)
+        self.lin = _times_fixed128(self.j, ((self.a % D) << 128) // D)
         self.quad = None
         if self.b % D:
-            b128 = ((self.b % D) << 128) // D
-            hi, lo_h, lo_l = (np.uint64(v) for v in (b128 >> 64, (b128 >> 32) & 0xFFFFFFFF,
-                                                        b128 & 0xFFFFFFFF))
-            c = self.j * (self.j - np.uint64(1)) // np.uint64(2)  # C(j, 2) < 2^32: c lo_h fits
-            sh = np.uint64(32)
-            self.quad = c * hi + ((c * lo_h + ((c * lo_l) >> sh)) >> sh)
+            c = self.j * (self.j - np.uint64(1)) // np.uint64(2)  # C(j, 2) < 2^32
+            self.quad = _times_fixed128(c, ((self.b % D) << 128) // D)
 
     def chunk(self, u: int, L: int) -> np.ndarray:
         """64-bit fixed-point frac of the phase at n = u..u+L-1, L <= length."""
         a0 = _fixed((self.k0 + self.a * u + self.b * (u * (u - 1) // 2)) % self.D, self.D)
-        a1 = _fixed((self.a + self.b * u) % self.D, self.D)
-        out = self.j[:L] * np.uint64(a1)
-        out += np.uint64(a0)
+        out = self.lin[:L] + np.uint64(a0)
         if self.quad is not None:
+            out += self.j[:L] * np.uint64(_fixed(self.b * u % self.D, self.D))
             out += self.quad[:L]
         return out
+
+
+def _taylor_table(modes: Sequence[int], g: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Taylor table of G(y) = sum Re(g_m e(m y)) on the grid k / R, R = E_TABLE_SIZE.
+
+    Column q < P, row q of the array, holds G^(q)(k / R) / (q! R^q) = sum
+    f_q Re(i^q g e(m k / R)), f_q = (2 pi m / R)^q / q!, with e(m k / R) from
+    `_E_COS` and `_E_SIN` at m k mod R; the sums run over blocks of 16 modes,
+    elementwise, with no BLAS call.  With H_q = sum |g| (pi m / R)^q / q!, P
+    is the least degree whose remainder H_P is below TAYLOR_FLOOR.  With u =
+    2^-53, the table and a Horner sum in t, |t| <= 1/2, are off by at most u
+    sum_{q<P} (M + 44 + 6 q) H_q: the rounding of g_m (16 u), f_q (3.5 q u),
+    the entries (4 u), the sum over the M modes ((M - 1) u) and the Horner
+    steps ((2 q + 1) u), times |t|^q <= 2^-q, and of -G(x1) (21 u H_0).
+    Returns the table and that bound plus H_P.
+    """
+    if not np.isfinite(g).all():
+        raise PrecisionError("a coefficient of the coboundary G overflows double precision")
+    R, M = E_TABLE_SIZE, len(modes)
+    x = np.pi / R * np.array([float(m) for m in modes])
+    H, term = [], np.abs(g)
+    while term.sum() >= TAYLOR_FLOOR:
+        H.append(float(term.sum()))
+        term = term * x / len(H)
+    table, k = np.zeros((len(H), R)), np.arange(R)
+    for s in range(0, M, 16):
+        idx = np.array([m % R for m in modes[s:s + 16]])[:, None] * k % R
+        gr, gi = g[s:s + 16, None].real, g[s:s + 16, None].imag
+        cos, sin = _E_COS[idx], _E_SIN[idx]
+        parts = (gr * cos - gi * sin, gr * sin + gi * cos)  # Re and Im of g e(m k / R)
+        f = np.ones((len(idx), 1))
+        for q, row in enumerate(table):
+            row += (1, -1, -1, 1)[q % 4] * np.add.reduce(f * parts[q % 2], axis=0)
+            f = f * (2 * x[s:s + 16, None]) / (q + 1)
+    return table, float(term.sum()) + 2.0**-53 * sum((M + 44 + 6 * q) * Hq
+                                                     for q, Hq in enumerate(H))
 
 
 class _SkewPhaseContext:
     """Streams <b, orbit(n)> mod 1 for the normalized skew product, n <= nmax.
 
-    The polynomial part b1 (x1 + n alpha) + b2 (x2 + c n x1 + c C(n, 2)
-    alpha), with the ramp modes folded in, is one `_QuadraticTrack` over the
-    exact centre of alpha.  The Birkhoff part b2 sum_m 2 Re(coeff_m (e(n
-    delta_m) - 1) / (e(delta_m) - 1)) over the Fourier modes m > 0, with
-    delta_m = m alpha mod 1 in [-1/2, 1/2) and coeff_m = h_hat(m) e(m x1),
-    splits at base u, n = u + j, into 2 Re(w_m(u) e(j delta_m)) minus the
-    constant 2 Re(coeff_m / (e(delta_m) - 1)), where w_m(u) = coeff_m
-    e(u delta_m) / (e(delta_m) - 1).  The constants join the phase's
-    constant once.  From the residue delta_m = (m p mod q) / q over the
-    centre p / q come d_m = floor(2^128 delta_m) mod 2^128 and the anchor
-    frac(u delta_m) = (u d_m mod 2^128) 2^-128, off by under u 2^-128, and
-    one per-call table of cos and sin of 2 pi j delta_m, the M cos rows and
-    then the M sin rows for j < length = min(chunk, nmax, CHUNK,
-    MODE_TABLE_ENTRIES / M), from j round(2^64 delta_m) mod 2^64 (off by at
-    most j 2^-65).  A block is one einsum of the table with the 2 M
-    coefficients (Re, -Im) of 2 b2 w_m(u), so the numpy calls per block do
-    not grow with M and none calls BLAS; longer pieces take blocks of `length`.
+    Everything is taken over one exact centre of alpha, `_phase_center(3
+    bitlen(nmax) + 8)`.  The polynomial part b1 (x1 + n alpha) + b2 (x2 + c n
+    x1 + c C(n, 2) alpha), with the ramp modes folded in, is one
+    `_QuadraticTrack`.  Over the Fourier modes m > 0, delta_m = m alpha mod 1
+    in [-1/2, 1/2), the Birkhoff part b2 sum_m 2 Re(h_hat(m) e(m x1) (e(n
+    delta_m) - 1) / (e(delta_m) - 1)) is the coboundary G(y_n) - G(x1),
+    y_n = frac(x1 + n alpha), of G(y) = sum_m Re(g_m e(m y)) with g_m = 2 b2
+    h_hat(m) / (e(delta_m) - 1), which solves G(y + alpha) - G(y) = b2 (h(y)
+    - h_hat(0)) on the kept modes.  -G(x1) joins the constant, by math.fsum.
+    y_n is a second `_QuadraticTrack`; its bits give the nearest grid point
+    k / R and t = R y_n - k in [-1/2, 1/2), and G(y_n) is the Horner sum in t
+    of the P columns of `_taylor_table` at k.  So the work per term grows
+    with P, not with the mode count, and no numpy call in a block calls BLAS.
 
-    Error budget.  A mode whose Birkhoff part 2 Re(...) has |2 coeff /
-    (e(delta)-1)| below MODE_FLOOR is dropped (a ramp mode with
-    |coeff| nmax below it); `dropped_bound` bounds the dropped part of each
-    term's phase (|b2| times 4 |coeff / (e(delta)-1)|, or 2 |coeff| nmax).
-    With cos and sin correct to an ulp, each kept mode's table entry,
-    anchor, product and share of the sum (in any order, as |Re z cos| +
-    |Im z sin| <= |z|) is off by at most |2 b2 w_m| (2 M + 50) 2^-53, its
-    fixed-point anchor by 2 pi nmax 2^-128 |2 b2 w_m| more, and the
-    fixed-point part by under 2^-50.  So `phase_error`, (|b2| sum_m |2 w_m|
-    + 1) (2 M + 50) 2^-53 plus that anchor term, bounds each term's phase
-    error, and 2 pi N `phase_error` the error it puts on S(N); its + 1 term
-    also covers `E_TERM_ERROR`, the error of `_e_sums`' e(phase) per term.
+    Error budget.  A mode with |2 h_hat / (e(delta) - 1)| below MODE_FLOOR
+    is dropped (a ramp mode with |h_hat| nmax below it); `dropped_bound`
+    bounds the dropped part of each term's phase.  `phase_error` bounds the
+    rest of each term's phase error, the sum of:
+
+    - the Taylor remainder and rounding bound of `_taylor_table`;
+    - |G'| 2^-61, |G'| <= 2 pi sum m |g_m|: y_n is off by under 4 2^-64 in
+      fixed point (`_QuadraticTrack`) and 2^-70 from the centre;
+    - 2 |G'| 2^-(3 bitlen(nmax) + 68) / min |e(delta_m) - 1|: the centre's
+      move of each g_m, in G(y_n) and in G(x1);
+    - (|b1| + |b2 c|) 2^-69, the centre's drift on the polynomial part, and
+      |b2| nmax 2^-124 sum 2 |h_hat(m)| over the ramp modes, whose 2
+      Re(h_hat(m) e(m x1)) are taken to 128 bits;
+    - 16 2^-53: the polynomial part in fixed point (under 2^-51, as pieces
+      longer than `length` <= CHUNK run in blocks), the constant, the
+      additions and `E_TERM_ERROR`, the error of e(phase) in `_e_sums`.
+
+    2 pi N `phase_error` bounds the error it puts on S(N), and
     `table_anchor_bound` adds `reduction_bound`, the error of the sums.
     """
 
@@ -356,54 +398,52 @@ class _SkewPhaseContext:
     def __init__(self, flow: SkewFlow, p: TorusPoint, b: Character, nmax: int, chunk: int):
         if not flow.normalized:
             raise DomainError("correlator needs the normalized skew form a = d = 1")
-        alpha, h = flow.alpha, flow.h
-        x1 = Fraction(p.x1)
-        ramp = Fraction(h.coeff(0).real)  # exact sum of the ramp modes' 2 Re(coeff)
-        self.dropped_bound, self.modes_dropped, ramps = 0.0, 0, 0
-        weights, self.anchors = [], []  # 2 b2 coeff_m / (e(delta_m) - 1), floor(2^128 delta_m)
+        h, x1, bits = flow.h, Fraction(p.x1), 3 * max(nmax, 2).bit_length() + 8
+        center = flow.alpha._phase_center(bits)
+        ramp = Fraction(h.coeff(0).real)  # plus the ramp modes' 2 Re(h_hat(m) e(m x1))
+        self.dropped_bound, self.modes_dropped, ramps, ramp_size = 0.0, 0, 0, 0.0
+        modes, gs, g_x1, min_den = [], [], [], math.inf
         for m, c in (h.items() if b.b2 else ()):
             if m <= 0:
                 continue
-            r, q = alpha.frac_signed_residue(m)
-            coeff = c * e2pi(m * x1.numerator % x1.denominator / x1.denominator)
-            df, den = r / q, e2pi_m1(r / q)
-            if df == 0.0 or abs(df) < 1e-250 or den == 0:
-                # ramp: (e(n delta) - 1) / (e(delta) - 1) = n to double precision
-                if df != 0.0 and abs(coeff) * nmax < self.MODE_FLOOR:
-                    self.dropped_bound += abs(b.b2) * 2.0 * abs(coeff) * nmax
-                    self.modes_dropped += 1
-                else:
-                    ramp += Fraction(2.0 * coeff.real)
-                    ramps += 1
-                continue
-            w = 2.0 * coeff / den
-            if abs(w) < self.MODE_FLOOR:
-                self.dropped_bound += abs(b.b2) * 2.0 * abs(w)
+            r, q = m * center.numerator % center.denominator, center.denominator
+            df, arg = (r - q if 2 * r >= q else r) / q, m * x1 % 1
+            den = e2pi_m1(df)
+            # a ramp: (e(n delta) - 1) / (e(delta) - 1) = n to double precision
+            is_ramp = df == 0.0 or abs(df) < 1e-250 or den == 0
+            size = abs(c) * nmax if is_ramp else abs(2.0 * c / den)
+            if df != 0.0 and size < self.MODE_FLOOR:
+                self.dropped_bound += abs(b.b2) * 2.0 * size
                 self.modes_dropped += 1
-                continue
-            weights.append(b.b2 * w)
-            self.anchors.append(((r << 128) // q) % _U128)
-        M = len(weights)
+            elif is_ramp:
+                with mpmath.workprec(128):
+                    z = mpmath.mpc(c) * mpmath.expjpi(mpmath.mpf(2 * arg.numerator)
+                                                      / arg.denominator)
+                man, exp = z.real.man_exp
+                ramp += 2 * Fraction(man) * Fraction(2) ** exp
+                ramp_size, ramps = ramp_size + 2.0 * abs(c), ramps + 1
+            else:
+                modes.append(m)
+                gs.append(b.b2 * (2.0 * c / den))
+                g_x1.append((gs[-1] * e2pi(arg.numerator / arg.denominator)).real)
+                min_den = min(min_den, abs(den))
         self.nmax, self.chunk_len = nmax, chunk
-        self.length = max(1, min(chunk, nmax, CHUNK, MODE_TABLE_ENTRIES // max(M, 1)))
-        self.modes_kept = M + ramps
-        size = sum(map(abs, weights))
-        self.phase_error = (size + 1.0) * (2 * M + 50) * 2.0**-53 + size * TWO_PI * nmax * 2.0**-128
-
-        center = alpha._phase_center(3 * max(nmax, 2).bit_length() + 8)
+        self.length = max(1, min(chunk, nmax, CHUNK))
+        self.modes_kept = len(modes) + ramps
         b2c = b.b2 * flow.c
         self.track = _QuadraticTrack(
             b.b1 * x1 + b.b2 * Fraction(p.x2),
             b.b1 * center + b2c * x1 + b.b2 * ramp,
             b2c * center, self.length)
-        self.const = -sum(w.real for w in weights) % 1.0
-        self.wr, self.wi = np.array([w.real for w in weights]), np.array([w.imag for w in weights])
-        self.cs = np.empty((2 * M, self.length))  # the cos rows, then the sin rows
-        for i, d in enumerate(self.anchors):
-            r = np.uint64(((d + (1 << 63)) >> 64) % _U64)  # round(2^64 delta_m)
-            x = (self.track.j * r).view(np.int64) * 2.0**-64
-            np.cos(TWO_PI * x, out=self.cs[i])
-            np.sin(TWO_PI * x, out=self.cs[M + i])
+        self.const = -math.fsum(g_x1) % 1.0  # -G(x1)
+        self.phase_error = (16 * 2.0**-53 + (abs(b.b1) + abs(b2c)) * 2.0**-69
+                            + abs(b.b2) * nmax * ramp_size * 2.0**-124)
+        self.rotation = self.table = None
+        if modes:
+            self.rotation = _QuadraticTrack(x1, center, Fraction(0), self.length)
+            self.table, table_error = _taylor_table(modes, np.array(gs))
+            slope = TWO_PI * math.fsum(m * abs(w) for m, w in zip(modes, gs))  # >= |G'|
+            self.phase_error += table_error + slope * (2.0**-61 + 2 * 2.0**-(bits + 60) / min_den)
 
     def budget(self, checkpoints: Sequence[int]) -> dict:
         """The error budget of a correlation at these checkpoints (see the class docstring)."""
@@ -416,11 +456,17 @@ class _SkewPhaseContext:
     def _block(self, u: int, L: int) -> np.ndarray:
         out = self.track.chunk(u, L).view(np.int64) * 2.0**-64
         out += self.const
-        if self.anchors:
-            x = TWO_PI * np.array([(u * d % _U128) / _U128 for d in self.anchors])
-            c, s = np.cos(x), np.sin(x)
-            re, im = self.wr * c - self.wi * s, self.wr * s + self.wi * c
-            out += np.einsum("ml,m->l", self.cs[:, :L], np.concatenate((re, -im)))
+        if self.table is not None:
+            bits = E_TABLE_SIZE.bit_length() - 1
+            y = self.rotation.chunk(u, L)
+            t = (y << np.uint64(bits)).view(np.int64) * 2.0**-64  # R y - k in [-1/2, 1/2), exact
+            y += np.uint64(1 << (63 - bits))
+            k = (y >> np.uint64(64 - bits)).view(np.int64)  # the nearest grid point k / R
+            acc = self.table[-1][k]
+            for row in self.table[-2::-1]:
+                acc *= t
+                acc += row[k]
+            out += acc
         out -= np.floor(out)  # the bits of np.mod(out, 1.0), at a fraction of its cost
         return out
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .analytic import AnalyticSeries, birkhoff_sum_direct, eval_series
@@ -81,11 +82,16 @@ class SkewFlow:
     def normalized(self) -> bool:
         return self.a == 1 and self.d == 1
 
+    @cached_property
+    def alpha_float(self) -> float:
+        """alpha mod 1 as a double, read once per flow by `skew_step`."""
+        return self.alpha.frac_float(1)
+
 
 def skew_step(flow: SkewFlow, p: TorusPoint) -> TorusPoint:
     """One application of T; h is evaluated at the incoming x1."""
     hval = eval_series(flow.h, p.x1).real
-    x1 = (flow.a * p.x1 + flow.alpha.frac_float(1)) % 1.0
+    x1 = (flow.a * p.x1 + flow.alpha_float) % 1.0
     x2 = (flow.c * p.x1 + flow.d * p.x2 + hval) % 1.0
     return TorusPoint(x1, x2)
 

@@ -370,6 +370,8 @@ def test_malformed_lists_end_in_documented_exit_codes(configs, option, flow, val
     ["bsz", "--tau", "0.25", "--m", "0", "--n", "1000", "--f", "constant"],
     ["bsz", "--tau", "0.25", "--m", "-5", "--n", "1000", "--f", "constant"],
     ["bsz", "--tau", "0.25", "--m", "100", "--n", "1000", "--f", "rotation:abc"],
+    ["bsz", "--tau", "0.25", "--m", "100", "--n", "0", "--f", "constant"],
+    ["expsum", "--coeffs", "0,1", "--n", "0"],
 ])
 def test_malformed_json_and_alpha_specs_domain_exit(tmp_path, capsys, args):
     bad = tmp_path / "bad.json"

@@ -495,22 +495,24 @@ def _E_value(rep, h, d1, d2, x1, x, theta, b2):
 
 
 # ---------------------------------------------------------------------------
-# Skew phases from e(j delta) tables and integer anchors
+# Skew phases from the Taylor table of the coboundary G
 
 
 def _modes(flow, p, b, nmax=10**7):
-    """(delta_m, coeff_m, |2 b2 w_m|, size) of the modes m > 0; a ramp mode
-    (|delta| < 1e-250) has w = 0 and size |coeff| nmax, the others size
-    |2 w_m|; modes below size 1e-18 are dropped."""
+    """(m, h_hat(m), delta_m, size) of the modes m > 0, delta_m = m alpha mod
+    1 in [-1/2, 1/2) over a centre within 2^-200 of alpha; a ramp mode
+    (|delta| < 1e-250) has size |h_hat| nmax, the others |2 h_hat / (e(delta)
+    - 1)|; modes below size 1e-18 are dropped."""
+    centre = flow.alpha.center(Fraction(1, 1 << 200))
     out = []
     for m, c in (flow.h.items() if b.b2 else ()):
         if m <= 0:
             continue
-        delta = flow.alpha.frac_signed_fraction(m)
-        coeff = c * e2pi(m * Fraction(p.x1))
+        delta = m * centre % 1
+        delta -= delta >= Fraction(1, 2)
         tiny = abs(float(delta)) < 1e-250
-        size = abs(coeff) * nmax if tiny else abs(2 * coeff / e2pi_m1(delta))
-        out.append((delta, coeff, 0.0 if tiny else abs(b.b2) * size, size))
+        size = abs(c) * nmax if tiny else abs(2 * c / e2pi_m1(delta))
+        out.append((m, c, delta, size))
     return out
 
 
@@ -518,16 +520,44 @@ def _kept_modes(flow, p, b):
     return [mode[:3] for mode in _modes(flow, p, b) if mode[3] >= 1e-18]
 
 
-def _phase_bound(flow, p, b):
-    """The written per-term bound of the table path: (sum_m |2 b2 w_m| + 1)
-    (2 M + 50) 2^-53 over the M tabled modes."""
-    modes = [w for _, _, w in _kept_modes(flow, p, b) if w]
-    return (sum(modes) + 1) * (2 * len(modes) + 50) * 2.0**-53
+def _is_ramp(delta):
+    return abs(float(delta)) < 1e-250
+
+
+def _phase_bound(flow, p, b, nmax):
+    """The written per-term bound of `_SkewPhaseContext`, recomputed from the
+    kept modes: with g_m = 2 b2 h_hat(m) / (e(delta_m) - 1) over the M tabled
+    modes, H_q = sum |g_m| (pi m / 4096)^q / q! and P the least degree whose
+    remainder H_P is below 2^-60, it is 2^-53 sum_{q<P} (M + 44 + 6 q) H_q +
+    H_P + |G'| 2^-61 + 2 |G'| 2^-(3 bitlen(nmax) + 68) / min |e(delta) - 1|
+    with |G'| <= 2 pi sum m |g_m|, plus 16 2^-53, (|b1| + |b2 c|) 2^-69 and
+    |b2| nmax 2^-124 sum 2 |h_hat| over the ramp modes."""
+    kept = _kept_modes(flow, p, b)
+    ramp_size = sum(2 * abs(c) for _, c, delta in kept if _is_ramp(delta))
+    bound = (16 * 2.0**-53 + (abs(b.b1) + abs(b.b2 * flow.c)) * 2.0**-69
+             + abs(b.b2) * nmax * ramp_size * 2.0**-124)
+    tabled = [(m, abs(2 * b.b2 * c / e2pi_m1(delta)), abs(e2pi_m1(delta)))
+              for m, c, delta in kept if not _is_ramp(delta)]
+    if not tabled:
+        return bound
+    H = []
+    while True:
+        q = len(H)
+        Hq = sum(g * (math.pi * m / E_TABLE_SIZE) ** q / math.factorial(q) for m, g, _ in tabled)
+        if Hq < 2.0**-60:
+            break
+        H.append(Hq)
+    slope = 2 * math.pi * sum(m * g for m, g, _ in tabled)
+    centre = 2.0**-(3 * max(nmax, 2).bit_length() + 68)
+    return (bound + 2.0**-53 * sum((len(tabled) + 44 + 6 * q) * Hq for q, Hq in enumerate(H))
+            + Hq + slope * 2.0**-61 + 2 * slope * centre / min(d for _, _, d in tabled))
 
 
 def _per_mode_phase(flow, p, b, n, modes):
-    """<b, orbit(n)> mod 1 with each mode's Birkhoff prefix coeff (e(n delta) - 1)
-    / (e(delta) - 1) taken at its own exact phase n delta mod 1."""
+    """<b, orbit(n)> mod 1 with each mode's Birkhoff prefix h_hat e(m x1)
+    (e(n m alpha) - 1) / (e(delta) - 1), n m alpha mod 1 taken exactly from
+    `frac_fraction(n m)` and then rounded once; a ramp mode's 2 Re(h_hat
+    e(m x1)), times n, is taken to 200 bits."""
     x1 = Fraction(p.x1)
     b2c = b.b2 * flow.c
     poly = (b.b1 * x1 + b.b2 * Fraction(p.x2) + b2c * n * x1
@@ -535,15 +565,17 @@ def _per_mode_phase(flow, p, b, n, modes):
     # h_hat(0) and the ramp modes, whose ratio is n, enter the exact part
     ramp = Fraction(flow.h.coeff(0).real)
     birk = 0.0
-    for delta, coeff, w in modes:
-        if not w:
+    for m, c, delta in modes:
+        if _is_ramp(delta):
             assert geometric_ratio(n, delta) == n
-            ramp += Fraction(2.0 * coeff.real)
+            arg = m * x1 % 1
+            with mpmath.workprec(200):
+                re = (mpmath.mpc(c) * mpmath.expjpi(2 * mpmath.mpf(arg.numerator)
+                                                    / arg.denominator)).real
+                ramp += 2 * Fraction(mpmath.nstr(re, 55))
             continue
-        # n delta reduced exactly into [-1/2, 1/2), then rounded once
-        r, den = n * delta.numerator % delta.denominator, delta.denominator
-        ratio = e2pi_m1((r - den if 2 * r >= den else r) / den) / e2pi_m1(delta)
-        birk += 2.0 * (coeff * ratio).real
+        ratio = e2pi_m1(flow.alpha.frac_fraction(n * m)) / e2pi_m1(delta)
+        birk += 2.0 * (c * e2pi(m * x1) * ratio).real
     poly = (poly + b.b2 * ramp * n) % 1
     return (float(poly) + b.b2 * birk) % 1.0
 
@@ -553,42 +585,46 @@ def _circle(a, b):
     return min(d, 1.0 - d)
 
 
-def _flow_case(name, skew, lacunary):
+def _flow_case(name, skew):
+    """The flow, point and character of a case, each on a fresh alpha, whose
+    cached centres no earlier call has deepened."""
     if name == "diophantine":
-        return skew[0], skew[1], Character(3, 2)
+        return SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), skew[0].h), skew[1], Character(3, 2)
     if name == "lacunary":
-        return lacunary, TorusPoint(0.37, 0.12), Character(0, 1)
+        return (FurstenbergSystem.build(1.0, 4).flow(c=0, corrected=True),
+                TorusPoint(0.37, 0.12), Character(0, 1))
     if name == "many":
-        # 150 modes: MODE_TABLE_ENTRIES // 150 = 6990 < CHUNK entries per table
-        return SkewFlow(1, 1, 1, SQRT2, AnalyticSeries.geometric(0.2, 150)), \
+        return SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), AnalyticSeries.geometric(0.2, 150)), \
             TorusPoint(0.3, 0.7), Character(1, 1)
+    if name == "tau-0.1":
+        return SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), AnalyticSeries.geometric(0.1)), \
+            TorusPoint(0.37, 0.12), Character(0, 1)
     return ramp_flow(), TorusPoint(0.3, 0.7), Character(1, 2)
 
 
 @pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many"])
 @pytest.mark.parametrize("chunk, N", [(1, 400), (3, 2000), (20_000, 30_000), (CHUNK, 100)])
-def test_skew_phase_tables_match_per_mode_formula(name, chunk, N, skew, lacunary):
-    """character_phase_array against the per-mode formula, within twice the
-    written bound (the formula carries rounding of the same order); with
-    chunk 20000 the pieces are longer than the tables and walk in blocks,
-    of 6990 terms for the flow with 150 modes."""
-    flow, p, b = _flow_case(name, skew, lacunary)
+def test_skew_phase_tables_match_per_mode_formula(name, chunk, N, skew):
+    """character_phase_array against the per-mode formula, within the written
+    bound; with chunk 20000 the pieces are longer than a block and walk in
+    blocks of CHUNK terms."""
+    flow, p, b = _flow_case(name, skew)
     modes = _kept_modes(flow, p, b)
     assert modes
-    bound = _phase_bound(flow, p, b)
+    bound = _phase_bound(flow, p, b, N)
     ph = character_phase_array(flow, p, b, N, chunk=chunk)
     ns = set(range(1, N + 1, max(1, N // 300))) | {N}
-    ns |= {n for k in (CHUNK, 6990, chunk) for v in range(k, N, k) for n in (v, v + 1)}
+    ns |= {n for k in (CHUNK, chunk) for v in range(k, N, k) for n in (v, v + 1)}
     for n in sorted(ns):
-        assert _circle(ph[n - 1], _per_mode_phase(flow, p, b, n, modes)) <= 2 * bound, n
+        assert _circle(ph[n - 1], _per_mode_phase(flow, p, b, n, modes)) <= bound, n
 
 
 @pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp"])
 @pytest.mark.parametrize("chunk", [1, 3, 20_000])
-def test_skew_sums_match_per_mode_formula(name, chunk, table, skew, lacunary):
+def test_skew_sums_match_per_mode_formula(name, chunk, table, skew):
     """Checkpoints that cut pieces mid-way: sums == at threads 1 and 2, and
     within 2 pi N times twice the written bound of the per-mode sums."""
-    flow, p, b = _flow_case(name, skew, lacunary)
+    flow, p, b = _flow_case(name, skew)
     modes = _kept_modes(flow, p, b)
     N, cps = 1500, [7, 701, 1111, 1499, 1500]
     runs = [mobius_correlate(flow, p, b, table, cps, threads=t, chunk=chunk) for t in (1, 2)]
@@ -596,13 +632,13 @@ def test_skew_sums_match_per_mode_formula(name, chunk, table, skew, lacunary):
     mu = table.mu_array()
     terms = [int(mu[n]) * cmath.exp(2j * math.pi * _per_mode_phase(flow, p, b, n, modes))
              for n in range(1, N + 1)]
-    bound = 2 * math.pi * 2 * _phase_bound(flow, p, b)
+    bound = 2 * math.pi * 2 * _phase_bound(flow, p, b, N)
     for cp, got in zip(cps, runs[0].sums):
         assert abs(got - sum(terms[:cp])) <= bound * cp + 1e-12 * cp, cp
 
 
 def test_long_pieces_thread_identity(table, lacunary):
-    """Pieces of 20000 terms walk the tables in blocks: == for threads 1, 2, 4."""
+    """Pieces of 20000 terms walk the table in blocks: == for threads 1, 2, 4."""
     p, b = TorusPoint(0.37, 0.12), Character(0, 1)
     cps = [12_345, 40_000, 60_001]
     runs = [mobius_correlate(lacunary, p, b, table, cps, threads=t, chunk=20_000).sums
@@ -610,20 +646,23 @@ def test_long_pieces_thread_identity(table, lacunary):
     assert runs[0] == runs[1] == runs[2]
 
 
-@pytest.mark.parametrize("name", ["diophantine", "lacunary"])
-def test_skew_anchors_near_1e9(name, skew, lacunary):
-    """nmax = 10^9 and the block at u = 10^9 - 8191: each anchor frac(u
-    delta_m), from delta_m in 128-bit fixed point, is off by under u 2^-128,
-    and the phases stay within twice the written bound of the per-mode
-    formula.  Anchors in 64-bit fixed point would be off by up to u 2^-64,
-    about 5e-11."""
-    flow, p, b = _flow_case(name, skew, lacunary)
-    modes = _kept_modes(flow, p, b)
+@pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many", "tau-0.1"])
+def test_skew_anchors_near_1e9(name, skew):
+    """nmax = 10^9 and the block at u = 10^9 - 8191: the anchors frac(x1 + u
+    alpha) and the polynomial part's, over one centre within 2^-(3 bitlen(nmax)
+    + 68) of alpha, and the 128-bit tables of j alpha keep the phases within
+    the written bound of the per-mode formula.  Each mode's delta_m over a
+    centre good to 2^-60 / m, as before the coboundary table, drifted by up
+    to n 2^-60 and put the phases of the diophantine flow 9.65e-11 off here."""
+    flow, p, b = _flow_case(name, skew)
     u, L = 10**9 - 8191, 8192
-    ph = _SkewPhaseContext(flow, p, b, 10**9, CHUNK).chunk(u, L)
-    bound = _phase_bound(flow, p, b)
+    ctx = _SkewPhaseContext(flow, p, b, 10**9, CHUNK)
+    ph = ctx.chunk(u, L)
+    modes = _kept_modes(flow, p, b)
+    bound = _phase_bound(flow, p, b, 10**9)
+    assert ctx.phase_error == pytest.approx(bound, rel=1e-12, abs=0)
     for n in [*range(u, u + L, 97), u + L - 1]:
-        assert _circle(ph[n - u], _per_mode_phase(flow, p, b, n, modes)) <= 2 * bound, n
+        assert _circle(ph[n - u], _per_mode_phase(flow, p, b, n, modes)) <= bound, n
 
 
 @pytest.mark.parametrize("c, b", [(1, Character(2, 1)), (5, Character(1, -1))])
@@ -646,20 +685,34 @@ def test_skew_metadata_reports_error_budget(table, lacunary):
     meta = mobius_correlate(lacunary, p, b, table, [N]).metadata
     modes = _kept_modes(lacunary, p, b)
     assert (meta["modes_kept"], meta["modes_dropped"]) == (len(modes), 325) == (20, 325)
-    dropped = sum(2 * size for _, _, _, size in _modes(lacunary, p, b) if size < 1e-18)
+    dropped = sum(2 * size for *_, size in _modes(lacunary, p, b) if size < 1e-18)
     assert meta["dropped_bound"] == pytest.approx(dropped, rel=1e-9)
     assert 0 < meta["dropped_bound"] < 1e-17
     # the reduction: 7 pieces of at most 8192 terms, pairwise depth 20 + 13
     reduce = 2 * N * (33 + 7) * 2.0**-53
     assert meta["table_anchor_bound"] == pytest.approx(
-        2 * math.pi * N * _phase_bound(lacunary, p, b) + reduce, rel=1e-12)
+        2 * math.pi * N * _phase_bound(lacunary, p, b, N) + reduce, rel=1e-12, abs=0)
 
     flow = ramp_flow()
     meta = mobius_correlate(flow, p, Character(1, 2), table, [N]).metadata
     assert (meta["modes_kept"], meta["modes_dropped"], meta["dropped_bound"]) == (5, 0, 0.0)
     meta = mobius_correlate(flow, p, Character(1, 0), table, [N]).metadata
     assert (meta["modes_kept"], meta["modes_dropped"]) == (0, 0)
-    assert meta["table_anchor_bound"] == pytest.approx(2 * math.pi * N * 50 * 2.0**-53 + reduce)
+    assert meta["table_anchor_bound"] == pytest.approx(
+        2 * math.pi * N * (16 * 2.0**-53 + 2.0**-69) + reduce, rel=1e-12, abs=0)
+
+
+def test_skew_sums_do_not_depend_on_earlier_calls(table):
+    """`AlphaSpec.center` scans from depth 1, so a correlation on an alpha
+    that first answered frac_fraction(10**40) equals one on a fresh alpha;
+    when the scan started at the deepest depth reached before, they
+    differed by about 1e-10."""
+    h, p, b = AnalyticSeries.geometric(1.0), TorusPoint(0.37, 0.12), Character(1, 1)
+    used = AlphaSpec.sqrt2_minus_1()
+    used.frac_fraction(10**40)
+    sums = [mobius_correlate(SkewFlow(1, 1, 1, alpha, h), p, b, table, [10**5, 10**6]).sums
+            for alpha in (AlphaSpec.sqrt2_minus_1(), used)]
+    assert sums[0] == sums[1]
 
 
 # ---------------------------------------------------------------------------
