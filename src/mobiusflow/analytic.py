@@ -45,12 +45,7 @@ def e2pi(t) -> complex:
 
 def e2pi_m1(t) -> complex:
     """e(t) - 1 = -2 sin^2(pi t) + i sin(2 pi t), stable for tiny t."""
-    if isinstance(t, Fraction):
-        t = t - round(t)
-        tf = float(t)
-    else:
-        tf = float(t)
-        tf -= round(tf)
+    tf = float(t - round(t)) if isinstance(t, Fraction) else float(t) - round(float(t))
     s = math.sin(math.pi * tf)
     return complex(-2.0 * s * s, math.sin(TWO_PI * tf))
 
@@ -157,8 +152,7 @@ class AnalyticSeries:
         for m in range(1, M + 1):
             v = math.exp(-tau * m)
             if v > COEFF_FLOOR:
-                d[m] = complex(v)
-                d[-m] = complex(v)
+                d[m] = d[-m] = complex(v)
         s = cls(coeffs=d, tau=tau, tau2=tau, label=f"geometric(tau={tau})")
         s.c_low = 1.0
         return s
@@ -197,11 +191,7 @@ def eval_series(h: AnalyticSeries, x: float, M: Optional[int] = None) -> complex
     if M is not None and M < 1:
         raise DomainError("truncation M must be >= 1")
     xf = float(x) % 1.0
-    total = 0j
-    for m, c in h.items():
-        if M is None or abs(m) <= M:
-            total += c * e2pi(m * xf)
-    return total
+    return sum((c * e2pi(m * xf) for m, c in h.items() if M is None or abs(m) <= M), 0j)
 
 
 def birkhoff_sum_direct(h: AnalyticSeries, x1: float, alpha: AlphaSpec, n: int) -> complex:
@@ -245,11 +235,7 @@ def birkhoff_sum_fourier(h: AnalyticSeries, x1: float, alpha: AlphaSpec, n: int,
 
 def birkhoff_tail_bound(h: AnalyticSeries, n: int, M: int) -> float:
     """Bound on |direct - fourier(M)| from the dropped |m| > M coefficients."""
-    tail = 0.0
-    for m, c in h.items():
-        if abs(m) > M:
-            tail += abs(c)
-    return n * tail
+    return n * sum((abs(c) for m, c in h.items() if abs(m) > M), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +258,8 @@ def cobounding_series(h: AnalyticSeries, alpha: AlphaSpec,
     """
     out: dict[int, complex] = {}
     for m, c in h.items():
-        if m == 0:
-            continue
-        if M is not None and abs(m) > M:
-            continue
-        if exclude_divisible_by is not None and m % exclude_divisible_by == 0:
+        if (m == 0 or M is not None and abs(m) > M
+                or exclude_divisible_by is not None and m % exclude_divisible_by == 0):
             continue
         t = alpha.frac_signed_fraction(m)
         if t == 0:
@@ -295,12 +278,8 @@ def coboundary_residual(g: AnalyticSeries, h_retained: AnalyticSeries,
                         alpha: AlphaSpec, xs: Iterable[float]) -> float:
     """max_x |g(x+alpha) - g(x) - h_retained(x)| over the sample points."""
     a = alpha.frac_float(1)
-    worst = 0.0
-    for x in xs:
-        lhs = eval_series(g, x + a) - eval_series(g, x)
-        rhs = eval_series(h_retained, x)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return max([0.0] + [abs(eval_series(g, x + a) - eval_series(g, x) - eval_series(h_retained, x))
+                        for x in xs])
 
 
 def rational_case_decompose(h: AnalyticSeries, alpha: AlphaSpec,
@@ -329,13 +308,8 @@ def rational_case_decompose(h: AnalyticSeries, alpha: AlphaSpec,
 
 def scale_window(h: AnalyticSeries, m_j: int, M_j) -> list[tuple[int, complex]]:
     """Pairs (m, h_hat(m_j m)) over the window 1 <= |m| < M_j."""
-    out = []
-    for key, c in h.items():
-        if key % m_j == 0:
-            mm = key // m_j
-            if mm != 0 and abs(mm) < M_j:
-                out.append((mm, c))
-    return sorted(out)
+    return sorted((key // m_j, c) for key, c in h.items()
+                  if key % m_j == 0 and 0 < abs(key // m_j) < M_j)
 
 
 @dataclass(eq=False)

@@ -281,10 +281,8 @@ def cf_expand(alpha: AlphaSpec, depth: int) -> CFExpansion:
     avail = alpha.available_depth()
     if avail is not None and alpha.is_rational:
         depth = min(depth, avail)
-    elif avail is not None:
-        if depth > avail:
-            raise PrecisionError(
-                f"requested depth {depth} exceeds the {avail} certified quotients")
+    elif avail is not None and depth > avail:
+        raise PrecisionError(f"requested depth {depth} exceeds the {avail} certified quotients")
     l, q = zip(*alpha.convergents(depth))
     cf = CFExpansion(alpha=alpha, quotients=tuple(alpha.quotient(k) for k in range(depth + 1)),
                      numerators=l, denominators=q)
@@ -307,9 +305,7 @@ def convergent_inequality_holds(cf: CFExpansion, k: int) -> bool:
     if not 2 <= k <= cf.depth - 1:
         raise DomainError(f"k={k} not certifiable at depth {cf.depth}")
     qk, qk1 = cf.denominators[k], cf.denominators[k + 1]
-    lower = Fraction(1, 2 * qk * qk1)
-    upper = Fraction(1, qk * qk1)
-    K = cf.depth
+    lower, upper, K = Fraction(1, 2 * qk * qk1), Fraction(1, qk * qk1), cf.depth
     if k == K - 1:
         # |alpha - c_{K-1}| in the open interval (|c_K-c_{K-1}| - |alpha-c_K|, |c_K-c_{K-1}|);
         # any continuation has q_{K+1} >= q_K + q_{K-1} > 2 q_{K-1}, forcing the lower half.
@@ -489,10 +485,7 @@ def classify_case(cf: CFExpansion, h, N: int, d1: int, b2: int,
     def scales_for(Bval: int) -> tuple[list[int], list[int]]:
         flat, sharp = partition_Q(cf, Bval)
         vals = sorted(v for v in sharp if 2 <= v <= Y)
-        succ = []
-        for v in vals:
-            k = cf.denominators.index(v)
-            succ.append(cf.successor(k))
+        succ = [cf.successor(cf.denominators.index(v)) for v in vals]
         # A sharp scale may hide past the computed depth only if the last
         # computed denominator is <= Y and undecided; demand deeper input.
         top = cf.denominators[cf.depth]
@@ -502,18 +495,12 @@ def classify_case(cf: CFExpansion, h, N: int, d1: int, b2: int,
         return vals, succ
 
     def phi_list(vals: list[int], succ: list[int]) -> list[float]:
-        out = []
-        for j, (mj, mjp) in enumerate(zip(vals, succ)):
-            is_last = j == len(vals) - 1
-            Mj = (Y / mj) if is_last else _ratio_float(mjp, mj)
-            out.append(phi_scale(h, mj, Mj))
-        return out
+        # the window of the last scale ends at Y, the others at their successor
+        return [phi_scale(h, mj, Y / mj if j == len(vals) - 1 else _ratio_float(mjp, mj))
+                for j, (mj, mjp) in enumerate(zip(vals, succ))]
 
     if B is None:
-        B0 = choose_B(tau, b2, 1.0)
-        vals0, succ0 = scales_for(B0)
-        phis0 = phi_list(vals0, succ0)
-        K_bound = max([1.0] + phis0)
+        K_bound = max([1.0] + phi_list(*scales_for(choose_B(tau, b2, 1.0))))
         B = choose_B(tau, b2, K_bound)
     else:
         K_bound = 1.0
@@ -580,15 +567,10 @@ def caseC_condition_rhs_logs(report: CaseReport, h, m_values: Sequence[int]) -> 
     tau, tau2 = float(h.tau), float(h.tau2)
     d1, D = report.d1, report.D
     K = max(report.K_bound, 1.0)
-    out = []
-    for m in m_values:
-        if int(m).bit_length() > 48:
-            # tau*D - tau2 >= tau > 0, so the exponential term dominates
-            out.append(math.inf)
-            continue
-        out.append(-20.0 * d1 * D * math.log(m) + (tau * D - tau2) * m
-                   - math.log(2.0 * K * m))
-    return out
+    # past 48 bits, tau*D - tau2 >= tau > 0 lets the exponential term dominate
+    return [math.inf if int(m).bit_length() > 48 else
+            -20.0 * d1 * D * math.log(m) + (tau * D - tau2) * m - math.log(2.0 * K * m)
+            for m in m_values]
 
 
 def two_series_partial_sums(cf: CFExpansion, h, m_cap: int) -> dict:

@@ -4,10 +4,10 @@ The central object is S(N) = sum_{n<=N} mu(n) e(<b, orbit(n)>) evaluated at
 checkpoints.  Orbit phases come from closed forms, never from sequential
 iteration.  On the skew products the rotation, linear and quadratic parts
 are integer residues over one exact centre of alpha, summed in 64-bit fixed
-point with per-call 128-bit tables of the linear and quadratic terms; the
-Birkhoff part is the coboundary G(frac(x1 + n alpha)) - G(x1), read from one
-per-call Taylor table of G on 4096 grid points at a cost per term that does
-not grow with the mode count, and the error budget goes into the metadata.
+point with per-call 128-bit tables; the Birkhoff part is the coboundary
+G(frac(x1 + n alpha)) - G(x1), read from a per-call Taylor table of G on a
+grid of at least 8 m_max points, at a cost per term that does not grow with
+the mode count, and the error budget goes into the metadata.
 Polynomial phases (`poly_exp_sum` of a `flows.PolyPhase`, the unipotent
 affine maps, whose phase on each class is a `PolyPhase` too, and the
 Heisenberg nilflows) are walked in t on each residue class n = nu t + l, as
@@ -41,7 +41,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import mpmath
@@ -59,8 +59,10 @@ CHUNK = 8192
 # summed `mu-scale` a third slower (BENCH_e_kernel.json, "batches")
 BATCH = 2 * CHUNK
 TWO_PI = 2.0 * math.pi
-# bound on the Taylor remainder of the skew coboundary table, which sets its degree
+# the skew coboundary tables' Taylor remainder, largest grid and modes above it (see there)
 TAYLOR_FLOOR = 2.0**-60
+TAYLOR_GRID = 1 << 16
+SKEW_HIGH_MODES = 64
 BSZ_PRIME_CAP = 10_000  # bsz_test takes primes up to min(e^(1/tau), this)
 VDC_DERIVATIVE_SAMPLES = 200  # vdc_sum_check's samples of the third derivative
 VDC_IMPLIED_CONSTANT = 10.0  # and the implied constant of its bound
@@ -289,13 +291,12 @@ class _QuadraticTrack:
     """frac(K0 + A n + B C(n, 2)) for rational K0, A, B, as exact integer residues.
 
     At base u, n = u + j gives K0 + A n + B C(n, 2) = [K0 + A u + B C(u, 2)]
-    + j A + j (B u) + B C(j, 2).  The anchor and B u mod 1 are residues over
-    the common denominator D, floored to 64-bit fixed point; j A and B C(j, 2)
-    are tables for j < length, from A and B mod 1 floored to 128-bit fixed
-    point, each off by under 2 2^-64 + C(j, 2) 2^-128.  The B terms are
-    skipped when B is an integer.  The terms add in uint64 wraparound, i.e.
-    mod 1, so each value is off by less than (j + 6) 2^-64, or 4 2^-64 when B
-    is an integer.
+    + j (A + B u) + B C(j, 2).  Both anchors are residues over the common
+    denominator D, floored to 64-bit fixed point, and B C(j, 2) for j <
+    length is a table from B mod 1 floored to 128 bits (off by under 2 2^-64
+    + C(j, 2) 2^-128).  The terms add in uint64 wraparound, i.e. mod 1, so
+    each value is off by less than (j + 4) 2^-64.  When B is an integer, as
+    on a rotation, j A is such a table instead, and the error under 4 2^-64.
     """
 
     def __init__(self, K0: Fraction, A: Fraction, B: Fraction, length: int):
@@ -303,54 +304,57 @@ class _QuadraticTrack:
         self.k0, self.a, self.b = (int(x * D) for x in (K0, A, B))
         self.D = D
         self.j = np.arange(length, dtype=np.uint64)
-        self.lin = _times_fixed128(self.j, ((self.a % D) << 128) // D)
-        self.quad = None
+        self.lin = self.quad = None
         if self.b % D:
             c = self.j * (self.j - np.uint64(1)) // np.uint64(2)  # C(j, 2) < 2^32
             self.quad = _times_fixed128(c, ((self.b % D) << 128) // D)
+        else:
+            self.lin = _times_fixed128(self.j, ((self.a % D) << 128) // D)
 
     def chunk(self, u: int, L: int) -> np.ndarray:
         """64-bit fixed-point frac of the phase at n = u..u+L-1, L <= length."""
-        a0 = _fixed((self.k0 + self.a * u + self.b * (u * (u - 1) // 2)) % self.D, self.D)
-        out = self.lin[:L] + np.uint64(a0)
-        if self.quad is not None:
-            out += self.j[:L] * np.uint64(_fixed(self.b * u % self.D, self.D))
-            out += self.quad[:L]
+        a0 = (self.k0 + self.a * u + self.b * (u * (u - 1) // 2)) % self.D
+        a0 = np.uint64(_fixed(a0, self.D))
+        if self.quad is None:
+            return self.lin[:L] + a0
+        out = self.j[:L] * np.uint64(_fixed((self.a + self.b * u) % self.D, self.D))
+        out += a0
+        out += self.quad[:L]
         return out
 
 
-def _taylor_table(modes: Sequence[int], g: np.ndarray) -> tuple[np.ndarray, float]:
-    """The Taylor table of G(y) = sum Re(g_m e(m y)) on the grid k / R, R = E_TABLE_SIZE.
+def _taylor_table(modes: Sequence[int], g: np.ndarray, R: int) -> tuple[np.ndarray, float]:
+    """The Taylor table of G(y) = sum Re(g_m e(m y)) on the grid k / R, R >= 8 max m.
 
-    Column q < P, row q of the array, holds G^(q)(k / R) / (q! R^q) = sum
-    f_q Re(i^q g e(m k / R)), f_q = (2 pi m / R)^q / q!, with e(m k / R) from
-    `_E_COS` and `_E_SIN` at m k mod R; the sums run over blocks of 16 modes,
-    elementwise, with no BLAS call.  With H_q = sum |g| (pi m / R)^q / q!, P
-    is the least degree whose remainder H_P is below TAYLOR_FLOOR.  With u =
-    2^-53, the table and a Horner sum in t, |t| <= 1/2, are off by at most u
-    sum_{q<P} (M + 44 + 6 q) H_q: the rounding of g_m (16 u), f_q (3.5 q u),
-    the entries (4 u), the sum over the M modes ((M - 1) u) and the Horner
-    steps ((2 q + 1) u), times |t|^q <= 2^-q, and of -G(x1) (21 u H_0).
-    Returns the table and that bound plus H_P.
+    Row q < P holds G^(q)(k / R) / (q! R^q) = sum f_q Re(i^q g e(m k / R)),
+    f_q = (2 pi m / R)^q / q!, with e(m k / R) from `_e_table(R)`, summed
+    elementwise over blocks of modes.  With H_q = sum |g| (pi m / R)^q / q!,
+    which falls by pi m / R <= pi / 8 or more per degree, P is the least
+    degree whose remainder H_P is below TAYLOR_FLOOR.  With u = 2^-53, the
+    table and a Horner sum in |t| <= 1/2 are off by at most u sum_{q<P} (M +
+    44 + 6 q) H_q: the rounding of g_m (16 u), f_q (3.5 q u), the entries (4
+    u), the sum of the M modes ((M - 1) u) and the Horner steps ((2 q + 1)
+    u), times |t|^q <= 2^-q, and of -G(x1) (21 u H_0).  Returns the table
+    and that bound plus H_P.
     """
-    if not np.isfinite(g).all():
-        raise PrecisionError("a coefficient of the coboundary G overflows double precision")
-    R, M = E_TABLE_SIZE, len(modes)
-    x = np.pi / R * np.array([float(m) for m in modes])
     H, term = [], np.abs(g)
+    if not np.isfinite(term.sum()):
+        raise PrecisionError("a coefficient of the coboundary G overflows double precision")
+    M, (cos_table, sin_table) = len(modes), _e_table(R)
+    x = np.pi / R * np.array([float(m) for m in modes])
     while term.sum() >= TAYLOR_FLOOR:
         H.append(float(term.sum()))
         term = term * x / len(H)
-    table, k = np.zeros((len(H), R)), np.arange(R)
-    for s in range(0, M, 16):
-        idx = np.array([m % R for m in modes[s:s + 16]])[:, None] * k % R
-        gr, gi = g[s:s + 16, None].real, g[s:s + 16, None].imag
-        cos, sin = _E_COS[idx], _E_SIN[idx]
+    table, k, step = np.zeros((len(H), R)), np.arange(R), max(1, 2**16 // R)
+    for s in range(0, M, step):
+        idx = np.array(modes[s:s + step])[:, None] * k % R
+        gr, gi = g[s:s + step, None].real, g[s:s + step, None].imag
+        cos, sin = cos_table[idx], sin_table[idx]
         parts = (gr * cos - gi * sin, gr * sin + gi * cos)  # Re and Im of g e(m k / R)
         f = np.ones((len(idx), 1))
         for q, row in enumerate(table):
             row += (1, -1, -1, 1)[q % 4] * np.add.reduce(f * parts[q % 2], axis=0)
-            f = f * (2 * x[s:s + 16, None]) / (q + 1)
+            f = f * (2 * x[s:s + step, None]) / (q + 1)
     return table, float(term.sum()) + 2.0**-53 * sum((M + 44 + 6 * q) * Hq
                                                      for q, Hq in enumerate(H))
 
@@ -358,36 +362,37 @@ def _taylor_table(modes: Sequence[int], g: np.ndarray) -> tuple[np.ndarray, floa
 class _SkewPhaseContext:
     """Streams <b, orbit(n)> mod 1 for the normalized skew product, n <= nmax.
 
-    Everything is taken over one exact centre of alpha, `_phase_center(3
-    bitlen(nmax) + 8)`.  The polynomial part b1 (x1 + n alpha) + b2 (x2 + c n
-    x1 + c C(n, 2) alpha), with the ramp modes folded in, is one
-    `_QuadraticTrack`.  Over the Fourier modes m > 0, delta_m = m alpha mod 1
-    in [-1/2, 1/2), the Birkhoff part b2 sum_m 2 Re(h_hat(m) e(m x1) (e(n
-    delta_m) - 1) / (e(delta_m) - 1)) is the coboundary G(y_n) - G(x1),
-    y_n = frac(x1 + n alpha), of G(y) = sum_m Re(g_m e(m y)) with g_m = 2 b2
-    h_hat(m) / (e(delta_m) - 1), which solves G(y + alpha) - G(y) = b2 (h(y)
-    - h_hat(0)) on the kept modes.  -G(x1) joins the constant, by math.fsum.
-    y_n is a second `_QuadraticTrack`; its bits give the nearest grid point
-    k / R and t = R y_n - k in [-1/2, 1/2), and G(y_n) is the Horner sum in t
-    of the P columns of `_taylor_table` at k.  So the work per term grows
-    with P, not with the mode count, and no numpy call in a block calls BLAS.
+    All is taken over one exact centre of alpha, `_phase_center(bits)`, bits
+    = 3 bitlen(nmax) + 8.  The polynomial part b1 (x1 + n alpha) + b2 (x2 + c
+    n x1 + c C(n, 2) alpha), with the ramp modes folded in, is one
+    `_QuadraticTrack`.  With delta_m = m alpha mod 1 in [-1/2, 1/2), the
+    Birkhoff part b2 sum_{m>0} 2 Re(h_hat(m) e(m x1) (e(n delta_m) - 1) /
+    (e(delta_m) - 1)) is G(y_n) - G(x1), y_n = frac(x1 + n alpha), for the
+    coboundary G(y) = sum Re(g_m e(m y)), g_m = 2 b2 h_hat(m) / (e(delta_m) -
+    1); -G(x1) joins the constant by math.fsum.  y_n is a second track; its
+    bits give the nearest grid point k / R and t = R y_n - k in [-1/2, 1/2),
+    and G(y_n) is the Horner sum in t of the `_taylor_table` rows at k.  It
+    rests on m_max << R: the degree P, so the cost per term, and the error
+    grow with pi m_max / R, not with the mode count; R = max(4096, 8 m_max)
+    rounded up to a power of two.  A mode m over
+    TAYLOR_GRID / 8 is a table of Re(g_m e(z)) of its own, R = 4096, at z_n =
+    frac(m x1 + n m alpha), and bits grows by the top mode's bit length; over
+    SKEW_HIGH_MODES such modes raise `PrecisionError`.  No call uses BLAS.
 
     Error budget.  A mode with |2 h_hat / (e(delta) - 1)| below MODE_FLOOR
-    is dropped (a ramp mode with |h_hat| nmax below it); `dropped_bound`
-    bounds the dropped part of each term's phase.  `phase_error` bounds the
-    rest of each term's phase error, the sum of:
+    (a ramp mode: |h_hat| nmax) is dropped, and `dropped_bound` bounds the
+    dropped part of each phase.  `phase_error` bounds the rest, the sum of:
 
-    - the Taylor remainder and rounding bound of `_taylor_table`;
-    - |G'| 2^-61, |G'| <= 2 pi sum m |g_m|: y_n is off by under 4 2^-64 in
-      fixed point (`_QuadraticTrack`) and 2^-70 from the centre;
-    - 2 |G'| 2^-(3 bitlen(nmax) + 68) / min |e(delta_m) - 1|: the centre's
-      move of each g_m, in G(y_n) and in G(x1);
+    - per table, the bound of `_taylor_table` and |G'| 2^-61, |G'| <= 2 pi
+      sum m |g_m| in its own variable y_n or z_n, which is off by under 4
+      2^-64 in fixed point, 2^-54 / R in t and 2^-70 from the centre;
+    - 2 2^-53 per mode over TAYLOR_GRID / 8, the addition of its term;
+    - 2 |G'| 2^-(bits + 60) / min |e(delta_m) - 1|, the centre's move of g_m;
     - (|b1| + |b2 c|) 2^-69, the centre's drift on the polynomial part, and
-      |b2| nmax 2^-124 sum 2 |h_hat(m)| over the ramp modes, whose 2
-      Re(h_hat(m) e(m x1)) are taken to 128 bits;
-    - 16 2^-53: the polynomial part in fixed point (under 2^-51, as pieces
-      longer than `length` <= CHUNK run in blocks), the constant, the
-      additions and `E_TERM_ERROR`, the error of e(phase) in `_e_sums`.
+      |b2| nmax 2^-124 sum 2 |h_hat(m)| over the ramp modes (128 bits);
+    - 16 2^-53: the polynomial part in fixed point (under (CHUNK + 3) 2^-64
+      in blocks of `length` <= CHUNK), the constant, the additions and
+      `E_TERM_ERROR`.
 
     2 pi N `phase_error` bounds the error it puts on S(N), and
     `table_anchor_bound` adds `reduction_bound`, the error of the sums.
@@ -398,11 +403,12 @@ class _SkewPhaseContext:
     def __init__(self, flow: SkewFlow, p: TorusPoint, b: Character, nmax: int, chunk: int):
         if not flow.normalized:
             raise DomainError("correlator needs the normalized skew form a = d = 1")
-        h, x1, bits = flow.h, Fraction(p.x1), 3 * max(nmax, 2).bit_length() + 8
+        h, x1, top = flow.h, Fraction(p.x1), max(flow.h.support(), default=0)
+        bits = 3 * max(nmax, 2).bit_length() + 8 + top.bit_length() * (8 * top > TAYLOR_GRID)
         center = flow.alpha._phase_center(bits)
         ramp = Fraction(h.coeff(0).real)  # plus the ramp modes' 2 Re(h_hat(m) e(m x1))
         self.dropped_bound, self.modes_dropped, ramps, ramp_size = 0.0, 0, 0, 0.0
-        modes, gs, g_x1, min_den = [], [], [], math.inf
+        low, high, g_x1, min_den = [], [], [], math.inf
         for m, c in (h.items() if b.b2 else ()):
             if m <= 0:
                 continue
@@ -423,13 +429,14 @@ class _SkewPhaseContext:
                 ramp += 2 * Fraction(man) * Fraction(2) ** exp
                 ramp_size, ramps = ramp_size + 2.0 * abs(c), ramps + 1
             else:
-                modes.append(m)
-                gs.append(b.b2 * (2.0 * c / den))
-                g_x1.append((gs[-1] * e2pi(arg.numerator / arg.denominator)).real)
+                g = b.b2 * (2.0 * c / den)
+                (low if 8 * m <= TAYLOR_GRID else high).append((m, g))
+                g_x1.append((g * e2pi(arg.numerator / arg.denominator)).real)
                 min_den = min(min_den, abs(den))
-        self.nmax, self.chunk_len = nmax, chunk
-        self.length = max(1, min(chunk, nmax, CHUNK))
-        self.modes_kept = len(modes) + ramps
+        if len(high) > SKEW_HIGH_MODES:
+            raise PrecisionError(f"modes above {TAYLOR_GRID // 8}: {len(high)} > {SKEW_HIGH_MODES}")
+        self.nmax, self.chunk_len, self.length = nmax, chunk, max(1, min(chunk, nmax, CHUNK))
+        self.modes_kept = len(low) + len(high) + ramps
         b2c = b.b2 * flow.c
         self.track = _QuadraticTrack(
             b.b1 * x1 + b.b2 * Fraction(p.x2),
@@ -437,13 +444,18 @@ class _SkewPhaseContext:
             b2c * center, self.length)
         self.const = -math.fsum(g_x1) % 1.0  # -G(x1)
         self.phase_error = (16 * 2.0**-53 + (abs(b.b1) + abs(b2c)) * 2.0**-69
-                            + abs(b.b2) * nmax * ramp_size * 2.0**-124)
-        self.rotation = self.table = None
-        if modes:
-            self.rotation = _QuadraticTrack(x1, center, Fraction(0), self.length)
-            self.table, table_error = _taylor_table(modes, np.array(gs))
-            slope = TWO_PI * math.fsum(m * abs(w) for m, w in zip(modes, gs))  # >= |G'|
-            self.phase_error += table_error + slope * (2.0**-61 + 2 * 2.0**-(bits + 60) / min_den)
+                            + abs(b.b2) * nmax * ramp_size * 2.0**-124 + 2 * 2.0**-53 * len(high))
+        # (multiplier s, modes of G_s(z), z = frac(s y)): the low modes, then each high mode
+        self.tables = []
+        for s, part in ([(1, low)] if low else []) + [(m, [(1, g)]) for m, g in high]:
+            R = max(E_TABLE_SIZE, 1 << (8 * max(part)[0] - 1).bit_length())
+            table, error = _taylor_table([m for m, _ in part], np.array([g for _, g in part]), R)
+            track = _QuadraticTrack(s * x1, s * center, Fraction(0), self.length)
+            self.tables.append((track, table))
+            self.phase_error += error + TWO_PI * math.fsum(m * abs(g) for m, g in part) * 2.0**-61
+        if g_x1:
+            slope = TWO_PI * math.fsum(m * abs(g) for m, g in low + high)  # >= |G'|
+            self.phase_error += slope * 2 * 2.0**-(bits + 60) / min_den
 
     def budget(self, checkpoints: Sequence[int]) -> dict:
         """The error budget of a correlation at these checkpoints (see the class docstring)."""
@@ -456,14 +468,14 @@ class _SkewPhaseContext:
     def _block(self, u: int, L: int) -> np.ndarray:
         out = self.track.chunk(u, L).view(np.int64) * 2.0**-64
         out += self.const
-        if self.table is not None:
-            bits = E_TABLE_SIZE.bit_length() - 1
-            y = self.rotation.chunk(u, L)
-            t = (y << np.uint64(bits)).view(np.int64) * 2.0**-64  # R y - k in [-1/2, 1/2), exact
+        for track, table in self.tables:
+            bits = table.shape[1].bit_length() - 1
+            y = track.chunk(u, L)
+            t = (y << np.uint64(bits)).view(np.int64) * 2.0**-64  # R y - k in [-1/2, 1/2)
             y += np.uint64(1 << (63 - bits))
             k = (y >> np.uint64(64 - bits)).view(np.int64)  # the nearest grid point k / R
-            acc = self.table[-1][k]
-            for row in self.table[-2::-1]:
+            acc = table[-1][k]
+            for row in table[-2::-1]:
                 acc *= t
                 acc += row[k]
             out += acc
@@ -472,10 +484,8 @@ class _SkewPhaseContext:
 
     def chunk(self, u: int, L: int) -> np.ndarray:
         """<b, orbit(n)> mod 1 for n = u..u+L-1."""
-        if L <= self.length:
-            return self._block(u, L)
-        return np.concatenate([self._block(v, min(self.length, u + L - v))
-                               for v in range(u, u + L, self.length)])
+        blocks = [self._block(v, min(self.length, u + L - v)) for v in range(u, u + L, self.length)]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int,
@@ -494,6 +504,7 @@ def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int,
 # e(phase) weighted by mu and reduced in a fixed order
 
 
+@cache
 def _e_table(size: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi k / size for k < size, correctly rounded.
 
@@ -836,10 +847,7 @@ def phi_polys(report: CaseReport, h: AnalyticSeries, d1: int, d2: int,
         raise DomainError("no sharp scale available")
     mJ, MJ, D = report.scales[-1], report.M[-1], report.D
     window = scale_window(h, mJ, MJ)
-    phi: dict[int, complex] = {}
-    phi_D: dict[int, complex] = {}
-    Phi2 = 0.0
-    tail = 0.0
+    phi, phi_D, Phi2, tail = {}, {}, 0.0, 0.0
     for m, hm in window:
         base = (m * m) * hm * e2pi(m * mJ * x1)
         for dl, sign in ((d1, 1.0), (d2, -1.0)):
@@ -922,12 +930,8 @@ def vdc_sum_check(F_value: Callable[[float], float],
     d3 = np.array([abs(F_third(float(x))) for x in xs])
     precondition_ok = bool(np.all(d3 >= Lambda * (1 - 1e-9))
                            and np.all(d3 <= eta * Lambda * (1 + 1e-9)))
-    total = 0j
-    n = math.floor(a) + 1
-    while n < b:
-        if n > a:
-            total += cmath.exp(2j * math.pi * (F_value(float(n)) % 1.0))
-        n += 1
+    total = sum((cmath.exp(2j * math.pi * (F_value(float(n)) % 1.0))
+                 for n in range(math.floor(a) + 1, math.ceil(b))), 0j)
     bound = VDC_IMPLIED_CONSTANT * (math.sqrt(eta) * Lambda ** (1 / 6) * (b - a)
                                 + Lambda ** (-1 / 6) * math.sqrt(b - a))
     return {

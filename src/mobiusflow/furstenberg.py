@@ -125,8 +125,7 @@ def build_h(alpha: AlphaSpec, tau: float, K: int) -> AnalyticSeries:
     for k in range(1, K + 1):
         t = alpha.frac_signed_fraction(q[k])
         c = e2pi_m1(t) / k
-        entries.append((q[k], c))
-        entries.append((-q[k], c.conjugate()))
+        entries += [(q[k], c), (-q[k], c.conjugate())]
     return AnalyticSeries.from_entries(entries, tau=tau, label=f"lacunary(tau={tau},K={K})")
 
 
@@ -143,8 +142,7 @@ def build_g(alpha: AlphaSpec, K: int) -> AnalyticSeries:
     for k in range(1, min(K, len(q) - 1) + 1):
         if q[k].bit_length() > 48:
             break
-        entries.append((q[k], 1.0 / k))
-        entries.append((-q[k], 1.0 / k))
+        entries += [(q[k], 1.0 / k), (-q[k], 1.0 / k)]
     g = AnalyticSeries.from_entries(entries, tau=1e-6, label="lacunary-cobound")
     g.c_up = 2.0
     return g
@@ -168,8 +166,7 @@ def build_correction(alpha: AlphaSpec, tau: float, M) -> tuple[AnalyticSeries, A
         v = math.exp(-2.0 * tau * m)
         if v <= COEFF_FLOOR:
             break
-        d[m] = complex(v)
-        d[-m] = complex(v)
+        d[m] = d[-m] = complex(v)
     H = AnalyticSeries(coeffs=d, tau=2.0 * tau, tau2=2.0 * tau, label=f"smooth(2tau={2*tau})")
     H.c_low = 1.0
     G = cobounding_series(H, alpha, exclude_divisible_by=None, M=None)
@@ -321,14 +318,9 @@ def correction_tail_report(sys: FurstenbergSystem) -> list[dict]:
         qk, qk1 = q_all[k], q_all[k + 1]
         if qk > TAIL_M_CAP:
             break
-        total = 0.0
-        for m in range(qk, min(qk1, TAIL_M_CAP + 1)):
-            if m % qk == 0:
-                continue
-            c = abs(sys.H.coeff(m))
-            if c == 0.0:
-                continue
-            total += c / float(sys.alpha.distance_to_integer(m))
+        total = sum((abs(sys.H.coeff(m)) / float(sys.alpha.distance_to_integer(m))
+                     for m in range(qk, min(qk1, TAIL_M_CAP + 1))
+                     if m % qk and sys.H.coeff(m)), 0.0)
         normalized = total * math.exp(min(sys.tau * qk, 700.0))
         out.append({"k": k, "q_k": qk, "sum": total, "normalized": normalized})
     return out

@@ -45,6 +45,7 @@ from typing import Sequence
 
 import numpy as np  # noqa: F401 (bench/spans.py wraps nilflow.np.exp)
 
+from .analytic import e2pi
 from .correlate import (CHUNK, CorrelationSeries, _checked_checkpoints, _class_phase_chunk,
                         _weighted_sums, bracket_mod1_source, poly_mod1_array)
 from .errors import DomainError
@@ -61,9 +62,8 @@ class HeisenbergElement:
     v3: Fraction
 
     def __init__(self, v1, v2, v3):
-        object.__setattr__(self, "v1", Fraction(v1))
-        object.__setattr__(self, "v2", Fraction(v2))
-        object.__setattr__(self, "v3", Fraction(v3))
+        for name, v in (("v1", v1), ("v2", v2), ("v3", v3)):
+            object.__setattr__(self, name, Fraction(v))
 
     @classmethod
     def identity(cls) -> "HeisenbergElement":
@@ -107,11 +107,9 @@ def reduce_to_fundamental(x: HeisenbergElement) -> HeisenbergElement:
     central coordinate picks up the integer shear correction and is reduced
     last.  Idempotent, and the result differs from x by a lattice element.
     """
-    g1 = -(x.v1 // 1)
-    g2 = -(x.v2 // 1)
-    v3_tmp = x.v3 - g1 * x.v2
-    g3 = -(v3_tmp // 1)
-    return HeisenbergElement(x.v1 + g1, x.v2 + g2, v3_tmp + g3)
+    g1, g2 = -(x.v1 // 1), -(x.v2 // 1)
+    v3 = x.v3 - g1 * x.v2
+    return HeisenbergElement(x.v1 + g1, x.v2 + g2, v3 - v3 // 1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +300,7 @@ class NilObservable:
 
     def value(self, x: HeisenbergElement) -> complex:
         v1, v2, v3 = reduce_to_fundamental(x).floats()
-        total = 0j
-        for w, p, q, r in self.terms:
-            ph = (p * v1 + q * v2 + r * v3) % 1.0
-            total += w * complex(math.cos(2 * math.pi * ph), math.sin(2 * math.pi * ph))
-        return total
+        return sum((w * e2pi(p * v1 + q * v2 + r * v3) for w, p, q, r in self.terms), 0j)
 
 
 def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):

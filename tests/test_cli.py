@@ -173,6 +173,20 @@ def test_correlate_csv_format(capsys, tmp_path):
     assert float(lines[2].split(",")[3]) <= 1.0
 
 
+@pytest.mark.parametrize("modes, code", [([10**6], 0), (range(9000, 9065), 4)])
+def test_correlate_high_modes(capsys, tmp_path, modes, code):
+    """A mode at 10^6 runs on its own track; over 64 modes above 8192 exit 4."""
+    entries = [[s * m, 0.1, 0] for m in modes for s in (1, -1)]
+    cfg = {**json.loads(_skew_config(tmp_path).read_text()),
+           "h": {"type": "coeffs", "entries": entries, "tau": 1e-5}}
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(cfg))
+    got, out, err = run_cli(["correlate", "--config", str(path), "--b", "1,1",
+                             "--checkpoints", "1e3,1e4"], capsys)
+    assert got == code
+    assert "modes above 8192: 65 > 64" in err if code else out.startswith("N,re,im")
+
+
 def test_correlate_thread_count_invariance(capsys, tmp_path):
     cfg = _skew_config(tmp_path)
     blobs = []

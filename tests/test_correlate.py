@@ -19,7 +19,7 @@ from mobiusflow.correlate import (_E_COS, _E_SIN, CHUNK, E_TABLE_SIZE, E_TERM_ER
                                   bsz_test, character_phase_array, mobius_correlate, phi_polys,
                                   poly_exp_sum, poly_lower_bound_check, poly_mod1_array,
                                   reduction_bound, vdc_sum_check)
-from mobiusflow.errors import DomainError
+from mobiusflow.errors import DomainError, PrecisionError
 from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine, character_phase
 from mobiusflow.furstenberg import FurstenbergSystem
 from mobiusflow.mobius import mertens, mobius_sieve
@@ -524,14 +524,31 @@ def _is_ramp(delta):
     return abs(float(delta)) < 1e-250
 
 
+def _taylor_bound(tabled, R):
+    """A table's written bound: with H_q = sum |g_m| (pi m / R)^q / q! over its
+    M modes and P the least degree whose remainder H_P is below 2^-60, it is
+    2^-53 sum_{q<P} (M + 44 + 6 q) H_q + H_P + |G'| 2^-61, |G'| <= 2 pi sum m |g_m|."""
+    H = []
+    while True:
+        q = len(H)
+        Hq = sum(g * (math.pi * m / R) ** q / math.factorial(q) for m, g in tabled)
+        if Hq < 2.0**-60:
+            break
+        H.append(Hq)
+    return (2.0**-53 * sum((len(tabled) + 44 + 6 * q) * Hq for q, Hq in enumerate(H)) + Hq
+            + 2 * math.pi * sum(m * g for m, g in tabled) * 2.0**-61)
+
+
 def _phase_bound(flow, p, b, nmax):
     """The written per-term bound of `_SkewPhaseContext`, recomputed from the
-    kept modes: with g_m = 2 b2 h_hat(m) / (e(delta_m) - 1) over the M tabled
-    modes, H_q = sum |g_m| (pi m / 4096)^q / q! and P the least degree whose
-    remainder H_P is below 2^-60, it is 2^-53 sum_{q<P} (M + 44 + 6 q) H_q +
-    H_P + |G'| 2^-61 + 2 |G'| 2^-(3 bitlen(nmax) + 68) / min |e(delta) - 1|
-    with |G'| <= 2 pi sum m |g_m|, plus 16 2^-53, (|b1| + |b2 c|) 2^-69 and
-    |b2| nmax 2^-124 sum 2 |h_hat| over the ramp modes."""
+    kept modes, with g_m = 2 b2 h_hat(m) / (e(delta_m) - 1).  The modes m <=
+    8192 form one table on R = max(4096, 8 max m) points, a power of two, and
+    each higher mode m is a table of mode 1 and g_m on 4096 points, which
+    adds 2 2^-53.  To the tables' bounds add 2 |G'| 2^-(bits + 60) / min
+    |e(delta) - 1| with |G'| <= 2 pi sum m |g_m| over all tabled modes and
+    bits = 3 bitlen(nmax) + 8, plus the bit length of the top mode when it is
+    above 8192; and 16 2^-53, (|b1| + |b2 c|) 2^-69 and |b2| nmax 2^-124 sum
+    2 |h_hat| over the ramp modes."""
     kept = _kept_modes(flow, p, b)
     ramp_size = sum(2 * abs(c) for _, c, delta in kept if _is_ramp(delta))
     bound = (16 * 2.0**-53 + (abs(b.b1) + abs(b.b2 * flow.c)) * 2.0**-69
@@ -540,17 +557,17 @@ def _phase_bound(flow, p, b, nmax):
               for m, c, delta in kept if not _is_ramp(delta)]
     if not tabled:
         return bound
-    H = []
-    while True:
-        q = len(H)
-        Hq = sum(g * (math.pi * m / E_TABLE_SIZE) ** q / math.factorial(q) for m, g, _ in tabled)
-        if Hq < 2.0**-60:
-            break
-        H.append(Hq)
+    low = [(m, g) for m, g, _ in tabled if m <= 8192]
+    if low:
+        R = max(E_TABLE_SIZE, 2 ** math.ceil(math.log2(8 * max(low)[0])))
+        bound += _taylor_bound(low, R)
+    for m, g, _ in tabled:
+        if m > 8192:
+            bound += _taylor_bound([(1, g)], E_TABLE_SIZE) + 2 * 2.0**-53
+    top = max(flow.h.support())
+    bits = 3 * max(nmax, 2).bit_length() + 8 + (top.bit_length() if top > 8192 else 0)
     slope = 2 * math.pi * sum(m * g for m, g, _ in tabled)
-    centre = 2.0**-(3 * max(nmax, 2).bit_length() + 68)
-    return (bound + 2.0**-53 * sum((len(tabled) + 44 + 6 * q) * Hq for q, Hq in enumerate(H))
-            + Hq + slope * 2.0**-61 + 2 * slope * centre / min(d for _, _, d in tabled))
+    return bound + 2 * slope * 2.0**-(bits + 60) / min(d for _, _, d in tabled)
 
 
 def _per_mode_phase(flow, p, b, n, modes):
@@ -599,10 +616,21 @@ def _flow_case(name, skew):
     if name == "tau-0.1":
         return SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), AnalyticSeries.geometric(0.1)), \
             TorusPoint(0.37, 0.12), Character(0, 1)
+    if name.startswith("mode-"):
+        # one mode far above the grid of 4096 points: its own track and table
+        m = int(float(name[5:]))
+        h = AnalyticSeries.from_entries([(m, 0.1), (-m, 0.1)], tau=1e-5)
+        return SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), h), TorusPoint(0.37, 0.12), \
+            Character(1, 1)
+    if name == "grid-32768":
+        h = AnalyticSeries.from_entries([(3000, 0.1), (-3000, 0.1), (2, 0.3j), (-2, -0.3j)],
+                                        tau=1e-3)
+        return SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), h), TorusPoint(0.37, 0.12), \
+            Character(2, 1)
     return ramp_flow(), TorusPoint(0.3, 0.7), Character(1, 2)
 
 
-@pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many"])
+@pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many", "mode-1e6"])
 @pytest.mark.parametrize("chunk, N", [(1, 400), (3, 2000), (20_000, 30_000), (CHUNK, 100)])
 def test_skew_phase_tables_match_per_mode_formula(name, chunk, N, skew):
     """character_phase_array against the per-mode formula, within the written
@@ -637,6 +665,26 @@ def test_skew_sums_match_per_mode_formula(name, chunk, table, skew):
         assert abs(got - sum(terms[:cp])) <= bound * cp + 1e-12 * cp, cp
 
 
+def test_skew_high_modes_keep_a_small_bound():
+    """One mode at 10^6 or 5 10^4: the written bound stays near 1e-14 at any
+    nmax, against 6.4e-15 written (and 9.9e-11 measured at 1e9) for the
+    per-mode anchors.  Over SKEW_HIGH_MODES modes above 8192, or a
+    coefficient of G past double range, raise PrecisionError."""
+    for name in ("mode-1e6", "mode-5e4"):
+        flow, p, b = _flow_case(name, None)
+        for nmax in (10, 10**5, 10**9):
+            assert _SkewPhaseContext(flow, p, b, nmax, CHUNK).phase_error < 1e-14
+    p, b = TorusPoint(0.37, 0.12), Character(1, 1)
+    many = [(m, 0.1) for k in range(correlate.SKEW_HIGH_MODES + 1) for m in (9000 + k, -9000 - k)]
+    flow = SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), AnalyticSeries.from_entries(many, tau=1e-5))
+    with pytest.raises(PrecisionError, match="modes above 8192: 65 > 64"):
+        _SkewPhaseContext(flow, p, b, 1000, CHUNK)
+    flow = SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(),
+                    AnalyticSeries.from_entries([(m, 1e308) for m in (1, -1, 2, -2)], tau=1.0))
+    with pytest.raises(PrecisionError, match="overflows double precision"):
+        _SkewPhaseContext(flow, p, b, 1000, CHUNK)
+
+
 def test_long_pieces_thread_identity(table, lacunary):
     """Pieces of 20000 terms walk the table in blocks: == for threads 1, 2, 4."""
     p, b = TorusPoint(0.37, 0.12), Character(0, 1)
@@ -646,14 +694,19 @@ def test_long_pieces_thread_identity(table, lacunary):
     assert runs[0] == runs[1] == runs[2]
 
 
-@pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many", "tau-0.1"])
+@pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many", "tau-0.1",
+                                  "mode-1e6", "mode-5e4", "grid-32768"])
 def test_skew_anchors_near_1e9(name, skew):
     """nmax = 10^9 and the block at u = 10^9 - 8191: the anchors frac(x1 + u
     alpha) and the polynomial part's, over one centre within 2^-(3 bitlen(nmax)
     + 68) of alpha, and the 128-bit tables of j alpha keep the phases within
     the written bound of the per-mode formula.  Each mode's delta_m over a
     centre good to 2^-60 / m, as before the coboundary table, drifted by up
-    to n 2^-60 and put the phases of the diophantine flow 9.65e-11 off here."""
+    to n 2^-60 and put the phases of the diophantine flow 9.65e-11 off here.
+    A mode above 8192 (10^6, 5 10^4) runs on its own track frac(m (x1 + n
+    alpha)), and a mode at 3000 sets a grid of 32768 points; with one
+    Taylor table on 4096 points the loop over degrees overflowed at m = 10^6
+    and never ended."""
     flow, p, b = _flow_case(name, skew)
     u, L = 10**9 - 8191, 8192
     ctx = _SkewPhaseContext(flow, p, b, 10**9, CHUNK)
