@@ -22,7 +22,10 @@ re-recorded when a table-driven e(.) and numpy's pairwise reduction
 replaced np.exp and np.dot in the correlators; a test holds them within a
 written bound of np.exp and np.dot over the same phases.  The `bsz_test`
 reports were re-recorded when its two sums moved from np.dot to numpy's
-pairwise sum of the products.  Exact rationals are kept as `Fraction`
+pairwise sum of the products.  GOLDEN_MULTI_BATCH, sums at cuts up to
+99,999 that span several batches of the summation driver, so that two
+threads start a pool, was recorded before the piece length stopped being
+an option of the correlators.  Exact rationals are kept as `Fraction`
 strings and correlation sums as the repr of each complex sum.
 """
 
@@ -80,6 +83,8 @@ AFFINE = {
                      (2, -1, 3, 1)),
 }
 CHECKPOINTS = (100, 1000, 10_000)
+# cuts past one batch of the summation driver: at threads = 2 every run below starts a pool
+MULTI_CUTS = (777, 20_000, 50_001, 99_999)
 # the criterion 9 decay runs up to 1e6 and the criterion 10 thread-determinism runs
 SKEW_X, SKEW_B = TorusPoint(0.37, 0.12), Character(0, 1)
 UNIPOTENT = ((1, 1), (0, 1)), (0.1234, 0.0), (0.2, 0.51)
@@ -149,6 +154,26 @@ def correlation_sums(name, table, threads=1):
         T, x = _heisenberg(heis)
         series = correlate_nil(T, x, NilObservable.character(*pqr), table, CHECKPOINTS,
                                threads=threads)
+    return tuple(repr(s) for s in series.sums)
+
+
+def multi_batch_sums(name, table, threads):
+    """The sums at MULTI_CUTS; `poly_exp_sum` is one call per cut."""
+    if name == "affine-nu2":
+        W, b, x, v = AFFINE["nu2"]
+        series = mobius_correlate(UnipotentAffine(matrix=W, translation=b), x, v, table,
+                                  MULTI_CUTS, threads=threads)
+    elif name == "nil-central":
+        T, x = _heisenberg("readme")
+        series = correlate_nil(T, x, NilObservable.character(1, 2, 1), table, MULTI_CUTS,
+                               threads=threads)
+    elif name == "nu3-class":
+        coeffs, nu, l = POLY_SUMS[name]
+        return tuple(repr(poly_exp_sum(PolyPhase(coeffs, nu=nu, residue=l), table, N,
+                                       threads=threads)) for N in MULTI_CUTS)
+    else:
+        series = mobius_correlate(skew_flow("diophantine"), SKEW_X, SKEW_B, table, MULTI_CUTS,
+                                  threads=threads)
     return tuple(repr(s) for s in series.sums)
 
 
@@ -377,6 +402,22 @@ GOLDEN_SKEW = {'c10-affine': ('(-136.5737169484572+17.84132870862199j)',
                   '(47.90528296455702+3.0139449374070466j)',
                   '(-211.58166642679362-13.31159014021446j)')}
 
+GOLDEN_MULTI_BATCH = {'affine-nu2': ('(-8.162056002593811-5.364081272873933j)',
+                '(-12.32377090383569+52.81576636242393j)',
+                '(48.95189896590349+18.65280193576445j)',
+                '(-99.57552809136207+112.97151412977573j)'),
+ 'diophantine': ('(-5.623734270365411+0.9111849966479414j)',
+                 '(76.57258136313422+14.16504866249686j)',
+                 '(127.0867250840184+103.59851774887285j)',
+                 '(-14.693599492262578+322.1862374326269j)'),
+ 'nil-central': ('(-0.28549713742700056-17.96594184950384j)',
+                 '(154.65729179519818-37.36514949419367j)',
+                 '(140.6738870711313+125.98826311568718j)',
+                 '(261.64302607945245+45.69908997729492j)'),
+ 'nu3-class': ('(8.794606233765824-0.22264321116559627j)',
+               '(0.5871362243227947-20.430007902016644j)',
+               '(35.52975908433547-28.624357224721685j)',
+               '(221.60805189979138+27.907780221542936j)')}
 GOLDEN_POLY_SUMS = {'cubic-sqrt2': '(21.091973992914653-44.45011007796147j)',
  'nu3-class': '(-0.9225531090646633-39.582108715208506j)'}
 GOLDEN_EVALUATE = {'order3': (('1/5', '2/9', '3/11'),
@@ -577,6 +618,19 @@ def test_correlation_sums_are_frozen_at_two_threads(name, table):
 @pytest.fixture(scope="module")
 def table6():
     return mobius_sieve(10**6)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN_MULTI_BATCH))
+def test_multi_batch_sums_are_frozen(name, threads, table6):
+    assert multi_batch_sums(name, table6, threads) == GOLDEN_MULTI_BATCH[name]
+
+
+def test_multi_batch_cuts_span_batches():
+    """The correlators' layout at MULTI_CUTS, and `poly_exp_sum`'s over the
+    class mod 3 at the last cut (33,333 terms), hold two batches or more."""
+    for N, cuts in ((MULTI_CUTS[-1], MULTI_CUTS), (33_333, [33_333])):
+        assert len(correlate._batches(correlate._pieces(N, cuts, correlate.CHUNK))) >= 2
 
 
 @pytest.mark.parametrize("name", sorted(SKEW_RUNS))
