@@ -16,7 +16,8 @@ exact residues over the common denominator K of the polynomial.
 2^65 to 2^1074, K = 2^a m split into uint64 and int64 parts, and otherwise
 the one Horner, `_horner_mod`; the Heisenberg bracket runs on the same
 residues, and either rounds the exact rational once to float64.  Every
-correlator ends in `_weighted_sums`: work is split into fixed-size pieces,
+correlator ends in `_weighted_sums`: work is split into pieces of at most
+CHUNK = 8192 terms, cut at the checkpoints and at the multiples of CHUNK,
 and e(phase), weighted by mu, comes from a 4096-entry table of e(k/4096)
 and a short polynomial in the remainder (`_e_sums`, within 3 2^-53 per
 term), summed per piece by numpy's pairwise reduction, with no BLAS call.
@@ -54,7 +55,7 @@ from .flows import (Character, PolyPhase, SkewFlow, TorusPoint, UnipotentAffine,
 from .mobius import MobiusTable, _primes_upto
 from .polyutil import Poly
 
-CHUNK = 8192
+CHUNK = 8192  # the most terms in a piece: the piece layout, so every sum's bits, rest on it
 # terms per unit of work of `_weighted_sums`; with one piece per unit, two threads
 # summed `mu-scale` a third slower (BENCH_e_kernel.json, "batches")
 BATCH = 2 * CHUNK
@@ -391,7 +392,7 @@ class _SkewPhaseContext:
     - (|b1| + |b2 c|) 2^-69, the centre's drift on the polynomial part, and
       |b2| nmax 2^-124 sum 2 |h_hat(m)| over the ramp modes (128 bits);
     - 16 2^-53: the polynomial part in fixed point (under (CHUNK + 3) 2^-64
-      in blocks of `length` <= CHUNK), the constant, the additions and
+      in pieces of at most CHUNK terms), the constant, the additions and
       `E_TERM_ERROR`.
 
     2 pi N `phase_error` bounds the error it puts on S(N), and
@@ -400,7 +401,7 @@ class _SkewPhaseContext:
 
     MODE_FLOOR = 1e-18
 
-    def __init__(self, flow: SkewFlow, p: TorusPoint, b: Character, nmax: int, chunk: int):
+    def __init__(self, flow: SkewFlow, p: TorusPoint, b: Character, nmax: int):
         if not flow.normalized:
             raise DomainError("correlator needs the normalized skew form a = d = 1")
         h, x1, top = flow.h, Fraction(p.x1), max(flow.h.support(), default=0)
@@ -435,7 +436,7 @@ class _SkewPhaseContext:
                 min_den = min(min_den, abs(den))
         if len(high) > SKEW_HIGH_MODES:
             raise PrecisionError(f"modes above {TAYLOR_GRID // 8}: {len(high)} > {SKEW_HIGH_MODES}")
-        self.nmax, self.chunk_len, self.length = nmax, chunk, max(1, min(chunk, nmax, CHUNK))
+        self.nmax, self.length = nmax, max(1, min(nmax, CHUNK))
         self.modes_kept = len(low) + len(high) + ramps
         b2c = b.b2 * flow.c
         self.track = _QuadraticTrack(
@@ -459,13 +460,13 @@ class _SkewPhaseContext:
 
     def budget(self, checkpoints: Sequence[int]) -> dict:
         """The error budget of a correlation at these checkpoints (see the class docstring)."""
-        pieces = len(_pieces(self.nmax, checkpoints, self.chunk_len))
-        reduce = reduction_bound(self.nmax, pieces, min(self.chunk_len, self.nmax))
+        reduce = reduction_bound(self.nmax, len(_pieces(self.nmax, checkpoints)), self.length)
         return {"modes_kept": self.modes_kept, "modes_dropped": self.modes_dropped,
                 "dropped_bound": self.dropped_bound,
                 "table_anchor_bound": TWO_PI * self.nmax * self.phase_error + reduce}
 
-    def _block(self, u: int, L: int) -> np.ndarray:
+    def chunk(self, u: int, L: int) -> np.ndarray:
+        """<b, orbit(n)> mod 1 for n = u..u+L-1, L <= length."""
         out = self.track.chunk(u, L).view(np.int64) * 2.0**-64
         out += self.const
         for track, table in self.tables:
@@ -482,20 +483,13 @@ class _SkewPhaseContext:
         out -= np.floor(out)  # the bits of np.mod(out, 1.0), at a fraction of its cost
         return out
 
-    def chunk(self, u: int, L: int) -> np.ndarray:
-        """<b, orbit(n)> mod 1 for n = u..u+L-1."""
-        blocks = [self._block(v, min(self.length, u + L - v)) for v in range(u, u + L, self.length)]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-
-def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int,
-                          chunk: int = CHUNK) -> np.ndarray:
-    """Phases <b, orbit(n)> mod 1 for n = 1..N, assembled chunk-wise."""
-    _checked_work(1, chunk)
-    phase_chunk = _SkewPhaseContext(flow, p, b, N, chunk).chunk
+def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int) -> np.ndarray:
+    """Phases <b, orbit(n)> mod 1 for n = 1..N, assembled CHUNK terms at a time."""
+    phase_chunk = _SkewPhaseContext(flow, p, b, N).chunk
     out = np.empty(N, dtype=np.float64)
-    for u in range(1, N + 1, chunk):
-        L = min(chunk, N + 1 - u)
+    for u in range(1, N + 1, CHUNK):
+        L = min(CHUNK, N + 1 - u)
         out[u - 1:u - 1 + L] = phase_chunk(u, L)
     return out
 
@@ -593,10 +587,10 @@ def reduction_bound(N: int, pieces: int, longest: int) -> float:
 # Checkpointed mu-weighted summation with deterministic chunking
 
 
-def _pieces(N: int, checkpoints: Sequence[int], chunk: int) -> list[tuple[int, int]]:
+def _pieces(N: int, checkpoints: Sequence[int]) -> list[tuple[int, int]]:
     cuts = {0, N}
     cuts.update(int(c) for c in checkpoints)
-    cuts.update(range(0, N, chunk))
+    cuts.update(range(0, N, CHUNK))
     cuts = sorted(c for c in cuts if 0 <= c <= N)
     return [(a + 1, b) for a, b in zip(cuts, cuts[1:])]
 
@@ -632,11 +626,10 @@ def _checked_checkpoints(checkpoints: Sequence[int], table: MobiusTable) -> tupl
     return checkpoints, N
 
 
-def _checked_work(threads, chunk) -> None:
-    """Refuse a thread count or chunk length that is not a positive integer."""
-    for name, v in (("threads", threads), ("chunk", chunk)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
-            raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
+def _checked_threads(threads) -> None:
+    """Refuse a thread count that is not a positive integer."""
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
 
 
 def _batches(pieces: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -652,21 +645,20 @@ def _batches(pieces: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
 
 
 def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarray,
-                   N: int, checkpoints: Sequence[int], threads: int,
-                   chunk: int) -> list[complex]:
+                   N: int, checkpoints: Sequence[int], threads: int) -> list[complex]:
     """sum_{i<=N} weights[i - 1] e(phase(i)) snapshotted at the checkpoints.
 
     phase_chunk(a, L) gives the phases in [0, 1] of terms a..a+L-1; weights
     is mu[1:] for a sum over n, or a strided view of mu for a residue class.
-    The piece layout depends only on (N, checkpoints, chunk).  Each piece is
+    The piece layout depends only on (N, checkpoints).  Each piece is
     summed by `_e_sums` in its batch (`_batches`).  The batches are split
     into contiguous spans of ceil(batches / threads); a worker sums one span
     in five rows of scratch of its own, a single span runs in the calling
     thread, and the piece sums are added in piece order, so the result is
     bit-identical for any number of threads.
     """
-    _checked_work(threads, chunk)
-    pieces = _pieces(N, checkpoints, chunk)
+    _checked_threads(threads)
+    pieces = _pieces(N, checkpoints)
     batches = _batches(pieces)
     width = max((run[-1][1] - run[0][0] + 1 for run in batches), default=0)
     step = max(1, -(-len(batches) // threads))
@@ -696,7 +688,7 @@ def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.nd
 
 
 def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
-                     threads: int = 1, chunk: int = CHUNK) -> CorrelationSeries:
+                     threads: int = 1) -> CorrelationSeries:
     """S(N_i) = sum_{n<=N_i} mu(n) e(<b, orbit(n)>) at each checkpoint.
 
     flow: a SkewFlow (normalized) with x a TorusPoint and b a Character, or
@@ -706,12 +698,12 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
     `table_anchor_bound` (on |S(N)|); see `_SkewPhaseContext`.
     """
     checkpoints, N = _checked_checkpoints(checkpoints, table)
-    _checked_work(threads, chunk)  # before the skew budget lays out the pieces
+    _checked_threads(threads)  # before the skew context builds its tables
     if isinstance(flow, SkewFlow):
         if not isinstance(b, Character):
             b = Character(*b)
         p = x if isinstance(x, TorusPoint) else TorusPoint(*x)
-        ctx = _SkewPhaseContext(flow, p, b, N, chunk)
+        ctx = _SkewPhaseContext(flow, p, b, N)
         phase_chunk, budget = ctx.chunk, ctx.budget(checkpoints)
         meta_flow = f"skew(c={flow.c}, alpha={flow.alpha.label}, h={flow.h.label})"
     elif isinstance(flow, UnipotentAffine):
@@ -725,15 +717,14 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
     else:
         raise DomainError(f"unsupported flow type {type(flow).__name__}")
 
-    sums = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads, chunk)
-    meta = {"flow": meta_flow, "observable": str(b), "threads": threads,
-            "chunk": chunk, "N": N, **budget}
+    sums = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads)
+    meta = {"flow": meta_flow, "observable": str(b), "threads": threads, "N": N, **budget}
     return CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
                              metadata=meta)
 
 
 def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
-                 threads: int = 1, chunk: int = CHUNK) -> complex:
+                 threads: int = 1) -> complex:
     """sum_{n<=N, n = l (mod nu)} mu(n) e(phi(n)) with exact mod-1 phases.
 
     The class is walked in t: term t is n = n_start + nu (t - 1), and the sum
@@ -748,7 +739,7 @@ def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
     count = (N - n_start) // nu + 1 if N >= n_start else 0
     phase_chunk = partial(poly_mod1_array, phase.as_poly().compose_linear(nu, n_start - nu))
     weights = table.mu_array()[n_start::nu]
-    return _weighted_sums(phase_chunk, weights, count, [count], threads, chunk)[0]
+    return _weighted_sums(phase_chunk, weights, count, [count], threads)[0]
 
 
 # ---------------------------------------------------------------------------

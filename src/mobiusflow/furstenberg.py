@@ -34,7 +34,7 @@ import numpy as np
 from .analytic import (AnalyticSeries, COEFF_FLOOR, cobounding_series, coboundary_residual,
                        e2pi_m1)
 from .cfrac import AlphaSpec
-from .correlate import CHUNK, _SkewPhaseContext, _weighted_sums
+from .correlate import _SkewPhaseContext, _weighted_sums
 from .errors import CapacityError, DomainError
 
 SEED_Q = (1, 2)
@@ -357,8 +357,8 @@ def irregularity_probe(sys: FurstenbergSystem, b, x0, windows: Sequence[int],
         raise DomainError("windows must be positive and increasing")
     flow = sys.flow(corrected=corrected)
     N = windows[-1]
-    sums = _weighted_sums(_SkewPhaseContext(flow, x0, b, N, CHUNK).chunk,
-                          np.broadcast_to(np.int8(1), (N,)), N, windows, 1, CHUNK)
+    sums = _weighted_sums(_SkewPhaseContext(flow, x0, b, N).chunk,
+                          np.broadcast_to(np.int8(1), (N,)), N, windows, 1)
     averages = [s / w for s, w in zip(sums, windows)]
     tail = averages[len(averages) // 2:]
     osc = max(abs(u - v) for u in tail for v in tail) if len(tail) > 1 else 0.0

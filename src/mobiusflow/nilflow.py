@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np  # noqa: F401 (bench/spans.py wraps nilflow.np.exp)
 
 from .analytic import e2pi
-from .correlate import (CHUNK, CorrelationSeries, _checked_checkpoints, _class_phase_chunk,
+from .correlate import (CorrelationSeries, _checked_checkpoints, _class_phase_chunk,
                         _weighted_sums, bracket_mod1_source, poly_mod1_array)
 from .errors import DomainError
 from .mobius import MobiusTable
@@ -321,7 +321,7 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
     terms included, rounded once to float64.  Each term is one
     `_weighted_sums` pass scaled by its weight, so `threads` is honoured,
     sums are bit-identical for any thread count, and memory beyond the mu
-    table is O(chunk).
+    table is O(CHUNK).
     """
     checkpoints, N = _checked_checkpoints(checkpoints, table)
     reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
@@ -329,7 +329,7 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
     sums = [0j] * len(checkpoints)
     for w, p, q, r in f.terms:
         phase_chunk = _class_phase_chunk([_residue_phase(rep, p, q, r) for rep in reps])
-        term = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads, CHUNK)
+        term = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads)
         sums = [s + w * t for s, t in zip(sums, term)]
     meta = {"flow": f"heisenberg(nu={T.nu})", "observable": str(f.terms),
             "threads": threads, "N": N}

@@ -2,9 +2,7 @@
 
 OpenBLAS reads its kernel and thread count when it loads, so each run is a
 subprocess: tests/test_golden.py under an SSE-class kernel at two BLAS
-threads, and a correlation of 2^18-term pieces, longer than the 10,000
-entries past which a BLAS dot splits over threads, at one and at two.
-Every golden output must hold under the other kernel.  The golden skew sums
+threads.  Every golden output must hold under the other kernel.  The golden skew sums
 hold only within a bound, so a skew correlation with Fourier modes is also
 compared == under the default kernel and the SSE-class one.
 """
@@ -15,19 +13,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-LONG_PIECES = """
-from mobiusflow.analytic import AnalyticSeries
-from mobiusflow.cfrac import AlphaSpec
-from mobiusflow.correlate import mobius_correlate
-from mobiusflow.flows import Character, SkewFlow, TorusPoint
-from mobiusflow.mobius import mobius_sieve
-
-flow = SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), AnalyticSeries.geometric(1.0))
-series = mobius_correlate(flow, TorusPoint(0.37, 0.12), Character(0, 1), mobius_sieve(10**6),
-                          [10**5, 10**6], chunk=2**18)
-print(repr(series.sums))
-"""
 
 SKEW_MODES = """
 from mobiusflow.analytic import AnalyticSeries
@@ -58,13 +43,6 @@ def test_golden_outputs_hold_under_another_blas_kernel():
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED", "ERROR"))]
     assert proc.returncode == 0 and " passed" in proc.stdout, (failed, proc.stdout[-4000:])
-
-
-def test_long_piece_sums_identical_at_one_and_two_blas_threads():
-    runs = [_run(["-c", LONG_PIECES], OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
-    assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
-    assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout.startswith("((")
 
 
 def test_skew_sums_with_modes_identical_under_another_blas_kernel():

@@ -158,10 +158,10 @@ def test_poly_exp_sum_residue_class_direct(table, l):
     coeffs = (Fraction(1, 3), -math.sqrt(5), Fraction(2, 7), math.pi)
     poly = Poly([Fraction(c) for c in coeffs])
     mu = table.mu_array()
-    N = 3001
+    N = 30_001  # two pieces in t on each class
     want = sum(int(mu[n]) * cmath.exp(2j * math.pi * float(poly.eval(n) % 1))
                for n in range(1, N + 1) if n % 3 == l)
-    got = poly_exp_sum(PolyPhase(coeffs, nu=3, residue=l), table, N, chunk=64)
+    got = poly_exp_sum(PolyPhase(coeffs, nu=3, residue=l), table, N)
     assert abs(got - want) < 1e-12 * N
 
 
@@ -631,38 +631,45 @@ def _flow_case(name, skew):
 
 
 @pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many", "mode-1e6"])
-@pytest.mark.parametrize("chunk, N", [(1, 400), (3, 2000), (20_000, 30_000), (CHUNK, 100)])
-def test_skew_phase_tables_match_per_mode_formula(name, chunk, N, skew):
-    """character_phase_array against the per-mode formula, within the written
-    bound; with chunk 20000 the pieces are longer than a block and walk in
-    blocks of CHUNK terms."""
+@pytest.mark.parametrize("cut, N", [(1, 400), (3, 2000), (20_000, 30_000), (CHUNK, 100)])
+def test_skew_phase_tables_match_per_mode_formula(name, cut, N, skew):
+    """The phases over the pieces of a correlation with a checkpoint every
+    `cut` terms (pieces of 1 or 3 terms, pieces cut at 20000 between the
+    multiples of CHUNK, or the one piece of `character_phase_array`) against
+    the per-mode formula, within the written bound."""
     flow, p, b = _flow_case(name, skew)
     modes = _kept_modes(flow, p, b)
     assert modes
     bound = _phase_bound(flow, p, b, N)
-    ph = character_phase_array(flow, p, b, N, chunk=chunk)
+    ctx = _SkewPhaseContext(flow, p, b, N)
+    ph = np.concatenate([ctx.chunk(u, v - u + 1) for u, v in _pieces(N, range(cut, N, cut))])
+    if cut == CHUNK:
+        assert np.array_equal(ph, character_phase_array(flow, p, b, N))
     ns = set(range(1, N + 1, max(1, N // 300))) | {N}
-    ns |= {n for k in (CHUNK, chunk) for v in range(k, N, k) for n in (v, v + 1)}
+    ns |= {n for k in (CHUNK, cut) for v in range(k, N, k) for n in (v, v + 1)}
     for n in sorted(ns):
         assert _circle(ph[n - 1], _per_mode_phase(flow, p, b, n, modes)) <= bound, n
 
 
 @pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp"])
-@pytest.mark.parametrize("chunk", [1, 3, 20_000])
-def test_skew_sums_match_per_mode_formula(name, chunk, table, skew):
-    """Checkpoints that cut pieces mid-way: sums == at threads 1 and 2, and
-    within 2 pi N times twice the written bound of the per-mode sums."""
+@pytest.mark.parametrize("step", [1, 3, 20_000])
+def test_skew_sums_match_per_mode_formula(name, step, table, skew):
+    """Checkpoints 7, 701, 1111, 1499 and 1500, and one every `step` terms,
+    so pieces of 1 or 3 terms or (step > N) only those five cuts: sums == at
+    threads 1 and 2, and within 2 pi N times twice the written bound of the
+    per-mode sums."""
     flow, p, b = _flow_case(name, skew)
     modes = _kept_modes(flow, p, b)
-    N, cps = 1500, [7, 701, 1111, 1499, 1500]
-    runs = [mobius_correlate(flow, p, b, table, cps, threads=t, chunk=chunk) for t in (1, 2)]
+    N = 1500
+    cps = sorted({7, 701, 1111, 1499, N, *range(step, N, step)})
+    runs = [mobius_correlate(flow, p, b, table, cps, threads=t) for t in (1, 2)]
     assert runs[0].sums == runs[1].sums
     mu = table.mu_array()
-    terms = [int(mu[n]) * cmath.exp(2j * math.pi * _per_mode_phase(flow, p, b, n, modes))
-             for n in range(1, N + 1)]
+    prefix = np.cumsum([int(mu[n]) * cmath.exp(2j * math.pi * _per_mode_phase(flow, p, b, n, modes))
+                        for n in range(1, N + 1)])
     bound = 2 * math.pi * 2 * _phase_bound(flow, p, b, N)
     for cp, got in zip(cps, runs[0].sums):
-        assert abs(got - sum(terms[:cp])) <= bound * cp + 1e-12 * cp, cp
+        assert abs(got - prefix[cp - 1]) <= bound * cp + 1e-12 * cp, cp
 
 
 def test_skew_high_modes_keep_a_small_bound():
@@ -673,25 +680,16 @@ def test_skew_high_modes_keep_a_small_bound():
     for name in ("mode-1e6", "mode-5e4"):
         flow, p, b = _flow_case(name, None)
         for nmax in (10, 10**5, 10**9):
-            assert _SkewPhaseContext(flow, p, b, nmax, CHUNK).phase_error < 1e-14
+            assert _SkewPhaseContext(flow, p, b, nmax).phase_error < 1e-14
     p, b = TorusPoint(0.37, 0.12), Character(1, 1)
     many = [(m, 0.1) for k in range(correlate.SKEW_HIGH_MODES + 1) for m in (9000 + k, -9000 - k)]
     flow = SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(), AnalyticSeries.from_entries(many, tau=1e-5))
     with pytest.raises(PrecisionError, match="modes above 8192: 65 > 64"):
-        _SkewPhaseContext(flow, p, b, 1000, CHUNK)
+        _SkewPhaseContext(flow, p, b, 1000)
     flow = SkewFlow(1, 1, 1, AlphaSpec.sqrt2_minus_1(),
                     AnalyticSeries.from_entries([(m, 1e308) for m in (1, -1, 2, -2)], tau=1.0))
     with pytest.raises(PrecisionError, match="overflows double precision"):
-        _SkewPhaseContext(flow, p, b, 1000, CHUNK)
-
-
-def test_long_pieces_thread_identity(table, lacunary):
-    """Pieces of 20000 terms walk the table in blocks: == for threads 1, 2, 4."""
-    p, b = TorusPoint(0.37, 0.12), Character(0, 1)
-    cps = [12_345, 40_000, 60_001]
-    runs = [mobius_correlate(lacunary, p, b, table, cps, threads=t, chunk=20_000).sums
-            for t in (1, 2, 4)]
-    assert runs[0] == runs[1] == runs[2]
+        _SkewPhaseContext(flow, p, b, 1000)
 
 
 @pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many", "tau-0.1",
@@ -709,7 +707,7 @@ def test_skew_anchors_near_1e9(name, skew):
     and never ended."""
     flow, p, b = _flow_case(name, skew)
     u, L = 10**9 - 8191, 8192
-    ctx = _SkewPhaseContext(flow, p, b, 10**9, CHUNK)
+    ctx = _SkewPhaseContext(flow, p, b, 10**9)
     ph = ctx.chunk(u, L)
     modes = _kept_modes(flow, p, b)
     bound = _phase_bound(flow, p, b, 10**9)
@@ -849,53 +847,41 @@ def test_reduction_is_numpy_pairwise_within_the_written_depth():
 
 
 def test_sums_identical_at_one_two_and_three_threads(table, skew):
-    """Checkpoints that cut pieces, pieces of 3000 terms (five to a batch)
-    and of 40000 (one to a batch): == at threads 1, 2 and 3."""
+    """Checkpoints that cut pieces up to 99,999 terms, seven batches, and
+    also one every 3000 terms, up to eight pieces to a batch: == at threads
+    1, 2 and 3."""
     flow, p = skew
-    cps = [777, 20_000, 50_001, 99_999]
     heis = HeisenbergAffine(HeisenbergElement(Fraction(1, 3), Fraction(1, 7), Fraction(2, 5)),
                             ((1, 0, 0), (1, 1, 0), (Fraction(1, 2), 0, 1)))
     affine = UnipotentAffine(matrix=((1, 1), (0, 1)), translation=(0.1234, 0.0))
     phase = PolyPhase((0.25, -0.1, math.sqrt(3), math.sqrt(2)), nu=3, residue=1)
-    for chunk in (3000, 40_000):
-        runs = [(mobius_correlate(flow, p, Character(1, 2), table, cps, threads=t,
-                                  chunk=chunk).sums,
-                 mobius_correlate(affine, (0.2, 0.51), (1, 2), table, cps, threads=t,
-                                  chunk=chunk).sums,
-                 poly_exp_sum(phase, table, 99_999, threads=t, chunk=chunk),
+    for cps in ([777, 20_000, 50_001, 99_999], [777, *range(3000, 99_999, 3000), 99_999]):
+        runs = [(mobius_correlate(flow, p, Character(1, 2), table, cps, threads=t).sums,
+                 mobius_correlate(affine, (0.2, 0.51), (1, 2), table, cps, threads=t).sums,
+                 poly_exp_sum(phase, table, cps[-1], threads=t),
                  correlate_nil(heis, HeisenbergElement(0, 0, 0),
                                NilObservable.character(1, 2, 1), table, cps, threads=t).sums)
                 for t in (1, 2, 3)]
-        assert runs[0] == runs[1] == runs[2], chunk
+        assert runs[0] == runs[1] == runs[2], len(cps)
 
 
-@pytest.mark.parametrize("kwargs", [{"chunk": 0}, {"chunk": -4}, {"threads": 0},
-                                    {"threads": -2}, {"chunk": 8192.0}])
+@pytest.mark.parametrize("kwargs", [{"threads": 0}, {"threads": -2}])
 def test_correlators_refuse_bad_chunk_and_threads(table, skew, kwargs):
+    """A thread count below 1 is refused; the piece length is not an option."""
     flow, p = skew
-    name = next(iter(kwargs))
-    with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+    with pytest.raises(DomainError, match="threads must be an integer >= 1"):
         mobius_correlate(flow, p, Character(1, 1), table, [100], **kwargs)
-    with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+    with pytest.raises(DomainError, match="threads must be an integer >= 1"):
         poly_exp_sum(PolyPhase((0.0, math.sqrt(2))), table, 100, **kwargs)
-    with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+    with pytest.raises(DomainError, match="threads must be an integer >= 1"):
         poly_exp_sum(PolyPhase((0.0, math.sqrt(2)), nu=7, residue=3), table, 2, **kwargs)
-
-
-@pytest.mark.parametrize("chunk", [-3, 0, 2.5])
-def test_phase_array_refuses_bad_chunk(skew, chunk):
-    """A negative chunk once returned uninitialised memory, 0 and 2.5 raised
-    from range(); all three are refused as the correlators refuse them."""
-    flow, p = skew
-    with pytest.raises(DomainError, match="chunk must be an integer >= 1"):
-        character_phase_array(flow, p, Character(1, 1), 10, chunk=chunk)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_empty_sums_are_zero_at_any_thread_count(table, threads):
     """No term <= N: a class mod 5 whose first term is beyond N, and N = 0.
     Each layout has no batch, so it has no span either."""
-    assert _batches(_pieces(0, [0], CHUNK)) == []
+    assert _batches(_pieces(0, [0])) == []
     phase = PolyPhase((0.0, math.sqrt(2)), nu=5, residue=4)
     assert poly_exp_sum(phase, table, 3, threads=threads) == 0j
     assert poly_exp_sum(PolyPhase((0.0, math.sqrt(2))), table, 0, threads=threads) == 0j
@@ -906,7 +892,7 @@ def test_more_threads_than_batches(table, skew):
     three spans of one batch, == the threads = 1 sums."""
     flow, p = skew
     N = 40_000
-    assert len(_batches(_pieces(N, [N], CHUNK))) == 3
+    assert len(_batches(_pieces(N, [N]))) == 3
     phase = PolyPhase((0.25, -0.1, math.sqrt(3), math.sqrt(2)))
     runs = [(mobius_correlate(flow, p, Character(1, 2), table, [777, N], threads=t).sums,
              poly_exp_sum(phase, table, N, threads=t)) for t in (1, 8)]

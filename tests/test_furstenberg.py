@@ -8,7 +8,7 @@ import pytest
 
 from mobiusflow.analytic import eval_series
 from mobiusflow.cfrac import cf_expand, choose_B, classify_case, partition_Q
-from mobiusflow.correlate import CHUNK, _SkewPhaseContext, character_phase_array
+from mobiusflow.correlate import _SkewPhaseContext, character_phase_array
 from mobiusflow.errors import CapacityError
 from mobiusflow.flows import Character, TorusPoint
 from mobiusflow.furstenberg import (FurstenbergSystem, build_alpha,
@@ -163,7 +163,7 @@ def test_probe_averages_match_exp_and_cumsum(sys1, b, corrected):
     N = windows[-1]
     rep = irregularity_probe(sys1, b, x0, windows, corrected=corrected)
     flow = sys1.flow(corrected=corrected)
-    ctx = _SkewPhaseContext(flow, x0, b, N, CHUNK)
+    ctx = _SkewPhaseContext(flow, x0, b, N)
     shared = (ctx.budget(windows)["table_anchor_bound"] + 2 * math.pi * N * ctx.phase_error
               + (2 * math.pi + 4) * N * u)
     csum = np.exp(2j * np.pi * character_phase_array(flow, x0, b, N)).cumsum()

@@ -193,7 +193,7 @@ def skew_run(name, table):
 
 
 def skew_sum_bound(flow, p, b, N):
-    """Bound on |S(N) - S_golden(N)| for a skew correlation with chunk 8192.
+    """Bound on |S(N) - S_golden(N)| for a skew correlation in pieces of 8192 terms.
 
     Each term's phase carries an error from the golden path plus one from
     the current path, and |e(a) - e(b)| <= 2 pi |a - b| turns a phase error
@@ -630,7 +630,7 @@ def test_multi_batch_cuts_span_batches():
     """The correlators' layout at MULTI_CUTS, and `poly_exp_sum`'s over the
     class mod 3 at the last cut (33,333 terms), hold two batches or more."""
     for N, cuts in ((MULTI_CUTS[-1], MULTI_CUTS), (33_333, [33_333])):
-        assert len(correlate._batches(correlate._pieces(N, cuts, correlate.CHUNK))) >= 2
+        assert len(correlate._batches(correlate._pieces(N, cuts))) >= 2
 
 
 @pytest.mark.parametrize("name", sorted(SKEW_RUNS))
@@ -686,8 +686,8 @@ def _reference_weighted_sums(bounds):
     and the correlator's own fixed-order reduction within 2 N (26 +
     bit_length(L) + P) 2^-53.
     """
-    def weighted_sums(phase_chunk, weights, N, checkpoints, threads, chunk):
-        pieces = correlate._pieces(N, checkpoints, chunk)
+    def weighted_sums(phase_chunk, weights, N, checkpoints, threads):
+        pieces = correlate._pieces(N, checkpoints)
         running, at = 0j, {}
         for a, b in pieces:
             z = np.exp(2j * np.pi * phase_chunk(a, b - a + 1))
