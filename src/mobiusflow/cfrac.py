@@ -159,19 +159,16 @@ class AlphaSpec:
         self._convergent_pair(depth)
         return self._cache["conv"][:depth + 1]
 
-    def enclosure(self, min_depth: int = 1) -> tuple[Fraction, Fraction]:
+    def enclosure(self, depth: int) -> tuple[Fraction, Fraction]:
         """Open interval (lo, hi) containing alpha.
 
         For irrational specs alpha lies strictly between the convergents at
-        depths K - 1 and K, with K at least min_depth and at least the depth
-        of the last enclosure.
+        depths K - 1 and K, K = max(depth, 1), whatever earlier calls asked.
         """
         if self.kind == "rational":
             v = Fraction(self.p, self.q)
             return v, v
-        depth = max(self._cache.get("enc_depth", 1), 1, min_depth)
-        lp, qp, lk, qk = self._convergent_pair(depth)
-        self._cache["enc_depth"] = depth
+        lp, qp, lk, qk = self._convergent_pair(max(depth, 1))
         a, b = Fraction(lp, qp), Fraction(lk, qk)
         return (a, b) if a < b else (b, a)
 
@@ -194,7 +191,6 @@ class AlphaSpec:
                         f"quotient list too short to locate alpha within {float(err_bound):.3e}")
                 break
             depth += 1
-        self._cache["enc_depth"] = max(self._cache.get("enc_depth", 1), depth)
         return Fraction(lk, qk)
 
     def _phase_center(self, n_bits: int) -> Fraction:
@@ -216,18 +212,12 @@ class AlphaSpec:
         return Fraction(r - q if 2 * r >= q else r, q)
 
     def frac_float(self, n: int) -> float:
+        """n*alpha mod 1 in [0, 1), `frac_fraction` rounded once to a double."""
         return float(self.frac_fraction(n))
 
     def distance_to_integer(self, n: int) -> Fraction:
         """||n*alpha||, distance to the nearest integer (center-based)."""
         return abs(self.frac_signed_fraction(n))
-
-
-def fractional_phase(alpha: AlphaSpec, n: int) -> float:
-    """n*alpha mod 1 as a double with absolute error < 2^-53."""
-    if n < 0:
-        raise DomainError("fractional_phase expects n >= 0")
-    return alpha.frac_float(n)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +300,7 @@ def convergent_inequality_holds(cf: CFExpansion, k: int) -> bool:
         # |alpha - c_{K-1}| in the open interval (|c_K-c_{K-1}| - |alpha-c_K|, |c_K-c_{K-1}|);
         # any continuation has q_{K+1} >= q_K + q_{K-1} > 2 q_{K-1}, forcing the lower half.
         return cf.denominators[K] > cf.denominators[K - 1]
-    lo, hi = cf.alpha.enclosure(min_depth=cf.depth)
+    lo, hi = cf.alpha.enclosure(cf.depth)
     ck = cf.convergent(k)
     d1, d2 = abs(lo - ck), abs(hi - ck)
     return min(d1, d2) >= lower and max(d1, d2) <= upper
@@ -529,7 +519,7 @@ def classify_case(cf: CFExpansion, h, N: int, d1: int, b2: int,
     # irrational alpha; the computed value carries the enclosure width, so the
     # consistency check allows exactly that slack (it is zero-width whenever
     # the expansion reaches past the scale's successor).
-    lo_a, hi_a = cf.alpha.enclosure(min_depth=cf.depth)
+    lo_a, hi_a = cf.alpha.enclosure(cf.depth)
     slack = mJ * (hi_a - lo_a)
     if not (Fraction(1, 2 * mJp) - slack < thetaJ < Fraction(1, mJp) + slack):
         raise DomainError(f"||m_J alpha|| outside (1/(2 m_J+), 1/m_J+) at m_J={mJ}")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mobiusflow.analytic import AnalyticSeries
 from mobiusflow.cfrac import (AlphaSpec, caseC_condition_rhs_logs, cf_expand,
                               choose_B, classify_case, convergent_inequality_holds,
-                              fractional_phase, partition_Q, two_series_partial_sums,
+                              partition_Q, two_series_partial_sums,
                               with_partition)
 from mobiusflow.errors import DomainError, PrecisionError
 from mobiusflow.furstenberg import FurstenbergSystem, build_alpha
@@ -152,8 +152,8 @@ def test_choose_B_examples():
 
 def test_fractional_phase_exact_rational():
     alpha = AlphaSpec.rational(1, 3)
-    assert fractional_phase(alpha, 7) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert fractional_phase(alpha, 0) == 0.0
+    assert alpha.frac_float(7) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert alpha.frac_float(0) == 0.0
 
 
 def test_fractional_phase_vs_high_precision():
@@ -167,6 +167,22 @@ def test_fractional_phase_precision_guard():
     shallow = AlphaSpec.from_quotients([0, 2, 3, 1, 2])
     with pytest.raises(PrecisionError):
         shallow.frac_float(10**9)
+
+
+def test_enclosure_and_classifier_do_not_depend_on_earlier_calls():
+    """enclosure(5) is the pair of convergents 12/29 and 29/70 of sqrt 2 - 1
+    before and after a frac_fraction(10**40), and so is the classifier's
+    report.  The enclosure once started at the deepest depth `center` had
+    reached, and after that call was 3.7e-59 wide."""
+    alpha = AlphaSpec.sqrt2_minus_1()
+
+    def outputs():
+        return alpha.enclosure(5), classify_case(cf_expand(alpha, 12), GEO, 10**6, d1=2, b2=1,
+                                                 B=2)
+    before = outputs()
+    assert before[0] == (Fraction(12, 29), Fraction(29, 70))
+    alpha.frac_fraction(10**40)
+    assert outputs() == before
 
 
 def test_quotient_list_depth_guard():
