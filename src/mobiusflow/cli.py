@@ -200,6 +200,12 @@ def _parse_checkpoints(s: str) -> list[int]:
     return out
 
 
+def _parse_seed(s: str) -> int:
+    if int(s) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {s!r}")
+    return int(s)
+
+
 @_usage_errors
 def _parse_ints(s: str) -> tuple[int, ...]:
     out = tuple(int(t) for t in s.split(","))
@@ -511,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("furstenberg", help="build and verify the lacunary system")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--emit-json", default="-")
     p.set_defaults(fn=cmd_furstenberg)
 
@@ -524,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_nilflow)
 
     p = sub.add_parser("verify", help="run the lemma-check suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_verify)
     return ap

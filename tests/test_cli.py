@@ -320,9 +320,11 @@ def test_malformed_config_numbers_domain_exit(configs, tmp_path, capsys, flow, c
     (["expsum", "--coeffs", "a,1", "--n", "100"], 2),
     (["expsum", "--coeffs", "inf,1", "--n", "100"], 3),
     (["expsum", "--coeffs", "nan,1", "--n", "100"], 3),
+    (["furstenberg", "--tau", "1", "--depth", "4", "--seed", "-1"], 2),
+    (["verify", "--seed", "-1"], 2),
 ])
 def test_malformed_numbers_exit_without_traceback(tmp_path, args, code):
-    if args[0] != "expsum":
+    if args[0] in ("nilflow", "correlate"):
         args = [args[0], "--config", _nil_config(tmp_path), *args[1:]]
     assert _run_module(args) == code
 
