@@ -485,12 +485,11 @@ class _SkewPhaseContext:
 
 
 def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int) -> np.ndarray:
-    """Phases <b, orbit(n)> mod 1 for n = 1..N, assembled CHUNK terms at a time."""
+    """Phases <b, orbit(n)> mod 1 for n = 1..N, assembled over the pieces of a sum to N."""
     phase_chunk = _SkewPhaseContext(flow, p, b, N).chunk
     out = np.empty(N, dtype=np.float64)
-    for u in range(1, N + 1, CHUNK):
-        L = min(CHUNK, N + 1 - u)
-        out[u - 1:u - 1 + L] = phase_chunk(u, L)
+    for u, v in _pieces(N, [N]):
+        out[u - 1:v] = phase_chunk(u, v - u + 1)
     return out
 
 
@@ -698,7 +697,6 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
     `table_anchor_bound` (on |S(N)|); see `_SkewPhaseContext`.
     """
     checkpoints, N = _checked_checkpoints(checkpoints, table)
-    _checked_threads(threads)  # before the skew context builds its tables
     if isinstance(flow, SkewFlow):
         if not isinstance(b, Character):
             b = Character(*b)
