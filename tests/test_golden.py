@@ -193,7 +193,7 @@ def skew_run(name, table):
 
 
 def skew_sum_bound(flow, p, b, N):
-    """Bound on |S(N) - S_golden(N)| for a skew correlation in pieces of 8192 terms.
+    """Bound on |S(N) - S_golden(N)| for a skew correlation with chunk 8192.
 
     Each term's phase carries an error from the golden path plus one from
     the current path, and |e(a) - e(b)| <= 2 pi |a - b| turns a phase error
