@@ -865,9 +865,11 @@ def test_sums_identical_at_one_two_and_three_threads(table, skew):
         assert runs[0] == runs[1] == runs[2], len(cps)
 
 
-@pytest.mark.parametrize("kwargs", [{"threads": 0}, {"threads": -2}])
+@pytest.mark.parametrize("kwargs", [{"threads": 2.5}, {"threads": "2"}, {"threads": 0},
+                                    {"threads": -2}, {"threads": 8192.0}])
 def test_correlators_refuse_bad_chunk_and_threads(table, skew, kwargs):
-    """Every correlator refuses a thread count below 1."""
+    """Every correlator refuses a thread count that is not an integer >= 1
+    (an integral float such as 8192.0 included)."""
     flow, p = skew
     with pytest.raises(DomainError, match="threads must be an integer >= 1"):
         mobius_correlate(flow, p, Character(1, 1), table, [100], **kwargs)
