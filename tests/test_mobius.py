@@ -116,6 +116,55 @@ def test_segment_size_invariance():
         assert np.array_equal(base.values, other.values)
 
 
+def mobius_plain(n: int) -> np.ndarray:
+    """Unsegmented reference: flip the sign at every multiple of every prime
+    up to n, zero every multiple of every prime square.  int8, length n+1."""
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in np.flatnonzero(is_prime).tolist():
+        mu[p::p] *= -1
+        if p * p <= n:
+            mu[p * p :: p * p] = 0
+    return mu
+
+
+PLAIN_LIMIT = 2_000_003
+# Segment edges of the wheel sieve, whose segments are 900,900 entries long
+EDGE_LIMITS = (900_899, 900_900, 900_901, 1_801_801, PLAIN_LIMIT)
+
+
+@pytest.fixture(scope="module")
+def plain():
+    return mobius_plain(PLAIN_LIMIT)
+
+
+def test_sieve_matches_plain_sieve_at_small_limits(plain):
+    for n in range(1, 401):
+        assert np.array_equal(mobius_sieve(n).values, plain[: n + 1]), n
+
+
+@pytest.mark.parametrize("n", EDGE_LIMITS)
+def test_sieve_matches_plain_sieve_at_segment_edges(plain, n):
+    values = mobius_sieve(n).values
+    assert values.dtype == np.int8 and values.shape == (n + 1,)
+    assert np.array_equal(values, plain[: n + 1])
+
+
+# OEIS A002321, Mertens function M(10^k) for k = 0..7
+MERTENS_POWERS_OF_TEN = (1, -1, 1, 2, -23, -48, 212, 1037)
+
+
+def test_mertens_at_powers_of_ten():
+    t = mobius_sieve(10**7)
+    for k, expected in enumerate(MERTENS_POWERS_OF_TEN):
+        assert mertens(t, 10**k) == expected, k
+
+
 def test_iterator_yields_pairs(table):
     it = iter(table)
     assert next(it) == (1, 1)
