@@ -176,23 +176,27 @@ def _numbers(v, key: str, *shape: Optional[int]) -> tuple:
     return tuple(_num(t, key) for t in v)
 
 
-def _usage_errors(parse):
-    """An argparse type= parser that also reports OverflowError and
-    DomainError as usage errors (exit 2); argparse itself maps only
-    ValueError and TypeError."""
-    def typed(s: str):
-        try:
-            return parse(s)
-        except (OverflowError, DomainError) as exc:
-            raise argparse.ArgumentTypeError(f"{s!r}: {exc}") from None
-    typed.__name__ = parse.__name__
-    return typed
+def _usage_errors(name: str):
+    """Decorate an argparse type= parser.  Its usage errors say "invalid
+    `name` value", since argparse prints the parser's __name__, and
+    OverflowError and DomainError are usage errors (exit 2) too; argparse
+    itself maps only ValueError and TypeError."""
+    def wrap(parse):
+        def typed(s: str):
+            try:
+                return parse(s)
+            except (OverflowError, DomainError) as exc:
+                raise argparse.ArgumentTypeError(f"{s!r}: {exc}") from None
+        typed.__name__ = name
+        return typed
+    return wrap
 
 
-_parse_count = _usage_errors(lambda s: int(float(s)))
+_parse_count = _usage_errors("count")(lambda s: int(float(s)))
+_parse_coeffs = _usage_errors("coeffs")(lambda s: tuple(map(float, s.split(","))))
 
 
-@_usage_errors
+@_usage_errors("checkpoints")
 def _parse_checkpoints(s: str) -> list[int]:
     out = sorted({int(float(part)) for part in s.split(",")})
     if out[0] < 1:
@@ -200,13 +204,14 @@ def _parse_checkpoints(s: str) -> list[int]:
     return out
 
 
+@_usage_errors("seed")
 def _parse_seed(s: str) -> int:
     if int(s) < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {s!r}")
     return int(s)
 
 
-@_usage_errors
+@_usage_errors("components")
 def _parse_ints(s: str) -> tuple[int, ...]:
     out = tuple(int(t) for t in s.split(","))
     if any(abs(v) >= 2**63 for v in out):
@@ -214,7 +219,7 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return out
 
 
-@_usage_errors
+@_usage_errors("observable")
 def _parse_observable(s: str) -> nf.NilObservable:
     if s.startswith("{"):
         return nf.NilObservable.from_json(json.loads(s))
@@ -261,9 +266,8 @@ def _emit(text: str, path: Optional[str], provenance: dict) -> None:
 
 def cmd_sieve(args, threads: int) -> int:
     table = mobius_sieve(args.limit)
-    lines = ["n,mu"]
-    lines.extend(f"{n},{mu}" for n, mu in table)
-    _emit("\n".join(lines) + "\n", args.emit_csv,
+    rows = map("{},{}".format, range(1, args.limit + 1), table.values[1:].tolist())
+    _emit("n,mu\n" + "\n".join(rows) + "\n", args.emit_csv,
           _provenance({"cmd": "sieve", "limit": args.limit}, threads))
     return 0
 
@@ -498,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_correlate)
 
     p = sub.add_parser("expsum", help="polynomial-phase Mobius sum")
-    p.add_argument("--coeffs", required=True, type=lambda s: tuple(map(float, s.split(","))),
+    p.add_argument("--coeffs", required=True, type=_parse_coeffs,
                    help="low-to-high, e.g. 0,0.3,0.01")
     p.add_argument("--nu", type=int, default=1)
     p.add_argument("--residue", type=int, default=0)

@@ -3,15 +3,19 @@
 mu(n) is 0 when n has a squared prime factor and (-1)^t when n is a product
 of t distinct primes; lambda(n) = (-1)^Omega(n) counts prime factors with
 multiplicity.  These are the arithmetic weights of every correlation sum in
-the package, so the sieve is segmented (default segment 2**20 entries) and
-the table is immutable once built.
+the package, so the sieve is segmented and the table is immutable once built.
 
-The construction is deterministic: the output is a pure function of `limit`,
-independent of segment size, so chunked or threaded builds are bit-identical.
+Each segment holds one int32 signed product per entry: every sieved prime p
+multiplies its multiples by -p and every square p^2 zeroes its multiples.
+The primes 2..13 and the squares 4, 9 and 25 repeat with period WHEEL =
+900,900, so the segments are WHEEL entries long, start at multiples of it,
+and each begins from a copy of one precomputed wheel pattern.  The output is
+a pure function of `limit`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -19,7 +23,9 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-DEFAULT_SEGMENT = 1 << 20
+# 4 * 9 * 25 * 7 * 11 * 13: the period of the wheel primes and squares
+WHEEL = 900_900
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 # Hard cap: an int8 value table at 10**9 is ~1 GB, the spec's stated ceiling.
 MAX_LIMIT = 10**9
@@ -68,12 +74,11 @@ class MobiusTable:
         return v
 
 
-def mobius_sieve(limit: int, segment: int = DEFAULT_SEGMENT) -> MobiusTable:
+def mobius_sieve(limit: int) -> MobiusTable:
     """Build a MobiusTable via a segmented sieve, O(N log log N).
 
     Args:
         limit: inclusive upper bound, 1 <= limit <= 10**9
-        segment: entries per segment; output does not depend on it
 
     Raises:
         CapacityError: limit < 1 or beyond the supported ceiling.
@@ -82,51 +87,72 @@ def mobius_sieve(limit: int, segment: int = DEFAULT_SEGMENT) -> MobiusTable:
         raise CapacityError(f"sieve limit must be >= 1, got {limit}")
     if limit > MAX_LIMIT:
         raise CapacityError(f"sieve limit {limit} exceeds supported {MAX_LIMIT}")
-    if segment < 8:
-        segment = 8
 
-    root = int(limit**0.5)
-    while (root + 1) * (root + 1) <= limit:
-        root += 1
-    primes = _primes_upto(root)
+    primes = _primes_upto(math.isqrt(limit))
+    sieved = [int(p) for p in primes if p > _WHEEL_PRIMES[-1]]
 
-    mu = np.zeros(limit + 1, dtype=np.int8)
-    for lo in range(1, limit + 1, segment):
-        hi = min(lo + segment, limit + 1)
-        _fill_segment(mu, lo, hi, primes)
-    mu[0] = 0
+    mu = np.empty(limit + 1, dtype=np.int8)
+    wheel = _wheel(min(WHEEL, limit + 1))
+    # a one-segment sieve works in the pattern itself
+    prod = wheel if limit < WHEEL else np.empty_like(wheel)
+    for lo in range(0, limit + 1, WHEEL):
+        hi = min(lo + WHEEL, limit + 1)
+        seg = prod[: hi - lo]
+        if prod is not wheel:
+            np.copyto(seg, wheel[: hi - lo])
+        _fill_segment(mu, lo, hi, seg, sieved)
 
     table = MobiusTable(limit=limit, values=mu, base_primes=primes)
     table.values.flags.writeable = False
     return table
 
 
-def _fill_segment(mu: np.ndarray, lo: int, hi: int, primes: np.ndarray) -> None:
-    """Fill mu[lo:hi] given primes up to sqrt(hi-1).
-
-    Tracks the product of sieved primes per entry; any residual factor > 1 is
-    a single prime exceeding sqrt, contributing one extra sign flip.  The
-    product divides n <= MAX_LIMIT < 2^31, so it fits int32.
-    """
-    length = hi - lo
-    sign = np.ones(length, dtype=np.int8)
+def _wheel(length: int) -> np.ndarray:
+    """Signed product of the wheel primes dividing n, for 0 <= n < length,
+    and 0 where 4, 9 or 25 divides n."""
     prod = np.ones(length, dtype=np.int32)
+    for p in _WHEEL_PRIMES:
+        prod[::p] *= -p
+    for p2 in (4, 9, 25):
+        prod[::p2] = 0
+    return prod
 
+
+def _fill_segment(mu: np.ndarray, lo: int, hi: int, prod: np.ndarray,
+                  primes: list[int]) -> None:
+    """Fill mu[lo:hi] from the wheel pattern `prod` of lo..hi-1 (lo a
+    multiple of WHEEL) and the primes above 13 up to at least sqrt(hi-1).
+
+    prod becomes the signed product of the sieved primes dividing n, or 0 if
+    a sieved square divides n.  Every prime up to sqrt(n) is sieved, so any
+    residual factor n/|prod| > 1 is a single prime, one more sign flip.  The
+    product divides n <= MAX_LIMIT < 2^31, so it fits int32.  prod is
+    overwritten.
+    """
     for p in primes:
-        p = int(p)
         if p * p >= hi:
             break
-        start = (-lo) % p
-        sign[start::p] *= -1
-        prod[start::p] *= p
+        prod[(-lo) % p :: p] *= -p
         p2 = p * p
-        sign[(-lo) % p2::p2] = 0
+        prod[(-lo) % p2 :: p2] = 0
+    for p2 in (49, 121, 169):
+        prod[(-lo) % p2 :: p2] = 0
 
-    # prod differs from n by a factor >= 2 when it differs at all, so where
-    # hi <= 2 lo the test prod < n needs only prod < lo
-    n = lo if hi <= 2 * lo else np.arange(lo, hi, dtype=np.int32)
-    sign[prod < n] *= -1
-    mu[lo:hi] = sign
+    out = mu[lo:hi]
+    np.sign(prod, out=out, casting="unsafe")
+    np.abs(prod, out=prod)
+    # |prod| is n or at most n/2, so over a block m <= n < 2m the test
+    # |prod| < n is |prod| < m; a segment past the first is one such block
+    flip = np.zeros(hi - lo, dtype=bool)
+    m = max(lo, 1)
+    while m < hi:
+        e = min(2 * m, hi)
+        np.less(prod[m - lo : e - lo], m, out=flip[m - lo : e - lo])
+        m = e
+    sign = flip.view(np.int8)
+    sign *= -2
+    sign += 1
+    out *= sign
 
 
 def liouville(table: MobiusTable, n: int) -> int:

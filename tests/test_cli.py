@@ -329,6 +329,25 @@ def test_malformed_numbers_exit_without_traceback(tmp_path, args, code):
     assert _run_module(args) == code
 
 
+@pytest.mark.parametrize("args, name", [
+    (["expsum", "--coeffs", "0,1", "--n", "abc"], "count"),
+    (["expsum", "--coeffs", "a,1", "--n", "100"], "coeffs"),
+    (["nilflow", "--observable", "1,2,1", "--checkpoints", "a"], "checkpoints"),
+    (["verify", "--seed", "x"], "seed"),
+    (["correlate", "--b", "a", "--checkpoints", "100"], "components"),
+    (["nilflow", "--observable", "a", "--checkpoints", "100"], "observable"),
+])
+def test_usage_errors_name_what_the_option_reads(tmp_path, capsys, args, name):
+    if args[0] in ("nilflow", "correlate"):
+        args = [args[0], "--config", _nil_config(tmp_path), *args[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"invalid {name} value" in err
+    assert "<lambda>" not in err and "_parse_" not in err
+
+
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     d = tmp_path_factory.mktemp("configs")

@@ -108,14 +108,6 @@ def test_liouville_equals_mobius_on_squarefree(table):
             assert liouville(table, n) == m
 
 
-def test_segment_size_invariance():
-    limit = 50_000
-    base = mobius_sieve(limit)
-    for seg in (64, 997, 1 << 14):
-        other = mobius_sieve(limit, segment=seg)
-        assert np.array_equal(base.values, other.values)
-
-
 def mobius_plain(n: int) -> np.ndarray:
     """Unsegmented reference: flip the sign at every multiple of every prime
     up to n, zero every multiple of every prime square.  int8, length n+1."""
