@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -280,7 +281,9 @@ def cmd_cfrac(args, threads: int) -> int:
     for k in range(cf.depth + 1):
         q = cf.denominators[k]
         tag = "sharp" if q in sharp else ("flat" if q in flat else "undecided")
-        lines.append(f"{k},{cf.quotients[k]},{cf.numerators[k]},{q},{tag}")
+        # a Decimal prints every digit of an int, past Python's int-to-str digit limit
+        a_k, l_k, q_k = (Decimal(v) for v in (cf.quotients[k], cf.numerators[k], q))
+        lines.append(f"{k},{a_k},{l_k},{q_k},{tag}")
     _emit("\n".join(lines) + "\n", args.out,
           _provenance({"cmd": "cfrac", "alpha": args.alpha, "depth": args.depth,
                        "B": args.partition_b}, threads))
@@ -368,8 +371,8 @@ def cmd_furstenberg(args, threads: int) -> int:
         "tau": args.tau,
         "depth": args.depth,
         "metadata": sysm.metadata,
-        "quotients": [str(a) for a in sysm.alpha.quotient_seq],
-        "q": [str(v) for v in sysm.q],
+        "quotients": [str(Decimal(a)) for a in sysm.alpha.quotient_seq],
+        "q": [str(Decimal(v)) for v in sysm.q],
         "ratios": sysm.ratio_report(),
         "h_coefficients": sysm.h.to_json(),
         "coefficient_check": fb.verify_combined_coefficients(

@@ -21,10 +21,10 @@ CHUNK = 8192 terms, cut at the checkpoints and at the multiples of CHUNK,
 and e(phase), weighted by mu, comes from a 4096-entry table of e(k/4096)
 and a short polynomial in the remainder (`_e_sums`, within 3 2^-53 per
 term), summed per piece by numpy's pairwise reduction, with no BLAS call.
-Pieces run in batches of up to 2 CHUNK terms, each worker sums one
-contiguous span of batches, and the pieces add up in piece order, so every
-correlator honours `threads` and its results are bit-identical for any
-worker count and any BLAS.
+Pieces run in batches, the fixed windows of BATCH = 2 CHUNK terms, each
+worker sums one contiguous span of batches, and the pieces add up in piece
+order, so every correlator honours `threads` and its results are
+bit-identical for any worker count and any BLAS.
 
 Also here: the bilinear-criterion test (small correlations against prime
 dilations force small multiplicative-weighted sums), the polynomial
@@ -260,6 +260,8 @@ def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[[int, i
     D1 D2) // D1, from three Horners in one dtype picked from all three moduli.
     """
     D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
+    if r % D2 == 0:  # r floor(Z1) Z2 is an integer
+        return partial(poly_mod1_array, P)
     K = math.lcm(*(c.denominator for c in P.coeffs), D2)
     B, A1, A2 = ([c.numerator * (d // c.denominator) for c in Z.coeffs]
                  for Z, d in ((P, K), (Z1, D1), (Z2, D2)))
@@ -460,7 +462,7 @@ class _SkewPhaseContext:
 
     def budget(self, checkpoints: Sequence[int]) -> dict:
         """The error budget of a correlation at these checkpoints (see the class docstring)."""
-        reduce = reduction_bound(self.nmax, len(_pieces(self.nmax, checkpoints)), self.length)
+        reduce = reduction_bound(self.nmax, len(_pieces(self.nmax, checkpoints)))
         return {"modes_kept": self.modes_kept, "modes_dropped": self.modes_dropped,
                 "dropped_bound": self.dropped_bound,
                 "table_anchor_bound": TWO_PI * self.nmax * self.phase_error + reduce}
@@ -567,18 +569,19 @@ def _e_sums(mu: np.ndarray, starts: Sequence[int], rows: np.ndarray) -> tuple[np
     return np.add.reduceat(y, starts), np.add.reduceat(c, starts)
 
 
-def reduction_bound(N: int, pieces: int, longest: int) -> float:
+def reduction_bound(N: int, pieces: int) -> float:
     """Bound on what the reduction can move |S(N)|, for N terms of modulus <= 1 + E_TERM_ERROR.
 
     numpy's pairwise sum of n terms adds each term at most 25 times in a
     block of <= 128 (16-term runs in 8 accumulators, three levels to join
     them, up to 7 left over), plus one per halving of n, <= max(0,
     bit_length(n) - 6) of them; reduceat adds that to the segment's first
-    term, so a piece of L terms is within (20 + max(6, bit_length(L - 1)))
-    u of the sum of its moduli, u = 2^-53.  Adding the pieces in order
-    costs at most pieces u N more, and Re and Im together at most twice.
+    term, so a piece of L <= min(N, CHUNK) terms is within (20 + max(6,
+    bit_length(L - 1))) u of the sum of its moduli, u = 2^-53.  Adding the
+    pieces in order costs at most pieces u N more, and Re and Im together at
+    most twice.
     """
-    depth = 20 + max(6, (longest - 1).bit_length())
+    depth = 20 + max(6, (min(N, CHUNK) - 1).bit_length())
     return 2.0 * N * (depth + pieces) * 2.0**-53
 
 
@@ -632,34 +635,29 @@ def _checked_threads(threads) -> None:
 
 
 def _batches(pieces: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Runs of consecutive pieces of at most BATCH terms together (a longer piece runs alone)."""
-    runs, size = [], BATCH  # the first piece opens a run
-    for a, b in pieces:
-        if size + b - a + 1 > BATCH:
-            runs.append([])
-            size = 0
-        runs[-1].append((a, b))
-        size += b - a + 1
-    return runs
+    """The pieces grouped by their window of terms k BATCH + 1..(k + 1) BATCH.
+
+    No piece crosses a window: `_pieces` cuts at every multiple of CHUNK."""
+    return [list(run) for _, run in itertools.groupby(pieces, lambda ab: (ab[0] - 1) // BATCH)]
 
 
 def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarray,
                    N: int, checkpoints: Sequence[int], threads: int) -> list[complex]:
-    """sum_{i<=N} weights[i - 1] e(phase(i)) snapshotted at the checkpoints.
+    """sum_{i<=N} weights[i - 1] e(phase(i)) snapshotted at the sorted checkpoints.
 
     phase_chunk(a, L) gives the phases in [0, 1] of terms a..a+L-1; weights
     is mu[1:] for a sum over n, or a strided view of mu for a residue class.
     The piece layout depends only on (N, checkpoints).  Each piece is
     summed by `_e_sums` in its batch (`_batches`).  The batches are split
     into contiguous spans of ceil(batches / threads); a worker sums one span
-    in five rows of scratch of its own, a single span runs in the calling
-    thread, and the piece sums are added in piece order, so the result is
-    bit-identical for any number of threads.
+    in its own five rows of min(N, BATCH) scratch, a single span runs in the
+    calling thread, and the piece sums are added in piece order, so the
+    result is bit-identical for any number of threads.
     """
     _checked_threads(threads)
     pieces = _pieces(N, checkpoints)
     batches = _batches(pieces)
-    width = max((run[-1][1] - run[0][0] + 1 for run in batches), default=0)
+    width = min(N, BATCH)
     step = max(1, -(-len(batches) // threads))
     spans = [batches[i:i + step] for i in range(0, len(batches), step)]
 
@@ -683,7 +681,7 @@ def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.nd
     for (a, b), s in zip(pieces, sums):
         running += s
         at[b] = running
-    return [at[c] for c in sorted(int(c) for c in checkpoints)]
+    return [at[c] for c in checkpoints]
 
 
 def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],

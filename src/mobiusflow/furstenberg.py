@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
 
+from . import correlate
 from .analytic import (AnalyticSeries, COEFF_FLOOR, cobounding_series, coboundary_residual,
                        e2pi_m1)
 from .cfrac import AlphaSpec
-from .correlate import _SkewPhaseContext, _weighted_sums
 from .errors import CapacityError, DomainError
 
 SEED_Q = (1, 2)
@@ -284,7 +285,7 @@ def verify_combined_coefficients(sys: FurstenbergSystem,
         ok = ok and passed
         stored = sys.combined.coeff(sys.q[k])
         levels.append({
-            "k": k, "q_k": sys.q[k] if sys.q[k].bit_length() < 63 else str(sys.q[k]),
+            "k": k, "q_k": sys.q[k] if sys.q[k].bit_length() < 63 else str(Decimal(sys.q[k])),
             "log_ratio_bounds": (lo, hi),
             "stored_abs": abs(stored),
             "pass": passed,
@@ -357,8 +358,8 @@ def irregularity_probe(sys: FurstenbergSystem, b, x0, windows: Sequence[int],
         raise DomainError("windows must be positive and increasing")
     flow = sys.flow(corrected=corrected)
     N = windows[-1]
-    sums = _weighted_sums(_SkewPhaseContext(flow, x0, b, N).chunk,
-                          np.broadcast_to(np.int8(1), (N,)), N, windows, 1)
+    sums = correlate._weighted_sums(correlate._SkewPhaseContext(flow, x0, b, N).chunk,
+                                    np.broadcast_to(np.int8(1), (N,)), N, windows, 1)
     averages = [s / w for s, w in zip(sums, windows)]
     tail = averages[len(averages) // 2:]
     osc = max(abs(u - v) for u in tail for v in tail) if len(tail) > 1 else 0.0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -61,11 +60,6 @@ class MobiusTable:
         if not 1 <= n <= self.limit:
             raise DomainError(f"n={n} outside sieved range [1, {self.limit}]")
         return int(self.values[n])
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        vals = self.values
-        for n in range(1, self.limit + 1):
-            yield n, int(vals[n])
 
     def mu_array(self) -> np.ndarray:
         """Read-only view of mu over 0..limit (index 0 is 0)."""

@@ -30,24 +30,25 @@ e(p v1 + q v2) are lattice-invariant; a central factor e(r v3) is evaluated
 on the canonical representative, where the phase is the bracket polynomial
 frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) of the orbit coordinates Z_i(n).
 The correlator walks each residue class n = nu t + l in t, as the affine
-one does: a term without the bracket (every horizontal character) goes to
-`poly_mod1_array`, the bracket term to `correlate.bracket_mod1_source` (in
-uint64 when every modulus divides 2^64, int64 up to isqrt(2^63 - 1), Python
-ints beyond), and either way the exact rational is rounded once to float64.
+one does, through `correlate.bracket_mod1_source`: a term whose bracket is
+an integer (every horizontal character) is `poly_mod1_array` of the rest,
+any other runs on the bracket's residues (in uint64 when every modulus
+divides 2^64, int64 up to isqrt(2^63 - 1), Python ints beyond), and either
+way the exact rational is rounded once to float64.  Every name of
+`correlate` is looked up at call time, so `correlate` alone decides how a
+sum runs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np  # noqa: F401 (bench/spans.py wraps nilflow.np.exp)
 
+from . import correlate
 from .analytic import e2pi
-from .correlate import (CorrelationSeries, _checked_checkpoints, _class_phase_chunk,
-                        _weighted_sums, bracket_mod1_source, poly_mod1_array)
 from .errors import DomainError
 from .mobius import MobiusTable
 from .polyutil import affine_orbit_polys, mat_vec, quasi_unipotent
@@ -306,15 +307,12 @@ class NilObservable:
 def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):
     """frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) at n = nu t + l, as a source in t."""
     Z1, Z2, Z3 = (Z.compose_linear(rep.nu, rep.residue) for Z in rep.coord_polys)
-    P = Z1.scale(p) + Z2.scale(q) + Z3.scale(r)
-    if r % math.lcm(*(c.denominator for c in Z2.coeffs)):
-        return bracket_mod1_source(P, Z1, Z2, r)
-    return lambda t0, count: poly_mod1_array(P, t0, count)  # r floor(Z1) Z2 is an integer
+    return correlate.bracket_mod1_source(Z1.scale(p) + Z2.scale(q) + Z3.scale(r), Z1, Z2, r)
 
 
 def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
                   table: MobiusTable, checkpoints: Sequence[int],
-                  threads: int = 1) -> CorrelationSeries:
+                  threads: int = 1) -> correlate.CorrelationSeries:
     """S(N_i) = sum_{n<=N_i} mu(n) f(T^n x Gamma) via the polynomial orbit form.
 
     Every term's phase is an exact rational from integer residues, central
@@ -323,14 +321,16 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
     sums are bit-identical for any thread count, and memory beyond the mu
     table is O(CHUNK).
     """
-    checkpoints, N = _checked_checkpoints(checkpoints, table)
+    checkpoints, N = correlate._checked_checkpoints(checkpoints, table)
     reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
 
     sums = [0j] * len(checkpoints)
     for w, p, q, r in f.terms:
-        phase_chunk = _class_phase_chunk([_residue_phase(rep, p, q, r) for rep in reps])
-        term = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads)
+        sources = [_residue_phase(rep, p, q, r) for rep in reps]
+        term = correlate._weighted_sums(correlate._class_phase_chunk(sources),
+                                        table.mu_array()[1:], N, checkpoints, threads)
         sums = [s + w * t for s, t in zip(sums, term)]
     meta = {"flow": f"heisenberg(nu={T.nu})", "observable": str(f.terms),
             "threads": threads, "N": N}
-    return CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums), metadata=meta)
+    return correlate.CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
+                                       metadata=meta)

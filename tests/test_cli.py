@@ -6,12 +6,14 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobiusflow.cli import main
+from mobiusflow.furstenberg import FurstenbergSystem
 
 GOLDEN_SIEVE_30 = """n,mu
 1,1
@@ -130,6 +132,23 @@ def test_furstenberg_report(capsys):
     assert rep["q"] == ["1", "2", "9", "8102"]
     assert rep["coefficient_check"]["pass"]
     assert float(rep["coboundary_residual_G"]) < 1e-9
+
+
+def test_integers_past_the_str_digit_limit_print_every_digit(capsys):
+    """At tau = 4, q_3 has 5,179 digits, past Python's int-to-str limit of
+    4,300; both commands print it in full, and exit 0."""
+    sysm = FurstenbergSystem.build(4.0, 3)
+    q3, a3 = sysm.q[3], sysm.alpha.quotient_seq[3]
+    code, out, _ = run_cli(["furstenberg", "--tau", "4", "--depth", "3"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["q"][:3] == ["1", "2", "2981"] and len(rep["q"][3]) == 5179
+    assert Decimal(rep["q"][3]) == q3 and Decimal(rep["quotients"][3]) == a3
+    assert Decimal(rep["coefficient_check"]["levels"][2]["q_k"]) == q3
+    code, out, _ = run_cli(["cfrac", "--alpha", "furstenberg:4,3", "--depth", "3"], capsys)
+    assert code == 0
+    k, a_k, _, q_k, _ = out.strip().splitlines()[-1].split(",")
+    assert (k, Decimal(a_k), Decimal(q_k)) == ("3", a3, q3)
 
 
 def test_expsum_subcommand(capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from mobiusflow.analytic import AnalyticSeries, ScaleFunction, e2pi, e2pi_m1, geometric_ratio
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
-from mobiusflow.correlate import (_E_COS, _E_SIN, CHUNK, E_TABLE_SIZE, E_TERM_ERROR,
+from mobiusflow.correlate import (_E_COS, _E_SIN, BATCH, CHUNK, E_TABLE_SIZE, E_TERM_ERROR,
                                   INT64_MODULUS_MAX, CorrelationSeries, PolyPhase,
                                   _SkewPhaseContext, _batches, _e_sums, _pieces,
                                   bsz_test, character_phase_array, mobius_correlate, phi_polys,
@@ -21,7 +21,7 @@ from mobiusflow.correlate import (_E_COS, _E_SIN, CHUNK, E_TABLE_SIZE, E_TERM_ER
                                   reduction_bound, vdc_sum_check)
 from mobiusflow.errors import DomainError, PrecisionError
 from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine, character_phase
-from mobiusflow.furstenberg import FurstenbergSystem
+from mobiusflow.furstenberg import FurstenbergSystem, irregularity_probe
 from mobiusflow.mobius import mertens, mobius_sieve
 from mobiusflow import correlate
 from mobiusflow.nilflow import HeisenbergAffine, HeisenbergElement, NilObservable, correlate_nil
@@ -843,7 +843,7 @@ def test_reduction_is_numpy_pairwise_within_the_written_depth():
         assert np.add.reduceat(x, [0])[0] == xs[0] + _pairwise(xs[1:]), L
     for L in range(2, 2**17):
         assert 1 + _pairwise_depth(L - 1) <= 20 + max(6, (L - 1).bit_length()), L
-    assert reduction_bound(10**6, 123, CHUNK) == 2 * 10**6 * (33 + 123) * 2.0**-53
+    assert reduction_bound(10**6, 123) == 2 * 10**6 * (33 + 123) * 2.0**-53
 
 
 def test_sums_identical_at_one_two_and_three_threads(table, skew):
@@ -912,3 +912,61 @@ def test_one_batch_starts_no_pool(table, monkeypatch):
     assert poly_exp_sum(phase, table, 10_000, threads=2) == want
     with pytest.raises(AssertionError, match="thread pool"):
         poly_exp_sum(phase, table, 20_000, threads=2)
+
+
+def _greedy_batches(pieces):
+    """The batch layout as first written: runs of consecutive pieces of at most BATCH terms."""
+    runs, size = [], BATCH
+    for a, b in pieces:
+        if size + b - a + 1 > BATCH:
+            runs.append([])
+            size = 0
+        runs[-1].append((a, b))
+        size += b - a + 1
+    return runs
+
+
+def test_batches_are_the_fixed_windows_of_the_piece_layout():
+    """For random N and checkpoints, the batches concatenate to the pieces in
+    order, each lies in one window of terms k BATCH + 1..(k + 1) BATCH, none
+    is wider than min(N, BATCH), and they are the greedy runs of old."""
+    rng = random.Random(20)
+    for _ in range(300):
+        N = rng.choice([rng.randrange(0, 3 * BATCH), rng.randrange(0, 40 * BATCH)])
+        cps = [N, *(rng.randrange(0, N + 1) for _ in range(rng.randrange(0, 40)))]
+        if rng.random() < 0.3:
+            cps += [k * CHUNK + rng.choice((-1, 0, 1)) for k in range(N // CHUNK + 1)]
+        pieces = _pieces(N, cps)
+        batches = _batches(pieces)
+        assert [piece for run in batches for piece in run] == pieces, (N, cps)
+        for run in batches:
+            assert (run[0][0] - 1) // BATCH == (run[-1][1] - 1) // BATCH
+            assert run[-1][1] - run[0][0] + 1 <= min(N, BATCH)
+        assert batches == _greedy_batches(pieces), (N, cps)
+
+
+def test_every_correlator_sums_through_the_one_driver(table, skew, monkeypatch):
+    """`mobius_correlate`, `poly_exp_sum`, `correlate_nil` and
+    `irregularity_probe` all look `correlate._weighted_sums` up when they
+    run, so one patch of it reaches every sum."""
+    driver, calls = correlate._weighted_sums, []
+
+    def counting(phase_chunk, weights, N, checkpoints, threads):
+        calls.append(N)
+        return driver(phase_chunk, weights, N, checkpoints, threads)
+    monkeypatch.setattr(correlate, "_weighted_sums", counting)
+    flow, p = skew
+    heis = HeisenbergAffine(HeisenbergElement(Fraction(1, 3), Fraction(1, 7), Fraction(2, 5)),
+                            ((1, 0, 0), (1, 1, 0), (Fraction(1, 2), 0, 1)))
+    runs = {
+        "mobius_correlate": lambda: mobius_correlate(flow, p, Character(1, 2), table, [99, 999]),
+        "poly_exp_sum": lambda: poly_exp_sum(PolyPhase((0.0, math.sqrt(2))), table, 999),
+        "correlate_nil": lambda: correlate_nil(heis, HeisenbergElement(0, 0, 0),
+                                               NilObservable.character(1, 2, 1), table, [999]),
+        "irregularity_probe": lambda: irregularity_probe(
+            FurstenbergSystem.build(1.0, 4), Character(1, 0), TorusPoint(0.0, 0.0), [81, 999]),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls == [999], name

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobiusflow import correlate, nilflow
+from mobiusflow import correlate
 from mobiusflow.analytic import AnalyticSeries, e2pi, e2pi_m1
 from mobiusflow.cfrac import AlphaSpec
 from mobiusflow.cli import main
@@ -719,7 +719,6 @@ def test_golden_sums_within_bound_of_exp_dot_reference(kind, name, table, table6
     bounds = []
     reference = _reference_weighted_sums(bounds)
     monkeypatch.setattr(correlate, "_weighted_sums", reference)
-    monkeypatch.setattr(nilflow, "_weighted_sums", reference)
     if kind == "sums":
         got, golden = correlation_sums(name, table), GOLDEN_SUMS[name]
     elif kind == "skew":

@@ -157,12 +157,6 @@ def test_mertens_at_powers_of_ten():
         assert mertens(t, 10**k) == expected, k
 
 
-def test_iterator_yields_pairs(table):
-    it = iter(table)
-    assert next(it) == (1, 1)
-    assert next(it) == (2, -1)
-
-
 def test_capacity_errors():
     with pytest.raises(CapacityError):
         mobius_sieve(0)
