@@ -5,7 +5,8 @@ nilflow, verify.  Exit codes: 0 ok, 2 usage, 3 domain error, 4 capacity or
 precision error, 5 internal error (including a failed lemma-check suite).
 
 Every artifact write is atomic (temp file + rename) and carries a
-provenance block (config hash, package version, thread count) in a sidecar
+provenance block (config hash, package version, thread count, and for a
+correlation series the route and period of its sum) in a sidecar
 .provenance.json, or on stderr when writing to stdout.  The default thread
 count comes from MOBIUSFLOW_THREADS.
 """
@@ -234,10 +235,21 @@ def _parse_observable(s: str) -> nf.NilObservable:
 # Output plumbing
 
 
-def _provenance(payload: dict, threads: int) -> dict:
+def _provenance(payload: dict, threads: int, series=None) -> dict:
+    """The config hash, version and thread count, and a series' route and period.
+
+    A period of 2^63 or more is written as a string of its digits: JSON
+    readers need not hold it, and Python's int-to-str digit limit does not
+    apply to a Decimal.
+    """
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return {"config_sha256": hashlib.sha256(blob).hexdigest(),
-            "version": __version__, "threads": threads}
+    out = {"config_sha256": hashlib.sha256(blob).hexdigest(),
+           "version": __version__, "threads": threads}
+    if series is not None:
+        period = series.metadata["period"]
+        out.update(route=series.metadata["route"],
+                   period=str(Decimal(period)) if period and period >= 2**63 else period)
+    return out
 
 
 def _emit(text: str, path: Optional[str], provenance: dict) -> None:
@@ -325,7 +337,7 @@ def cmd_correlate(args, threads: int) -> int:
                                   checkpoints, threads=threads)
     _emit(series.csv(), args.out,
           _provenance({"cmd": "correlate", "config": cfg, "b": ",".join(map(str, b)),
-                       "checkpoints": checkpoints}, threads))
+                       "checkpoints": checkpoints}, threads, series))
     return 0
 
 
@@ -397,7 +409,7 @@ def cmd_nilflow(args, threads: int) -> int:
     series = nf.correlate_nil(T, x, args.observable, table, args.checkpoints, threads=threads)
     _emit(series.csv(), args.out,
           _provenance({"cmd": "nilflow", "config": cfg,
-                       "observable": args.observable}, threads))
+                       "observable": args.observable}, threads, series))
     return 0
 
 
@@ -475,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("sieve", help="emit mu(n) as CSV")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_parse_count, required=True)
     p.add_argument("--emit-csv", default="-")
     p.set_defaults(fn=cmd_sieve)
 
@@ -515,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bsz", help="bilinear-criterion report")
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_parse_count, required=True)
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--f", required=True, help="constant | rotation:THETA")
     p.add_argument("--out", default="-")

@@ -26,6 +26,22 @@ worker sums one contiguous span of batches, and the pieces add up in piece
 order, so every correlator honours `threads` and its results are
 bit-identical for any worker count and any BLAS.
 
+Rational data gives periodic phases, and then S(N) = sum_{r<P} e(phi(r))
+M_r(N) with M_r(N) the sum of mu(n) over n <= N, n = r (mod P): mu in
+arithmetic progressions.  Every exact-residue source carries its period
+P: K for a polynomial over the common denominator K (B(t + K) = B(t) mod
+K), lcm(K, D1 D2) for the Heisenberg bracket, and nu lcm(P_l) over the
+residue classes.  When P <= CLASS_PERIOD_MAX = 2^20 and CLASS_RATIO P
+len(checkpoints) <= N, with CLASS_RATIO = 4, `_weighted_sums` takes the
+class route: P phases, exact integer counts M_r per checkpoint, summed in
+bounded scratch, and `_e_sums` weighted by M_r.  Measured on the rational
+nil maps with N >= 1000 (BENCH_class_route.json, "crossover"), the class
+route won at N / (P len(checkpoints)) = 2 by 1.12x or more and at 4 by 1.5x
+or more, and lost at 1 by up to 1.4x; below N = 1000 both routes take
+under 0.2 ms.  Its sums are within twice `sum_bound` of the direct route's
+and do not depend on `threads`; every other phase (skew products, float
+coefficients, float g) keeps the direct route and its bits.
+
 Also here: the bilinear-criterion test (small correlations against prime
 dilations force small multiplicative-weighted sums), the polynomial
 lower-bound verifier on the unit circle, the third-derivative van der
@@ -59,6 +75,11 @@ CHUNK = 8192  # the most terms in a piece: the piece layout, so every sum's bits
 # terms per unit of work of `_weighted_sums`; with one piece per unit, two threads
 # summed `mu-scale` a third slower (BENCH_e_kernel.json, "batches")
 BATCH = 2 * CHUNK
+# the class route of `_weighted_sums` (see `sum_route`): the largest period, the least
+# N / (P len(checkpoints)), and the row width of the class counts
+CLASS_PERIOD_MAX = 1 << 20
+CLASS_RATIO = 4
+CLASS_ROW = 4096
 TWO_PI = 2.0 * math.pi
 # the skew coboundary tables' Taylor remainder, largest grid and modes above it (see there)
 TAYLOR_FLOOR = 2.0**-60
@@ -230,6 +251,25 @@ def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int) -> np.nda
     return _round_limbs(limbs, 32, a + 96, np.minimum(rem, np.uint64(1)))
 
 
+class _Mod1Poly:
+    """poly = sum B_k t^k / K compiled once for `poly_mod1_array`: K and the route on B."""
+
+    __slots__ = ("K", "route")
+
+    def __init__(self, poly: Poly):
+        K = math.lcm(*(c.denominator for c in poly.coeffs))
+        B = [c.numerator * (K // c.denominator) for c in poly.coeffs]
+        a = (K & -K).bit_length() - 1
+        m = K >> a
+        self.K = K
+        if m == 1 and 64 < a <= 1074:
+            self.route = partial(_pow2_limbs_mod1, B, a)
+        elif K > INT64_MODULUS_MAX and a <= 64 and 1 < m <= INT64_MODULUS_MAX:
+            self.route = partial(_split_mod1, B, a, m)
+        else:
+            self.route = lambda t0, count: _residues_mod1(_horner_mod(B, K, t0, count), K)
+
+
 def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
     """frac(poly(t)) for t = t0..t0+count-1: the exact rational, rounded once to float64.
 
@@ -240,16 +280,23 @@ def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
     - uint64 mod 2^a and int64 mod m (`_split_mod1`) when a <= 64 and
       1 < m <= INT64_MODULUS_MAX < K, e.g. a float mixed with 1/3;
     - otherwise `_horner_mod`, rounded by `_residues_mod1`.
+
+    poly may also be its `_Mod1Poly`, which `poly_mod1_source` compiles once.
     """
-    K = math.lcm(*(c.denominator for c in poly.coeffs))
-    B = [c.numerator * (K // c.denominator) for c in poly.coeffs]
-    a = (K & -K).bit_length() - 1
-    m = K >> a
-    if m == 1 and 64 < a <= 1074:
-        return _pow2_limbs_mod1(B, a, t0, count)
-    if K > INT64_MODULUS_MAX and a <= 64 and 1 < m <= INT64_MODULUS_MAX:
-        return _split_mod1(B, a, m, t0, count)
-    return _residues_mod1(_horner_mod(B, K, t0, count), K)
+    return (poly if isinstance(poly, _Mod1Poly) else _Mod1Poly(poly)).route(t0, count)
+
+
+def poly_mod1_source(poly: Poly) -> Callable[[int, int], np.ndarray]:
+    """The source (t0, count) -> poly_mod1_array(poly, t0, count), compiled once.
+
+    Its `period` is K: B(t + K) = B(t) mod K for integer coefficients B.
+    Calls still go through `poly_mod1_array`, so one patch of it sees every
+    polynomial phase.
+    """
+    compiled = _Mod1Poly(poly)
+    source = partial(poly_mod1_array, compiled)
+    source.period = compiled.K
+    return source
 
 
 def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[[int, int], np.ndarray]:
@@ -258,10 +305,11 @@ def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[[int, i
     With D_i the common denominator of Z_i, this is B(t) + (r K / D2) floor(Z1) Z2
     mod K = lcm(the denominators of P, D2), with floor(Z1) mod D2 = (D1 Z1 mod
     D1 D2) // D1, from three Horners in one dtype picked from all three moduli.
+    Its `period` is lcm(K, D1 D2), over which all three residues repeat.
     """
     D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
     if r % D2 == 0:  # r floor(Z1) Z2 is an integer
-        return partial(poly_mod1_array, P)
+        return poly_mod1_source(P)
     K = math.lcm(*(c.denominator for c in P.coeffs), D2)
     B, A1, A2 = ([c.numerator * (d // c.denominator) for c in Z.coeffs]
                  for Z, d in ((P, K), (Z1, D1), (Z2, D2)))
@@ -271,6 +319,7 @@ def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[[int, i
         floor_z1 = _horner_mod(A1, D1 * D2, t0, count, dtype) // D1
         bracket = _mod(c * floor_z1, K) * _horner_mod(A2, D2, t0, count, dtype)  # <= (K - 1)^2
         return _residues_mod1(_mod(bracket + _horner_mod(B, K, t0, count, dtype), K), K)
+    phase.period = math.lcm(K, D1 * D2)
     return phase
 
 
@@ -585,6 +634,20 @@ def reduction_bound(N: int, pieces: int) -> float:
     return 2.0 * N * (depth + pieces) * 2.0**-53
 
 
+def sum_bound(N: int, pieces: int) -> float:
+    """Bound on |S(N) - S_exact(N)| for phases that are exact rationals rounded once.
+
+    A rounded phase is within 2^-54 of the exact one, so its e(.) within 2 pi
+    2^-54; `_e_sums` adds E_TERM_ERROR per term and the reduction
+    `reduction_bound`.  On the class route of `_weighted_sums` the terms are
+    M_j e(phase_j), every error scales with |M_j|, sum |M_j| <= N, and at
+    most min(P, CHUNK) classes are summed at a time, in fewer blocks than
+    the direct route has pieces, so the same bound holds.  The two routes
+    differ by at most twice it.
+    """
+    return N * (TWO_PI * 2.0**-54 + E_TERM_ERROR) + reduction_bound(N, pieces)
+
+
 # ---------------------------------------------------------------------------
 # Checkpointed mu-weighted summation with deterministic chunking
 
@@ -601,7 +664,8 @@ def _class_phase_chunk(sources: Sequence) -> Callable[[int, int], np.ndarray]:
     """phase_chunk(u, L) for n = u..u+L-1 from one source per residue class.
 
     sources[l](t0, count) gives the phases of n = nu t + l for t = t0..t0 +
-    count - 1, with nu = len(sources).
+    count - 1, with nu = len(sources).  When every source has a `period`,
+    phase_chunk has the period nu lcm(periods).
     """
     nu = len(sources)
 
@@ -612,6 +676,9 @@ def _class_phase_chunk(sources: Sequence) -> Callable[[int, int], np.ndarray]:
             s = (l - u) % nu
             out[s::nu] = source((u + s - l) // nu, len(range(s, L, nu)))
         return out
+    periods = [getattr(source, "period", None) for source in sources]
+    if None not in periods:  # a period P_l in t is nu P_l in n
+        phase_chunk.period = nu * math.lcm(*periods)
     return phase_chunk
 
 
@@ -641,20 +708,84 @@ def _batches(pieces: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     return [list(run) for _, run in itertools.groupby(pieces, lambda ab: (ab[0] - 1) // BATCH)]
 
 
+def sum_route(phase_chunk: Callable[[int, int], np.ndarray], N: int,
+              checkpoints: Sequence[int]) -> tuple[str, int | None]:
+    """The route of `_weighted_sums` and the period P of phase_chunk (None if it has none).
+
+    "classes" when P <= CLASS_PERIOD_MAX and CLASS_RATIO P len(checkpoints)
+    <= N, else "direct".
+    """
+    P = getattr(phase_chunk, "period", None)
+    classes = P is not None and P <= CLASS_PERIOD_MAX and CLASS_RATIO * P * len(checkpoints) <= N
+    return ("classes" if classes else "direct"), P
+
+
+def _add_class_counts(counts: np.ndarray, weights: np.ndarray, a: int, b: int) -> None:
+    """counts[j mod P] += weights[j] for a <= j < b, P = len(counts), in exact integers.
+
+    Whole rows of L = P ceil(CLASS_ROW / P) terms are summed in int16, at
+    most 1024 rows at a time, and folded mod P; the terms before the first
+    and after the last whole row of P go to their classes directly.  Scratch
+    is O(L) whatever b - a is, and no weight is copied.
+    """
+    P = len(counts)
+    head = min(b, -(-a // P) * P)
+    counts[a % P:a % P + head - a] += weights[a:head]
+    L = P * -(-CLASS_ROW // P)
+    body = head + (b - head) // L * L
+    for s in range(head, body, 1024 * L):
+        rows = weights[s:min(s + 1024 * L, body)].reshape(-1, L)
+        counts += rows.sum(axis=0, dtype=np.int16).reshape(-1, P).sum(axis=0)
+    rest = body + (b - body) // P * P
+    counts += weights[body:rest].reshape(-1, P).sum(axis=0)
+    counts[:b - rest] += weights[rest:b]
+
+
+def _class_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarray, P: int,
+                checkpoints: Sequence[int]) -> list[complex]:
+    """The sums of `_weighted_sums` for phases of period P, as sums over the P classes.
+
+    With M_j(c) the sum of weights[i - 1] over i <= c, i - 1 = j (mod P), an
+    exact integer (`_add_class_counts`), S(c) = sum_j M_j(c) e(phase(j + 1)):
+    phase_chunk runs on 1..P alone, and `_e_sums` weighs each block of at
+    most CHUNK classes by M_j; the blocks add in order.  All of it runs in
+    the calling thread, so the result does not depend on `threads`.
+    """
+    phases = np.concatenate([phase_chunk(a, min(CHUNK, P + 1 - a))
+                             for a in range(1, P + 1, CHUNK)])
+    counts, rows, done, at = np.zeros(P, dtype=np.int64), np.empty((5, min(P, CHUNK))), 0, {}
+    for c in sorted(set(checkpoints)):
+        _add_class_counts(counts, weights, done, c)
+        done, at[c] = c, 0j
+        for s in range(0, P, CHUNK):
+            block = counts[s:s + CHUNK].astype(np.float64)
+            rows[0, :len(block)] = phases[s:s + CHUNK]
+            re, im = _e_sums(block, [0], rows)
+            at[c] += complex(re[0], im[0])
+    return [at[c] for c in checkpoints]
+
+
 def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarray,
                    N: int, checkpoints: Sequence[int], threads: int) -> list[complex]:
     """sum_{i<=N} weights[i - 1] e(phase(i)) snapshotted at the sorted checkpoints.
 
     phase_chunk(a, L) gives the phases in [0, 1] of terms a..a+L-1; weights
     is mu[1:] for a sum over n, or a strided view of mu for a residue class.
-    The piece layout depends only on (N, checkpoints).  Each piece is
-    summed by `_e_sums` in its batch (`_batches`).  The batches are split
-    into contiguous spans of ceil(batches / threads); a worker sums one span
-    in its own five rows of min(N, BATCH) scratch, a single span runs in the
-    calling thread, and the piece sums are added in piece order, so the
-    result is bit-identical for any number of threads.
+    A phase_chunk whose phases repeat with a `period` P takes the class
+    route (`_class_sums`) when `sum_route` says so; it is within twice
+    `sum_bound` of the direct route below.
+
+    On the direct route the piece layout depends only on (N, checkpoints).
+    Each piece is summed by `_e_sums` in its batch (`_batches`).  The
+    batches are split into contiguous spans of ceil(batches / threads); a
+    worker sums one span in its own five rows of min(N, BATCH) scratch, a
+    single span runs in the calling thread, and the piece sums are added in
+    piece order, so the result is bit-identical for any number of threads.
     """
     _checked_threads(threads)
+    route, P = sum_route(phase_chunk, N, checkpoints)
+    if route == "classes":
+        return _class_sums(phase_chunk, weights, P, checkpoints)
     pieces = _pieces(N, checkpoints)
     batches = _batches(pieces)
     width = min(N, BATCH)
@@ -690,6 +821,8 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
 
     flow: a SkewFlow (normalized) with x a TorusPoint and b a Character, or
     a UnipotentAffine with x a coordinate sequence and b an integer vector.
+    The metadata records the `route` of the sum and the `period` of the
+    phases (None on a skew product); see `sum_route`.
     A skew series carries its error budget in the metadata: `modes_kept`,
     `modes_dropped`, `dropped_bound` (on each term's phase) and
     `table_anchor_bound` (on |S(N)|); see `_SkewPhaseContext`.
@@ -708,13 +841,15 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
             raise DomainError("observable vector dimension mismatch")
         tpolys = [unipotent_phase_poly(flow, x, v, l).as_poly().compose_linear(flow.nu, l)
                   for l in range(flow.nu)]
-        phase_chunk = _class_phase_chunk([partial(poly_mod1_array, P) for P in tpolys])
+        phase_chunk = _class_phase_chunk([poly_mod1_source(P) for P in tpolys])
         meta_flow, budget = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})", {}
     else:
         raise DomainError(f"unsupported flow type {type(flow).__name__}")
 
     sums = _weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints, threads)
-    meta = {"flow": meta_flow, "observable": str(b), "threads": threads, "N": N, **budget}
+    route, period = sum_route(phase_chunk, N, checkpoints)
+    meta = {"flow": meta_flow, "observable": str(b), "threads": threads, "N": N,
+            "route": route, "period": period, **budget}
     return CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
                              metadata=meta)
 
@@ -724,16 +859,16 @@ def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
     """sum_{n<=N, n = l (mod nu)} mu(n) e(phi(n)) with exact mod-1 phases.
 
     The class is walked in t: term t is n = n_start + nu (t - 1), and the sum
-    is one `_weighted_sums` pass of poly_mod1_array over the strided view
+    is one `_weighted_sums` pass of `poly_mod1_source` over the strided view
     mu[n_start::nu], so `threads` is honoured, the sum is bit-identical for
-    any thread count, and mu is not copied.
+    any thread count, and mu is not copied, on either route.
     """
     if N > table.limit:
         raise DomainError(f"N={N} beyond sieve limit {table.limit}")
     nu, l = phase.nu, phase.residue
     n_start = l if l >= 1 else nu
     count = (N - n_start) // nu + 1 if N >= n_start else 0
-    phase_chunk = partial(poly_mod1_array, phase.as_poly().compose_linear(nu, n_start - nu))
+    phase_chunk = poly_mod1_source(phase.as_poly().compose_linear(nu, n_start - nu))
     weights = table.mu_array()[n_start::nu]
     return _weighted_sums(phase_chunk, weights, count, [count], threads)[0]
 

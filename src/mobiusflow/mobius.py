@@ -75,10 +75,11 @@ def mobius_sieve(limit: int) -> MobiusTable:
         limit: inclusive upper bound, 1 <= limit <= 10**9
 
     Raises:
-        CapacityError: limit < 1 or beyond the supported ceiling.
+        DomainError: limit < 1.
+        CapacityError: limit beyond the supported ceiling MAX_LIMIT.
     """
     if limit < 1:
-        raise CapacityError(f"sieve limit must be >= 1, got {limit}")
+        raise DomainError(f"sieve limit must be >= 1, got {limit}")
     if limit > MAX_LIMIT:
         raise CapacityError(f"sieve limit {limit} exceeds supported {MAX_LIMIT}")
 

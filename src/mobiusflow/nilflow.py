@@ -41,6 +41,7 @@ sum runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -319,18 +320,24 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
     terms included, rounded once to float64.  Each term is one
     `_weighted_sums` pass scaled by its weight, so `threads` is honoured,
     sums are bit-identical for any thread count, and memory beyond the mu
-    table is O(CHUNK).
+    table is O(CHUNK), or O(P) on the class route.  The metadata records
+    each term's `route` (joined by commas) and the lcm of their periods P,
+    which are finite: every phase here is rational (see `correlate.sum_route`).
     """
     checkpoints, N = correlate._checked_checkpoints(checkpoints, table)
     reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
 
-    sums = [0j] * len(checkpoints)
+    sums, routes, periods = [0j] * len(checkpoints), [], []
     for w, p, q, r in f.terms:
-        sources = [_residue_phase(rep, p, q, r) for rep in reps]
-        term = correlate._weighted_sums(correlate._class_phase_chunk(sources),
-                                        table.mu_array()[1:], N, checkpoints, threads)
+        phase_chunk = correlate._class_phase_chunk([_residue_phase(rep, p, q, r) for rep in reps])
+        term = correlate._weighted_sums(phase_chunk, table.mu_array()[1:], N, checkpoints,
+                                        threads)
         sums = [s + w * t for s, t in zip(sums, term)]
+        route, period = correlate.sum_route(phase_chunk, N, checkpoints)
+        routes.append(route)
+        periods.append(period)
     meta = {"flow": f"heisenberg(nu={T.nu})", "observable": str(f.terms),
-            "threads": threads, "N": N}
+            "threads": threads, "N": N, "route": ",".join(routes),
+            "period": math.lcm(*periods)}
     return correlate.CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
                                        metadata=meta)

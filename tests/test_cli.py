@@ -64,6 +64,26 @@ def test_sieve_golden_file(capsys, tmp_path):
     assert "config_sha256" in prov["provenance"]
 
 
+@pytest.mark.parametrize("limit", ["0", "-3", "0.5"])
+def test_sieve_limit_below_one_domain_exit(capsys, limit):
+    code, _, err = run_cli(["sieve", "--limit", limit], capsys)
+    assert code == 3 and err.startswith("error (domain)")
+
+
+def test_sieve_limit_above_the_ceiling_capacity_exit(capsys):
+    code, _, err = run_cli(["sieve", "--limit", "2e9"], capsys)
+    assert code == 4 and err.startswith("error (capacity/precision)")
+
+
+def test_sieve_limit_and_bsz_m_read_counts(capsys):
+    """`sieve --limit` and `bsz --m` parse as --n does, so 1e2 reads 100."""
+    code, out, _ = run_cli(["sieve", "--limit", "1e2"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "100,0"
+    args = ["bsz", "--tau", "0.25", "--n", "2e4", "--f", "rotation:sqrt2-1"]
+    reports = [run_cli([*args, "--m", m], capsys)[1] for m in ("1e3", "1000")]
+    assert json.loads(reports[0])["M"] == 1000 and reports[0] == reports[1]
+
+
 def test_sieve_row_count(capsys):
     code, out, _ = run_cli(["sieve", "--limit", "100"], capsys)
     lines = out.strip().splitlines()
@@ -234,6 +254,39 @@ def test_nilflow_subcommand(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "N,re,im,abs_over_N"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("observable, route, period", [("1,2,0", "classes", 21),
+                                                       ("1,2,1", "direct", 1890)])
+def test_nilflow_provenance_records_route_and_period(tmp_path, capsys, observable, route,
+                                                     period):
+    """The README map's sums at 1e3 and 1e4: the horizontal character's
+    period 21 takes the class route, the central one's 1,890 does not."""
+    out = tmp_path / "series.csv"
+    code, _, _ = run_cli(["nilflow", "--config", _nil_config(tmp_path), "--observable",
+                          observable, "--checkpoints", "1e3,1e4", "--out", str(out)], capsys)
+    prov = json.loads((tmp_path / "series.csv.provenance.json").read_text())["provenance"]
+    assert code == 0 and (prov["route"], prov["period"]) == (route, period)
+
+
+def test_period_past_the_str_digit_limit_is_written_as_digits(tmp_path, capsys):
+    """g2 = 10^-5000 gives the central character a period of 5,002 digits,
+    past Python's int-to-str limit: the sidecar writes it as a string."""
+    cfg = {"type": "heisenberg", "g": ["1/3", "1e-5000", "2/5"],
+           "dsigma": [[1, 0, 0], [1, 1, 0], ["1/2", 0, 1]]}
+    out = tmp_path / "series.csv"
+    code, _, _ = run_cli(["nilflow", "--config", _nil_config(tmp_path, cfg), "--observable",
+                          "1,2,1", "--checkpoints", "10,100", "--out", str(out)], capsys)
+    prov = json.loads((tmp_path / "series.csv.provenance.json").read_text())["provenance"]
+    assert code == 0 and prov["route"] == "direct"
+    assert prov["period"].isdigit() and len(prov["period"]) > 4300
+
+
+def test_correlate_provenance_of_a_skew_series_has_no_period(capsys, tmp_path):
+    code, _, err = run_cli(["correlate", "--config", str(_skew_config(tmp_path)), "--b", "0,1",
+                            "--checkpoints", "1e3"], capsys)
+    prov = json.loads(err)["provenance"]
+    assert code == 0 and (prov["route"], prov["period"]) == ("direct", None)
 
 
 def _nil_config(tmp_path, cfg=None):

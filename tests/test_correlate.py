@@ -13,19 +13,23 @@ import pytest
 
 from mobiusflow.analytic import AnalyticSeries, ScaleFunction, e2pi, e2pi_m1, geometric_ratio
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
-from mobiusflow.correlate import (_E_COS, _E_SIN, BATCH, CHUNK, E_TABLE_SIZE, E_TERM_ERROR,
-                                  INT64_MODULUS_MAX, CorrelationSeries, PolyPhase,
-                                  _SkewPhaseContext, _batches, _e_sums, _pieces,
-                                  bsz_test, character_phase_array, mobius_correlate, phi_polys,
-                                  poly_exp_sum, poly_lower_bound_check, poly_mod1_array,
-                                  reduction_bound, vdc_sum_check)
+from mobiusflow.correlate import (_E_COS, _E_SIN, BATCH, CHUNK, CLASS_PERIOD_MAX, CLASS_RATIO,
+                                  E_TABLE_SIZE, E_TERM_ERROR, INT64_MODULUS_MAX,
+                                  CorrelationSeries, PolyPhase, _SkewPhaseContext, _batches,
+                                  _e_sums, _pieces, bsz_test, character_phase_array,
+                                  mobius_correlate, phi_polys, poly_exp_sum,
+                                  poly_lower_bound_check, poly_mod1_array, reduction_bound,
+                                  sum_bound, sum_route, vdc_sum_check)
 from mobiusflow.errors import DomainError, PrecisionError
-from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine, character_phase
+from mobiusflow.flows import (Character, SkewFlow, TorusPoint, UnipotentAffine, character_phase,
+                              unipotent_phase_poly)
 from mobiusflow.furstenberg import FurstenbergSystem, irregularity_probe
 from mobiusflow.mobius import mertens, mobius_sieve
 from mobiusflow import correlate
-from mobiusflow.nilflow import HeisenbergAffine, HeisenbergElement, NilObservable, correlate_nil
+from mobiusflow.nilflow import (HeisenbergAffine, HeisenbergElement, NilObservable,
+                                _residue_phase, compile_poly_orbit, correlate_nil)
 from mobiusflow.polyutil import Poly
+from test_golden import AFFINE, _heisenberg
 
 RNG = np.random.default_rng(99)
 SQRT2 = AlphaSpec.sqrt2_minus_1()
@@ -970,3 +974,192 @@ def test_every_correlator_sums_through_the_one_driver(table, skew, monkeypatch):
         calls.clear()
         run()
         assert calls == [999], name
+
+
+# ---------------------------------------------------------------------------
+# The class route: sums of rational-period phases over the P residue classes
+
+
+def _rational_cases():
+    """name -> (phase_chunk, weights index) of the rational maps, built as the
+    correlators build them: the nil maps of test_golden with the characters
+    (1, 2, 0) and (1, 2, 1), the rational affine maps, and a rational
+    `PolyPhase` on n = 1 (mod 3), whose sum runs in t over mu[1::3]."""
+    cases = {}
+    for heis in ("readme", "order3", "order4", "order6", "readme-dyadic-g", "readme-odd-k"):
+        T, x = _heisenberg(heis)
+        for pqr in ((1, 2, 0), (1, 2, 1)):
+            cases[f"nil-{heis}-{''.join(map(str, pqr))}"] = (correlate._class_phase_chunk(
+                [_residue_phase(compile_poly_orbit(T, x, l), *pqr) for l in range(T.nu)]),
+                slice(1, None))
+    for name in ("shear3", "order4", "order6"):
+        W, b, x, v = AFFINE[name]
+        aff = UnipotentAffine(matrix=W, translation=tuple(Fraction(t) for t in b))
+        x = tuple(Fraction(t) for t in x)
+        cases[f"affine-{name}"] = (correlate._class_phase_chunk(
+            [correlate.poly_mod1_source(unipotent_phase_poly(aff, x, v, l).as_poly()
+                                        .compose_linear(aff.nu, l)) for l in range(aff.nu)]),
+            slice(1, None))
+    cases["poly-nu3"] = (correlate.poly_mod1_source(RATIONAL_NU3.as_poly().compose_linear(3, -2)),
+                         slice(1, None, 3))
+    return cases
+
+
+RATIONAL_NU3 = PolyPhase((Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11), Fraction(1, 4)),
+                         nu=3, residue=1)
+RATIONAL_CASES = _rational_cases()
+
+
+def _direct(phase_chunk):
+    """phase_chunk without its period: the driver's direct route, with no knob."""
+    return lambda a, L: phase_chunk(a, L)
+
+
+def _bounds(N, cps):
+    """Twice `sum_bound` at each checkpoint: two routes over the same phases differ by less."""
+    pieces = _pieces(N, cps)
+    return [2 * sum_bound(c, sum(1 for _, b in pieces if b <= c)) for c in cps]
+
+
+@pytest.fixture(scope="module")
+def table2():
+    return mobius_sieve(2_100_000)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_CASES))
+def test_class_route_within_bound_of_the_direct_route(name, table2):
+    """On each side of the threshold CLASS_RATIO P len(checkpoints) <= N:
+    below it the driver sums directly, bit for bit as the period-less
+    phases do; from it on over the classes, within twice `sum_bound` of the
+    direct sums, and == at threads 1 and 2.  Periods over CLASS_PERIOD_MAX
+    (order3 and order6 with (1, 2, 1)) are checked at N = 1e5 only."""
+    phase_chunk, index = RATIONAL_CASES[name]
+    weights, P = table2.mu_array()[index], phase_chunk.period
+    k = 3 if 3 * CLASS_RATIO * P <= len(weights) else 1
+    N0 = CLASS_RATIO * P * k  # the least N of the class route
+    for N in (min(N0 - 1, 10**5), N0, 3 * N0):
+        if N > len(weights):
+            continue
+        cps = [N // 3, N // 2, N][3 - k:]
+        route, period = sum_route(phase_chunk, N, cps)
+        assert period == P
+        assert route == ("classes" if N >= N0 and P <= CLASS_PERIOD_MAX else "direct"), N
+        got = [correlate._weighted_sums(phase_chunk, weights, N, cps, t) for t in (1, 2)]
+        want = correlate._weighted_sums(_direct(phase_chunk), weights, N, cps, 1)
+        assert got[0] == got[1]
+        if route == "direct":
+            assert got[0] == want
+        for g, w, bound in zip(got[0], want, _bounds(N, cps)):
+            assert abs(g - w) <= bound, (N, g, w, bound)
+
+
+def test_correlators_take_the_class_route_and_report_it(table2):
+    """mobius_correlate (affine), correlate_nil and poly_exp_sum take the class
+    route through the driver alone: their sums == the driver's on the same
+    phases, the metadata names the route and the period, and the sums are ==
+    at threads 1 and 2."""
+    T, x = _heisenberg("readme")
+    nil = [correlate_nil(T, x, NilObservable.character(1, 2, 0), table2, [10**4, 10**5],
+                         threads=t) for t in (1, 2)]
+    W, b, xa, v = AFFINE["order4"]
+    aff = UnipotentAffine(matrix=W, translation=tuple(Fraction(t) for t in b))
+    affine = [mobius_correlate(aff, tuple(Fraction(t) for t in xa), v, table2,
+                               [10**5, 2 * 10**6], threads=t) for t in (1, 2)]
+    mu = table2.mu_array()
+    for series, name in ((nil, "nil-readme-120"), (affine, "affine-order4")):
+        phase_chunk, index = RATIONAL_CASES[name]
+        cps, N = list(series[0].checkpoints), series[0].checkpoints[-1]
+        assert series[0].sums == series[1].sums
+        assert (series[0].metadata["route"], series[0].metadata["period"]) == (
+            "classes", phase_chunk.period)
+        assert list(series[0].sums) == correlate._weighted_sums(phase_chunk, mu[index], N, cps, 1)
+    phase_chunk, index = RATIONAL_CASES["poly-nu3"]
+    count = len(range(1, 2 * 10**6 + 1, 3))
+    assert sum_route(phase_chunk, count, [count])[0] == "classes"
+    assert [poly_exp_sum(RATIONAL_NU3, table2, 2 * 10**6, threads=t) for t in (1, 2)] == \
+        correlate._weighted_sums(phase_chunk, mu[index], count, [count], 1) * 2
+
+
+@pytest.mark.parametrize("pqr", [(1, 2, 0), (1, 2, 1)])
+def test_class_route_against_exact_rational_phases(table, pqr):
+    """The README map at N = 2e4 against sum_phi e(phi) sum_{n: phase(n) = phi}
+    mu(n) over the exact phases frac(p v1 + q v2 + r v3) of the reduced orbit,
+    with e(.) in mpmath at 80 bits: within `sum_bound` on the class route."""
+    T, x = _heisenberg("readme")
+    cps = [7_777, 20_000]
+    series = correlate_nil(T, x, NilObservable.character(*pqr), table, cps)
+    assert series.metadata["route"] == "classes"
+    reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
+    mu, counts, exact = table.mu_array(), {}, []
+    for n in range(1, cps[-1] + 1):
+        if mu[n]:
+            v = reps[n % T.nu].evaluate_reduced(n).coords()
+            phase = sum(k * c for k, c in zip(pqr, v)) % 1
+            counts[phase] = counts.get(phase, 0) + int(mu[n])
+        if n in cps:
+            with mpmath.workprec(80):
+                exact.append(complex(mpmath.fsum(
+                    m * mpmath.expjpi(2 * mpmath.mpf(f.numerator) / f.denominator)
+                    for f, m in counts.items())))
+    for got, want, bound in zip(series.sums, exact, _bounds(cps[-1], cps)):
+        assert abs(got - want) <= bound / 2, (got, want, bound / 2)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_CASES))
+def test_phases_repeat_with_the_period(name):
+    """phase_chunk(n + P) is bit-equal to phase_chunk(n) at seeded n, and, on
+    the README map, P over a prime factor of P fails that check.  The rule's P
+    need not be the least period: the order-3 map's (1, 2, 0) has P = 945,
+    and its phases repeat every 3 terms."""
+    phase_chunk, _ = RATIONAL_CASES[name]
+    P, rng = phase_chunk.period, random.Random(21)
+    starts = [rng.randrange(1, 10**9) for _ in range(8)]
+
+    def repeats(d):
+        return all(np.array_equal(phase_chunk(u, 64).view(np.int64),
+                                  phase_chunk(u + d, 64).view(np.int64)) for u in starts)
+    assert repeats(P)
+    if name in ("nil-readme-120", "nil-readme-121"):
+        primes = [p for p in range(2, 12) if P % p == 0 and all(p % q for q in range(2, p))]
+        assert not all(repeats(P // p) for p in primes), P
+
+
+def test_bracket_period_counts_the_floor():
+    """frac(t/2 + floor(t/5) t/2) has K = 2 but period lcm(K, D1 D2) = 10:
+    floor(t/5) mod 2 repeats only every 10 terms."""
+    Z1, Z2 = Poly([0, Fraction(1, 5)]), Poly([0, Fraction(1, 2)])
+    source = correlate.bracket_mod1_source(Z2, Z1, Z2, 1)
+    assert source.period == 10
+    phases = source(0, 40)
+    assert np.array_equal(phases[10:], phases[:-10])
+    assert not np.array_equal(phases[2:], phases[:-2])
+
+
+@pytest.mark.parametrize("pqr", [(1, 2, 0), (1, 2, 1)])
+def test_float_g_sums_directly(table, pqr):
+    """g read exactly from doubles puts 2^52 in the denominators: the period is
+    far over CLASS_PERIOD_MAX and the driver sums directly."""
+    T, x = _heisenberg("readme-float-g")
+    series = correlate_nil(T, x, NilObservable.character(*pqr), table, [10**4, 10**5])
+    assert series.metadata["route"] == "direct"
+    assert series.metadata["period"] >= 2**52
+
+
+def test_skew_series_sum_directly(table, skew):
+    flow, p = skew
+    meta = mobius_correlate(flow, p, Character(1, 2), table, [10**4]).metadata
+    assert (meta["route"], meta["period"]) == ("direct", None)
+
+
+@pytest.mark.parametrize("P", [1, 2, 21, 4095, 4097, 12012])
+def test_class_counts_are_exact(P):
+    """`_add_class_counts` over consecutive random ranges, which cut rows and
+    segments anywhere, equals np.bincount of the positions mod P."""
+    rng = np.random.default_rng(P)
+    weights = rng.integers(-1, 2, size=2 * 1024 * 4096 + 777).astype(np.int8)
+    cuts = sorted({0, len(weights), *rng.integers(0, len(weights), size=6).tolist()})
+    counts, want = np.zeros(P, dtype=np.int64), np.zeros(P)
+    for a, b in zip(cuts, cuts[1:]):
+        correlate._add_class_counts(counts, weights, a, b)
+        want += np.bincount(np.arange(a, b) % P, weights=weights[a:b], minlength=P)
+        assert np.array_equal(counts, want.astype(np.int64)), (P, a, b)

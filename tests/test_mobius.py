@@ -157,11 +157,17 @@ def test_mertens_at_powers_of_ten():
         assert mertens(t, 10**k) == expected, k
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_limit_below_one_is_a_domain_error(limit):
+    with pytest.raises(DomainError) as excinfo:
+        mobius_sieve(limit)
+    assert type(excinfo.value) is DomainError
+
+
 def test_capacity_errors():
-    with pytest.raises(CapacityError):
-        mobius_sieve(0)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as excinfo:
         mobius_sieve(10**9 + 1)
+    assert type(excinfo.value) is CapacityError
 
 
 def test_range_errors(table):
