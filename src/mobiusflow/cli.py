@@ -30,8 +30,8 @@ from . import __version__
 from .analytic import AnalyticSeries
 from .cfrac import (AlphaSpec, cf_expand, classify_case, partition_Q,
                     two_series_partial_sums, with_partition, caseC_condition_rhs_logs)
-from .correlate import (bsz_test, mobius_correlate, poly_exp_sum, poly_lower_bound_check,
-                        vdc_sum_check)
+from .correlate import (THREADS_MAX, bsz_test, mobius_correlate, poly_exp_sum,
+                        poly_lower_bound_check, vdc_sum_check)
 from .errors import CapacityError, DomainError, MobiusflowError, PrecisionError
 from .flows import Character, PolyPhase, SkewFlow, TorusPoint, UnipotentAffine
 from .mobius import mobius_sieve
@@ -571,8 +571,8 @@ def main(argv: Optional[list] = None) -> int:
             threads = int(value)
         except ValueError:
             ap.error(f"{ENV_THREADS} must be an integer, got {value!r}")
-    if threads < 1:
-        ap.error(f"the thread count must be at least 1, got {threads}")
+    if not 1 <= threads <= THREADS_MAX:
+        ap.error(f"the thread count must be from 1 to {THREADS_MAX}, got {threads}")
     try:
         return args.fn(args, threads)
     except (CapacityError, PrecisionError) as exc:

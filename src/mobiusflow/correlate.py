@@ -21,10 +21,14 @@ CHUNK = 8192 terms, cut at the checkpoints and at the multiples of CHUNK,
 and e(phase), weighted by mu, comes from a 4096-entry table of e(k/4096)
 and a short polynomial in the remainder (`_e_sums`, within 3 2^-53 per
 term), summed per piece by numpy's pairwise reduction, with no BLAS call.
-Pieces run in batches, the fixed windows of BATCH = 2 CHUNK terms, each
-worker sums one contiguous span of batches, and the pieces add up in piece
+Pieces run in batches, the fixed windows of BATCH = 4 CHUNK terms (five
+float64 scratch rows of 1.25 MB per worker), each of at most THREADS_MAX
+= 256 workers sums one contiguous span of batches, the pieces add up in piece
 order, so every correlator honours `threads` and its results are
-bit-identical for any worker count and any BLAS.
+bit-identical for any worker count and any BLAS.  An exact-residue source
+(one with a `period`, below) fills a whole batch in one call, as its
+phases do not depend on where a call starts; the skew phases step from
+each piece's own anchor, one call per piece.
 
 Rational data gives periodic phases, and then S(N) = sum_{r<P} e(phi(r))
 M_r(N) with M_r(N) the sum of mu(n) over n <= N, n = r (mod P): mu in
@@ -72,9 +76,11 @@ from .mobius import MobiusTable, _primes_upto
 from .polyutil import Poly
 
 CHUNK = 8192  # the most terms in a piece: the piece layout, so every sum's bits, rest on it
-# terms per unit of work of `_weighted_sums`; with one piece per unit, two threads
-# summed `mu-scale` a third slower (BENCH_e_kernel.json, "batches")
-BATCH = 2 * CHUNK
+# terms per unit of work of `_weighted_sums`: its five float64 scratch rows take 1.25 MB,
+# under one core's 2 MB L2, and `_e_sums` ran 8.0 to 8.4 ns/term at this width, against
+# 9.1 to 10.2 at half and 9.7 to 10.8 at twice it (BENCH_batch_fill.json, "width")
+BATCH = 4 * CHUNK
+THREADS_MAX = 256  # the most workers a sum may ask for: one OS thread and 1.25 MB each
 # the class route of `_weighted_sums` (see `sum_route`): the largest period, the least
 # N / (P len(checkpoints)), and the row width of the class counts
 CLASS_PERIOD_MAX = 1 << 20
@@ -141,7 +147,8 @@ def _horner_mod(coeffs: Sequence[int], K: int, t0: int, count: int, dtype=None) 
     """
     dtype = dtype or _residue_dtype(K)
     wrap = dtype is np.uint64
-    t = np.arange(count, dtype=dtype) + t0 % K
+    t = np.arange(count, dtype=dtype)
+    t += t0 % K
     if not wrap:
         t = _mod(t, K)
     acc = np.zeros(count, dtype=dtype)
@@ -150,7 +157,9 @@ def _horner_mod(coeffs: Sequence[int], K: int, t0: int, count: int, dtype=None) 
         acc += c % K
         if not wrap:
             acc = _mod(acc, K)
-    return acc & np.uint64(K - 1) if wrap else acc
+    if wrap:
+        acc &= np.uint64(K - 1)
+    return acc
 
 
 def _mod(x: np.ndarray, K: int) -> np.ndarray:
@@ -160,15 +169,17 @@ def _mod(x: np.ndarray, K: int) -> np.ndarray:
     return x - x // K * K if x.dtype == np.int64 else x % K
 
 
-def _residues_mod1(r: np.ndarray, K: int) -> np.ndarray:
-    """r / K rounded once to float64 for residues 0 <= r < K (in uint64, 1/K scales exactly)."""
+def _residues_mod1(r: np.ndarray, K: int, out: np.ndarray | None = None) -> np.ndarray:
+    """r / K rounded once to float64 for residues 0 <= r < K (in uint64, 1/K scales exactly).
+
+    Written into out when given, and returned; Python ints divide exactly and round once."""
     if r.dtype == np.uint64:
-        return r.astype(np.float64) * (1.0 / K)
-    return (r / K).astype(np.float64, copy=False)
+        return np.multiply(r, 1.0 / K, out=out)
+    return np.true_divide(r, K, out=np.empty(len(r)) if out is None else out, casting="unsafe")
 
 
-def _round_limbs(limbs: list, width: int, k: int, sticky=0) -> np.ndarray:
-    """(r + f) / 2^k rounded once to float64, for k <= 1074.
+def _round_limbs(limbs: list, width: int, k: int, sticky=0, out=None) -> np.ndarray:
+    """(r + f) / 2^k rounded once to float64, for k <= 1074, written into out if given.
 
     r = sum limbs[l] 2^(width l) with 32 <= width <= 48, its bits from k on
     ignored; 0 <= f < 1 is nonzero exactly where sticky is 1, and there
@@ -178,7 +189,8 @@ def _round_limbs(limbs: list, width: int, k: int, sticky=0) -> np.ndarray:
     lower, down to s = 0.  With k <= 1074 a result below 2^-1022 comes only
     from s = 0, f = 0 and r < 2^53, where r 2^-k is a multiple of 2^-1074.
     """
-    out, rows, s, L = np.empty(len(limbs[0]), dtype=np.float64), slice(None), k - 64, len(limbs)
+    out = np.empty(len(limbs[0]), dtype=np.float64) if out is None else out
+    rows, s, L = slice(None), k - 64, len(limbs)
     while True:
         a, b = divmod(s, width)
         u = limbs[a] >> np.uint64(b)
@@ -204,16 +216,18 @@ _LIMB = 48  # limb width: a limb times t - t0 < 2^15, plus carry and coefficient
 _LIMB_BLOCK = 1 << 15
 
 
-def _pow2_limbs_mod1(B: Sequence[int], k: int, t0: int, count: int) -> np.ndarray:
+def _pow2_limbs_mod1(B: Sequence[int], k: int, t0: int, count: int, out=None) -> np.ndarray:
     """frac(sum B_j t^j / 2^k) for t = t0..t0+count-1, exact, for 64 < k <= 1074.
 
     Per block of 2^15 values, the polynomial is shifted to i = t - t0 and
     Horner runs mod 2^(48 L) on L 48-bit limbs held in uint64; the residue
-    is rounded once by `_round_limbs`.
+    is rounded once by `_round_limbs`, into out if given.
     """
     if count > _LIMB_BLOCK:
-        return np.concatenate([_pow2_limbs_mod1(B, k, t0 + j, min(_LIMB_BLOCK, count - j))
-                               for j in range(0, count, _LIMB_BLOCK)])
+        out = np.empty(count, dtype=np.float64) if out is None else out
+        for j in range(0, count, _LIMB_BLOCK):
+            _pow2_limbs_mod1(B, k, t0 + j, min(_LIMB_BLOCK, count - j), out[j:j + _LIMB_BLOCK])
+        return out
     mask, low = (1 << k) - 1, (1 << _LIMB) - 1
     Q = [sum(b * math.comb(m, j) * t0 ** (m - j) for m, b in enumerate(B) if m >= j) & mask
          for j in range(len(B))]
@@ -229,10 +243,10 @@ def _pow2_limbs_mod1(B: Sequence[int], k: int, t0: int, count: int) -> np.ndarra
             p += np.uint64((q >> (_LIMB * l)) & low)
             np.bitwise_and(p, np.uint64(low), out=limb)
             np.right_shift(p, np.uint64(_LIMB), out=carry)
-    return _round_limbs(limbs, _LIMB, k)
+    return _round_limbs(limbs, _LIMB, k, out=out)
 
 
-def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int) -> np.ndarray:
+def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int, out=None) -> np.ndarray:
     """frac(sum B_j t^j / (2^a m)), exact, for a <= 64 and odd m <= INT64_MODULUS_MAX.
 
     With r = B(t) mod 2^a m, r / 2^a m = (Z + g/m) / 2^a where g = r mod m
@@ -248,7 +262,7 @@ def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int) -> np.nda
         digits.insert(0, rem // mu)
         rem -= digits[0] * mu
     limbs = digits + [Z & np.uint64(0xFFFFFFFF), Z >> np.uint64(32)]
-    return _round_limbs(limbs, 32, a + 96, np.minimum(rem, np.uint64(1)))
+    return _round_limbs(limbs, 32, a + 96, np.minimum(rem, np.uint64(1)), out)
 
 
 class _Mod1Poly:
@@ -267,10 +281,11 @@ class _Mod1Poly:
         elif K > INT64_MODULUS_MAX and a <= 64 and 1 < m <= INT64_MODULUS_MAX:
             self.route = partial(_split_mod1, B, a, m)
         else:
-            self.route = lambda t0, count: _residues_mod1(_horner_mod(B, K, t0, count), K)
+            self.route = lambda t0, count, out=None: _residues_mod1(
+                _horner_mod(B, K, t0, count), K, out)
 
 
-def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
+def poly_mod1_array(poly: Poly, t0: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """frac(poly(t)) for t = t0..t0+count-1: the exact rational, rounded once to float64.
 
     With poly = sum B_k t^k / K over the common denominator K = 2^a m (m
@@ -282,12 +297,13 @@ def poly_mod1_array(poly: Poly, t0: int, count: int) -> np.ndarray:
     - otherwise `_horner_mod`, rounded by `_residues_mod1`.
 
     poly may also be its `_Mod1Poly`, which `poly_mod1_source` compiles once.
+    The values are written into out (float64, of length count) when given.
     """
-    return (poly if isinstance(poly, _Mod1Poly) else _Mod1Poly(poly)).route(t0, count)
+    return (poly if isinstance(poly, _Mod1Poly) else _Mod1Poly(poly)).route(t0, count, out)
 
 
-def poly_mod1_source(poly: Poly) -> Callable[[int, int], np.ndarray]:
-    """The source (t0, count) -> poly_mod1_array(poly, t0, count), compiled once.
+def poly_mod1_source(poly: Poly) -> Callable[..., np.ndarray]:
+    """The source (t0, count, out=None) -> poly_mod1_array(poly, t0, count, out), compiled once.
 
     Its `period` is K: B(t + K) = B(t) mod K for integer coefficients B.
     Calls still go through `poly_mod1_array`, so one patch of it sees every
@@ -299,8 +315,8 @@ def poly_mod1_source(poly: Poly) -> Callable[[int, int], np.ndarray]:
     return source
 
 
-def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[[int, int], np.ndarray]:
-    """The source (t0, count) -> frac(P(t) + r floor(Z1(t)) Z2(t)), exact, rounded once.
+def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[..., np.ndarray]:
+    """The source (t0, count, out=None) -> frac(P(t) + r floor(Z1(t)) Z2(t)), exact, rounded once.
 
     With D_i the common denominator of Z_i, this is B(t) + (r K / D2) floor(Z1) Z2
     mod K = lcm(the denominators of P, D2), with floor(Z1) mod D2 = (D1 Z1 mod
@@ -315,10 +331,10 @@ def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[[int, i
                  for Z, d in ((P, K), (Z1, D1), (Z2, D2)))
     c, dtype = r * (K // D2) % K, _residue_dtype(K, D1 * D2, D2)
 
-    def phase(t0: int, count: int) -> np.ndarray:
+    def phase(t0: int, count: int, out=None) -> np.ndarray:
         floor_z1 = _horner_mod(A1, D1 * D2, t0, count, dtype) // D1
         bracket = _mod(c * floor_z1, K) * _horner_mod(A2, D2, t0, count, dtype)  # <= (K - 1)^2
-        return _residues_mod1(_mod(bracket + _horner_mod(B, K, t0, count, dtype), K), K)
+        return _residues_mod1(_mod(bracket + _horner_mod(B, K, t0, count, dtype), K), K, out)
     phase.period = math.lcm(K, D1 * D2)
     return phase
 
@@ -660,21 +676,22 @@ def _pieces(N: int, checkpoints: Sequence[int]) -> list[tuple[int, int]]:
     return [(a + 1, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _class_phase_chunk(sources: Sequence) -> Callable[[int, int], np.ndarray]:
-    """phase_chunk(u, L) for n = u..u+L-1 from one source per residue class.
+def _class_phase_chunk(sources: Sequence) -> Callable[..., np.ndarray]:
+    """phase_chunk(u, L, out=None) for n = u..u+L-1 from one source per residue class.
 
-    sources[l](t0, count) gives the phases of n = nu t + l for t = t0..t0 +
-    count - 1, with nu = len(sources).  When every source has a `period`,
-    phase_chunk has the period nu lcm(periods).
+    sources[l](t0, count, out) writes the phases of n = nu t + l for t = t0..t0
+    + count - 1 into out, with nu = len(sources), as the exact sources
+    (`poly_mod1_source`, `bracket_mod1_source`) do.  When every source has a
+    `period`, phase_chunk has the period nu lcm(periods).
     """
     nu = len(sources)
 
-    def phase_chunk(u, L):
+    def phase_chunk(u, L, out=None):
         # class l fills out[s::nu], from n = u + s = t nu + l on
-        out = np.empty(L, dtype=np.float64)
+        out = np.empty(L, dtype=np.float64) if out is None else out
         for l, source in enumerate(sources):
             s = (l - u) % nu
-            out[s::nu] = source((u + s - l) // nu, len(range(s, L, nu)))
+            source((u + s - l) // nu, len(range(s, L, nu)), out[s::nu])
         return out
     periods = [getattr(source, "period", None) for source in sources]
     if None not in periods:  # a period P_l in t is nu P_l in n
@@ -696,9 +713,10 @@ def _checked_checkpoints(checkpoints: Sequence[int], table: MobiusTable) -> tupl
 
 
 def _checked_threads(threads) -> None:
-    """Refuse a thread count that is not a positive integer."""
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
+    """Refuse a thread count that is not an integer from 1 to THREADS_MAX (True included)."""
+    if (not isinstance(threads, (int, np.integer)) or isinstance(threads, bool)
+            or not 1 <= threads <= THREADS_MAX):
+        raise DomainError(f"threads must be an integer >= 1 and <= {THREADS_MAX}, got {threads!r}")
 
 
 def _batches(pieces: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -777,27 +795,36 @@ def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.nd
 
     On the direct route the piece layout depends only on (N, checkpoints).
     Each piece is summed by `_e_sums` in its batch (`_batches`).  The
-    batches are split into contiguous spans of ceil(batches / threads); a
-    worker sums one span in its own five rows of min(N, BATCH) scratch, a
+    batches are split into min(batches, threads) contiguous spans whose
+    sizes differ by at most one; a worker sums one span in its own five rows of min(N, BATCH) scratch, a
     single span runs in the calling thread, and the piece sums are added in
     piece order, so the result is bit-identical for any number of threads.
+    A phase_chunk with a `period` is exact: it is called once per batch,
+    over the batch's terms A..B, and writes into scratch row 0 (its `out`);
+    one without is called once per piece.  An exact rational rounded once
+    does not depend on where a call starts, so both give the same bits.
     """
     _checked_threads(threads)
     route, P = sum_route(phase_chunk, N, checkpoints)
     if route == "classes":
         return _class_sums(phase_chunk, weights, P, checkpoints)
+    exact = P is not None  # phases that do not depend on where a call starts
     pieces = _pieces(N, checkpoints)
     batches = _batches(pieces)
     width = min(N, BATCH)
-    step = max(1, -(-len(batches) // threads))
-    spans = [batches[i:i + step] for i in range(0, len(batches), step)]
+    workers = max(1, min(len(batches), threads))
+    cuts = [len(batches) * i // workers for i in range(workers + 1)]
+    spans = [batches[a:b] for a, b in zip(cuts, cuts[1:])]
 
     def span_sums(span: list[list[tuple[int, int]]]) -> list[complex]:
         rows, sums = np.empty((5, width)), []
         for run in span:
             A, B = run[0][0], run[-1][1]
-            for a, b in run:
-                rows[0, a - A:b - A + 1] = phase_chunk(a, b - a + 1)
+            if exact:
+                phase_chunk(A, B - A + 1, out=rows[0, :B - A + 1])
+            else:
+                for a, b in run:
+                    rows[0, a - A:b - A + 1] = phase_chunk(a, b - a + 1)
             re, im = _e_sums(weights[A - 1:B], [a - A for a, _ in run], rows)
             sums += map(complex, re.tolist(), im.tolist())
         return sums

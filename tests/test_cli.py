@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobiusflow.cli import main
+from mobiusflow.correlate import THREADS_MAX
 from mobiusflow.furstenberg import FurstenbergSystem
 
 GOLDEN_SIEVE_30 = """n,mu
@@ -334,6 +335,15 @@ def test_malformed_thread_count_env_usage_exit(monkeypatch):
 @pytest.mark.parametrize("option, env", [(["--threads", "0"], None), (["--threads", "-2"], None),
                                          ([], "-1"), ([], "0")])
 def test_thread_count_below_one_usage_exit(monkeypatch, option, env):
+    if env is not None:
+        monkeypatch.setenv("MOBIUSFLOW_THREADS", env)
+    assert _run_module([*option, "sieve", "--limit", "10"]) == 2
+
+
+@pytest.mark.parametrize("option, env", [(["--threads", str(THREADS_MAX + 1)], None),
+                                         (["--threads", "100000"], None), ([], "100000")])
+def test_thread_count_above_the_most_usage_exit(monkeypatch, option, env):
+    """A count above THREADS_MAX is refused before any work, with exit 2."""
     if env is not None:
         monkeypatch.setenv("MOBIUSFLOW_THREADS", env)
     assert _run_module([*option, "sieve", "--limit", "10"]) == 2

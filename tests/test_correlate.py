@@ -14,7 +14,7 @@ import pytest
 from mobiusflow.analytic import AnalyticSeries, ScaleFunction, e2pi, e2pi_m1, geometric_ratio
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
 from mobiusflow.correlate import (_E_COS, _E_SIN, BATCH, CHUNK, CLASS_PERIOD_MAX, CLASS_RATIO,
-                                  E_TABLE_SIZE, E_TERM_ERROR, INT64_MODULUS_MAX,
+                                  E_TABLE_SIZE, E_TERM_ERROR, INT64_MODULUS_MAX, THREADS_MAX,
                                   CorrelationSeries, PolyPhase, _SkewPhaseContext, _batches,
                                   _e_sums, _pieces, bsz_test, character_phase_array,
                                   mobius_correlate, phi_polys, poly_exp_sum,
@@ -850,9 +850,24 @@ def test_reduction_is_numpy_pairwise_within_the_written_depth():
     assert reduction_bound(10**6, 123) == 2 * 10**6 * (33 + 123) * 2.0**-53
 
 
+@pytest.mark.parametrize("N, pieces", [(1, 1), (1000, 3), (CHUNK, 1), (CHUNK + 1, 2),
+                                       (10**6, 130), (10**9, 122_071)])
+def test_sum_bound_is_its_closed_form(N, pieces):
+    """`reduction_bound` is 2 N (20 + max(6, bit_length(min(N, CHUNK) - 1)) +
+    pieces) 2^-53 exactly, and `sum_bound` N (2 pi 2^-54 + E_TERM_ERROR) +
+    that, to a few roundings, in exact arithmetic: a bound cut far below
+    its closed form fails here as one too small fails the oracles."""
+    u = Fraction(1, 2**53)
+    reduce = 2 * N * (20 + max(6, (min(N, CHUNK) - 1).bit_length()) + pieces) * u
+    assert Fraction(reduction_bound(N, pieces)) == reduce
+    exact = N * (Fraction(2 * math.pi) * u / 2 + 3 * u) + reduce
+    assert Fraction(E_TERM_ERROR) == 3 * u
+    assert abs(Fraction(sum_bound(N, pieces)) - exact) <= 4 * u * exact
+
+
 def test_sums_identical_at_one_two_and_three_threads(table, skew):
-    """Checkpoints that cut pieces up to 99,999 terms, seven batches, and
-    also one every 3000 terms, up to eight pieces to a batch: == at threads
+    """Checkpoints that cut pieces up to 99,999 terms, four batches, and
+    also one every 3000 terms, up to 15 pieces to a batch: == at threads
     1, 2 and 3."""
     flow, p = skew
     heis = HeisenbergAffine(HeisenbergElement(Fraction(1, 3), Fraction(1, 7), Fraction(2, 5)),
@@ -894,15 +909,32 @@ def test_empty_sums_are_zero_at_any_thread_count(table, threads):
 
 
 def test_more_threads_than_batches(table, skew):
-    """threads = 8 over three batches (pieces 8192, 8192 | 8192, 8192 | 7808):
+    """threads = 8 over three batches (two whole ones and CHUNK / 2 terms):
     three spans of one batch, == the threads = 1 sums."""
     flow, p = skew
-    N = 40_000
+    N = 2 * BATCH + CHUNK // 2
     assert len(_batches(_pieces(N, [N]))) == 3
     phase = PolyPhase((0.25, -0.1, math.sqrt(3), math.sqrt(2)))
     runs = [(mobius_correlate(flow, p, Character(1, 2), table, [777, N], threads=t).sums,
              poly_exp_sum(phase, table, N, threads=t)) for t in (1, 8)]
     assert runs[0] == runs[1]
+
+
+def test_spans_differ_by_at_most_one_batch(table, monkeypatch):
+    """Four batches start a pool of min(4, threads) workers, at threads = 3
+    spans of 2, 1 and 1 batches, and the sums are == at threads 1 to 5."""
+    started, pool = [], correlate.ThreadPoolExecutor
+
+    def recording(workers):
+        started.append(workers)
+        return pool(workers)
+    monkeypatch.setattr(correlate, "ThreadPoolExecutor", recording)
+    phase = PolyPhase((0.25, -0.1, math.sqrt(3), math.sqrt(2)))
+    N = 3 * BATCH + CHUNK
+    assert len(_batches(_pieces(N, [N]))) == 4
+    sums = [poly_exp_sum(phase, table, N, threads=t) for t in range(1, 6)]
+    assert started == [2, 3, 4, 4]
+    assert len(set(sums)) == 1
 
 
 def test_one_batch_starts_no_pool(table, monkeypatch):
@@ -911,11 +943,112 @@ def test_one_batch_starts_no_pool(table, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was started")
     phase = PolyPhase((0.25, -0.1, math.sqrt(3), math.sqrt(2)))
-    want = poly_exp_sum(phase, table, 10_000)
+    one, two = BATCH - CHUNK // 2, BATCH + CHUNK // 2  # one batch of several pieces, two batches
+    assert [len(_batches(_pieces(N, [N]))) for N in (one, two)] == [1, 2]
+    want = poly_exp_sum(phase, table, one)
     monkeypatch.setattr(correlate, "ThreadPoolExecutor", refuse)
-    assert poly_exp_sum(phase, table, 10_000, threads=2) == want
+    assert poly_exp_sum(phase, table, one, threads=2) == want
     with pytest.raises(AssertionError, match="thread pool"):
-        poly_exp_sum(phase, table, 20_000, threads=2)
+        poly_exp_sum(phase, table, two, threads=2)
+
+
+def _exact_sources():
+    """name -> an exact-residue phase source, one per route of `poly_mod1_array`
+    and per dtype of `bracket_mod1_source`, and a class chunk with nu = 3."""
+    F, r2 = Fraction, Fraction(math.sqrt(2))
+    polys = {"horner-uint64": Poly([0, r2, 0, F(math.sqrt(3))]),  # K = 2^52
+             "horner-int64": Poly([F(1, 3), F(2, 7), F(-5, 11), F(1, 4)]),  # K = 924
+             "horner-object": Poly([0, F(1, 3**25), F(2, 7)]),  # K = 7 3^25 > INT64_MODULUS_MAX
+             "limbs": Poly([0, 0, 0, F(1e-4)]),  # K = 2^66
+             "split": Poly([0, r2, F(1, 3)])}  # K = 3 2^52
+    sources = {name: correlate.poly_mod1_source(poly) for name, poly in polys.items()}
+    for name, route in (("limbs", "_pow2_limbs_mod1"), ("split", "_split_mod1")):
+        assert sources[name].args[0].route.func.__name__ == route
+    for name, dtype in (("uint64", np.uint64), ("int64", np.int64), ("object", object)):
+        assert correlate._residue_dtype(sources[f"horner-{name}"].period) is dtype
+    brackets = {  # (P, Z1, Z2, r): K = 64 and D1 D2 = 2^55; 33 and 105; 154 and 7 3^25
+        "uint64": (Poly([0, F(5, 32), F(1, 64)]), Poly([F(1, 16), r2]), Poly([0, F(3, 8)]), 1),
+        "int64": (Poly([0, F(2, 11)]), Poly([0, F(1, 5), F(1, 7)]), Poly([0, F(1, 3)]), 1),
+        "object": (Poly([F(1, 2), F(1, 11)]), Poly([0, F(1, 3**25)]), Poly([0, F(1, 7)]), 2)}
+    for name, (P, Z1, Z2, r) in brackets.items():
+        D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
+        K = math.lcm(*(c.denominator for c in P.coeffs), D2)
+        assert correlate._residue_dtype(K, D1 * D2, D2) is {"uint64": np.uint64,
+                                                             "int64": np.int64}.get(name, object)
+        sources[f"bracket-{name}"] = correlate.bracket_mod1_source(P, Z1, Z2, r)
+    sources["classes-nu3"] = correlate._class_phase_chunk(
+        [sources[name] for name in ("horner-uint64", "horner-int64", "split")])
+    return sources
+
+
+EXACT_SOURCES = _exact_sources()
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SOURCES))
+def test_one_call_per_batch_is_the_calls_per_piece(name):
+    """An exact source called once over a batch window A..B, with checkpoint
+    cuts inside it, is bit-equal to its calls on the window's pieces, also
+    when it writes into a row of scratch, and at n near 1e12."""
+    source = EXACT_SOURCES[name]
+    N = 3 * BATCH
+    cps = [BATCH + 5, BATCH + CHUNK + 1000, 2 * BATCH - 1, N]
+    run = _batches(_pieces(N, cps))[1]
+    assert len(run) == 7
+    for base in (0, 10**12 + 7):
+        A, L = run[0][0] + base, run[-1][1] - run[0][0] + 1
+        want = np.concatenate([source(a + base, b - a + 1) for a, b in run]).view(np.int64)
+        assert np.array_equal(source(A, L).view(np.int64), want), base
+        rows = np.full((2, L + 3), np.nan)
+        assert np.shares_memory(source(A, L, out=rows[0, :L]), rows)
+        assert np.array_equal(rows[0, :L].view(np.int64), want), base
+        assert np.isnan(rows[0, L:]).all() and np.isnan(rows[1]).all()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_exact_sources_are_called_once_per_batch(table, skew, threads, monkeypatch):
+    """On the direct route a source with a `period` is called once per batch,
+    over the batch's terms, into scratch; its sums are == those of the same
+    phases called per piece.  The skew context, which has no period, is
+    called once per piece."""
+    inner, calls = EXACT_SOURCES["horner-uint64"], []
+
+    def source(a, L, out=None):
+        calls.append((a, L, out is not None))
+        return inner(a, L, out)
+    source.period = inner.period
+    N = 3 * BATCH - 100
+    cps = [BATCH + 5, BATCH + CHUNK + 1000, N]
+    assert sum_route(source, N, cps)[0] == "direct"
+    mu = table.mu_array()[1:]
+    got = correlate._weighted_sums(source, mu, N, cps, threads)
+    assert sorted(calls) == [(run[0][0], run[-1][1] - run[0][0] + 1, True)
+                             for run in _batches(_pieces(N, cps))]
+    assert got == correlate._weighted_sums(lambda a, L: inner(a, L), mu, N, cps, 1)
+
+    calls.clear()
+    chunk = _SkewPhaseContext.chunk
+
+    def counting(self, u, L):
+        calls.append((u, u + L - 1))
+        return chunk(self, u, L)
+    monkeypatch.setattr(_SkewPhaseContext, "chunk", counting)
+    flow, p = skew
+    mobius_correlate(flow, p, Character(1, 2), table, cps, threads=threads)
+    assert sorted(calls) == _pieces(N, cps)
+
+
+@pytest.mark.parametrize("threads", [True, THREADS_MAX + 1, np.int64(THREADS_MAX + 1), 100_000])
+def test_correlators_refuse_too_many_threads_and_bools(table, skew, threads):
+    """A thread count above THREADS_MAX, or True, is refused at entry; no
+    thread is started.  THREADS_MAX itself is taken, here by a call of one
+    batch, which runs in the calling thread."""
+    flow, p = skew
+    phase = PolyPhase((0.0, math.sqrt(2)))
+    with pytest.raises(DomainError, match="threads must be an integer >= 1"):
+        mobius_correlate(flow, p, Character(1, 1), table, [100], threads=threads)
+    with pytest.raises(DomainError, match="threads must be an integer >= 1"):
+        poly_exp_sum(phase, table, 100, threads=threads)
+    assert poly_exp_sum(phase, table, 100, threads=THREADS_MAX) == poly_exp_sum(phase, table, 100)
 
 
 def _greedy_batches(pieces):

@@ -627,7 +627,7 @@ def table6():
     return mobius_sieve(10**6)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(GOLDEN_MULTI_BATCH))
 def test_multi_batch_sums_are_frozen(name, threads, table6):
     assert multi_batch_sums(name, table6, threads) == GOLDEN_MULTI_BATCH[name]
