@@ -194,13 +194,20 @@ def _usage_errors(name: str):
     return wrap
 
 
-_parse_count = _usage_errors("count")(lambda s: int(float(s)))
+def _whole(s: str) -> int:
+    """s as an integer, written as one or as an integral float such as 1e6; else ValueError."""
+    if not float(s).is_integer():
+        raise ValueError(f"{s} is not an integer")
+    return int(float(s))
+
+
+_parse_count = _usage_errors("count")(_whole)
 _parse_coeffs = _usage_errors("coeffs")(lambda s: tuple(map(float, s.split(","))))
 
 
 @_usage_errors("checkpoints")
 def _parse_checkpoints(s: str) -> list[int]:
-    out = sorted({int(float(part)) for part in s.split(",")})
+    out = sorted({_whole(part) for part in s.split(",")})
     if out[0] < 1:
         raise argparse.ArgumentTypeError(f"checkpoints must be >= 1, got {s!r}")
     return out

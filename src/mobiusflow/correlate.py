@@ -25,10 +25,10 @@ Pieces run in batches, the fixed windows of BATCH = 4 CHUNK terms (five
 float64 scratch rows of 1.25 MB per worker), each of at most THREADS_MAX
 = 256 workers sums one contiguous span of batches, the pieces add up in piece
 order, so every correlator honours `threads` and its results are
-bit-identical for any worker count and any BLAS.  An exact-residue source
-(one with a `period`, below) fills a whole batch in one call, as its
-phases do not depend on where a call starts; the skew phases step from
-each piece's own anchor, one call per piece.
+bit-identical for any worker count and any BLAS.  Every phase source
+fills a whole batch window in one call, `source(a, count, out)`; the skew
+tracks step from the window's first term, so a phase does not depend on
+where the checkpoints cut.
 
 Rational data gives periodic phases, and then S(N) = sum_{r<P} e(phi(r))
 M_r(N) with M_r(N) the sum of mu(n) over n <= N, n = r (mod P): mu in
@@ -76,9 +76,10 @@ from .mobius import MobiusTable, _primes_upto
 from .polyutil import Poly
 
 CHUNK = 8192  # the most terms in a piece: the piece layout, so every sum's bits, rest on it
-# terms per unit of work of `_weighted_sums`: its five float64 scratch rows take 1.25 MB,
-# under one core's 2 MB L2, and `_e_sums` ran 8.0 to 8.4 ns/term at this width, against
-# 9.1 to 10.2 at half and 9.7 to 10.8 at twice it (BENCH_batch_fill.json, "width")
+# terms per unit of work of `_weighted_sums` and per phase call, whose first term the skew
+# tracks step from, so the skew sums' bits rest on it too; its five float64 scratch rows take
+# 1.25 MB, under one core's 2 MB L2, and `_e_sums` ran 8.0 to 8.4 ns/term at this width,
+# against 9.1 to 10.2 at half and 9.7 to 10.8 at twice it (BENCH_batch_fill.json, "width")
 BATCH = 4 * CHUNK
 THREADS_MAX = 256  # the most workers a sum may ask for: one OS thread and 1.25 MB each
 # the class route of `_weighted_sums` (see `sum_route`): the largest period, the least
@@ -169,17 +170,17 @@ def _mod(x: np.ndarray, K: int) -> np.ndarray:
     return x - x // K * K if x.dtype == np.int64 else x % K
 
 
-def _residues_mod1(r: np.ndarray, K: int, out: np.ndarray | None = None) -> np.ndarray:
+def _residues_mod1(r: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:
     """r / K rounded once to float64 for residues 0 <= r < K (in uint64, 1/K scales exactly).
 
-    Written into out when given, and returned; Python ints divide exactly and round once."""
+    Written into out, and returned; Python ints divide exactly and round once."""
     if r.dtype == np.uint64:
         return np.multiply(r, 1.0 / K, out=out)
-    return np.true_divide(r, K, out=np.empty(len(r)) if out is None else out, casting="unsafe")
+    return np.true_divide(r, K, out=out, casting="unsafe")
 
 
-def _round_limbs(limbs: list, width: int, k: int, sticky=0, out=None) -> np.ndarray:
-    """(r + f) / 2^k rounded once to float64, for k <= 1074, written into out if given.
+def _round_limbs(limbs: list, width: int, k: int, sticky, out) -> np.ndarray:
+    """(r + f) / 2^k rounded once to float64, for k <= 1074, written into out.
 
     r = sum limbs[l] 2^(width l) with 32 <= width <= 48, its bits from k on
     ignored; 0 <= f < 1 is nonzero exactly where sticky is 1, and there
@@ -189,7 +190,6 @@ def _round_limbs(limbs: list, width: int, k: int, sticky=0, out=None) -> np.ndar
     lower, down to s = 0.  With k <= 1074 a result below 2^-1022 comes only
     from s = 0, f = 0 and r < 2^53, where r 2^-k is a multiple of 2^-1074.
     """
-    out = np.empty(len(limbs[0]), dtype=np.float64) if out is None else out
     rows, s, L = slice(None), k - 64, len(limbs)
     while True:
         a, b = divmod(s, width)
@@ -216,15 +216,14 @@ _LIMB = 48  # limb width: a limb times t - t0 < 2^15, plus carry and coefficient
 _LIMB_BLOCK = 1 << 15
 
 
-def _pow2_limbs_mod1(B: Sequence[int], k: int, t0: int, count: int, out=None) -> np.ndarray:
+def _pow2_limbs_mod1(B: Sequence[int], k: int, t0: int, count: int, out) -> np.ndarray:
     """frac(sum B_j t^j / 2^k) for t = t0..t0+count-1, exact, for 64 < k <= 1074.
 
     Per block of 2^15 values, the polynomial is shifted to i = t - t0 and
     Horner runs mod 2^(48 L) on L 48-bit limbs held in uint64; the residue
-    is rounded once by `_round_limbs`, into out if given.
+    is rounded once by `_round_limbs`, into out.
     """
     if count > _LIMB_BLOCK:
-        out = np.empty(count, dtype=np.float64) if out is None else out
         for j in range(0, count, _LIMB_BLOCK):
             _pow2_limbs_mod1(B, k, t0 + j, min(_LIMB_BLOCK, count - j), out[j:j + _LIMB_BLOCK])
         return out
@@ -243,10 +242,10 @@ def _pow2_limbs_mod1(B: Sequence[int], k: int, t0: int, count: int, out=None) ->
             p += np.uint64((q >> (_LIMB * l)) & low)
             np.bitwise_and(p, np.uint64(low), out=limb)
             np.right_shift(p, np.uint64(_LIMB), out=carry)
-    return _round_limbs(limbs, _LIMB, k, out=out)
+    return _round_limbs(limbs, _LIMB, k, 0, out)
 
 
-def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int, out=None) -> np.ndarray:
+def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int, out) -> np.ndarray:
     """frac(sum B_j t^j / (2^a m)), exact, for a <= 64 and odd m <= INT64_MODULUS_MAX.
 
     With r = B(t) mod 2^a m, r / 2^a m = (Z + g/m) / 2^a where g = r mod m
@@ -281,8 +280,7 @@ class _Mod1Poly:
         elif K > INT64_MODULUS_MAX and a <= 64 and 1 < m <= INT64_MODULUS_MAX:
             self.route = partial(_split_mod1, B, a, m)
         else:
-            self.route = lambda t0, count, out=None: _residues_mod1(
-                _horner_mod(B, K, t0, count), K, out)
+            self.route = lambda t0, count, out: _residues_mod1(_horner_mod(B, K, t0, count), K, out)
 
 
 def poly_mod1_array(poly: Poly, t0: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -297,13 +295,15 @@ def poly_mod1_array(poly: Poly, t0: int, count: int, out: np.ndarray | None = No
     - otherwise `_horner_mod`, rounded by `_residues_mod1`.
 
     poly may also be its `_Mod1Poly`, which `poly_mod1_source` compiles once.
-    The values are written into out (float64, of length count) when given.
+    The values are written into out (float64, of length count), a new
+    array when none is given.
     """
-    return (poly if isinstance(poly, _Mod1Poly) else _Mod1Poly(poly)).route(t0, count, out)
+    compiled = poly if isinstance(poly, _Mod1Poly) else _Mod1Poly(poly)
+    return compiled.route(t0, count, np.empty(count) if out is None else out)
 
 
 def poly_mod1_source(poly: Poly) -> Callable[..., np.ndarray]:
-    """The source (t0, count, out=None) -> poly_mod1_array(poly, t0, count, out), compiled once.
+    """The source (t0, count, out) -> poly_mod1_array(poly, t0, count, out), compiled once.
 
     Its `period` is K: B(t + K) = B(t) mod K for integer coefficients B.
     Calls still go through `poly_mod1_array`, so one patch of it sees every
@@ -316,7 +316,7 @@ def poly_mod1_source(poly: Poly) -> Callable[..., np.ndarray]:
 
 
 def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[..., np.ndarray]:
-    """The source (t0, count, out=None) -> frac(P(t) + r floor(Z1(t)) Z2(t)), exact, rounded once.
+    """The source (t0, count, out) -> frac(P(t) + r floor(Z1(t)) Z2(t)), exact, rounded once.
 
     With D_i the common denominator of Z_i, this is B(t) + (r K / D2) floor(Z1) Z2
     mod K = lcm(the denominators of P, D2), with floor(Z1) mod D2 = (D1 Z1 mod
@@ -331,7 +331,7 @@ def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[..., np
                  for Z, d in ((P, K), (Z1, D1), (Z2, D2)))
     c, dtype = r * (K // D2) % K, _residue_dtype(K, D1 * D2, D2)
 
-    def phase(t0: int, count: int, out=None) -> np.ndarray:
+    def phase(t0: int, count: int, out: np.ndarray) -> np.ndarray:
         floor_z1 = _horner_mod(A1, D1 * D2, t0, count, dtype) // D1
         bracket = _mod(c * floor_z1, K) * _horner_mod(A2, D2, t0, count, dtype)  # <= (K - 1)^2
         return _residues_mod1(_mod(bracket + _horner_mod(B, K, t0, count, dtype), K), K, out)
@@ -374,18 +374,18 @@ class _QuadraticTrack:
         self.j = np.arange(length, dtype=np.uint64)
         self.lin = self.quad = None
         if self.b % D:
-            c = self.j * (self.j - np.uint64(1)) // np.uint64(2)  # C(j, 2) < 2^32
+            c = self.j * (self.j - np.uint64(1)) // np.uint64(2)  # C(j, 2) < 2^29 for j < BATCH
             self.quad = _times_fixed128(c, ((self.b % D) << 128) // D)
         else:
             self.lin = _times_fixed128(self.j, ((self.a % D) << 128) // D)
 
-    def chunk(self, u: int, L: int) -> np.ndarray:
-        """64-bit fixed-point frac of the phase at n = u..u+L-1, L <= length."""
+    def chunk(self, u: int, L: int, out: np.ndarray) -> np.ndarray:
+        """64-bit fixed-point frac of the phase at n = u..u+L-1, L <= length, into uint64 out."""
         a0 = (self.k0 + self.a * u + self.b * (u * (u - 1) // 2)) % self.D
         a0 = np.uint64(_fixed(a0, self.D))
         if self.quad is None:
-            return self.lin[:L] + a0
-        out = self.j[:L] * np.uint64(_fixed((self.a + self.b * u) % self.D, self.D))
+            return np.add(self.lin[:L], a0, out=out)
+        np.multiply(self.j[:L], np.uint64(_fixed((self.a + self.b * u) % self.D, self.D)), out=out)
         out += a0
         out += self.quad[:L]
         return out
@@ -446,6 +446,8 @@ class _SkewPhaseContext:
     TAYLOR_GRID / 8 is a table of Re(g_m e(z)) of its own, R = 4096, at z_n =
     frac(m x1 + n m alpha), and bits grows by the top mode's bit length; over
     SKEW_HIGH_MODES such modes raise `PrecisionError`.  No call uses BLAS.
+    Every caller (`_weighted_sums`, `_fill`) starts `chunk` at the first term
+    of a batch window, so no phase depends on where the checkpoints cut.
 
     Error budget.  A mode with |2 h_hat / (e(delta) - 1)| below MODE_FLOOR
     (a ramp mode: |h_hat| nmax) is dropped, and `dropped_bound` bounds the
@@ -458,9 +460,10 @@ class _SkewPhaseContext:
     - 2 |G'| 2^-(bits + 60) / min |e(delta_m) - 1|, the centre's move of g_m;
     - (|b1| + |b2 c|) 2^-69, the centre's drift on the polynomial part, and
       |b2| nmax 2^-124 sum 2 |h_hat(m)| over the ramp modes (128 bits);
-    - 16 2^-53: the polynomial part in fixed point (under (CHUNK + 3) 2^-64
-      in pieces of at most CHUNK terms), the constant, the additions and
-      `E_TERM_ERROR`.
+    - (BATCH + 3) 2^-64, just over 16 2^-53: the polynomial part in fixed
+      point, off by under (j + 4) 2^-64 at term u + j of a call, j < BATCH;
+    - 9 2^-53, the constant, the conversion from fixed point and the
+      additions, and 3 2^-53, `E_TERM_ERROR`.
 
     2 pi N `phase_error` bounds the error it puts on S(N), and
     `table_anchor_bound` adds `reduction_bound`, the error of the sums.
@@ -503,7 +506,7 @@ class _SkewPhaseContext:
                 min_den = min(min_den, abs(den))
         if len(high) > SKEW_HIGH_MODES:
             raise PrecisionError(f"modes above {TAYLOR_GRID // 8}: {len(high)} > {SKEW_HIGH_MODES}")
-        self.nmax, self.length = nmax, max(1, min(nmax, CHUNK))
+        self.nmax, self.length = nmax, max(1, min(nmax, BATCH))
         self.modes_kept = len(low) + len(high) + ramps
         b2c = b.b2 * flow.c
         self.track = _QuadraticTrack(
@@ -511,7 +514,8 @@ class _SkewPhaseContext:
             b.b1 * center + b2c * x1 + b.b2 * ramp,
             b2c * center, self.length)
         self.const = -math.fsum(g_x1) % 1.0  # -G(x1)
-        self.phase_error = (16 * 2.0**-53 + (abs(b.b1) + abs(b2c)) * 2.0**-69
+        self.phase_error = ((BATCH + 3) * 2.0**-64 + 9 * 2.0**-53 + E_TERM_ERROR
+                            + (abs(b.b1) + abs(b2c)) * 2.0**-69
                             + abs(b.b2) * nmax * ramp_size * 2.0**-124 + 2 * 2.0**-53 * len(high))
         # (multiplier s, modes of G_s(z), z = frac(s y)): the low modes, then each high mode
         self.tables = []
@@ -532,32 +536,39 @@ class _SkewPhaseContext:
                 "dropped_bound": self.dropped_bound,
                 "table_anchor_bound": TWO_PI * self.nmax * self.phase_error + reduce}
 
-    def chunk(self, u: int, L: int) -> np.ndarray:
-        """<b, orbit(n)> mod 1 for n = u..u+L-1, L <= length."""
-        out = self.track.chunk(u, L).view(np.int64) * 2.0**-64
+    def chunk(self, u: int, L: int, out: np.ndarray) -> np.ndarray:
+        """<b, orbit(n)> mod 1 for n = u..u+L-1, L <= length, written into out (float64)."""
+        self.track.chunk(u, L, out.view(np.uint64))
+        np.multiply(out.view(np.int64), 2.0**-64, out=out)
         out += self.const
+        t, acc = np.empty((2, L))
+        y, k = np.empty((2, L), dtype=np.uint64)  # y is spent once k is read: it takes row[k]
         for track, table in self.tables:
             bits = table.shape[1].bit_length() - 1
-            y = track.chunk(u, L)
-            t = (y << np.uint64(bits)).view(np.int64) * 2.0**-64  # R y - k in [-1/2, 1/2)
+            track.chunk(u, L, y)
+            np.left_shift(y, np.uint64(bits), out=k)
+            np.multiply(k.view(np.int64), 2.0**-64, out=t)  # R y - k in [-1/2, 1/2)
             y += np.uint64(1 << (63 - bits))
-            k = (y >> np.uint64(64 - bits)).view(np.int64)  # the nearest grid point k / R
-            acc = table[-1][k]
+            np.right_shift(y, np.uint64(64 - bits), out=k)  # the nearest grid point k / R
+            np.take(table[-1], k.view(np.int64), out=acc, mode="clip")
             for row in table[-2::-1]:
                 acc *= t
-                acc += row[k]
+                acc += np.take(row, k.view(np.int64), out=y.view(np.float64), mode="clip")
             out += acc
-        out -= np.floor(out)  # the bits of np.mod(out, 1.0), at a fraction of its cost
+        out -= np.floor(out, out=t)  # the bits of np.mod(out, 1.0), at a fraction of its cost
         return out
 
 
-def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int) -> np.ndarray:
-    """Phases <b, orbit(n)> mod 1 for n = 1..N, assembled over the pieces of a sum to N."""
-    phase_chunk = _SkewPhaseContext(flow, p, b, N).chunk
-    out = np.empty(N, dtype=np.float64)
-    for u, v in _pieces(N, [N]):
-        out[u - 1:v] = phase_chunk(u, v - u + 1)
+def _fill(phase_chunk: Callable[..., np.ndarray], out: np.ndarray) -> np.ndarray:
+    """out[i] = phase(i + 1) for every i, one phase_chunk call per batch window, as sums call it."""
+    for a in range(0, len(out), BATCH):
+        phase_chunk(a + 1, len(out[a:a + BATCH]), out[a:a + BATCH])
     return out
+
+
+def character_phase_array(flow: SkewFlow, p: TorusPoint, b: Character, N: int) -> np.ndarray:
+    """Phases <b, orbit(n)> mod 1 for n = 1..N: those of a sum to N at any checkpoints, bit for bit."""
+    return _fill(_SkewPhaseContext(flow, p, b, N).chunk, np.empty(N))
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +688,7 @@ def _pieces(N: int, checkpoints: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _class_phase_chunk(sources: Sequence) -> Callable[..., np.ndarray]:
-    """phase_chunk(u, L, out=None) for n = u..u+L-1 from one source per residue class.
+    """phase_chunk(u, L, out) for n = u..u+L-1 from one source per residue class.
 
     sources[l](t0, count, out) writes the phases of n = nu t + l for t = t0..t0
     + count - 1 into out, with nu = len(sources), as the exact sources
@@ -686,9 +697,8 @@ def _class_phase_chunk(sources: Sequence) -> Callable[..., np.ndarray]:
     """
     nu = len(sources)
 
-    def phase_chunk(u, L, out=None):
+    def phase_chunk(u, L, out):
         # class l fills out[s::nu], from n = u + s = t nu + l on
-        out = np.empty(L, dtype=np.float64) if out is None else out
         for l, source in enumerate(sources):
             s = (l - u) % nu
             source((u + s - l) // nu, len(range(s, L, nu)), out[s::nu])
@@ -699,16 +709,20 @@ def _class_phase_chunk(sources: Sequence) -> Callable[..., np.ndarray]:
     return phase_chunk
 
 
-def _checked_checkpoints(checkpoints: Sequence[int], table: MobiusTable) -> tuple[list, int]:
-    """The checkpoints sorted, and the last one N, which the table must cover."""
-    checkpoints = sorted(int(c) for c in checkpoints)
+def _checked_checkpoints(checkpoints: Sequence[int], limit: float) -> tuple[list, int]:
+    """The checkpoints sorted, and the last one N, which must not pass limit (the sieve's).
+
+    They must be distinct integers (1e3 as a float included), refused before any work."""
+    given, checkpoints = checkpoints, sorted({int(c) for c in checkpoints})
+    if len(checkpoints) < len(given) or any(c != int(c) for c in given):
+        raise DomainError(f"checkpoints must be distinct integers, got {list(given)!r}")
     if not checkpoints:
         raise DomainError("need at least one checkpoint")
     if checkpoints[0] < 1:
         raise DomainError(f"checkpoints must be >= 1, got {checkpoints[0]}")
     N = checkpoints[-1]
-    if N > table.limit:
-        raise DomainError(f"checkpoint {N} beyond sieve limit {table.limit}")
+    if N > limit:
+        raise DomainError(f"checkpoint {N} beyond sieve limit {limit}")
     return checkpoints, N
 
 
@@ -726,7 +740,7 @@ def _batches(pieces: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     return [list(run) for _, run in itertools.groupby(pieces, lambda ab: (ab[0] - 1) // BATCH)]
 
 
-def sum_route(phase_chunk: Callable[[int, int], np.ndarray], N: int,
+def sum_route(phase_chunk: Callable[..., np.ndarray], N: int,
               checkpoints: Sequence[int]) -> tuple[str, int | None]:
     """The route of `_weighted_sums` and the period P of phase_chunk (None if it has none).
 
@@ -759,18 +773,17 @@ def _add_class_counts(counts: np.ndarray, weights: np.ndarray, a: int, b: int) -
     counts[:b - rest] += weights[rest:b]
 
 
-def _class_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarray, P: int,
+def _class_sums(phase_chunk: Callable[..., np.ndarray], weights: np.ndarray, P: int,
                 checkpoints: Sequence[int]) -> list[complex]:
     """The sums of `_weighted_sums` for phases of period P, as sums over the P classes.
 
     With M_j(c) the sum of weights[i - 1] over i <= c, i - 1 = j (mod P), an
     exact integer (`_add_class_counts`), S(c) = sum_j M_j(c) e(phase(j + 1)):
-    phase_chunk runs on 1..P alone, and `_e_sums` weighs each block of at
-    most CHUNK classes by M_j; the blocks add in order.  All of it runs in
-    the calling thread, so the result does not depend on `threads`.
+    phase_chunk runs on 1..P alone (`_fill`), and `_e_sums` weighs each
+    block of at most CHUNK classes by M_j; the blocks add in order.  All of
+    it runs in the calling thread, so the result does not depend on `threads`.
     """
-    phases = np.concatenate([phase_chunk(a, min(CHUNK, P + 1 - a))
-                             for a in range(1, P + 1, CHUNK)])
+    phases = _fill(phase_chunk, np.empty(P))
     counts, rows, done, at = np.zeros(P, dtype=np.int64), np.empty((5, min(P, CHUNK))), 0, {}
     for c in sorted(set(checkpoints)):
         _add_class_counts(counts, weights, done, c)
@@ -783,32 +796,30 @@ def _class_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarr
     return [at[c] for c in checkpoints]
 
 
-def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.ndarray,
+def _weighted_sums(phase_chunk: Callable[..., np.ndarray], weights: np.ndarray,
                    N: int, checkpoints: Sequence[int], threads: int) -> list[complex]:
     """sum_{i<=N} weights[i - 1] e(phase(i)) snapshotted at the sorted checkpoints.
 
-    phase_chunk(a, L) gives the phases in [0, 1] of terms a..a+L-1; weights
-    is mu[1:] for a sum over n, or a strided view of mu for a residue class.
-    A phase_chunk whose phases repeat with a `period` P takes the class
-    route (`_class_sums`) when `sum_route` says so; it is within twice
-    `sum_bound` of the direct route below.
+    phase_chunk(a, L, out) writes the phases in [0, 1] of terms a..a+L-1
+    into out; weights is mu[1:] for a sum over n, or a strided view of mu
+    for a residue class.  A phase_chunk whose phases repeat with a `period`
+    P takes the class route (`_class_sums`) when `sum_route` says so; it is
+    within twice `sum_bound` of the direct route below.
 
     On the direct route the piece layout depends only on (N, checkpoints).
     Each piece is summed by `_e_sums` in its batch (`_batches`).  The
     batches are split into min(batches, threads) contiguous spans whose
-    sizes differ by at most one; a worker sums one span in its own five rows of min(N, BATCH) scratch, a
-    single span runs in the calling thread, and the piece sums are added in
-    piece order, so the result is bit-identical for any number of threads.
-    A phase_chunk with a `period` is exact: it is called once per batch,
-    over the batch's terms A..B, and writes into scratch row 0 (its `out`);
-    one without is called once per piece.  An exact rational rounded once
-    does not depend on where a call starts, so both give the same bits.
+    sizes differ by at most one; a worker sums one span in its own five
+    rows of min(N, BATCH) scratch, a single span runs in the calling
+    thread, and the piece sums are added in piece order, so the result is
+    bit-identical for any number of threads.  phase_chunk is called once
+    per batch, over the terms A..B of its window, into scratch row 0, so
+    the phases do not depend on the checkpoints either.
     """
     _checked_threads(threads)
     route, P = sum_route(phase_chunk, N, checkpoints)
     if route == "classes":
         return _class_sums(phase_chunk, weights, P, checkpoints)
-    exact = P is not None  # phases that do not depend on where a call starts
     pieces = _pieces(N, checkpoints)
     batches = _batches(pieces)
     width = min(N, BATCH)
@@ -820,11 +831,7 @@ def _weighted_sums(phase_chunk: Callable[[int, int], np.ndarray], weights: np.nd
         rows, sums = np.empty((5, width)), []
         for run in span:
             A, B = run[0][0], run[-1][1]
-            if exact:
-                phase_chunk(A, B - A + 1, out=rows[0, :B - A + 1])
-            else:
-                for a, b in run:
-                    rows[0, a - A:b - A + 1] = phase_chunk(a, b - a + 1)
+            phase_chunk(A, B - A + 1, rows[0, :B - A + 1])
             re, im = _e_sums(weights[A - 1:B], [a - A for a, _ in run], rows)
             sums += map(complex, re.tolist(), im.tolist())
         return sums
@@ -854,7 +861,7 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
     `modes_dropped`, `dropped_bound` (on each term's phase) and
     `table_anchor_bound` (on |S(N)|); see `_SkewPhaseContext`.
     """
-    checkpoints, N = _checked_checkpoints(checkpoints, table)
+    checkpoints, N = _checked_checkpoints(checkpoints, table.limit)
     if isinstance(flow, SkewFlow):
         if not isinstance(b, Character):
             b = Character(*b)

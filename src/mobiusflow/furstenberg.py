@@ -351,13 +351,11 @@ def irregularity_probe(sys: FurstenbergSystem, b, x0, windows: Sequence[int],
     {A(N_i)} over the tail half of the window list.  The uncorrected flow
     (h alone) shows non-convergence for suitable observables at windows
     tied to the denominators q_k.  The sums run through the correlators'
-    `_weighted_sums`, with weight 1 for every n.
+    `_weighted_sums`, with weight 1 for every n, and the windows are
+    checked as their checkpoints are: distinct integers >= 1.
     """
-    windows = sorted(int(w) for w in windows)
-    if not windows or windows[0] < 1:
-        raise DomainError("windows must be positive and increasing")
+    windows, N = correlate._checked_checkpoints(windows, math.inf)
     flow = sys.flow(corrected=corrected)
-    N = windows[-1]
     sums = correlate._weighted_sums(correlate._SkewPhaseContext(flow, x0, b, N).chunk,
                                     np.broadcast_to(np.int8(1), (N,)), N, windows, 1)
     averages = [s / w for s, w in zip(sums, windows)]

@@ -324,7 +324,7 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
     each term's `route` (joined by commas) and the lcm of their periods P,
     which are finite: every phase here is rational (see `correlate.sum_route`).
     """
-    checkpoints, N = correlate._checked_checkpoints(checkpoints, table)
+    checkpoints, N = correlate._checked_checkpoints(checkpoints, table.limit)
     reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
 
     sums, routes, periods = [0j] * len(checkpoints), [], []

@@ -65,7 +65,7 @@ def test_sieve_golden_file(capsys, tmp_path):
     assert "config_sha256" in prov["provenance"]
 
 
-@pytest.mark.parametrize("limit", ["0", "-3", "0.5"])
+@pytest.mark.parametrize("limit", ["0", "-3"])
 def test_sieve_limit_below_one_domain_exit(capsys, limit):
     code, _, err = run_cli(["sieve", "--limit", limit], capsys)
     assert code == 3 and err.startswith("error (domain)")
@@ -404,6 +404,11 @@ def test_malformed_config_numbers_domain_exit(configs, tmp_path, capsys, flow, c
     (["expsum", "--coeffs", "nan,1", "--n", "100"], 3),
     (["furstenberg", "--tau", "1", "--depth", "4", "--seed", "-1"], 2),
     (["verify", "--seed", "-1"], 2),
+    # a count or checkpoint that is not an integer; these ran truncated, 0.5 as a limit of 0
+    (["sieve", "--limit", "0.5"], 2),
+    (["sieve", "--limit", "3.9"], 2),
+    (["expsum", "--coeffs", "0,1", "--n", "2.5"], 2),
+    (["nilflow", "--observable", "1,2,1", "--checkpoints", "10.7,20.2"], 2),
 ])
 def test_malformed_numbers_exit_without_traceback(tmp_path, args, code):
     if args[0] in ("nilflow", "correlate"):
@@ -418,6 +423,8 @@ def test_malformed_numbers_exit_without_traceback(tmp_path, args, code):
     (["verify", "--seed", "x"], "seed"),
     (["correlate", "--b", "a", "--checkpoints", "100"], "components"),
     (["nilflow", "--observable", "a", "--checkpoints", "100"], "observable"),
+    (["expsum", "--coeffs", "0,1", "--n", "2.5"], "count"),
+    (["nilflow", "--observable", "1,2,1", "--checkpoints", "10,20.2"], "checkpoints"),
 ])
 def test_usage_errors_name_what_the_option_reads(tmp_path, capsys, args, name):
     if args[0] in ("nilflow", "correlate"):

@@ -551,11 +551,11 @@ def _phase_bound(flow, p, b, nmax):
     adds 2 2^-53.  To the tables' bounds add 2 |G'| 2^-(bits + 60) / min
     |e(delta) - 1| with |G'| <= 2 pi sum m |g_m| over all tabled modes and
     bits = 3 bitlen(nmax) + 8, plus the bit length of the top mode when it is
-    above 8192; and 16 2^-53, (|b1| + |b2 c|) 2^-69 and |b2| nmax 2^-124 sum
-    2 |h_hat| over the ramp modes."""
+    above 8192; and (BATCH + 3) 2^-64 + 12 2^-53, (|b1| + |b2 c|) 2^-69 and
+    |b2| nmax 2^-124 sum 2 |h_hat| over the ramp modes."""
     kept = _kept_modes(flow, p, b)
     ramp_size = sum(2 * abs(c) for _, c, delta in kept if _is_ramp(delta))
-    bound = (16 * 2.0**-53 + (abs(b.b1) + abs(b.b2 * flow.c)) * 2.0**-69
+    bound = ((BATCH + 3) * 2.0**-64 + 12 * 2.0**-53 + (abs(b.b1) + abs(b.b2 * flow.c)) * 2.0**-69
              + abs(b.b2) * nmax * ramp_size * 2.0**-124)
     tabled = [(m, abs(2 * b.b2 * c / e2pi_m1(delta)), abs(e2pi_m1(delta)))
               for m, c, delta in kept if not _is_ramp(delta)]
@@ -606,6 +606,11 @@ def _circle(a, b):
     return min(d, 1.0 - d)
 
 
+def _phases(source, a, L):
+    """The phases that source writes for terms a..a+L-1, in a new array."""
+    return source(a, L, np.empty(L))
+
+
 def _flow_case(name, skew):
     """The flow, point and character of a case, each on a fresh alpha, whose
     cached centres no earlier call has deepened."""
@@ -637,16 +642,18 @@ def _flow_case(name, skew):
 @pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many", "mode-1e6"])
 @pytest.mark.parametrize("cut, N", [(1, 400), (3, 2000), (20_000, 30_000), (CHUNK, 100)])
 def test_skew_phase_tables_match_per_mode_formula(name, cut, N, skew):
-    """The phases over the pieces of a correlation with a checkpoint every
-    `cut` terms (pieces of 1 or 3 terms, pieces cut at 20000 between the
-    multiples of CHUNK, or the one piece of `character_phase_array`) against
-    the per-mode formula, within the written bound."""
+    """The phases of calls over the pieces of a checkpoint every `cut` terms
+    (calls of 1 or 3 terms, or cut at 20000 between the multiples of CHUNK:
+    a call may start at any term), or of the one call of
+    `character_phase_array`, against the per-mode formula, within the
+    written bound."""
     flow, p, b = _flow_case(name, skew)
     modes = _kept_modes(flow, p, b)
     assert modes
     bound = _phase_bound(flow, p, b, N)
     ctx = _SkewPhaseContext(flow, p, b, N)
-    ph = np.concatenate([ctx.chunk(u, v - u + 1) for u, v in _pieces(N, range(cut, N, cut))])
+    ph = np.concatenate([_phases(ctx.chunk, u, v - u + 1)
+                         for u, v in _pieces(N, range(cut, N, cut))])
     if cut == CHUNK:
         assert np.array_equal(ph, character_phase_array(flow, p, b, N))
     ns = set(range(1, N + 1, max(1, N // 300))) | {N}
@@ -699,7 +706,8 @@ def test_skew_high_modes_keep_a_small_bound():
 @pytest.mark.parametrize("name", ["diophantine", "lacunary", "ramp", "many", "tau-0.1",
                                   "mode-1e6", "mode-5e4", "grid-32768"])
 def test_skew_anchors_near_1e9(name, skew):
-    """nmax = 10^9 and the block at u = 10^9 - 8191: the anchors frac(x1 + u
+    """nmax = 10^9 and the last whole window, u = 10^9 - BATCH + 1 and L =
+    BATCH, so the quadratic track's j reaches BATCH - 1: the anchors frac(x1 + u
     alpha) and the polynomial part's, over one centre within 2^-(3 bitlen(nmax)
     + 68) of alpha, and the 128-bit tables of j alpha keep the phases within
     the written bound of the per-mode formula.  Each mode's delta_m over a
@@ -710,9 +718,9 @@ def test_skew_anchors_near_1e9(name, skew):
     Taylor table on 4096 points the loop over degrees overflowed at m = 10^6
     and never ended."""
     flow, p, b = _flow_case(name, skew)
-    u, L = 10**9 - 8191, 8192
+    u, L = 10**9 - BATCH + 1, BATCH
     ctx = _SkewPhaseContext(flow, p, b, 10**9)
-    ph = ctx.chunk(u, L)
+    ph = _phases(ctx.chunk, u, L)
     modes = _kept_modes(flow, p, b)
     bound = _phase_bound(flow, p, b, 10**9)
     assert ctx.phase_error == pytest.approx(bound, rel=1e-12, abs=0)
@@ -754,7 +762,8 @@ def test_skew_metadata_reports_error_budget(table, lacunary):
     meta = mobius_correlate(flow, p, Character(1, 0), table, [N]).metadata
     assert (meta["modes_kept"], meta["modes_dropped"]) == (0, 0)
     assert meta["table_anchor_bound"] == pytest.approx(
-        2 * math.pi * N * (16 * 2.0**-53 + 2.0**-69) + reduce, rel=1e-12, abs=0)
+        2 * math.pi * N * ((BATCH + 3) * 2.0**-64 + 12 * 2.0**-53 + 2.0**-69) + reduce,
+        rel=1e-12, abs=0)
 
 
 def test_skew_sums_do_not_depend_on_earlier_calls(table):
@@ -996,11 +1005,11 @@ def test_one_call_per_batch_is_the_calls_per_piece(name):
     assert len(run) == 7
     for base in (0, 10**12 + 7):
         A, L = run[0][0] + base, run[-1][1] - run[0][0] + 1
-        want = np.concatenate([source(a + base, b - a + 1) for a, b in run]).view(np.int64)
-        assert np.array_equal(source(A, L).view(np.int64), want), base
+        want = np.concatenate([_phases(source, a + base, b - a + 1) for a, b in run])
+        assert np.array_equal(_phases(source, A, L).view(np.int64), want.view(np.int64)), base
         rows = np.full((2, L + 3), np.nan)
         assert np.shares_memory(source(A, L, out=rows[0, :L]), rows)
-        assert np.array_equal(rows[0, :L].view(np.int64), want), base
+        assert np.array_equal(rows[0, :L].view(np.int64), want.view(np.int64)), base
         assert np.isnan(rows[0, L:]).all() and np.isnan(rows[1]).all()
 
 
@@ -1009,32 +1018,74 @@ def test_exact_sources_are_called_once_per_batch(table, skew, threads, monkeypat
     """On the direct route a source with a `period` is called once per batch,
     over the batch's terms, into scratch; its sums are == those of the same
     phases called per piece.  The skew context, which has no period, is
-    called once per piece."""
+    called once per batch too."""
     inner, calls = EXACT_SOURCES["horner-uint64"], []
 
-    def source(a, L, out=None):
-        calls.append((a, L, out is not None))
+    def source(a, L, out):
+        calls.append((a, L, out.base is not None))
         return inner(a, L, out)
     source.period = inner.period
     N = 3 * BATCH - 100
     cps = [BATCH + 5, BATCH + CHUNK + 1000, N]
+    windows = [(run[0][0], run[-1][1]) for run in _batches(_pieces(N, cps))]
     assert sum_route(source, N, cps)[0] == "direct"
     mu = table.mu_array()[1:]
     got = correlate._weighted_sums(source, mu, N, cps, threads)
-    assert sorted(calls) == [(run[0][0], run[-1][1] - run[0][0] + 1, True)
-                             for run in _batches(_pieces(N, cps))]
-    assert got == correlate._weighted_sums(lambda a, L: inner(a, L), mu, N, cps, 1)
+    assert sorted(calls) == [(a, b - a + 1, True) for a, b in windows]
+    assert got == correlate._weighted_sums(_per_piece(inner, N, cps), mu, N, cps, 1)
 
     calls.clear()
     chunk = _SkewPhaseContext.chunk
 
-    def counting(self, u, L):
+    def counting(self, u, L, out):
         calls.append((u, u + L - 1))
-        return chunk(self, u, L)
+        return chunk(self, u, L, out)
     monkeypatch.setattr(_SkewPhaseContext, "chunk", counting)
     flow, p = skew
     mobius_correlate(flow, p, Character(1, 2), table, cps, threads=threads)
-    assert sorted(calls) == _pieces(N, cps)
+    assert sorted(calls) == windows
+
+
+def _per_piece(source, N, cps):
+    """source without its period, called once per piece of the layout at (N, cps)."""
+    pieces = _pieces(N, cps)
+
+    def phase_chunk(a, L, out):
+        for u, v in pieces:
+            if a <= u <= v < a + L:
+                source(u, v - u + 1, out[u - a:v - a + 1])
+        return out
+    return phase_chunk
+
+
+@pytest.mark.parametrize("cuts", ["end", "four", "every-3001"])
+def test_skew_sums_take_the_phases_of_character_phase_array(table, skew, cuts, monkeypatch):
+    """The phases every skew correlation sums, recorded at each call of
+    `_SkewPhaseContext.chunk`, are `character_phase_array(flow, p, b, N)` bit
+    for bit at threads 1, 2 and 3, wherever the checkpoints cut: at N alone,
+    at 777, 20,000, 50,001 and N, or every 3,001 terms.  While the skew
+    tracks stepped from each piece's own anchor, 8,823 and 47,925 of these
+    phases differed in their low bits at those cuts."""
+    flow, p = skew
+    b, N = Character(1, 2), 100_003
+    cps = {"end": [N], "four": [777, 20_000, 50_001, N],
+           "every-3001": [*range(3001, N, 3001), N]}[cuts]
+    want = character_phase_array(flow, p, b, N).view(np.int64)
+    chunk, calls = _SkewPhaseContext.chunk, []
+
+    def recording(self, u, L, *out):
+        phases = chunk(self, u, L, *out)
+        calls.append((u, phases.copy()))
+        return phases
+    monkeypatch.setattr(_SkewPhaseContext, "chunk", recording)
+    for threads in (1, 2, 3):
+        calls.clear()
+        mobius_correlate(flow, p, b, table, cps, threads=threads)
+        got = np.zeros(N, dtype=np.int64)
+        for u, phases in calls:
+            got[u - 1:u - 1 + len(phases)] = phases.view(np.int64)
+        assert sum(len(phases) for _, phases in calls) == N
+        assert np.array_equal(got, want), (threads, int(np.count_nonzero(got != want)))
 
 
 @pytest.mark.parametrize("threads", [True, THREADS_MAX + 1, np.int64(THREADS_MAX + 1), 100_000])
@@ -1049,6 +1100,30 @@ def test_correlators_refuse_too_many_threads_and_bools(table, skew, threads):
     with pytest.raises(DomainError, match="threads must be an integer >= 1"):
         poly_exp_sum(phase, table, 100, threads=threads)
     assert poly_exp_sum(phase, table, 100, threads=THREADS_MAX) == poly_exp_sum(phase, table, 100)
+
+
+@pytest.mark.parametrize("checkpoints", [[5, 5], [100, 7, 100], [3.5], [10, 20.2], ["7"]])
+def test_correlators_refuse_fractional_and_repeated_checkpoints(table, skew, monkeypatch,
+                                                                 checkpoints):
+    """A repeated checkpoint, which `CorrelationSeries` refused only once the
+    whole sum was done, and one that is not an integer, which ran truncated
+    (3.5 as 3), are refused before any term is summed; 1e3 as a float is 1000.
+    `irregularity_probe` checks its windows the same way (it took 3.5 as 3
+    and summed a repeated window twice)."""
+    def refuse(*args):
+        raise AssertionError("a sum was started")
+    flow, p = skew
+    T, x = _heisenberg("readme")
+    aff = UnipotentAffine(matrix=((1, 1), (0, 1)), translation=(0.2, 0.0))
+    assert mobius_correlate(aff, (0.2, 0.51), (1, 2), table, [1e3]).checkpoints == (1000,)
+    monkeypatch.setattr(correlate, "_weighted_sums", refuse)
+    for run in (lambda: mobius_correlate(flow, p, Character(1, 2), table, checkpoints),
+                lambda: mobius_correlate(aff, (0.2, 0.51), (1, 2), table, checkpoints),
+                lambda: correlate_nil(T, x, NilObservable.character(1, 2, 1), table, checkpoints),
+                lambda: irregularity_probe(FurstenbergSystem.build(1.0, 4), Character(1, 0),
+                                           TorusPoint(0.0, 0.0), checkpoints)):
+        with pytest.raises(DomainError, match="checkpoints must be distinct integers"):
+            run()
 
 
 def _greedy_batches(pieces):
@@ -1145,7 +1220,7 @@ RATIONAL_CASES = _rational_cases()
 
 def _direct(phase_chunk):
     """phase_chunk without its period: the driver's direct route, with no knob."""
-    return lambda a, L: phase_chunk(a, L)
+    return lambda a, L, out: phase_chunk(a, L, out)
 
 
 def _bounds(N, cps):
@@ -1249,8 +1324,8 @@ def test_phases_repeat_with_the_period(name):
     starts = [rng.randrange(1, 10**9) for _ in range(8)]
 
     def repeats(d):
-        return all(np.array_equal(phase_chunk(u, 64).view(np.int64),
-                                  phase_chunk(u + d, 64).view(np.int64)) for u in starts)
+        return all(np.array_equal(_phases(phase_chunk, u, 64).view(np.int64),
+                                  _phases(phase_chunk, u + d, 64).view(np.int64)) for u in starts)
     assert repeats(P)
     if name in ("nil-readme-120", "nil-readme-121"):
         primes = [p for p in range(2, 12) if P % p == 0 and all(p % q for q in range(2, p))]
@@ -1263,7 +1338,7 @@ def test_bracket_period_counts_the_floor():
     Z1, Z2 = Poly([0, Fraction(1, 5)]), Poly([0, Fraction(1, 2)])
     source = correlate.bracket_mod1_source(Z2, Z1, Z2, 1)
     assert source.period == 10
-    phases = source(0, 40)
+    phases = _phases(source, 0, 40)
     assert np.array_equal(phases[10:], phases[:-10])
     assert not np.array_equal(phases[2:], phases[:-2])
 

@@ -32,8 +32,13 @@ nil-readme-odd-k-121, GOLDEN_MULTI_BATCH nil-central and GOLDEN_CSV
 correlate-12) were re-recorded when those sums became sums over the P
 residue classes of exact integer class counts, which reorders the
 rounding; every frozen sum is held within a written bound of np.exp and
-np.dot over the same phases.  Exact rationals are kept as `Fraction`
-strings and correlation sums as the repr of each complex sum.
+np.dot over the same phases.  GOLDEN_MULTI_BATCH diophantine was
+re-recorded when the skew tracks began to step from the first term of each
+batch window instead of each piece: a phase no longer depends on where the
+checkpoints cut, and the sums after the first cut moved by at most 1.03e-12
+(at 99,999), against a `table_anchor_bound` of 7.4e-9 there.  Exact
+rationals are kept as `Fraction` strings and correlation sums as the repr
+of each complex sum.
 """
 
 import json
@@ -218,7 +223,8 @@ def skew_sum_bound(flow, p, b, N):
     - current path: each mode's e(j delta) table entry and e(u delta)
       anchor, the product with 2 w_m and the accumulation over M modes are
       off by at most |2 w_m| (2 M + 50) 2^-53, and the exact
-      fixed-point rotation and linear parts by under 2^-50;
+      fixed-point rotation and linear parts, stepped over windows of
+      BATCH = 2^15 terms, by under 2^-48;
     - e(.) and the sums: on the golden path np.exp within 8 2^-53 per term
       and np.dot, in whatever order, within (L - 1 + P) 2^-53 N in each of
       Re and Im, with L = 8192 and P <= 125 pieces at N <= 10^6; on the
@@ -414,9 +420,9 @@ GOLDEN_MULTI_BATCH = {'affine-nu2': ('(-8.162056002593811-5.364081272873933j)',
                 '(48.95189896590349+18.65280193576445j)',
                 '(-99.57552809136207+112.97151412977573j)'),
  'diophantine': ('(-5.623734270365411+0.9111849966479414j)',
-                 '(76.57258136313422+14.16504866249686j)',
-                 '(127.0867250840184+103.59851774887285j)',
-                 '(-14.693599492262578+322.1862374326269j)'),
+                 '(76.57258136313402+14.165048662496512j)',
+                 '(127.08672508401851+103.59851774887233j)',
+                 '(-14.693599492261761+322.1862374326263j)'),
  'nil-central': ('(-0.28549713742700056-17.965941849503842j)',
                  '(154.6572917951982-37.365149494193716j)',
                  '(140.67388707113142+125.98826311568713j)',
@@ -697,7 +703,7 @@ def _reference_weighted_sums(bounds):
         pieces = correlate._pieces(N, checkpoints)
         running, at = 0j, {}
         for a, b in pieces:
-            z = np.exp(2j * np.pi * phase_chunk(a, b - a + 1))
+            z = np.exp(2j * np.pi * phase_chunk(a, b - a + 1, np.empty(b - a + 1)))
             running += complex(np.dot(weights[a - 1:b].astype(np.float64), z))
             at[b] = running
         L = max(b - a + 1 for a, b in pieces)

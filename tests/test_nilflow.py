@@ -335,7 +335,8 @@ def test_residue_phases_equal_exact_phases():
             ns = list(range(l or T.nu, 300, T.nu)) + [l + T.nu * k for k in (10**5, 10**7 + 3)]
             runs = [((l or T.nu) // T.nu, len(range(l or T.nu, 300, T.nu))), (10**5, 1),
                     (10**7 + 3, 1)]  # ns as (t0, count), n = nu t + l
-            got = np.concatenate([_residue_phase(rep, p, q, r)(*run) for run in runs])
+            source = _residue_phase(rep, p, q, r)
+            got = np.concatenate([source(*run, np.empty(run[1])) for run in runs])
             assert got.tolist() == [_exact_phase(rep, n, p, q, r) for n in ns], (i, l)
     assert seen_nu >= {1, 2, 4} and seen_r == {1, -2, 3, 0} and moved_x >= 30
 
@@ -365,7 +366,8 @@ def test_dyadic_bracket_phases_equal_exact_phases():
             ns = list(range(l or T.nu, 300, T.nu)) + [l + T.nu * k for k in (10**5, 10**7 + 3)]
             runs = [((l or T.nu) // T.nu, len(range(l or T.nu, 300, T.nu))), (10**5, 1),
                     (10**7 + 3, 1)]  # ns as (t0, count), n = nu t + l
-            got = np.concatenate([_residue_phase(rep, p, q, r)(*run) for run in runs])
+            source = _residue_phase(rep, p, q, r)
+            got = np.concatenate([source(*run, np.empty(run[1])) for run in runs])
             assert got.tolist() == [_exact_phase(rep, n, p, q, r) for n in ns], (i, l)
     assert {(True, True, True, False), (True, True, True, True)} <= kinds
     assert any(not k and d1d2 and d2 for k, d1d2, d2, _ in kinds)
@@ -381,7 +383,7 @@ def test_residue_phases_beyond_int64_guard_stay_exact():
     assert D1 * D2 > INT64_MODULUS_MAX
     ns = list(range(1, 200)) + [10**6 + 7, 10**9 + 9]
     runs = [(1, 199), (10**6 + 7, 1), (10**9 + 9, 1)]  # ns as (t0, count), nu = 1
-    got = np.concatenate([_residue_phase(rep, 1, 2, 1)(*run) for run in runs])
+    got = np.concatenate([_residue_phase(rep, 1, 2, 1)(*run, np.empty(run[1])) for run in runs])
     assert got.tolist() == [_exact_phase(rep, n, 1, 2, 1) for n in ns]
     table = mobius_sieve(1500)
     obs = NilObservable.character(1, 2, 1)
