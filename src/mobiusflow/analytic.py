@@ -252,22 +252,32 @@ def cobounding_series(h: AnalyticSeries, alpha: AlphaSpec,
     m not divisible by the optional modulus.  The identity then holds for
     the retained part of h exactly in coefficient space.
 
+    Each phase m alpha mod 1 is the integer residue r / q of
+    `AlphaSpec.signed_residue`, rounded once: the double of
+    `frac_signed_fraction(m)`, without its gcd.  The support is ordered by
+    |m|, so m and -m are neighbours, and they share one residue and one
+    rounding.
+
     Raises:
         DomainError: a retained m has m*alpha integral (rational alpha).
         PrecisionError: e(m alpha)-1 underflows double precision.
     """
     out: dict[int, complex] = {}
+    a = r = q = t = 0
     for m, c in h.items():
         if (m == 0 or M is not None and abs(m) > M
                 or exclude_divisible_by is not None and m % exclude_divisible_by == 0):
             continue
-        t = alpha.frac_signed_fraction(m)
-        if t == 0:
+        if abs(m) != a:
+            a, (r, q) = abs(m), alpha.signed_residue(abs(m))
+            t = r / q
+        if r == 0:
             if alpha.is_rational:
                 raise DomainError(
                     f"m={m} has m*alpha integral; exclude multiples of q={alpha.q}")
             raise PrecisionError(f"phase of m={m} indistinguishable from integral")
-        den = e2pi_m1(t)
+        # -m has residue -r, and -(r / q) == (-r) / q exactly, save at r = -q/2
+        den = e2pi_m1(t if m > 0 or 2 * r == -q else -t)
         if den == 0:
             raise PrecisionError(f"e(m alpha)-1 underflowed at m={m}")
         out[m] = c / den

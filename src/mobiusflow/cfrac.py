@@ -205,11 +205,23 @@ class AlphaSpec:
         c = self._phase_center(abs(n).bit_length()) if n else Fraction(0)
         return Fraction(n * c.numerator % c.denominator, c.denominator)
 
+    def signed_residue(self, n: int, bits: Optional[int] = None) -> tuple[int, int]:
+        """(r, q) with n*alpha mod 1 = r / q, -q/2 <= r < q/2, over the centre
+        `_phase_center(bits)`; by default bits = bitlen(n), the centre of `frac_fraction`.
+
+        r / q, Python's correctly rounded int division, is the double of
+        `float(frac_signed_fraction(n))` with no gcd taken.  The residue of -n
+        is -r, save at 2 r = -q, where it is r.
+        """
+        if not n:
+            return 0, 1
+        c = self._phase_center(abs(n).bit_length() if bits is None else bits)
+        r, q = n * c.numerator % c.denominator, c.denominator
+        return (r - q if 2 * r >= q else r), q
+
     def frac_signed_fraction(self, n: int) -> Fraction:
         """n*alpha mod 1 mapped to [-1/2, 1/2), over the same centre as `frac_fraction`."""
-        c = self._phase_center(abs(n).bit_length()) if n else Fraction(0)
-        r, q = n * c.numerator % c.denominator, c.denominator
-        return Fraction(r - q if 2 * r >= q else r, q)
+        return Fraction(*self.signed_residue(n))
 
     def frac_float(self, n: int) -> float:
         """n*alpha mod 1 in [0, 1), `frac_fraction` rounded once to a double."""

@@ -391,6 +391,13 @@ class _QuadraticTrack:
         return out
 
 
+def _rows_times(a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = a[i] v[i], one row at a time: a (w, 1) by (w, R) broadcast product is slower."""
+    for i, c in enumerate(v.tolist()):
+        np.multiply(a[i], c, out=out[i])
+    return out
+
+
 def _taylor_table(modes: Sequence[int], g: np.ndarray, R: int) -> tuple[np.ndarray, float]:
     """The Taylor table of G(y) = sum Re(g_m e(m y)) on the grid k / R, R >= 8 max m.
 
@@ -414,15 +421,24 @@ def _taylor_table(modes: Sequence[int], g: np.ndarray, R: int) -> tuple[np.ndarr
         H.append(float(term.sum()))
         term = term * x / len(H)
     table, k, step = np.zeros((len(H), R)), np.arange(R), max(1, 2**16 // R)
+    # one block's (m k) mod R; cos, sin, Re and Im of g e(m k / R), and f_q times one of them
+    w = min(step, M)
+    index, scratch, total = np.empty((w, R), np.int64), np.empty((5, w, R)), np.empty(R)
     for s in range(0, M, step):
-        idx = np.array(modes[s:s + step])[:, None] * k % R
-        gr, gi = g[s:s + step, None].real, g[s:s + step, None].imag
-        cos, sin = cos_table[idx], sin_table[idx]
-        parts = (gr * cos - gi * sin, gr * sin + gi * cos)  # Re and Im of g e(m k / R)
-        f = np.ones((len(idx), 1))
+        ms, gr, gi = np.array(modes[s:s + step]), g[s:s + step].real, g[s:s + step].imag
+        idx, (cos, sin, re, im, prod) = index[:len(ms)], scratch[:, :len(ms)]
+        np.bitwise_and(np.multiply.outer(ms, k, out=idx), R - 1, out=idx)
+        np.take(cos_table, idx, out=cos, mode="clip")
+        np.take(sin_table, idx, out=sin, mode="clip")
+        _rows_times(cos, gr, re)
+        re -= _rows_times(sin, gi, prod)  # Re(g e(m k / R)) = gr cos - gi sin
+        _rows_times(sin, gr, im)
+        im += _rows_times(cos, gi, prod)  # Im(g e(m k / R)) = gr sin + gi cos
+        f = np.ones(len(ms))
         for q, row in enumerate(table):
-            row += (1, -1, -1, 1)[q % 4] * np.add.reduce(f * parts[q % 2], axis=0)
-            f = f * (2 * x[s:s + step, None]) / (q + 1)
+            np.add.reduce(_rows_times((re, im)[q % 2], f, prod), axis=0, out=total)
+            (np.add, np.subtract, np.subtract, np.add)[q % 4](row, total, out=row)
+            f = f * (2 * x[s:s + step]) / (q + 1)
     return table, float(term.sum()) + 2.0**-53 * sum((M + 44 + 6 * q) * Hq
                                                      for q, Hq in enumerate(H))
 
@@ -431,21 +447,25 @@ class _SkewPhaseContext:
     """Streams <b, orbit(n)> mod 1 for the normalized skew product, n <= nmax.
 
     All is taken over one exact centre of alpha, `_phase_center(bits)`, bits
-    = 3 bitlen(nmax) + 8.  The polynomial part b1 (x1 + n alpha) + b2 (x2 + c
-    n x1 + c C(n, 2) alpha), with the ramp modes folded in, is one
+    = 3 bitlen(nmax) + 8.  The polynomial part b1 (x1 + n alpha) + b2 (x2 +
+    c n x1 + c C(n, 2) alpha), with the ramp modes folded in, is one
     `_QuadraticTrack`.  With delta_m = m alpha mod 1 in [-1/2, 1/2), the
+    integer residue `AlphaSpec.signed_residue(m, bits)` rounded once, the
     Birkhoff part b2 sum_{m>0} 2 Re(h_hat(m) e(m x1) (e(n delta_m) - 1) /
     (e(delta_m) - 1)) is G(y_n) - G(x1), y_n = frac(x1 + n alpha), for the
     coboundary G(y) = sum Re(g_m e(m y)), g_m = 2 b2 h_hat(m) / (e(delta_m) -
-    1); -G(x1) joins the constant by math.fsum.  y_n is a second track; its
-    bits give the nearest grid point k / R and t = R y_n - k in [-1/2, 1/2),
-    and G(y_n) is the Horner sum in t of the `_taylor_table` rows at k.  It
+    1); -G(x1) joins the constant by math.fsum, and frac(m x1) is formed for
+    the kept modes only.  y_n is a second track; its bits give the nearest
+    grid point k / R and t = R y_n - k in [-1/2, 1/2), and G(y_n) is the
+    Horner sum in t of the `_taylor_table` rows at k.  It
     rests on m_max << R: the degree P, so the cost per term, and the error
     grow with pi m_max / R, not with the mode count; R = max(4096, 8 m_max)
     rounded up to a power of two.  A mode m over
     TAYLOR_GRID / 8 is a table of Re(g_m e(z)) of its own, R = 4096, at z_n =
     frac(m x1 + n m alpha), and bits grows by the top mode's bit length; over
     SKEW_HIGH_MODES such modes raise `PrecisionError`.  No call uses BLAS.
+    `table_sizes`, the `tables` of the metadata, holds (modes, R, P) per
+    table: building one costs M R P multiply-adds, once per call.
     Every caller (`_weighted_sums`, `_fill`) starts `chunk` at the first term
     of a batch window, so no phase depends on where the checkpoints cut.
 
@@ -483,8 +503,8 @@ class _SkewPhaseContext:
         for m, c in (h.items() if b.b2 else ()):
             if m <= 0:
                 continue
-            r, q = m * center.numerator % center.denominator, center.denominator
-            df, arg = (r - q if 2 * r >= q else r) / q, m * x1 % 1
+            r, q = flow.alpha.signed_residue(m, bits)
+            df = r / q
             den = e2pi_m1(df)
             # a ramp: (e(n delta) - 1) / (e(delta) - 1) = n to double precision
             is_ramp = df == 0.0 or abs(df) < 1e-250 or den == 0
@@ -492,7 +512,9 @@ class _SkewPhaseContext:
             if df != 0.0 and size < self.MODE_FLOOR:
                 self.dropped_bound += abs(b.b2) * 2.0 * size
                 self.modes_dropped += 1
-            elif is_ramp:
+                continue
+            arg = m * x1 % 1
+            if is_ramp:
                 with mpmath.workprec(128):
                     z = mpmath.mpc(c) * mpmath.expjpi(mpmath.mpf(2 * arg.numerator)
                                                       / arg.denominator)
@@ -518,12 +540,13 @@ class _SkewPhaseContext:
                             + (abs(b.b1) + abs(b2c)) * 2.0**-69
                             + abs(b.b2) * nmax * ramp_size * 2.0**-124 + 2 * 2.0**-53 * len(high))
         # (multiplier s, modes of G_s(z), z = frac(s y)): the low modes, then each high mode
-        self.tables = []
+        self.tables, self.table_sizes = [], []
         for s, part in ([(1, low)] if low else []) + [(m, [(1, g)]) for m, g in high]:
             R = max(E_TABLE_SIZE, 1 << (8 * max(part)[0] - 1).bit_length())
             table, error = _taylor_table([m for m, _ in part], np.array([g for _, g in part]), R)
             track = _QuadraticTrack(s * x1, s * center, Fraction(0), self.length)
             self.tables.append((track, table))
+            self.table_sizes.append((len(part), R, len(table)))
             self.phase_error += error + TWO_PI * math.fsum(m * abs(g) for m, g in part) * 2.0**-61
         if g_x1:
             slope = TWO_PI * math.fsum(m * abs(g) for m, g in low + high)  # >= |G'|
@@ -533,7 +556,7 @@ class _SkewPhaseContext:
         """The error budget of a correlation at these checkpoints (see the class docstring)."""
         reduce = reduction_bound(self.nmax, len(_pieces(self.nmax, checkpoints)))
         return {"modes_kept": self.modes_kept, "modes_dropped": self.modes_dropped,
-                "dropped_bound": self.dropped_bound,
+                "tables": self.table_sizes, "dropped_bound": self.dropped_bound,
                 "table_anchor_bound": TWO_PI * self.nmax * self.phase_error + reduce}
 
     def chunk(self, u: int, L: int, out: np.ndarray) -> np.ndarray:
@@ -858,8 +881,10 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
     The metadata records the `route` of the sum and the `period` of the
     phases (None on a skew product); see `sum_route`.
     A skew series carries its error budget in the metadata: `modes_kept`,
-    `modes_dropped`, `dropped_bound` (on each term's phase) and
-    `table_anchor_bound` (on |S(N)|); see `_SkewPhaseContext`.
+    `modes_dropped`, `tables` ((modes, R, P) per coboundary table),
+    `dropped_bound` (on each term's phase) and `table_anchor_bound` (on
+    |S(N)|); see `_SkewPhaseContext`.  An affine series carries `sum_bound`
+    (on |S(N)|, N the last checkpoint), its phases being exact rationals.
     """
     checkpoints, N = _checked_checkpoints(checkpoints, table.limit)
     if isinstance(flow, SkewFlow):
@@ -876,7 +901,8 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         tpolys = [unipotent_phase_poly(flow, x, v, l).as_poly().compose_linear(flow.nu, l)
                   for l in range(flow.nu)]
         phase_chunk = _class_phase_chunk([poly_mod1_source(P) for P in tpolys])
-        meta_flow, budget = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})", {}
+        meta_flow = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})"
+        budget = {"sum_bound": sum_bound(N, len(_pieces(N, checkpoints)))}
     else:
         raise DomainError(f"unsupported flow type {type(flow).__name__}")
 

@@ -69,7 +69,8 @@ def build_alpha(tau: float, K: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Alp
     Raises:
         CapacityError: q_K itself is not representable within max_digits;
             the message gives the estimated digit count of the first
-            unrepresentable denominator and the feasible depth.
+            unrepresentable denominator and the feasible depth, or says that
+            no depth K >= 3 is feasible at this tau (q_3 is beyond budget).
     """
     if not 0.1 <= tau <= 8.0:
         raise DomainError(f"tau={tau} outside the practical range")
@@ -90,10 +91,11 @@ def build_alpha(tau: float, K: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Alp
                               + math.log10(math.log10(math.e)))
                 digits_desc = (f"{10 ** log_digits:.0f}" if log_digits < 15
                                else f"10^{log_digits:.1f}")
+                feasible = (f"feasible depth here is K={k}" if k >= 3
+                            else f"no depth K >= 3 is feasible at tau={tau}")
                 raise CapacityError(
                     f"q_{k+1} ~ e^(tau q_{k}) needs ~{digits_desc} digits, over the "
-                    f"budget of {max_digits} "
-                    f"(tau={tau}, q_{k}={qk_desc}); feasible depth here is K={k}")
+                    f"budget of {max_digits} (tau={tau}, q_{k}={qk_desc}); {feasible}")
             break
         quots.append(a_next)
         q.append(a_next * q[k] + q[k - 1])
@@ -124,8 +126,8 @@ def build_h(alpha: AlphaSpec, tau: float, K: int) -> AnalyticSeries:
         raise DomainError(f"alpha spec carries only {len(q)-1} denominators")
     entries = []
     for k in range(1, K + 1):
-        t = alpha.frac_signed_fraction(q[k])
-        c = e2pi_m1(t) / k
+        r, d = alpha.signed_residue(q[k])
+        c = e2pi_m1(r / d) / k
         entries += [(q[k], c), (-q[k], c.conjugate())]
     return AnalyticSeries.from_entries(entries, tau=tau, label=f"lacunary(tau={tau},K={K})")
 

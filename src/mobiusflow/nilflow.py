@@ -323,6 +323,9 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
     table is O(CHUNK), or O(P) on the class route.  The metadata records
     each term's `route` (joined by commas) and the lcm of their periods P,
     which are finite: every phase here is rational (see `correlate.sum_route`).
+    Its `sum_bound` on |S(N)|, N the last checkpoint, is sum |w| times
+    `correlate.sum_bound` at two more pieces per term, which cover the
+    rounding of the products w S_term and of their additions.
     """
     checkpoints, N = correlate._checked_checkpoints(checkpoints, table.limit)
     reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
@@ -336,8 +339,10 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
         route, period = correlate.sum_route(phase_chunk, N, checkpoints)
         routes.append(route)
         periods.append(period)
+    pieces = len(correlate._pieces(N, checkpoints)) + 2 * len(f.terms)
     meta = {"flow": f"heisenberg(nu={T.nu})", "observable": str(f.terms),
             "threads": threads, "N": N, "route": ",".join(routes),
-            "period": math.lcm(*periods)}
+            "period": math.lcm(*periods),
+            "sum_bound": sum(abs(w) for w, *_ in f.terms) * correlate.sum_bound(N, pieces)}
     return correlate.CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
                                        metadata=meta)

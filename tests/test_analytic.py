@@ -3,6 +3,8 @@ and the sharp-scale window machinery."""
 
 import cmath
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from mobiusflow.analytic import (AnalyticSeries, ScaleFunction, big_H,
                                  birkhoff_sum_direct, birkhoff_sum_fourier,
                                  birkhoff_tail_bound, caseB_polynomial,
                                  caseB_taylor, cobounding_series,
-                                 coboundary_residual, e2pi, eval_series,
+                                 coboundary_residual, e2pi, e2pi_m1, eval_series,
                                  rational_case_decompose, scale_window)
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case, phi_scale, with_partition
-from mobiusflow.errors import DomainError
+from mobiusflow.errors import DomainError, PrecisionError
 from mobiusflow.furstenberg import FurstenbergSystem, build_alpha
 
 RNG = np.random.default_rng(2024)
@@ -163,6 +165,71 @@ def test_cobounding_rational_coefficient_bound():
     g = cobounding_series(h, alpha, exclude_divisible_by=7)
     for m, gm in g.items():
         assert abs(gm) <= abs(h.coeff(m)) * 7 / 4 + 1e-15
+
+
+def _cobounding_reference(h, alpha, exclude_divisible_by=None):
+    """cobounding_series as written over Fractions: c / e2pi_m1 of each signed phase."""
+    out = {}
+    for m, c in h.items():
+        if m == 0 or exclude_divisible_by is not None and m % exclude_divisible_by == 0:
+            continue
+        t = alpha.frac_signed_fraction(m)
+        assert t == alpha.frac_fraction(m) - (alpha.frac_fraction(m) >= Fraction(1, 2))
+        out[m] = c / e2pi_m1(t)
+    return out
+
+
+@pytest.mark.parametrize("case", ["furstenberg-H", "geometric-37", "rational-3/8"])
+def test_cobounding_equals_the_fraction_reference(case):
+    """Phases from integer residues, rounded once, give the coefficients of
+    the Fraction phases bit for bit, in the same order.  Over 3/8 the modes
+    +-4 both sit at -1/2, the one pair whose residues are not negatives."""
+    if case == "furstenberg-H":
+        sysm = FurstenbergSystem.build(1.0, 4)
+        h, alpha, q = sysm.H, sysm.alpha, None
+    elif case == "geometric-37":
+        h, alpha, q = AnalyticSeries.geometric(1.0, 37), SQRT2, None
+    else:
+        h, alpha, q = AnalyticSeries.geometric(1.0, 30), AlphaSpec.rational(3, 8), 8
+        assert alpha.frac_signed_fraction(4) == alpha.frac_signed_fraction(-4) == Fraction(-1, 2)
+    want = _cobounding_reference(h, alpha, q)
+    got = cobounding_series(h, alpha, exclude_divisible_by=q)
+    assert list(got.coeffs.items()) == list(want.items())
+    assert len(want) == {"furstenberg-H": 690, "geometric-37": 74, "rational-3/8": 54}[case]
+
+
+def test_cobounding_error_messages():
+    """The three refusals of cobounding_series keep their messages: a
+    rational alpha with m alpha integral, an irrational one whose centre puts
+    m alpha on an integer, and a phase that underflows double precision."""
+    with pytest.raises(DomainError, match=re.escape(
+            "m=3 has m*alpha integral; exclude multiples of q=3")):
+        cobounding_series(AnalyticSeries.from_entries([(3, 1.0), (-3, 1.0)], tau=1.0),
+                          AlphaSpec.rational(1, 3))
+    # the centre of 1/2^62 is itself: 2^62 alpha is an integer over it
+    m = 2**62
+    with pytest.raises(PrecisionError, match=re.escape(
+            f"phase of m={m} indistinguishable from integral")):
+        cobounding_series(AnalyticSeries.from_entries([(m, 1.0)], tau=1e-30),
+                          AlphaSpec.from_quotients([0, m]))
+    # alpha = 2^1100 / (2^1100 + 1): 1 alpha mod 1 = -1/(2^1100 + 1) rounds to -0.0
+    with pytest.raises(PrecisionError, match=re.escape("e(m alpha)-1 underflowed at m=1")):
+        cobounding_series(AnalyticSeries.from_entries([(1, 1.0)], tau=1.0),
+                          AlphaSpec.from_quotients([0, 1, 2**1100]))
+
+
+def test_furstenberg_build_takes_no_fraction_per_mode(monkeypatch):
+    """The build reads its phases from integer residues: at most one
+    `frac_signed_fraction` per level of h, and none for the 690 modes of G."""
+    calls = []
+    original = AlphaSpec.frac_signed_fraction
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+    monkeypatch.setattr(AlphaSpec, "frac_signed_fraction", counted)
+    FurstenbergSystem.build(1.0, 4)
+    assert len(calls) <= 4
 
 
 def test_rational_decompose_alpha_zero():

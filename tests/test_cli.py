@@ -146,6 +146,14 @@ def test_furstenberg_capacity_exit(capsys):
     assert "capacity" in err
 
 
+def test_furstenberg_infeasible_at_every_depth_exit(capsys):
+    """At tau = 8 no depth K >= 3 fits the digit budget: exit 4, saying so."""
+    code, out, err = run_cli(["furstenberg", "--tau", "8", "--depth", "3"], capsys)
+    assert (code, out) == (4, "")
+    assert "no depth K >= 3 is feasible at tau=8.0" in err
+    assert "feasible depth here" not in err
+
+
 def test_furstenberg_report(capsys):
     code, out, _ = run_cli(["furstenberg", "--tau", "1.0", "--depth", "3"], capsys)
     assert code == 0

@@ -766,6 +766,62 @@ def test_skew_metadata_reports_error_budget(table, lacunary):
         rel=1e-12, abs=0)
 
 
+def _taylor_table_reference(modes, g, R):
+    """The reference for `_taylor_table`: the same sums, with % R on the index
+    and broadcast (w, 1) by (w, R) products in fresh temporaries."""
+    H, term = [], np.abs(g)
+    M, (cos_table, sin_table) = len(modes), correlate._e_table(R)
+    x = np.pi / R * np.array([float(m) for m in modes])
+    while term.sum() >= correlate.TAYLOR_FLOOR:
+        H.append(float(term.sum()))
+        term = term * x / len(H)
+    table, k, step = np.zeros((len(H), R)), np.arange(R), max(1, 2**16 // R)
+    for s in range(0, M, step):
+        idx = np.array(modes[s:s + step])[:, None] * k % R
+        gr, gi = g[s:s + step, None].real, g[s:s + step, None].imag
+        cos, sin = cos_table[idx], sin_table[idx]
+        parts = (gr * cos - gi * sin, gr * sin + gi * cos)
+        f = np.ones((len(idx), 1))
+        for q, row in enumerate(table):
+            row += (1, -1, -1, 1)[q % 4] * np.add.reduce(f * parts[q % 2], axis=0)
+            f = f * (2 * x[s:s + step, None]) / (q + 1)
+    return table, float(term.sum()) + 2.0**-53 * sum((M + 44 + 6 * q) * Hq
+                                                     for q, Hq in enumerate(H))
+
+
+@pytest.mark.parametrize("name", ["geometric-37", "lacunary-20", "dense-400"])
+def test_taylor_table_equals_its_reference(name, lacunary):
+    """The table built in place, with & (R - 1) and row products, equals the
+    reference bit for bit, bound included: 37 modes in three blocks, the 20
+    lacunary modes, and 400 dense modes in 25 blocks."""
+    flow = {"geometric-37": SkewFlow(1, 1, 1, SQRT2, AnalyticSeries.geometric(1.0, 37)),
+            "lacunary-20": lacunary,
+            "dense-400": SkewFlow(1, 2, 1, SQRT2, AnalyticSeries.geometric(0.05, 400))}[name]
+    kept = _kept_modes(flow, TorusPoint(0.37, 0.12), Character(0, 1))
+    modes, g = [m for m, *_ in kept], np.array([2 * c / e2pi_m1(d) for _, c, d in kept])
+    assert len(modes) == {"geometric-37": 37, "lacunary-20": 20, "dense-400": 400}[name]
+    R = max(E_TABLE_SIZE, 1 << (8 * max(modes) - 1).bit_length())
+    got, want = correlate._taylor_table(modes, g, R), _taylor_table_reference(modes, g, R)
+    assert got[0].shape == want[0].shape
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert got[1] == want[1]
+
+
+def test_skew_metadata_reports_its_tables(table, lacunary):
+    """`tables` holds (modes, R, P) per coboundary table, the set-up cost M R P
+    of each call: the benchmark's diophantine and lacunary flows, and one
+    table per mode over TAYLOR_GRID / 8."""
+    p, b, N = TorusPoint(0.37, 0.12), Character(0, 1), 50_000
+    dio = SkewFlow(1, 1, 1, SQRT2, AnalyticSeries.geometric(1.0, 37))
+    assert mobius_correlate(dio, p, b, table, [N]).metadata["tables"] == [(37, 4096, 6)]
+    assert mobius_correlate(lacunary, p, b, table, [N]).metadata["tables"] == [(20, 4096, 7)]
+    h = AnalyticSeries.from_entries([(3, 0.1), (-3, 0.1), (10**4, 1e-3), (-10**4, 1e-3)],
+                                    tau=1e-3)
+    ctx = _SkewPhaseContext(SkewFlow(1, 0, 1, SQRT2, h), p, b, N)
+    assert ctx.budget([N])["tables"] == [(1, 4096, 6), (1, 4096, 5)]
+    assert [table.shape for _, table in ctx.tables] == [(6, 4096), (5, 4096)]
+
+
 def test_skew_sums_do_not_depend_on_earlier_calls(table):
     """`AlphaSpec.center` scans from depth 1, so a correlation on an alpha
     that first answered frac_fraction(10**40) equals one on a fresh alpha;
@@ -1288,17 +1344,15 @@ def test_correlators_take_the_class_route_and_report_it(table2):
         correlate._weighted_sums(phase_chunk, mu[index], count, [count], 1) * 2
 
 
-@pytest.mark.parametrize("pqr", [(1, 2, 0), (1, 2, 1)])
-def test_class_route_against_exact_rational_phases(table, pqr):
-    """The README map at N = 2e4 against sum_phi e(phi) sum_{n: phase(n) = phi}
-    mu(n) over the exact phases frac(p v1 + q v2 + r v3) of the reduced orbit,
-    with e(.) in mpmath at 80 bits: within `sum_bound` on the class route."""
+@functools.cache
+def _exact_readme_sums(pqr, cps, mu_bytes):
+    """On the README map, sum_phi e(phi) sum_{n: phase(n) = phi} mu(n) at each
+    checkpoint, over the exact phases frac(p v1 + q v2 + r v3) of the reduced
+    orbit, with e(.) in mpmath at 80 bits; mu_bytes holds mu(0..max cps)."""
     T, x = _heisenberg("readme")
-    cps = [7_777, 20_000]
-    series = correlate_nil(T, x, NilObservable.character(*pqr), table, cps)
-    assert series.metadata["route"] == "classes"
+    mu = np.frombuffer(mu_bytes, dtype=np.int8)
     reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
-    mu, counts, exact = table.mu_array(), {}, []
+    counts, exact = {}, []
     for n in range(1, cps[-1] + 1):
         if mu[n]:
             v = reps[n % T.nu].evaluate_reduced(n).coords()
@@ -1309,8 +1363,49 @@ def test_class_route_against_exact_rational_phases(table, pqr):
                 exact.append(complex(mpmath.fsum(
                     m * mpmath.expjpi(2 * mpmath.mpf(f.numerator) / f.denominator)
                     for f, m in counts.items())))
+    return exact
+
+
+@pytest.mark.parametrize("pqr", [(1, 2, 0), (1, 2, 1)])
+def test_class_route_against_exact_rational_phases(table, pqr):
+    """The README map at N = 2e4 against `_exact_readme_sums`: within
+    `sum_bound` on the class route."""
+    T, x = _heisenberg("readme")
+    cps = (7_777, 20_000)
+    series = correlate_nil(T, x, NilObservable.character(*pqr), table, cps)
+    assert series.metadata["route"] == "classes"
+    exact = _exact_readme_sums(pqr, cps, table.mu_array()[:cps[-1] + 1].tobytes())
     for got, want, bound in zip(series.sums, exact, _bounds(cps[-1], cps)):
         assert abs(got - want) <= bound / 2, (got, want, bound / 2)
+
+
+def test_affine_and_nil_metadata_carry_sum_bound(table):
+    """An affine series carries `sum_bound`(N, pieces) and a nil series sum |w|
+    times `sum_bound`(N, pieces + 2 terms), N the last checkpoint."""
+    cps = [10**4, 123_457, 200_000]
+    pieces = len(_pieces(cps[-1], cps))
+    W, b, xa, v = AFFINE["order4"]
+    aff = UnipotentAffine(matrix=W, translation=tuple(Fraction(t) for t in b))
+    meta = mobius_correlate(aff, tuple(Fraction(t) for t in xa), v, table, cps).metadata
+    assert meta["sum_bound"] == sum_bound(cps[-1], pieces)
+    T, x = _heisenberg("readme")
+    f = NilObservable(terms=((0.5 + 0j, 1, 2, 0), (-2j, 1, 2, 1), (1.5, 0, 1, 0)))
+    meta = correlate_nil(T, x, f, table, cps).metadata
+    assert meta["sum_bound"] == 4.0 * sum_bound(cps[-1], pieces + 6)
+    meta = correlate_nil(T, x, NilObservable.character(1, 2, 1), table, cps).metadata
+    assert meta["sum_bound"] == sum_bound(cps[-1], pieces + 2)
+
+
+def test_nil_sum_within_its_metadata_bound_of_the_exact_sum(table):
+    """The README map with (1, 2, 1) at N = 2e4 lies within the `sum_bound`
+    of its metadata of `_exact_readme_sums`, and the bound is not vacuous: it
+    is under 1e-9 of N."""
+    T, x = _heisenberg("readme")
+    cps = (7_777, 20_000)
+    series = correlate_nil(T, x, NilObservable.character(1, 2, 1), table, cps)
+    want = _exact_readme_sums((1, 2, 1), cps, table.mu_array()[:cps[-1] + 1].tobytes())[-1]
+    bound = series.metadata["sum_bound"]
+    assert abs(series.sums[-1] - want) <= bound < 1e-9 * cps[-1]
 
 
 @pytest.mark.parametrize("name", sorted(RATIONAL_CASES))

@@ -56,6 +56,19 @@ def test_capacity_error_beyond_feasible_depth():
         build_alpha(2.0, 4)
 
 
+def test_capacity_error_names_the_feasible_depth():
+    """Past the budget at level K + 1 the message names K; when q_3 is
+    already past it, as at tau = 8 (q_2 = 8,886,111), no depth K >= 3 is
+    feasible, and the message says so instead of naming K = 2, a depth
+    that build_alpha refuses."""
+    with pytest.raises(CapacityError, match="feasible depth here is K=4$"):
+        build_alpha(1.0, 5)
+    for K in (3, 4):
+        with pytest.raises(CapacityError, match=r"q_2=8886111\); no depth K >= 3 is "
+                                                r"feasible at tau=8\.0$"):
+            build_alpha(8.0, K)
+
+
 def test_h_support_and_reality(sys1):
     support = set(sys1.h.support())
     assert support <= {2, -2, 9, -9, 8102, -8102}
