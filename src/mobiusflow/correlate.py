@@ -10,12 +10,12 @@ grid of at least 8 m_max points, at a cost per term that does not grow with
 the mode count, and the error budget goes into the metadata.
 Polynomial phases (`poly_exp_sum` of a `flows.PolyPhase`, the unipotent
 affine maps, whose phase on each class is a `PolyPhase` too, and the
-Heisenberg nilflows) are walked in t on each residue class n = nu t + l, as
-exact residues over the common denominator K of the polynomial.
-`poly_mod1_array` has three routes: 48-bit limbs for powers of two from
-2^65 to 2^1074, K = 2^a m split into uint64 and int64 parts, and otherwise
-the one Horner, `_horner_mod`; the Heisenberg bracket runs on the same
-residues, and either rounds the exact rational once to float64.  Every
+Heisenberg nilflows, bracket included) are walked in t on each residue
+class n = nu t + l by the one exact phase source, `_Mod1Poly`, called
+through `poly_mod1_array`: exact residues over a common denominator K, on
+48-bit limbs for powers of two from 2^65 to 2^1074, split into uint64 and
+int64 parts for K = 2^a m, or by Horner (`_horner_mod`), the bracket's three
+residues too, and the exact rational rounded once to float64.  Every
 correlator ends in `_weighted_sums`: work is split into pieces of at most
 CHUNK = 8192 terms, cut at the checkpoints and at the multiples of CHUNK,
 and e(phase), weighted by mu, comes from a 4096-entry table of e(k/4096)
@@ -32,19 +32,18 @@ where the checkpoints cut.
 
 Rational data gives periodic phases, and then S(N) = sum_{r<P} e(phi(r))
 M_r(N) with M_r(N) the sum of mu(n) over n <= N, n = r (mod P): mu in
-arithmetic progressions.  Every exact-residue source carries its period
-P: K for a polynomial over the common denominator K (B(t + K) = B(t) mod
-K), lcm(K, D1 D2) for the Heisenberg bracket, and nu lcm(P_l) over the
-residue classes.  When P <= CLASS_PERIOD_MAX = 2^20 and CLASS_RATIO P
-len(checkpoints) <= N, with CLASS_RATIO = 4, `_weighted_sums` takes the
-class route: P phases, exact integer counts M_r per checkpoint, summed in
-bounded scratch, and `_e_sums` weighted by M_r.  Measured on the rational
-nil maps with N >= 1000 (BENCH_class_route.json, "crossover"), the class
-route won at N / (P len(checkpoints)) = 2 by 1.12x or more and at 4 by 1.5x
-or more, and lost at 1 by up to 1.4x; below N = 1000 both routes take
-under 0.2 ms.  Its sums are within twice `sum_bound` of the direct route's
-and do not depend on `threads`; every other phase (skew products, float
-coefficients, float g) keeps the direct route and its bits.
+arithmetic progressions.  Every `_Mod1Poly` carries its period P: K, or
+lcm(K, D1 D2) with the Heisenberg bracket; a class chunk has nu lcm(P_l).
+When P <= CLASS_PERIOD_MAX = 2^20 and CLASS_RATIO P len(checkpoints) <= N,
+with CLASS_RATIO = 4, `_weighted_sums` takes the class route: P phases,
+exact integer counts M_r per checkpoint, summed in bounded scratch, and
+`_e_sums` weighted by M_r.  Measured on the rational nil maps with N >=
+1000 (BENCH_class_route.json, "crossover"), the class route won at N / (P
+len(checkpoints)) = 2 by 1.12x or more and at 4 by 1.5x or more, and lost
+at 1 by up to 1.4x; below N = 1000 both routes take under 0.2 ms.  Its
+sums are within twice `sum_bound` of the direct route's and do not depend
+on `threads`; every other phase (skew products, float coefficients, float
+g) keeps the direct route and its bits.
 
 Also here: the bilinear-criterion test (small correlations against prime
 dilations force small multiplicative-weighted sums), the polynomial
@@ -71,7 +70,7 @@ import numpy as np
 from .analytic import AnalyticSeries, CaseReport, e2pi, e2pi_m1, scale_window
 from .errors import DomainError, PrecisionError
 from .flows import (Character, PolyPhase, SkewFlow, TorusPoint, UnipotentAffine,
-                    unipotent_phase_poly)
+                    integer_frequencies, unipotent_phase_poly)
 from .mobius import MobiusTable, _primes_upto
 from .polyutil import Poly
 
@@ -99,17 +98,18 @@ VDC_IMPLIED_CONSTANT = 10.0  # and the implied constant of its bound
 
 @dataclass(frozen=True)
 class CorrelationSeries:
-    """Partial sums S(N_i) at increasing checkpoints, with provenance."""
+    """Partial sums S(N_i) at increasing checkpoints, with provenance; |S(N)| <= sup_norm N."""
 
     checkpoints: tuple
     sums: tuple
     metadata: dict = field(default_factory=dict, compare=False)
+    sup_norm: float = field(default=1.0, compare=False)
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
             raise DomainError("checkpoints must be strictly increasing")
         for cp, s in zip(self.checkpoints, self.sums):
-            if abs(s) > cp * (1 + 1e-12):
+            if abs(s) > self.sup_norm * cp * (1 + 1e-12):
                 raise DomainError(f"|S({cp})| = {abs(s)} exceeds the trivial bound")
 
     @property
@@ -264,79 +264,68 @@ def _split_mod1(B: Sequence[int], a: int, m: int, t0: int, count: int, out) -> n
     return _round_limbs(limbs, 32, a + 96, np.minimum(rem, np.uint64(1)), out)
 
 
+def _horner_mod1(K: int, B: Sequence[int], dtype, bracket, t0: int, count: int, out) -> np.ndarray:
+    """frac(B(t) / K + the bracket (c, D1, A1, D2, A2) of a `_Mod1Poly`, if any), into out."""
+    residue = _horner_mod(B, K, t0, count, dtype)
+    if bracket:  # floor(Z1) mod D2 = (D1 Z1 mod D1 D2) // D1
+        c, D1, A1, D2, A2 = bracket
+        floor_z1 = _horner_mod(A1, D1 * D2, t0, count, dtype) // D1
+        product = _mod(c * floor_z1, K) * _horner_mod(A2, D2, t0, count, dtype)  # <= (K - 1)^2
+        residue = _mod(product + residue, K)
+    return _residues_mod1(residue, K, out)
+
+
 class _Mod1Poly:
-    """poly = sum B_k t^k / K compiled once for `poly_mod1_array`: K and the route on B."""
+    """The one exact phase source, frac(P(t) + r floor(Z1(t)) Z2(t)), compiled once.
 
-    __slots__ = ("K", "route")
+    bracket is (Z1, Z2, r) or None.  With D_i the common denominator of Z_i
+    and K = lcm(the denominators of P, D2), P = B / K and the phase is B(t)
+    + (r K / D2) floor(Z1) Z2 mod K, from three Horners in one dtype picked
+    from K, D1 D2 and D2 (`_horner_mod1`), with the `period` lcm(K, D1 D2)
+    of all three residues.  When D2 divides r, the bracket is an integer and
+    is dropped (D1 = D2 = 1), the period is K, and K = 2^a m (m odd) picks
+    the route: 48-bit limbs (`_pow2_limbs_mod1`) for m = 1 and 64 < a <=
+    1074; uint64 mod 2^a and int64 mod m (`_split_mod1`) for a <= 64 and 1 <
+    m <= INT64_MODULUS_MAX < K, e.g. a float mixed with 1/3; otherwise
+    `_horner_mod1`.  Each rounds the exact rational once to float64.  A call
+    source(t0, count, out) goes through `poly_mod1_array`; `period` stays in
+    the instance __dict__, which `functools.wraps` copies.
+    """
 
-    def __init__(self, poly: Poly):
-        K = math.lcm(*(c.denominator for c in poly.coeffs))
-        B = [c.numerator * (K // c.denominator) for c in poly.coeffs]
+    def __init__(self, poly: Poly, bracket: tuple | None = None):
+        Z1, Z2, r = bracket or (Poly(), Poly(), 0)
+        D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
+        if r % D2 == 0:  # r floor(Z1) Z2 is an integer
+            Z1, Z2, D1, D2 = Poly(), Poly(), 1, 1
+        K = math.lcm(D2, *(c.denominator for c in poly.coeffs))
+        B, A1, A2 = ([c.numerator * (d // c.denominator) for c in Z.coeffs]
+                     for Z, d in ((poly, K), (Z1, D1), (Z2, D2)))
         a = (K & -K).bit_length() - 1
         m = K >> a
-        self.K = K
-        if m == 1 and 64 < a <= 1074:
+        self.period = math.lcm(K, D1 * D2)
+        if D2 > 1:
+            self.route = partial(_horner_mod1, K, B, _residue_dtype(K, D1 * D2, D2),
+                                 (r * (K // D2) % K, D1, A1, D2, A2))
+        elif m == 1 and 64 < a <= 1074:
             self.route = partial(_pow2_limbs_mod1, B, a)
         elif K > INT64_MODULUS_MAX and a <= 64 and 1 < m <= INT64_MODULUS_MAX:
             self.route = partial(_split_mod1, B, a, m)
         else:
-            self.route = lambda t0, count, out: _residues_mod1(_horner_mod(B, K, t0, count), K, out)
+            self.route = partial(_horner_mod1, K, B, _residue_dtype(K), None)
+
+    def __call__(self, t0: int, count: int, out: np.ndarray) -> np.ndarray:
+        return poly_mod1_array(self, t0, count, out)
 
 
 def poly_mod1_array(poly: Poly, t0: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """frac(poly(t)) for t = t0..t0+count-1: the exact rational, rounded once to float64.
 
-    With poly = sum B_k t^k / K over the common denominator K = 2^a m (m
-    odd), the residue sum B_k t^k mod K takes one of three routes:
-
-    - 48-bit limbs (`_pow2_limbs_mod1`) for K = 2^a with 64 < a <= 1074;
-    - uint64 mod 2^a and int64 mod m (`_split_mod1`) when a <= 64 and
-      1 < m <= INT64_MODULUS_MAX < K, e.g. a float mixed with 1/3;
-    - otherwise `_horner_mod`, rounded by `_residues_mod1`.
-
-    poly may also be its `_Mod1Poly`, which `poly_mod1_source` compiles once.
-    The values are written into out (float64, of length count), a new
-    array when none is given.
+    poly is a `Poly`, compiled here, or a `_Mod1Poly`, as every exact phase
+    source is, bracket included; see there for the routes.  The values are
+    written into out (float64, of length count), a new array when none is given.
     """
     compiled = poly if isinstance(poly, _Mod1Poly) else _Mod1Poly(poly)
     return compiled.route(t0, count, np.empty(count) if out is None else out)
-
-
-def poly_mod1_source(poly: Poly) -> Callable[..., np.ndarray]:
-    """The source (t0, count, out) -> poly_mod1_array(poly, t0, count, out), compiled once.
-
-    Its `period` is K: B(t + K) = B(t) mod K for integer coefficients B.
-    Calls still go through `poly_mod1_array`, so one patch of it sees every
-    polynomial phase.
-    """
-    compiled = _Mod1Poly(poly)
-    source = partial(poly_mod1_array, compiled)
-    source.period = compiled.K
-    return source
-
-
-def bracket_mod1_source(P: Poly, Z1: Poly, Z2: Poly, r: int) -> Callable[..., np.ndarray]:
-    """The source (t0, count, out) -> frac(P(t) + r floor(Z1(t)) Z2(t)), exact, rounded once.
-
-    With D_i the common denominator of Z_i, this is B(t) + (r K / D2) floor(Z1) Z2
-    mod K = lcm(the denominators of P, D2), with floor(Z1) mod D2 = (D1 Z1 mod
-    D1 D2) // D1, from three Horners in one dtype picked from all three moduli.
-    Its `period` is lcm(K, D1 D2), over which all three residues repeat.
-    """
-    D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
-    if r % D2 == 0:  # r floor(Z1) Z2 is an integer
-        return poly_mod1_source(P)
-    K = math.lcm(*(c.denominator for c in P.coeffs), D2)
-    B, A1, A2 = ([c.numerator * (d // c.denominator) for c in Z.coeffs]
-                 for Z, d in ((P, K), (Z1, D1), (Z2, D2)))
-    c, dtype = r * (K // D2) % K, _residue_dtype(K, D1 * D2, D2)
-
-    def phase(t0: int, count: int, out: np.ndarray) -> np.ndarray:
-        floor_z1 = _horner_mod(A1, D1 * D2, t0, count, dtype) // D1
-        bracket = _mod(c * floor_z1, K) * _horner_mod(A2, D2, t0, count, dtype)  # <= (K - 1)^2
-        return _residues_mod1(_mod(bracket + _horner_mod(B, K, t0, count, dtype), K), K, out)
-    phase.period = math.lcm(K, D1 * D2)
-    return phase
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +483,7 @@ class _SkewPhaseContext:
     def __init__(self, flow: SkewFlow, p: TorusPoint, b: Character, nmax: int):
         if not flow.normalized:
             raise DomainError("correlator needs the normalized skew form a = d = 1")
+        b = Character(*integer_frequencies((b.b1, b.b2)))
         h, x1, top = flow.h, Fraction(p.x1), max(flow.h.support(), default=0)
         bits = 3 * max(nmax, 2).bit_length() + 8 + top.bit_length() * (8 * top > TAYLOR_GRID)
         center = flow.alpha._phase_center(bits)
@@ -715,8 +705,8 @@ def _class_phase_chunk(sources: Sequence) -> Callable[..., np.ndarray]:
 
     sources[l](t0, count, out) writes the phases of n = nu t + l for t = t0..t0
     + count - 1 into out, with nu = len(sources), as the exact sources
-    (`poly_mod1_source`, `bracket_mod1_source`) do.  When every source has a
-    `period`, phase_chunk has the period nu lcm(periods).
+    (`_Mod1Poly`) do.  When every source has a `period`, phase_chunk has the
+    period nu lcm(periods).
     """
     nu = len(sources)
 
@@ -895,12 +885,12 @@ def mobius_correlate(flow, x, b, table: MobiusTable, checkpoints: Sequence[int],
         phase_chunk, budget = ctx.chunk, ctx.budget(checkpoints)
         meta_flow = f"skew(c={flow.c}, alpha={flow.alpha.label}, h={flow.h.label})"
     elif isinstance(flow, UnipotentAffine):
-        v = (b.b1, b.b2) if isinstance(b, Character) else tuple(int(t) for t in b)
+        v = integer_frequencies((b.b1, b.b2) if isinstance(b, Character) else b)
         if len(v) != flow.dimension:
             raise DomainError("observable vector dimension mismatch")
         tpolys = [unipotent_phase_poly(flow, x, v, l).as_poly().compose_linear(flow.nu, l)
                   for l in range(flow.nu)]
-        phase_chunk = _class_phase_chunk([poly_mod1_source(P) for P in tpolys])
+        phase_chunk = _class_phase_chunk([_Mod1Poly(P) for P in tpolys])
         meta_flow = f"unipotent_affine(dim={flow.dimension}, nu={flow.nu})"
         budget = {"sum_bound": sum_bound(N, len(_pieces(N, checkpoints)))}
     else:
@@ -919,7 +909,7 @@ def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
     """sum_{n<=N, n = l (mod nu)} mu(n) e(phi(n)) with exact mod-1 phases.
 
     The class is walked in t: term t is n = n_start + nu (t - 1), and the sum
-    is one `_weighted_sums` pass of `poly_mod1_source` over the strided view
+    is one `_weighted_sums` pass of its `_Mod1Poly` over the strided view
     mu[n_start::nu], so `threads` is honoured, the sum is bit-identical for
     any thread count, and mu is not copied, on either route.
     """
@@ -928,7 +918,7 @@ def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
     nu, l = phase.nu, phase.residue
     n_start = l if l >= 1 else nu
     count = (N - n_start) // nu + 1 if N >= n_start else 0
-    phase_chunk = poly_mod1_source(phase.as_poly().compose_linear(nu, n_start - nu))
+    phase_chunk = _Mod1Poly(phase.as_poly().compose_linear(nu, n_start - nu))
     weights = table.mu_array()[n_start::nu]
     return _weighted_sums(phase_chunk, weights, count, [count], threads)[0]
 

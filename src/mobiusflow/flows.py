@@ -62,6 +62,13 @@ class Character:
     b2: int
 
 
+def integer_frequencies(values: Sequence) -> tuple[int, ...]:
+    """The frequencies of a character as ints; DomainError on a non-integer one (0.5, True)."""
+    if any(isinstance(v, bool) or v != int(v) for v in values):
+        raise DomainError(f"frequencies must be integers, got {tuple(values)}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(eq=False)
 class SkewFlow:
     """Triangular skew product with zero entropy (ad = +-1)."""

@@ -30,13 +30,11 @@ e(p v1 + q v2) are lattice-invariant; a central factor e(r v3) is evaluated
 on the canonical representative, where the phase is the bracket polynomial
 frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) of the orbit coordinates Z_i(n).
 The correlator walks each residue class n = nu t + l in t, as the affine
-one does, through `correlate.bracket_mod1_source`: a term whose bracket is
-an integer (every horizontal character) is `poly_mod1_array` of the rest,
-any other runs on the bracket's residues (in uint64 when every modulus
-divides 2^64, int64 up to isqrt(2^63 - 1), Python ints beyond), and either
-way the exact rational is rounded once to float64.  Every name of
-`correlate` is looked up at call time, so `correlate` alone decides how a
-sum runs.
+one does, with `_residue_phase`: the one exact phase source
+`correlate._Mod1Poly` of the bracket (Z1, Z2, r), called through
+`correlate.poly_mod1_array` and rounded once to float64 (see there for its
+routes and dtypes).  Every name of `correlate` is looked up at call time,
+so `correlate` alone decides how a sum runs.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ import numpy as np  # noqa: F401 (bench/spans.py wraps nilflow.np.exp)
 from . import correlate
 from .analytic import e2pi
 from .errors import DomainError
+from .flows import integer_frequencies
 from .mobius import MobiusTable
 from .polyutil import affine_orbit_polys, mat_vec, quasi_unipotent
 
@@ -290,9 +289,7 @@ class NilObservable:
 
     @classmethod
     def character(cls, p: int, q: int, r: int = 0) -> "NilObservable":
-        if any(isinstance(c, bool) or c != int(c) for c in (p, q, r)):
-            raise DomainError(f"frequencies must be integers, got {(p, q, r)}")
-        return cls(terms=((1 + 0j, int(p), int(q), int(r)),))
+        return cls(terms=((1 + 0j, *integer_frequencies((p, q, r))),))
 
     @classmethod
     def from_json(cls, spec: dict) -> "NilObservable":
@@ -306,9 +303,9 @@ class NilObservable:
 
 
 def _residue_phase(rep: PolyOrbitRep, p: int, q: int, r: int):
-    """frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) at n = nu t + l, as a source in t."""
+    """frac(p Z1 + q Z2 + r (Z3 + floor(Z1) Z2)) at n = nu t + l, as a `_Mod1Poly` in t."""
     Z1, Z2, Z3 = (Z.compose_linear(rep.nu, rep.residue) for Z in rep.coord_polys)
-    return correlate.bracket_mod1_source(Z1.scale(p) + Z2.scale(q) + Z3.scale(r), Z1, Z2, r)
+    return correlate._Mod1Poly(Z1.scale(p) + Z2.scale(q) + Z3.scale(r), (Z1, Z2, r))
 
 
 def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
@@ -325,7 +322,8 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
     which are finite: every phase here is rational (see `correlate.sum_route`).
     Its `sum_bound` on |S(N)|, N the last checkpoint, is sum |w| times
     `correlate.sum_bound` at two more pieces per term, which cover the
-    rounding of the products w S_term and of their additions.
+    rounding of the products w S_term and of their additions.  The series'
+    `sup_norm` is sum |w| >= |f|, so its trivial bound is sum |w| N.
     """
     checkpoints, N = correlate._checked_checkpoints(checkpoints, table.limit)
     reps = [compile_poly_orbit(T, x, l) for l in range(T.nu)]
@@ -340,9 +338,9 @@ def correlate_nil(T: HeisenbergAffine, x: HeisenbergElement, f: NilObservable,
         routes.append(route)
         periods.append(period)
     pieces = len(correlate._pieces(N, checkpoints)) + 2 * len(f.terms)
+    sup_norm = sum(abs(w) for w, *_ in f.terms)
     meta = {"flow": f"heisenberg(nu={T.nu})", "observable": str(f.terms),
             "threads": threads, "N": N, "route": ",".join(routes),
-            "period": math.lcm(*periods),
-            "sum_bound": sum(abs(w) for w, *_ in f.terms) * correlate.sum_bound(N, pieces)}
+            "period": math.lcm(*periods), "sum_bound": sup_norm * correlate.sum_bound(N, pieces)}
     return correlate.CorrelationSeries(checkpoints=tuple(checkpoints), sums=tuple(sums),
-                                       metadata=meta)
+                                       metadata=meta, sup_norm=sup_norm)

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -394,7 +395,7 @@ _MALFORMED_CONFIGS = [
 
 @pytest.mark.parametrize("flow, change, key", _MALFORMED_CONFIGS)
 def test_malformed_config_numbers_domain_exit(configs, tmp_path, capsys, flow, change, key):
-    cfg = {**json.loads(open(configs[flow]).read()), **change}
+    cfg = {**json.loads(Path(configs[flow]).read_text()), **change}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     args = (["nilflow", "--observable", "1,2,1"] if flow == "nil"
@@ -515,7 +516,7 @@ def test_malformed_json_and_alpha_specs_domain_exit(tmp_path, capsys, args):
 @pytest.mark.parametrize("change", [{"alpha": 5}, {"h": [1]}])
 def test_skew_config_parts_of_wrong_type_domain_exit(configs, tmp_path, capsys, change):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**json.loads(open(configs["skew"]).read()), **change}))
+    path.write_text(json.dumps({**json.loads(Path(configs["skew"]).read_text()), **change}))
     code, _, err = run_cli(["correlate", "--config", str(path), "--b", "0,1",
                             "--checkpoints", "100"], capsys)
     assert code == 3 and "JSON object" in err

@@ -243,6 +243,31 @@ def test_skew_phases_refuse_non_normalized_flows(table, flow, b):
         character_phase(flow, p, b, 10)
 
 
+@pytest.mark.parametrize("b", [(1, 0.5), (True, 1), Character(2, 0.5)])
+def test_affine_correlation_refuses_non_integer_characters(table, b):
+    """(1, 0.5) used to be summed as (1, 0), int() truncating it, while the
+    metadata recorded (1, 0.5); a non-integer or bool frequency is refused,
+    and an integer-valued float sums as its integer."""
+    W, t, x, _ = AFFINE["order4"]
+    aff = UnipotentAffine(matrix=W, translation=tuple(Fraction(s) for s in t))
+    x = tuple(Fraction(s) for s in x)
+    with pytest.raises(DomainError, match="frequencies must be integers"):
+        mobius_correlate(aff, x, b, table, [100])
+    assert (mobius_correlate(aff, x, (2.0, -1.0), table, [100]).sums
+            == mobius_correlate(aff, x, (2, -1), table, [100]).sums)
+
+
+@pytest.mark.parametrize("b", [Character(0.5, 1), Character(1, 0.5), (0.5, 1)])
+def test_skew_correlation_refuses_non_integer_characters(table, skew, b):
+    """A skew flow with Character(0.5, 1) used to end in an AttributeError in
+    the phase set-up; the skew context refuses it, on every path into it."""
+    flow, p = skew
+    with pytest.raises(DomainError, match="frequencies must be integers"):
+        mobius_correlate(flow, p, b, table, [100])
+    with pytest.raises(DomainError, match="frequencies must be integers"):
+        character_phase_array(flow, p, Character(*b) if isinstance(b, tuple) else b, 100)
+
+
 def test_thread_count_determinism(table, skew, lacunary):
     b = Character(0, 1)
     cps = [10**4, 10**5]
@@ -1018,29 +1043,30 @@ def test_one_batch_starts_no_pool(table, monkeypatch):
 
 
 def _exact_sources():
-    """name -> an exact-residue phase source, one per route of `poly_mod1_array`
-    and per dtype of `bracket_mod1_source`, and a class chunk with nu = 3."""
+    """name -> an exact phase source, a `_Mod1Poly` as the correlators build
+    it: one per route of `poly_mod1_array` and per dtype of the bracket's
+    residues, and a class chunk with nu = 3."""
     F, r2 = Fraction, Fraction(math.sqrt(2))
     polys = {"horner-uint64": Poly([0, r2, 0, F(math.sqrt(3))]),  # K = 2^52
              "horner-int64": Poly([F(1, 3), F(2, 7), F(-5, 11), F(1, 4)]),  # K = 924
              "horner-object": Poly([0, F(1, 3**25), F(2, 7)]),  # K = 7 3^25 > INT64_MODULUS_MAX
              "limbs": Poly([0, 0, 0, F(1e-4)]),  # K = 2^66
              "split": Poly([0, r2, F(1, 3)])}  # K = 3 2^52
-    sources = {name: correlate.poly_mod1_source(poly) for name, poly in polys.items()}
-    for name, route in (("limbs", "_pow2_limbs_mod1"), ("split", "_split_mod1")):
-        assert sources[name].args[0].route.func.__name__ == route
-    for name, dtype in (("uint64", np.uint64), ("int64", np.int64), ("object", object)):
-        assert correlate._residue_dtype(sources[f"horner-{name}"].period) is dtype
+    sources = {name: correlate._Mod1Poly(poly) for name, poly in polys.items()}
     brackets = {  # (P, Z1, Z2, r): K = 64 and D1 D2 = 2^55; 33 and 105; 154 and 7 3^25
         "uint64": (Poly([0, F(5, 32), F(1, 64)]), Poly([F(1, 16), r2]), Poly([0, F(3, 8)]), 1),
         "int64": (Poly([0, F(2, 11)]), Poly([0, F(1, 5), F(1, 7)]), Poly([0, F(1, 3)]), 1),
         "object": (Poly([F(1, 2), F(1, 11)]), Poly([0, F(1, 3**25)]), Poly([0, F(1, 7)]), 2)}
     for name, (P, Z1, Z2, r) in brackets.items():
-        D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
-        K = math.lcm(*(c.denominator for c in P.coeffs), D2)
-        assert correlate._residue_dtype(K, D1 * D2, D2) is {"uint64": np.uint64,
-                                                             "int64": np.int64}.get(name, object)
-        sources[f"bracket-{name}"] = correlate.bracket_mod1_source(P, Z1, Z2, r)
+        sources[f"bracket-{name}"] = correlate._Mod1Poly(P, (Z1, Z2, r))
+    for name, source in sources.items():
+        kind, dtype = name.rsplit("-", 1) if "-" in name else (name, None)
+        route = {"limbs": "_pow2_limbs_mod1", "split": "_split_mod1"}.get(kind, "_horner_mod1")
+        assert source.route.func.__name__ == route, name
+        if dtype:  # the residues' dtype, and a bracket on the bracket sources alone
+            assert source.route.args[2] is {"uint64": np.uint64, "int64": np.int64,
+                                            "object": object}[dtype], name
+            assert (source.route.args[3] is not None) == (kind == "bracket"), name
     sources["classes-nu3"] = correlate._class_phase_chunk(
         [sources[name] for name in ("horner-uint64", "horner-int64", "split")])
     return sources
@@ -1261,10 +1287,10 @@ def _rational_cases():
         aff = UnipotentAffine(matrix=W, translation=tuple(Fraction(t) for t in b))
         x = tuple(Fraction(t) for t in x)
         cases[f"affine-{name}"] = (correlate._class_phase_chunk(
-            [correlate.poly_mod1_source(unipotent_phase_poly(aff, x, v, l).as_poly()
-                                        .compose_linear(aff.nu, l)) for l in range(aff.nu)]),
+            [correlate._Mod1Poly(unipotent_phase_poly(aff, x, v, l).as_poly()
+                                 .compose_linear(aff.nu, l)) for l in range(aff.nu)]),
             slice(1, None))
-    cases["poly-nu3"] = (correlate.poly_mod1_source(RATIONAL_NU3.as_poly().compose_linear(3, -2)),
+    cases["poly-nu3"] = (correlate._Mod1Poly(RATIONAL_NU3.as_poly().compose_linear(3, -2)),
                          slice(1, None, 3))
     return cases
 
@@ -1431,7 +1457,7 @@ def test_bracket_period_counts_the_floor():
     """frac(t/2 + floor(t/5) t/2) has K = 2 but period lcm(K, D1 D2) = 10:
     floor(t/5) mod 2 repeats only every 10 terms."""
     Z1, Z2 = Poly([0, Fraction(1, 5)]), Poly([0, Fraction(1, 2)])
-    source = correlate.bracket_mod1_source(Z2, Z1, Z2, 1)
+    source = correlate._Mod1Poly(Z2, (Z1, Z2, 1))
     assert source.period == 10
     phases = _phases(source, 0, 40)
     assert np.array_equal(phases[10:], phases[:-10])

@@ -3,7 +3,6 @@
 All algebra here is exact over Fractions; equality assertions are literal.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -357,16 +356,14 @@ def test_dyadic_bracket_phases_equal_exact_phases():
         p, q, r = rng.randint(-3, 3), rng.randint(-3, 3), (1, -2, 3)[i % 3]
         for l in range(T.nu):
             rep = compile_poly_orbit(T, x, l)
-            Z1, Z2, Z3 = (Z.compose_linear(T.nu, l) for Z in rep.coord_polys)
-            D1, D2 = (math.lcm(*(c.denominator for c in Z.coeffs)) for Z in (Z1, Z2))
-            P = Z1.scale(p) + Z2.scale(q) + Z3.scale(r)
-            K = math.lcm(D2, *(c.denominator for c in P.coeffs))
-            if r % D2:
+            source = _residue_phase(rep, p, q, r)
+            route = source.route  # as `_Mod1Poly` compiled it: K and the bracket's moduli
+            if route.func.__name__ == "_horner_mod1" and route.args[3]:
+                K, (_, D1, _, D2, _) = route.args[0], route.args[3]
                 kinds.add(tuple(2**64 % m == 0 for m in (K, D1 * D2, D2)) + (K == 2**64,))
             ns = list(range(l or T.nu, 300, T.nu)) + [l + T.nu * k for k in (10**5, 10**7 + 3)]
             runs = [((l or T.nu) // T.nu, len(range(l or T.nu, 300, T.nu))), (10**5, 1),
                     (10**7 + 3, 1)]  # ns as (t0, count), n = nu t + l
-            source = _residue_phase(rep, p, q, r)
             got = np.concatenate([source(*run, np.empty(run[1])) for run in runs])
             assert got.tolist() == [_exact_phase(rep, n, p, q, r) for n in ns], (i, l)
     assert {(True, True, True, False), (True, True, True, True)} <= kinds
@@ -401,6 +398,24 @@ def test_two_term_weighted_observable_vs_iteration(table):
     series = correlate_nil(T, x, obs, table, [700, 1500])
     want = _iteration_sum(T, x, obs, table.mu_array(), 1500)
     assert abs(series.sums[1] - want) < 1e-9 * 1500
+
+
+@pytest.mark.parametrize("terms", [((2, 0, 0, 0),), ((1, 1, 2, 1), (-1j, 0, 1, 0))])
+def test_weighted_observables_keep_their_trivial_bound(terms):
+    """|f| reaches sum |w|, so |S(N)| may pass N: the trivial bound of a nil
+    series is sum |w| N.  With f = 2, or these two unit terms, S(1) = mu(1)
+    f(T x) has modulus over 1, and used to raise DomainError.  At every N <=
+    100 the sums match NilObservable.value along nil_step."""
+    T, x = _heisenberg("readme")
+    obs, table = NilObservable(terms=terms), mobius_sieve(100)
+    series = correlate_nil(T, x, obs, table, list(range(1, 101)))
+    assert series.sup_norm == sum(abs(w) for w, *_ in terms)
+    assert abs(series.sums[0]) > 1
+    mu, point, want = table.mu_array(), reduce_to_fundamental(x), 0j
+    for n, s in zip(series.checkpoints, series.sums):
+        point = nil_step(T, point)
+        want += int(mu[n]) * obs.value(point)
+        assert abs(s - want) < 1e-9 * n, n
 
 
 def test_correlate_threads_bit_identical(table):
