@@ -16,6 +16,7 @@ import time
 
 from mobiusflow import __version__
 from mobiusflow.cfrac import AlphaSpec
+from mobiusflow.cli import _parse_count
 from mobiusflow.analytic import AnalyticSeries
 from mobiusflow.correlate import mobius_correlate
 from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine
@@ -35,7 +36,7 @@ def checkpoints_up_to(n_max: int) -> list:
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--n-max", type=lambda s: int(float(s)), default=10**7)
+    ap.add_argument("--n-max", type=_parse_count, default=10**7)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()

@@ -3,9 +3,10 @@
 An AnalyticSeries is a sparse coefficient map m -> h_hat(m) together with
 decay metadata: an upper rate tau with witness constant c_up such that
 |h_hat(m)| <= c_up e^{-tau |m|}, and optionally a lower rate tau2 >= tau
-with witness c_low on the declared support.  Services:
+with witness c_low on the declared support.  The support is held once as
+arrays, int64 `modes` sorted by |m| and complex128 `values`.  Services:
 
-  * pointwise evaluation  h(x) = sum h_hat(m) e(mx)
+  * pointwise evaluation  h(x) = sum h_hat(m) e(mx), by `fourier_sum`
   * Birkhoff sums along a rotation, both by direct summation and by the
     geometric-series (Fourier-side) formula, with the convention that
     (e(nm alpha)-1)/(e(m alpha)-1) means n when m alpha is an integer
@@ -50,6 +51,18 @@ def e2pi_m1(t) -> complex:
     return complex(-2.0 * s * s, math.sin(TWO_PI * tf))
 
 
+def e_array(modes: np.ndarray, x: float) -> np.ndarray:
+    """e(m x) for each int64 m: m x mod 1 first, as in `e2pi`, then cos + i sin
+    of 2 pi times it, as the exp of a pure imaginary (the fewest numpy calls)."""
+    return np.exp(np.mod(modes * x, 1.0) * (2j * math.pi))
+
+
+def fourier_sum(modes: np.ndarray, values: np.ndarray, x: float) -> complex:
+    """sum_m values_m e(m x), the one finite Fourier sum: numpy's pairwise
+    np.add.reduce of the terms, with no BLAS call."""
+    return complex(np.add.reduce(values * e_array(modes, x)))
+
+
 def geometric_ratio(n: int, t) -> complex:
     """(e(n t) - 1)/(e(t) - 1), with value n when t is an integer.
 
@@ -77,7 +90,8 @@ def geometric_ratio(n: int, t) -> complex:
 
 @dataclass(eq=False)
 class AnalyticSeries:
-    """Sparse Fourier coefficients with recorded decay witnesses."""
+    """Sparse Fourier coefficients with recorded decay witnesses; `modes` and
+    `values` hold the support of `coeffs` sorted by |m|, stable on insertion."""
 
     coeffs: dict[int, complex]
     tau: float
@@ -85,27 +99,29 @@ class AnalyticSeries:
     c_up: float = 0.0
     c_low: Optional[float] = None
     label: str = ""
-    _support: tuple = field(default=(), repr=False)
+    modes: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise DomainError("decay rate tau must be positive")
+        if not 0 < self.tau < math.inf or self.tau2 is not None and not math.isfinite(self.tau2):
+            raise DomainError(f"decay rates must be finite and tau > 0, got {self.tau}, {self.tau2}")
         self.coeffs = {int(m): complex(c) for m, c in self.coeffs.items()
-                       if abs(c) > COEFF_FLOOR}
-        self._support = tuple(sorted(self.coeffs, key=abs))
+                       if not abs(c) <= COEFF_FLOOR}  # keeps NaN, refused below
+        support = sorted(self.coeffs, key=abs)
+        self.values = np.array([self.coeffs[m] for m in support], dtype=np.complex128)
+        if not np.isfinite(self.values).all() or support and abs(support[-1]) >= 2**63:
+            raise DomainError(f"coefficients must be finite and modes in int64, got {self.coeffs}")
+        self.modes = np.array(support, dtype=np.int64)
         if not self.c_up:
             self.c_up = self._calibrate_upper()
 
     def _calibrate_upper(self) -> float:
-        best = 0.0
-        for m, c in self.coeffs.items():
-            if abs(m) > 700.0 / self.tau:
-                # witness exceeds double range: the series is not analytic
-                # at rate tau in any usable sense
-                return math.inf
-            need = abs(c) * math.exp(self.tau * abs(m))
-            best = max(best, need)
-        return best or 1.0
+        size = np.abs(self.modes)
+        if size.size and size[-1] > 700.0 / self.tau:
+            # the witness passes double range: not analytic at rate tau in any usable sense
+            return math.inf
+        with np.errstate(over="ignore"):  # a witness past double range is inf
+            return float(np.max(np.abs(self.values) * np.exp(self.tau * size), initial=0.0)) or 1.0
 
     # -- access -------------------------------------------------------------
 
@@ -113,18 +129,27 @@ class AnalyticSeries:
         return self.coeffs.get(m, 0j)
 
     def items(self) -> Iterator[tuple[int, complex]]:
-        for m in self._support:
-            yield m, self.coeffs[m]
+        return zip(self.modes.tolist(), self.values.tolist())
 
     def support(self) -> tuple:
-        return self._support
+        return tuple(self.modes.tolist())
+
+    def window(self, m_j: int, M_j, x1: float = 0.0) -> tuple[np.ndarray, ...]:
+        """The window 1 <= |m| < M_j of the scale m_j: m ascending (int64),
+        h_hat(m_j m), and the weights w_m = h_hat(m_j m) e(m_j m x1), x1
+        reduced mod 1 first."""
+        if m_j >= 2**63:  # no int64 mode is a nonzero multiple of m_j
+            return self.modes[:0], self.values[:0], self.values[:0]
+        m, r = np.divmod(self.modes, m_j)
+        at = np.flatnonzero((r == 0) & (m != 0) & (np.abs(m) < M_j))
+        at = at[np.argsort(m[at])]
+        hm = self.values[at]
+        return m[at], hm, hm * e_array(self.modes[at], float(x1) % 1.0)
 
     @property
     def is_real(self) -> bool:
-        for m, c in self.coeffs.items():
-            if abs(c - self.coeffs.get(-m, 0j).conjugate()) > 1e-13 * (1 + abs(c)):
-                return False
-        return True
+        return all(abs(c - self.coeff(-m).conjugate()) <= 1e-13 * (1 + abs(c))
+                   for m, c in self.coeffs.items())
 
     # -- construction --------------------------------------------------------
 
@@ -146,8 +171,8 @@ class AnalyticSeries:
 
         Exact two-sided decay, so tau2 = tau with witnesses c_up = c_low = 1.
         """
-        if M is None:
-            M = max(1, math.ceil(math.log(1e16) / tau))
+        if M is None:  # a tau that is not positive and finite is refused below
+            M = max(1, math.ceil(math.log(1e16) / tau)) if 0 < tau < math.inf else 1
         d = {}
         for m in range(1, M + 1):
             v = math.exp(-tau * m)
@@ -172,8 +197,7 @@ class AnalyticSeries:
     def to_json(self) -> dict:
         return {
             "type": "coeffs",
-            "entries": [[str(m) if abs(m) > 2**62 else m, c.real, c.imag]
-                        for m, c in sorted(self.coeffs.items(), key=lambda kv: abs(kv[0]))],
+            "entries": [[str(m) if abs(m) > 2**62 else m, c.real, c.imag] for m, c in self.items()],
             "tau": self.tau,
             "tau2": self.tau2,
         }
@@ -190,8 +214,8 @@ def eval_series(h: AnalyticSeries, x: float, M: Optional[int] = None) -> complex
     """
     if M is not None and M < 1:
         raise DomainError("truncation M must be >= 1")
-    xf = float(x) % 1.0
-    return sum((c * e2pi(m * xf) for m, c in h.items() if M is None or abs(m) <= M), 0j)
+    kept = slice(None) if M is None else np.abs(h.modes) <= M
+    return fourier_sum(h.modes[kept], h.values[kept], float(x) % 1.0)
 
 
 def birkhoff_sum_direct(h: AnalyticSeries, x1: float, alpha: AlphaSpec, n: int) -> complex:
@@ -226,16 +250,14 @@ def birkhoff_sum_fourier(h: AnalyticSeries, x1: float, alpha: AlphaSpec, n: int,
     total = 0j
     x1f = float(x1) % 1.0
     for m, c in h.items():
-        if M is not None and abs(m) > M:
-            continue
-        t = alpha.frac_signed_fraction(m)
-        total += c * e2pi(m * x1f) * geometric_ratio(n, t)
+        if M is None or abs(m) <= M:
+            total += c * e2pi(m * x1f) * geometric_ratio(n, alpha.frac_signed_fraction(m))
     return complex(total)
 
 
 def birkhoff_tail_bound(h: AnalyticSeries, n: int, M: int) -> float:
     """Bound on |direct - fourier(M)| from the dropped |m| > M coefficients."""
-    return n * sum((abs(c) for m, c in h.items() if abs(m) > M), 0.0)
+    return n * float(np.add.reduce(np.abs(h.values[np.abs(h.modes) > M])))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +338,6 @@ def rational_case_decompose(h: AnalyticSeries, alpha: AlphaSpec,
 # Sharp-scale machinery
 
 
-def scale_window(h: AnalyticSeries, m_j: int, M_j) -> list[tuple[int, complex]]:
-    """Pairs (m, h_hat(m_j m)) over the window 1 <= |m| < M_j."""
-    return sorted((key // m_j, c) for key, c in h.items()
-                  if key % m_j == 0 and 0 < abs(key // m_j) < M_j)
-
-
 @dataclass(eq=False)
 class ScaleFunction:
     """The window function f_j of one sharp scale.
@@ -330,6 +346,7 @@ class ScaleFunction:
 
     theta is the signed representative of m_j alpha mod 1 (|theta| = ||m_j
     alpha||), which makes f_j(n theta) exactly the n-th window Birkhoff term.
+    `weights` are the window's w_m (`AnalyticSeries.window`) / (e(m theta)-1).
     """
 
     h: AnalyticSeries
@@ -339,14 +356,18 @@ class ScaleFunction:
     theta: Fraction
     x1: float
     j: int
-    window: list = field(default_factory=list, repr=False)
+    m: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.window:
-            self.window = scale_window(self.h, self.m_j, self.M_j)
         if float(self.theta) == 0.0:
             raise PrecisionError(
                 f"theta at scale m_j={self.m_j} underflows double precision")
+        self.m, _, w = self.h.window(self.m_j, self.M_j, self.x1)
+        den = np.array([e2pi_m1(m * self.theta) for m in self.m.tolist()], dtype=complex)
+        if not den.all():
+            raise PrecisionError(f"window denominator underflowed at m={self.m[den == 0][0]}")
+        self.weights = w / den
 
     @classmethod
     def from_report(cls, report: CaseReport, h: AnalyticSeries, x1: float) -> "ScaleFunction":
@@ -357,36 +378,22 @@ class ScaleFunction:
         return cls(h=h, m_j=report.scales[j], m_j_plus=report.successors[j], M_j=report.M[j],
                    theta=report.theta_J_signed, x1=float(x1), j=j)
 
-    def _den(self, m: int) -> complex:
-        den = e2pi_m1(m * self.theta)
-        if den == 0:
-            raise PrecisionError(f"window denominator underflowed at m={m}")
-        return den
-
     def value_at_orbit(self, n: int) -> complex:
         """f_j(n theta) computed with the exact phase n*m*theta mod 1."""
-        total = 0j
-        for m, c in self.window:
-            num = e2pi_m1(n * m * self.theta)
-            total += c * e2pi(m * self.m_j * self.x1) * num / self._den(m)
-        return total
+        num = [e2pi_m1(n * m * self.theta) for m in self.m.tolist()]
+        return complex(np.add.reduce(self.weights * num))
 
     def tilde_value(self, x: float, d1: int, d2: int) -> complex:
         """f_j(d1 x) - f_j(d2 x), the two-dilation difference."""
-        total = 0j
-        for m, c in self.window:
-            num = e2pi_m1(d1 * m * x) - e2pi_m1(d2 * m * x)
-            total += c * e2pi(m * self.m_j * self.x1) * num / self._den(m)
-        return total
+        num = [e2pi_m1(d1 * m * x) - e2pi_m1(d2 * m * x) for m in self.m.tolist()]
+        return complex(np.add.reduce(self.weights * num))
 
     def tilde_third_derivative(self, x: float, d1: int, d2: int) -> complex:
         """(2 pi i)^3 sum m^3 h_hat(m m_j) e(m m_j x1)
         (d1^3 e(d1 m x) - d2^3 e(d2 m x)) / (e(m theta)-1)."""
-        total = 0j
-        for m, c in self.window:
-            num = d1**3 * e2pi(d1 * m * x) - d2**3 * e2pi(d2 * m * x)
-            total += (m**3) * c * e2pi(m * self.m_j * self.x1) * num / self._den(m)
-        return (2j * math.pi) ** 3 * total
+        w = self.m.astype(np.float64) ** 3 * self.weights
+        return (2j * math.pi) ** 3 * (d1**3 * fourier_sum(d1 * self.m, w, x)
+                                      - d2**3 * fourier_sum(d2 * self.m, w, x))
 
 
 def big_H(cf: CFExpansion, h: AnalyticSeries, x, x1: float, Y: float) -> complex:
@@ -438,20 +445,11 @@ def caseB_taylor(h: AnalyticSeries, report: CaseReport, x1: float
     """
     if report.label != "B":
         raise DomainError(f"Taylor expansion applies in case B only (label={report.label})")
-    mJ, MJ = report.scales[-1], report.M[-1]
-    window = scale_window(h, mJ, MJ)
-    x1f = float(x1) % 1.0
-    c = [0j, 0j, 0j]
-    ctilde3 = 0.0
-    for m, hm in window:
-        ph = hm * e2pi(m * mJ * x1f)
-        c[0] += ph
-        c[1] += m * ph
-        c[2] += m * m * ph
-        ctilde3 += abs(m) ** 3 * abs(hm)
-    c0 = c[0]
-    c1 = (2j * math.pi) * c[1]
-    c2 = (2j * math.pi) ** 2 / 2.0 * c[2]
+    m, hm, w = h.window(report.scales[-1], report.M[-1], x1)
+    m = m.astype(np.float64)
+    c0, c1, c2 = ((2j * math.pi) ** k / math.factorial(k) * complex(np.add.reduce(m**k * w))
+                  for k in range(3))
+    ctilde3 = float(np.add.reduce(np.abs(m) ** 3 * np.abs(hm)))
     theta = abs(float(report.theta_J)) if report.theta_J is not None else 0.0
     remainder = (TWO_PI**3 / 24.0) * ctilde3 * theta**3 * float(report.N) ** 4
     return c0, c1, c2, remainder

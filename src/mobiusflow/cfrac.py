@@ -23,6 +23,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError, PrecisionError
 
 
@@ -443,18 +445,10 @@ def _ratio_float(a, b) -> float:
 
 
 def phi_scale(h, m_j: int, M_j) -> float:
-    """Phi_j = sum over 1 <= |m| < M_j of m^2 |h_hat(m_j m)|.
-
-    Iterates the sparse support of the series, so astronomically wide
-    windows (M_j up to q_{k+1}/q_k) cost only the support size.
-    """
-    total = 0.0
-    for m, c in h.items():
-        if m > 0 and m % m_j == 0:
-            mm = m // m_j
-            if 1 <= mm < M_j:
-                total += mm * mm * (abs(c) + abs(h.coeff(-m)))
-    return total
+    """Phi_j = sum over 1 <= |m| < M_j of m^2 |h_hat(m_j m)|, off `AnalyticSeries.window`:
+    astronomically wide windows (M_j up to q_{k+1}/q_k) cost only the support size."""
+    m, hm, _ = h.window(m_j, M_j)
+    return float(np.add.reduce(m.astype(np.float64) ** 2 * np.abs(hm)))
 
 
 def classify_case(cf: CFExpansion, h, N: int, d1: int, b2: int,

@@ -32,7 +32,7 @@ from .cfrac import (AlphaSpec, cf_expand, classify_case, partition_Q,
                     two_series_partial_sums, with_partition, caseC_condition_rhs_logs)
 from .correlate import (THREADS_MAX, bsz_test, mobius_correlate, poly_exp_sum,
                         poly_lower_bound_check, vdc_sum_check)
-from .errors import CapacityError, DomainError, MobiusflowError, PrecisionError
+from .errors import CapacityError, DomainError, MobiusflowError, PrecisionError, whole
 from .flows import Character, PolyPhase, SkewFlow, TorusPoint, UnipotentAffine
 from .mobius import mobius_sieve
 from . import furstenberg as fb
@@ -153,10 +153,7 @@ def _num(v, key: str):
 
 
 def _integer(v, key: str) -> int:
-    n = _num(v, key)
-    if n != int(n):
-        raise DomainError(f"config key {key!r}: {v!r} is not an integer")
-    return int(n)
+    return whole(_num(v, key), f"config key {key!r} must be an integer")
 
 
 def _integers(v, key: str) -> list[int]:
@@ -181,24 +178,22 @@ def _numbers(v, key: str, *shape: Optional[int]) -> tuple:
 def _usage_errors(name: str):
     """Decorate an argparse type= parser.  Its usage errors say "invalid
     `name` value", since argparse prints the parser's __name__, and
-    OverflowError and DomainError are usage errors (exit 2) too; argparse
-    itself maps only ValueError and TypeError."""
+    OverflowError and DomainError are usage errors (exit 2) too, saying the
+    same and why; argparse itself maps only ValueError and TypeError."""
     def wrap(parse):
         def typed(s: str):
             try:
                 return parse(s)
             except (OverflowError, DomainError) as exc:
-                raise argparse.ArgumentTypeError(f"{s!r}: {exc}") from None
+                raise argparse.ArgumentTypeError(f"invalid {name} value: {s!r}: {exc}") from None
         typed.__name__ = name
         return typed
     return wrap
 
 
 def _whole(s: str) -> int:
-    """s as an integer, written as one or as an integral float such as 1e6; else ValueError."""
-    if not float(s).is_integer():
-        raise ValueError(f"{s} is not an integer")
-    return int(float(s))
+    """s as an integer, written as one or as an integral float such as 1e6 (`errors.whole`)."""
+    return whole(float(s), "not an integer")
 
 
 _parse_count = _usage_errors("count")(_whole)

@@ -67,8 +67,8 @@ from typing import Callable, Sequence
 import mpmath
 import numpy as np
 
-from .analytic import AnalyticSeries, CaseReport, e2pi, e2pi_m1, scale_window
-from .errors import DomainError, PrecisionError
+from .analytic import AnalyticSeries, CaseReport, e2pi, e2pi_m1, fourier_sum
+from .errors import DomainError, PrecisionError, whole
 from .flows import (Character, PolyPhase, SkewFlow, TorusPoint, UnipotentAffine,
                     integer_frequencies, unipotent_phase_poly)
 from .mobius import MobiusTable, _primes_upto
@@ -725,10 +725,10 @@ def _class_phase_chunk(sources: Sequence) -> Callable[..., np.ndarray]:
 def _checked_checkpoints(checkpoints: Sequence[int], limit: float) -> tuple[list, int]:
     """The checkpoints sorted, and the last one N, which must not pass limit (the sieve's).
 
-    They must be distinct integers (1e3 as a float included), refused before any work."""
-    given, checkpoints = checkpoints, sorted({int(c) for c in checkpoints})
-    if len(checkpoints) < len(given) or any(c != int(c) for c in given):
-        raise DomainError(f"checkpoints must be distinct integers, got {list(given)!r}")
+    They must be distinct integers (`errors.whole`), refused before any work."""
+    checkpoints = sorted(whole(c, "checkpoints must be distinct integers") for c in checkpoints)
+    if len(set(checkpoints)) < len(checkpoints):
+        raise DomainError(f"checkpoints must be distinct integers, got {checkpoints!r}")
     if not checkpoints:
         raise DomainError("need at least one checkpoint")
     if checkpoints[0] < 1:
@@ -913,8 +913,7 @@ def poly_exp_sum(phase: PolyPhase, table: MobiusTable, N: int,
     mu[n_start::nu], so `threads` is honoured, the sum is bit-identical for
     any thread count, and mu is not copied, on either route.
     """
-    if N > table.limit:
-        raise DomainError(f"N={N} beyond sieve limit {table.limit}")
+    N = whole(N, f"N must be an integer in [0, sieve limit {table.limit}]", 0, table.limit)
     nu, l = phase.nu, phase.residue
     n_start = l if l >= 1 else nu
     count = (N - n_start) // nu + 1 if N >= n_start else 0
@@ -997,10 +996,18 @@ class PhiPolys:
     d2: int
 
     def eval_phi(self, x: float) -> complex:
-        return sum(c * e2pi(f * x) for f, c in self.phi.items())
+        return fourier_sum(np.array([*self.phi], np.int64), np.array([*self.phi.values()]), x)
 
     def eval_phi_D(self, x: float) -> complex:
-        return sum(c * e2pi(f * x) for f, c in self.phi_D.items())
+        return fourier_sum(np.array([*self.phi_D], np.int64), np.array([*self.phi_D.values()]), x)
+
+
+def _dilations(m: np.ndarray, base: np.ndarray, d1: int, d2: int) -> dict:
+    """f -> c of sum_m base_m (d1^3 e(d1 m x) - d2^3 e(d2 m x)), equal f merged."""
+    out = dict(zip((d1 * m).tolist(), (d1**3 * base).tolist()))
+    for f, c in zip((d2 * m).tolist(), (-d2**3 * base).tolist()):
+        out[f] = out.get(f, 0j) + c
+    return out
 
 
 def phi_polys(report: CaseReport, h: AnalyticSeries, d1: int, d2: int,
@@ -1017,22 +1024,14 @@ def phi_polys(report: CaseReport, h: AnalyticSeries, d1: int, d2: int,
         raise DomainError("need d1 > d2 >= 1")
     if report.J == 0:
         raise DomainError("no sharp scale available")
-    mJ, MJ, D = report.scales[-1], report.M[-1], report.D
-    window = scale_window(h, mJ, MJ)
-    phi, phi_D, Phi2, tail = {}, {}, 0.0, 0.0
-    for m, hm in window:
-        base = (m * m) * hm * e2pi(m * mJ * x1)
-        for dl, sign in ((d1, 1.0), (d2, -1.0)):
-            f = dl * m
-            w = sign * dl**3 * base
-            phi[f] = phi.get(f, 0j) + w
-            if abs(m) <= D:
-                phi_D[f] = phi_D.get(f, 0j) + w
-        if abs(m) <= D:
-            Phi2 += float(abs(m))**4 * abs(hm)**2
-        else:
-            tail += (d1**3 + d2**3) * (m * m) * abs(hm)
-    Phi = math.sqrt(Phi2)
+    D = report.D
+    m, hm, w = h.window(report.scales[-1], report.M[-1], x1)
+    inside, mf = np.abs(m) <= D, m.astype(np.float64)
+    base = mf * mf * w
+    phi = _dilations(m, base, d1, d2)
+    phi_D = _dilations(m[inside], base[inside], d1, d2)
+    Phi = math.sqrt(float(np.add.reduce(mf[inside] ** 4 * np.abs(hm[inside]) ** 2)))
+    tail = (d1**3 + d2**3) * float(np.add.reduce(mf[~inside] ** 2 * np.abs(hm[~inside])))
     norm_phi_D = math.sqrt(sum(abs(c)**2 for c in phi_D.values()))
     return PhiPolys(phi=phi, phi_D=phi_D, Phi=Phi, norm_phi_D=norm_phi_D,
                     norm_parts=(d1**3 * Phi, d2**3 * Phi), tail_bound=tail,

@@ -19,3 +19,15 @@ class CapacityError(MobiusflowError):
 
 class PrecisionError(MobiusflowError):
     """Requested accuracy cannot be certified from the given inputs."""
+
+
+def whole(v, refusal: str, lo: float = -float("inf"), hi: float = float("inf")) -> int:
+    """v as an int if it is an integer in [lo, hi], a float such as 1e3 included but no
+    bool (the one rule for counts, limits, checkpoints and frequencies); else
+    DomainError(f"{refusal}, got {v!r}")."""
+    try:
+        if not isinstance(v, bool) and v == int(v) and lo <= v <= hi:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):  # int() of None, NaN or an infinity
+        pass
+    raise DomainError(f"{refusal}, got {v!r}")

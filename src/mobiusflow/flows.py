@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .analytic import AnalyticSeries, birkhoff_sum_direct, eval_series
 from .cfrac import AlphaSpec
-from .errors import DomainError
+from .errors import DomainError, whole
 from .polyutil import Poly, affine_orbit_polys, mat_mul, mat_vec, quasi_unipotent
 
 
@@ -63,10 +63,8 @@ class Character:
 
 
 def integer_frequencies(values: Sequence) -> tuple[int, ...]:
-    """The frequencies of a character as ints; DomainError on a non-integer one (0.5, True)."""
-    if any(isinstance(v, bool) or v != int(v) for v in values):
-        raise DomainError(f"frequencies must be integers, got {tuple(values)}")
-    return tuple(int(v) for v in values)
+    """The frequencies of a character as ints; DomainError on a non-integer one (0.5, True, NaN)."""
+    return tuple(whole(v, "frequencies must be integers") for v in values)
 
 
 @dataclass(eq=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, whole
 
 # 4 * 9 * 25 * 7 * 11 * 13: the period of the wheel primes and squares
 WHEEL = 900_900
@@ -75,11 +75,10 @@ def mobius_sieve(limit: int) -> MobiusTable:
         limit: inclusive upper bound, 1 <= limit <= 10**9
 
     Raises:
-        DomainError: limit < 1.
+        DomainError: limit is no integer >= 1 (`errors.whole`).
         CapacityError: limit beyond the supported ceiling MAX_LIMIT.
     """
-    if limit < 1:
-        raise DomainError(f"sieve limit must be >= 1, got {limit}")
+    limit = whole(limit, "sieve limit must be an integer >= 1", 1)
     if limit > MAX_LIMIT:
         raise CapacityError(f"sieve limit {limit} exceeds supported {MAX_LIMIT}")
 

@@ -287,9 +287,13 @@ class NilObservable:
 
     terms: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple((w, *integer_frequencies(pqr))
+                                                for w, *pqr in self.terms))
+
     @classmethod
     def character(cls, p: int, q: int, r: int = 0) -> "NilObservable":
-        return cls(terms=((1 + 0j, *integer_frequencies((p, q, r))),))
+        return cls(terms=((1 + 0j, p, q, r),))
 
     @classmethod
     def from_json(cls, spec: dict) -> "NilObservable":

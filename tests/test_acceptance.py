@@ -66,6 +66,9 @@ def test_criterion_01_orbit_oracle_equivalence():
     (it is an isometry with no accumulation to verify); otherwise its own
     float drift t * 2^-54, amplified by c, would exceed the tolerance at
     n = 1e4 and the comparison would test the oracle, not the closed form.
+    The exact x1 + n alpha mod 1 is an integer residue over the centre of
+    `frac_fraction(n)`, rounded once by int division: the double of the
+    `Fraction` (x1 + frac_fraction(n)) % 1, bit for bit.
     """
     rng = np.random.default_rng(SEED)
     t0 = time.time()
@@ -77,14 +80,17 @@ def test_criterion_01_orbit_oracle_equivalence():
         tau = float(rng.uniform(1.0, 3.0))
         flow = SkewFlow(1, c, 1, alpha, random_real_series(rng, tau))
         p0 = TorusPoint(float(rng.random()), float(rng.random()))
-        x1f = Fraction(p0.x1)
+        num, den = p0.x1.as_integer_ratio()
         p = p0
         n = 0
         for target in checkpoints:
             while n < target:
                 p = skew_step(flow, p)
                 n += 1
-                p = TorusPoint(float((x1f + alpha.frac_fraction(n)) % 1), p.x2)
+                centre = alpha._phase_center(n.bit_length())
+                period = den * centre.denominator
+                x1 = (num * centre.denominator + n * centre.numerator * den) % period / period
+                p = TorusPoint(x1, p.x2)
             q = skew_orbit_closed(flow, p0, target)
             for a, b in ((p.x1, q.x1), (p.x2, q.x2)):
                 d = abs(a - b) % 1.0

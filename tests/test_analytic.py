@@ -16,7 +16,7 @@ from mobiusflow.analytic import (AnalyticSeries, ScaleFunction, big_H,
                                  birkhoff_tail_bound, caseB_polynomial,
                                  caseB_taylor, cobounding_series,
                                  coboundary_residual, e2pi, e2pi_m1, eval_series,
-                                 rational_case_decompose, scale_window)
+                                 rational_case_decompose)
 from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case, phi_scale, with_partition
 from mobiusflow.errors import DomainError, PrecisionError
 from mobiusflow.furstenberg import FurstenbergSystem, build_alpha
@@ -27,6 +27,12 @@ SQRT2 = AlphaSpec.sqrt2_minus_1()
 
 def naive_eval(h, x):
     return sum(c * cmath.exp(2j * cmath.pi * m * x) for m, c in h.items())
+
+
+def window_pairs(h, m_j, M_j):
+    """(m, h_hat(m_j m)) over 1 <= |m| < M_j, m ascending, read off the coefficient map."""
+    return sorted((key // m_j, c) for key, c in h.coeffs.items()
+                  if key % m_j == 0 and 0 < abs(key // m_j) < M_j)
 
 
 def test_eval_cosine_at_zero():
@@ -46,6 +52,71 @@ def test_eval_matches_direct_summation_oracle():
     got = eval_series(sysm.combined, 0.3)
     want = naive_eval(sysm.combined, 0.3)
     assert abs(got - want) < 1e-12
+
+
+def per_mode_eval(h, x, M=None):
+    """sum h_hat(m) e(m x) over |m| <= M, one `e2pi` per mode: the evaluator
+    `eval_series` replaced, kept as its reference."""
+    xf = float(x) % 1.0
+    return sum((c * e2pi(m * xf) for m, c in h.items() if M is None or abs(m) <= M), 0j)
+
+
+def _series_cases():
+    sysm = FurstenbergSystem.build(1.0, 4)
+    unsorted = AnalyticSeries.from_entries(
+        [(5, 0.1), (-2, 0.3j), (2, 0.2), (-5, 0.1), (0, 1.0), (-1, 0.5), (3, 1e-320)], tau=0.5)
+    return {"geometric-37": AnalyticSeries.geometric(1.0, 37), "combined": sysm.combined,
+            "G": sysm.G, "from_entries": unsorted}
+
+
+SERIES_CASES = _series_cases()
+
+
+@pytest.mark.parametrize("name", SERIES_CASES)
+def test_support_is_the_coefficient_map_sorted_by_size(name):
+    """`modes` and `values` hold the support sorted by |m|, stable on
+    insertion (m before -m when m came first), which `support()` and
+    `items()` read."""
+    h = SERIES_CASES[name]
+    assert h.support() == tuple(sorted(h.coeffs, key=abs))
+    assert list(h.items()) == [(m, h.coeffs[m]) for m in sorted(h.coeffs, key=abs)]
+    assert h.modes.dtype == np.int64 and h.values.dtype == np.complex128
+
+
+@pytest.mark.parametrize("name", SERIES_CASES)
+def test_eval_series_matches_the_per_mode_sum(name):
+    """The array sum, at the full support and at a cut M, against one `e2pi`
+    per mode; numpy's pairwise sum adds in another order, hence 1e-12."""
+    h = SERIES_CASES[name]
+    for x in (0.0, 0.3, 0.7071, -2.25, 12345.678):
+        for M in (None, 1, 3, 20):
+            assert abs(eval_series(h, x, M) - per_mode_eval(h, x, M)) < 1e-12, (x, M)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AnalyticSeries.geometric(math.nan, 5),
+    lambda: AnalyticSeries.geometric(math.nan),
+    lambda: AnalyticSeries.geometric(math.inf),
+    lambda: AnalyticSeries.from_entries([(1, 0.5)], tau=math.nan),
+    lambda: AnalyticSeries.from_entries([(1, 0.5)], tau=1.0, tau2=math.nan),
+    lambda: AnalyticSeries.from_entries([(1, 0.5)], tau=1.0, tau2=math.inf),
+    lambda: AnalyticSeries.from_entries([(1, 0.5), (2, math.nan)], tau=1.0),
+    lambda: AnalyticSeries.from_entries([(1, complex(0.5, math.inf))], tau=1.0),
+    lambda: AnalyticSeries.from_entries([(1, 0.5), (2**70, 1e-3)], tau=1.0),
+], ids=["geometric-nan-M", "geometric-nan", "geometric-inf", "tau-nan", "tau2-nan",
+        "tau2-inf", "coeff-nan", "coeff-inf", "mode-2^70"])
+def test_series_refuses_non_finite_rates_and_coefficients_and_wide_modes(make):
+    """A NaN rate used to give an empty series, a NaN coefficient was
+    dropped, and a mode past int64 was kept with an infinite witness."""
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_window_of_a_scale_past_int64_is_empty():
+    h = AnalyticSeries.geometric(1.0, 37)
+    m, hm, w = h.window(2**64, 10.0)
+    assert m.size == hm.size == w.size == 0
+    assert phi_scale(h, 2**64, 10.0) == 0.0
 
 
 def test_decay_witness_recorded():
@@ -316,7 +387,7 @@ def test_phi_j_matches_direct_window_sum():
     assert rep.J >= 1
     j = rep.J - 1
     direct = sum((m * m) * abs(c)
-                 for m, c in scale_window(sysm.combined, rep.scales[j], rep.M[j]))
+                 for m, c in window_pairs(sysm.combined, rep.scales[j], rep.M[j]))
     assert phi_scale(sysm.combined, rep.scales[j], rep.M[j]) == pytest.approx(direct)
 
 
@@ -347,7 +418,7 @@ def test_caseB_coefficients_match_window_sums():
     h, rep = _caseB_setup()
     x1 = 0.3
     c0, c1, c2, _ = caseB_taylor(h, rep, x1)
-    window = scale_window(h, rep.m_J, rep.M[-1])
+    window = window_pairs(h, rep.m_J, rep.M[-1])
     w0 = sum(c * e2pi(m * rep.m_J * x1) for m, c in window)
     w1 = 2j * math.pi * sum(m * c * e2pi(m * rep.m_J * x1) for m, c in window)
     w2 = (2j * math.pi) ** 2 / 2 * sum(m * m * c * e2pi(m * rep.m_J * x1)
@@ -412,7 +483,7 @@ def test_scale_function_orbit_identity():
     alpha = AlphaSpec.quadratic([0, 2, 64], [1])
     for n in (1, 7, 50):
         want = 0j
-        for m, c in scale_window(h, rep.m_J, rep.M[-1]):
+        for m, c in window_pairs(h, rep.m_J, rep.M[-1]):
             t = alpha.frac_signed_fraction(m * rep.m_J)
             want += c * e2pi(m * rep.m_J * x1) * (e2pi(n * t) - 1) / (e2pi(t) - 1)
         assert abs(sf.value_at_orbit(n) - want) < 1e-9

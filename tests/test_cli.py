@@ -405,6 +405,18 @@ def test_malformed_config_numbers_domain_exit(configs, tmp_path, capsys, flow, c
     assert code == 3 and f"'{key}'" in err
 
 
+def test_series_with_a_mode_past_int64_domain_exit(configs, tmp_path, capsys):
+    """`AnalyticSeries` refuses a mode outside int64, whose decay witness was
+    inf, so `correlate` and `classify` configs holding one exit 3."""
+    h = {"type": "coeffs", "entries": [[2**70, 0.1, 0], [-(2**70), 0.1, 0]], "tau": 1, "tau2": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**json.loads(Path(configs["skew"]).read_text()), "h": h}))
+    for args in (["correlate", "--config", str(path), "--b", "0,1", "--checkpoints", "100"],
+                 ["classify", "--alpha", "golden", "--h", json.dumps(h), "--n", "100"]):
+        code, _, err = run_cli(args, capsys)
+        assert code == 3 and "int64" in err, (args[0], code, err)
+
+
 @pytest.mark.parametrize("args, code", [
     (["nilflow", "--observable", "1,2,1", "--checkpoints", "1e400"], 2),
     (["correlate", "--b", "a,b", "--checkpoints", "100"], 2),

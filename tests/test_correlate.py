@@ -243,11 +243,13 @@ def test_skew_phases_refuse_non_normalized_flows(table, flow, b):
         character_phase(flow, p, b, 10)
 
 
-@pytest.mark.parametrize("b", [(1, 0.5), (True, 1), Character(2, 0.5)])
+@pytest.mark.parametrize("b", [(1, 0.5), (True, 1), Character(2, 0.5), (math.inf, 2),
+                               (1, math.nan)])
 def test_affine_correlation_refuses_non_integer_characters(table, b):
     """(1, 0.5) used to be summed as (1, 0), int() truncating it, while the
     metadata recorded (1, 0.5); a non-integer or bool frequency is refused,
-    and an integer-valued float sums as its integer."""
+    and an integer-valued float sums as its integer.  An infinite or NaN one
+    raised OverflowError or ValueError."""
     W, t, x, _ = AFFINE["order4"]
     aff = UnipotentAffine(matrix=W, translation=tuple(Fraction(s) for s in t))
     x = tuple(Fraction(s) for s in x)
@@ -1184,7 +1186,18 @@ def test_correlators_refuse_too_many_threads_and_bools(table, skew, threads):
     assert poly_exp_sum(phase, table, 100, threads=THREADS_MAX) == poly_exp_sum(phase, table, 100)
 
 
-@pytest.mark.parametrize("checkpoints", [[5, 5], [100, 7, 100], [3.5], [10, 20.2], ["7"]])
+@pytest.mark.parametrize("N", [math.nan, -1, 2.5, True, 10**6 + 1])
+def test_poly_exp_sum_refuses_a_count_that_is_no_integer_within_the_sieve(table, N):
+    """N = NaN or -1 used to give 0j and N = 2.5 a TypeError; the count rule
+    is that of the checkpoints, so N = 1e3 as a float is 1000."""
+    phase = PolyPhase((0.0, math.sqrt(2)))
+    with pytest.raises(DomainError, match="N must be an integer"):
+        poly_exp_sum(phase, table, N)
+    assert poly_exp_sum(phase, table, 1e3) == poly_exp_sum(phase, table, 1000)
+
+
+@pytest.mark.parametrize("checkpoints", [[5, 5], [100, 7, 100], [3.5], [10, 20.2], ["7"],
+                                         [math.nan], [10, math.inf]])
 def test_correlators_refuse_fractional_and_repeated_checkpoints(table, skew, monkeypatch,
                                                                  checkpoints):
     """A repeated checkpoint, which `CorrelationSeries` refused only once the

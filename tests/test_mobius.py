@@ -164,6 +164,14 @@ def test_limit_below_one_is_a_domain_error(limit):
     assert type(excinfo.value) is DomainError
 
 
+@pytest.mark.parametrize("limit", [math.nan, math.inf, 2.5, True, "10"])
+def test_limit_that_is_no_integer_is_a_domain_error(limit):
+    """NaN and 2.5 used to end in a TypeError of math.isqrt, and True ran as 1."""
+    with pytest.raises(DomainError, match="sieve limit must be an integer"):
+        mobius_sieve(limit)
+    assert np.array_equal(mobius_sieve(1e3).mu_array(), mobius_sieve(1000).mu_array())
+
+
 def test_capacity_errors():
     with pytest.raises(CapacityError) as excinfo:
         mobius_sieve(10**9 + 1)

@@ -223,9 +223,12 @@ def table():
 
 
 def test_observable_frequencies_must_be_integers():
-    for pqr in ((1.5, 2, 0), (1, 2, 0.5), (1, True, 0), (1, "2", 0)):
+    for pqr in ((1.5, 2, 0), (1, 2, 0.5), (1, True, 0), (1, "2", 0), (float("nan"), 1, 0),
+                (1, float("inf"), 0)):
         with pytest.raises(DomainError, match="integers"):
             NilObservable.character(*pqr)
+        with pytest.raises(DomainError, match="integers"):  # built directly, as a term
+            NilObservable(terms=((0.5, 1, 0, 0), (1, *pqr)))
     with pytest.raises(DomainError, match="integers"):
         NilObservable.from_json({"horizontal": [1, 2], "central": 1.5})
     assert NilObservable.from_json({"horizontal": [1, 2], "central": 3}).terms == ((1, 1, 2, 3),)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 DECAY_FLOWS = ("unipotent_affine", "diophantine_skew", "furstenberg_skew")
 
@@ -28,3 +30,11 @@ def test_decay_and_irregularity_scripts_run(tmp_path):
     assert irr.returncode == 0, irr.stderr
     report = json.loads((tmp_path / "irr.json").read_text())
     assert report["windows"] and set(report["observables"]) == {"(0, 0)", "(1, 0)", "(0, 1)"}
+
+
+@pytest.mark.parametrize("n_max", ["2.5", "nan", "abc"])
+def test_decay_script_refuses_a_count_that_is_no_integer(tmp_path, n_max):
+    """--n-max parses through the CLI's count parser: 2.5 used to run as 2 through int(float(s))."""
+    decay = _run("run_decay_experiments.py", "--n-max", n_max, "--out-dir", str(tmp_path))
+    assert decay.returncode == 2 and "invalid count value" in decay.stderr, decay.stderr
+    assert not list(tmp_path.iterdir())
