@@ -16,6 +16,7 @@ import argparse
 import json
 import pathlib
 
+from mobiusflow.cli import _exit_code
 from mobiusflow.flows import Character, TorusPoint
 from mobiusflow.furstenberg import FurstenbergSystem, irregularity_probe
 
@@ -27,8 +28,10 @@ def main() -> int:
     ap.add_argument("--tau", type=float, default=1.0)
     ap.add_argument("--depth", type=int, default=4)
     ap.add_argument("--out", default="results/irregularity.json")
-    args = ap.parse_args()
+    return _exit_code(lambda: run(ap.parse_args()))
 
+
+def run(args) -> int:
     sysm = FurstenbergSystem.build(args.tau, args.depth)
     q = [v for v in sysm.q if v.bit_length() < 30]
     windows = sorted({q[1], q[2], q[2] ** 2, q[2] ** 3, q[-1]})

@@ -16,9 +16,9 @@ import time
 
 from mobiusflow import __version__
 from mobiusflow.cfrac import AlphaSpec
-from mobiusflow.cli import _parse_count
+from mobiusflow.cli import _exit_code, _parse_count
 from mobiusflow.analytic import AnalyticSeries
-from mobiusflow.correlate import mobius_correlate
+from mobiusflow.correlate import THREADS_MAX, mobius_correlate
 from mobiusflow.flows import Character, SkewFlow, TorusPoint, UnipotentAffine
 from mobiusflow.furstenberg import FurstenbergSystem
 from mobiusflow.mobius import mobius_sieve
@@ -40,7 +40,12 @@ def main() -> int:
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
+    if not 1 <= args.threads <= THREADS_MAX:
+        ap.error(f"the thread count must be from 1 to {THREADS_MAX}, got {args.threads}")
+    return _exit_code(lambda: run(args))
 
+
+def run(args) -> int:
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cps = checkpoints_up_to(args.n_max)

@@ -63,29 +63,32 @@ def fourier_sum(modes: np.ndarray, values: np.ndarray, x: float) -> complex:
     return complex(np.add.reduce(values * e_array(modes, x)))
 
 
-def geometric_ratio(n: int, t) -> complex:
+def geometric_ratio(n: int, t: Fraction) -> complex:
     """(e(n t) - 1)/(e(t) - 1), with value n when t is an integer.
 
-    t may be a Fraction; when |t| is far below double range the ratio is
-    n(1 + O(n|t|)) and is returned as n exactly.
+    When |t| is far below double range the ratio is n(1 + O(n|t|)) and is
+    returned as n exactly.
     """
-    if isinstance(t, Fraction):
-        t = t - round(t)
-        if t == 0:
-            return complex(n)
-        if abs(t) < Fraction(1, 10**40):
-            if abs(n * t) < Fraction(1, 10**20):
-                return complex(n)
-            t = float(t)
-    else:
-        t = t - round(t)
-        if t == 0.0:
-            return complex(n)
-    num = e2pi_m1(Fraction(n) * t if isinstance(t, Fraction) else (n * t))
+    t = t - round(t)
+    tiny = abs(t) < Fraction(1, 10**40)
+    if t == 0 or tiny and abs(n * t) < Fraction(1, 10**20):
+        return complex(n)
+    if tiny:
+        t = float(t)
     den = e2pi_m1(t)
     if den == 0:
         raise PrecisionError("denominator e(t)-1 underflowed; phase too fine for doubles")
-    return num / den
+    return e2pi_m1(n * t) / den
+
+
+def _geometric_coeffs(tau: float, M: int) -> dict[int, complex]:
+    """{m: e^{-tau |m|}} for 0 < |m| <= M, ordered m, -m by |m|, each above COEFF_FLOOR."""
+    d = {}
+    for m in range(1, M + 1):
+        v = math.exp(-tau * m)
+        if v > COEFF_FLOOR:
+            d[m] = d[-m] = complex(v)
+    return d
 
 
 @dataclass(eq=False)
@@ -173,12 +176,7 @@ class AnalyticSeries:
         """
         if M is None:  # a tau that is not positive and finite is refused below
             M = max(1, math.ceil(math.log(1e16) / tau)) if 0 < tau < math.inf else 1
-        d = {}
-        for m in range(1, M + 1):
-            v = math.exp(-tau * m)
-            if v > COEFF_FLOOR:
-                d[m] = d[-m] = complex(v)
-        s = cls(coeffs=d, tau=tau, tau2=tau, label=f"geometric(tau={tau})")
+        s = cls(coeffs=_geometric_coeffs(tau, M), tau=tau, tau2=tau, label=f"geometric(tau={tau})")
         s.c_low = 1.0
         return s
 

@@ -135,31 +135,14 @@ class AlphaSpec:
 
     # -- value and exact phases ---------------------------------------------
 
-    def _convergent_pair(self, depth: int) -> tuple[int, int, int, int]:
-        """(l_{depth-1}, q_{depth-1}, l_depth, q_depth), extending a cache."""
-        key = "conv"
-        if key not in self._cache:
-            a0 = self.quotient(0)
-            self._cache[key] = [(a0, 1)]
-        conv: list[tuple[int, int]] = self._cache[key]
-        while len(conv) <= depth:
-            k = len(conv)
-            a = self.quotient(k)
-            if k == 1:
-                conv.append((a * conv[0][0] + 1, a))
-            else:
-                conv.append((a * conv[k - 1][0] + conv[k - 2][0],
-                             a * conv[k - 1][1] + conv[k - 2][1]))
-        lk, qk = conv[depth]
-        if depth == 0:
-            return 0, 1, lk, qk
-        lp, qp = conv[depth - 1]
-        return lp, qp, lk, qk
-
     def convergents(self, depth: int) -> list[tuple[int, int]]:
-        """[(l_0, q_0), ..., (l_depth, q_depth)] from the cache of `_convergent_pair`."""
-        self._convergent_pair(depth)
-        return self._cache["conv"][:depth + 1]
+        """[(l_0, q_0), ..., (l_depth, q_depth)], extending one cache that the
+        seeds (l_{-2}, q_{-2}) = (0, 1) and (l_{-1}, q_{-1}) = (1, 0) start."""
+        conv = self._cache.setdefault("conv", [(0, 1), (1, 0)])
+        while len(conv) < depth + 3:
+            a, (l2, q2), (l1, q1) = self.quotient(len(conv) - 2), *conv[-2:]
+            conv.append((a * l1 + l2, a * q1 + q2))
+        return conv[2:depth + 3]
 
     def enclosure(self, depth: int) -> tuple[Fraction, Fraction]:
         """Open interval (lo, hi) containing alpha.
@@ -170,8 +153,7 @@ class AlphaSpec:
         if self.kind == "rational":
             v = Fraction(self.p, self.q)
             return v, v
-        lp, qp, lk, qk = self._convergent_pair(max(depth, 1))
-        a, b = Fraction(lp, qp), Fraction(lk, qk)
+        a, b = (Fraction(l, q) for l, q in self.convergents(max(depth, 1))[-2:])
         return (a, b) if a < b else (b, a)
 
     def center(self, err_bound: Fraction) -> Fraction:
@@ -182,7 +164,7 @@ class AlphaSpec:
             return Fraction(self.p, self.q)
         depth = 1
         while True:
-            lp, qp, lk, qk = self._convergent_pair(depth)
+            (lp, qp), (lk, qk) = self.convergents(depth)[-2:]
             # |alpha - l_K/q_K| < 1/(q_K q_{K+1}) <= 1/q_K^2
             if Fraction(1, qk * qk) <= err_bound:
                 break
@@ -479,16 +461,15 @@ def classify_case(cf: CFExpansion, h, N: int, d1: int, b2: int,
     logN = math.log(N)
 
     def scales_for(Bval: int) -> tuple[list[int], list[int]]:
-        flat, sharp = partition_Q(cf, Bval)
-        vals = sorted(v for v in sharp if 2 <= v <= Y)
-        succ = [cf.successor(cf.denominators.index(v)) for v in vals]
+        # sharp indices hold q_k >= 2, increasing in k, each with its successor computed
+        sharp = sorted(k for k in with_partition(cf, Bval).sharp_idx if cf.denominators[k] <= Y)
         # A sharp scale may hide past the computed depth only if the last
         # computed denominator is <= Y and undecided; demand deeper input.
         top = cf.denominators[cf.depth]
         if top != 1 and top <= Y:
             raise PrecisionError(
                 f"expansion too shallow: q_K={top} <= Y={Y:.1f} has no computed successor")
-        return vals, succ
+        return [cf.denominators[k] for k in sharp], [cf.denominators[k + 1] for k in sharp]
 
     def phi_list(vals: list[int], succ: list[int]) -> list[float]:
         # the window of the last scale ends at Y, the others at their successor

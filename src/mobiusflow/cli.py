@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analytic import AnalyticSeries
+from .analytic import AnalyticSeries, e_array
 from .cfrac import (AlphaSpec, cf_expand, classify_case, partition_Q,
                     two_series_partial_sums, with_partition, caseC_condition_rhs_logs)
 from .correlate import (THREADS_MAX, bsz_test, mobius_correlate, poly_exp_sum,
@@ -254,6 +254,18 @@ def _provenance(payload: dict, threads: int, series=None) -> dict:
     return out
 
 
+def _json(report) -> str:
+    """report as strict JSON, indented: a non-finite float is written as the string
+    "inf", "-inf" or "nan", and any other value JSON has no type for as its str."""
+    def strict(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return str(v)
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        return [strict(x) for x in v] if isinstance(v, (list, tuple)) else v
+    return json.dumps(strict(report), indent=2, allow_nan=False, default=str) + "\n"
+
+
 def _emit(text: str, path: Optional[str], provenance: dict) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -311,7 +323,7 @@ def cmd_classify(args, threads: int) -> int:
     cf = cf_expand(alpha, depth)
     report = classify_case(cf, h, args.n, d1=args.d1, b2=args.b2,
                            B=args.partition_b)
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out,
+    _emit(_json(report.to_dict()), args.out,
           _provenance({"cmd": "classify", "alpha": args.alpha, "n": str(args.n)},
                       threads))
     return 0
@@ -350,7 +362,7 @@ def cmd_expsum(args, threads: int) -> int:
     table = mobius_sieve(args.n)
     s = poly_exp_sum(phase, table, args.n, threads=threads)
     out = {"N": args.n, "re": s.real, "im": s.imag, "abs_over_N": abs(s) / args.n}
-    _emit(json.dumps(out, indent=2) + "\n", args.out,
+    _emit(_json(out), args.out,
           _provenance({"cmd": "expsum", "coeffs": args.coeffs, "nu": args.nu,
                        "l": args.residue, "N": args.n}, threads))
     return 0
@@ -362,7 +374,7 @@ def _bsz_sequence(spec: str):
     if spec.startswith("rotation:"):
         arg = spec.split(":", 1)[1]
         theta = math.sqrt(2) - 1 if arg in ("sqrt2-1", "sqrt2m1") else _real(arg, "rotation")
-        return lambda n: np.exp(2j * np.pi * np.mod(np.asarray(n, dtype=np.float64) * theta, 1.0))
+        return lambda n: e_array(np.asarray(n), theta)
     raise DomainError(f"cannot parse sequence spec {spec!r}")
 
 
@@ -372,7 +384,7 @@ def cmd_bsz(args, threads: int) -> int:
         raise DomainError(f"need N >= 1, got N={args.n}")
     table = mobius_sieve(args.n)
     report = bsz_test(f, args.tau, args.m, args.n, table)
-    _emit(json.dumps(report, indent=2) + "\n", args.out,
+    _emit(_json(report), args.out,
           _provenance({"cmd": "bsz", "tau": args.tau, "m": args.m, "n": args.n,
                        "f": args.f}, threads))
     return 0
@@ -395,7 +407,7 @@ def cmd_furstenberg(args, threads: int) -> int:
         "coboundary_residual_g": fb.coboundary_check(sysm, rng.random(64), "g"),
         "correction_tails": fb.correction_tail_report(sysm),
     }
-    _emit(json.dumps(report, indent=2, default=str) + "\n", args.emit_json,
+    _emit(_json(report), args.emit_json,
           _provenance({"cmd": "furstenberg", "tau": args.tau, "depth": args.depth,
                        "seed": args.seed}, threads))
     return 0
@@ -472,7 +484,7 @@ def cmd_verify(args, threads: int) -> int:
 
     ok = all(v["pass"] for v in results.values())
     results["all_pass"] = ok
-    _emit(json.dumps(results, indent=2) + "\n", args.out,
+    _emit(_json(results), args.out,
           _provenance({"cmd": "verify", "seed": args.seed}, threads))
     return 0 if ok else 5
 
@@ -557,6 +569,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_code(job) -> int:
+    """job()'s own exit code, or the documented one of the error it raised (3 domain,
+    4 capacity or precision, 5 any other library or io error), saying why on stderr."""
+    try:
+        return job()
+    except (CapacityError, PrecisionError) as exc:
+        print(f"error (capacity/precision): {exc}", file=sys.stderr)
+        return 4
+    except DomainError as exc:
+        print(f"error (domain): {exc}", file=sys.stderr)
+        return 3
+    except MobiusflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
+    except OSError as exc:
+        print(f"error (io): {exc}", file=sys.stderr)
+        return 5
+
+
 def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -575,20 +606,7 @@ def main(argv: Optional[list] = None) -> int:
             ap.error(f"{ENV_THREADS} must be an integer, got {value!r}")
     if not 1 <= threads <= THREADS_MAX:
         ap.error(f"the thread count must be from 1 to {THREADS_MAX}, got {threads}")
-    try:
-        return args.fn(args, threads)
-    except (CapacityError, PrecisionError) as exc:
-        print(f"error (capacity/precision): {exc}", file=sys.stderr)
-        return 4
-    except DomainError as exc:
-        print(f"error (domain): {exc}", file=sys.stderr)
-        return 3
-    except MobiusflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"error (io): {exc}", file=sys.stderr)
-        return 5
+    return _exit_code(lambda: args.fn(args, threads))
 
 
 if __name__ == "__main__":

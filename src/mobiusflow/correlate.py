@@ -55,7 +55,6 @@ analysis.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -937,8 +936,8 @@ def bsz_test(f: Callable[[np.ndarray], np.ndarray], tau: float, M: int, N: int,
     """
     if not 0.0 < tau < 1.0 / math.e:
         raise DomainError("tau must lie in (0, 1/e)")
-    if M < 1 or not 1 <= N <= table.limit:
-        raise DomainError(f"need M >= 1 and 1 <= N <= {table.limit}, got M={M}, N={N}")
+    M = whole(M, "M must be an integer >= 1", 1)
+    N = whole(N, f"N must be an integer in [1, sieve limit {table.limit}]", 1, table.limit)
     bound = math.exp(1.0 / tau)
     capped = bound > BSZ_PRIME_CAP
     pbound = min(int(bound), BSZ_PRIME_CAP)
@@ -1101,8 +1100,7 @@ def vdc_sum_check(F_value: Callable[[float], float],
     d3 = np.array([abs(F_third(float(x))) for x in xs])
     precondition_ok = bool(np.all(d3 >= Lambda * (1 - 1e-9))
                            and np.all(d3 <= eta * Lambda * (1 + 1e-9)))
-    total = sum((cmath.exp(2j * math.pi * (F_value(float(n)) % 1.0))
-                 for n in range(math.floor(a) + 1, math.ceil(b))), 0j)
+    total = sum((e2pi(F_value(float(n))) for n in range(math.floor(a) + 1, math.ceil(b))), 0j)
     bound = VDC_IMPLIED_CONSTANT * (math.sqrt(eta) * Lambda ** (1 / 6) * (b - a)
                                 + Lambda ** (-1 / 6) * math.sqrt(b - a))
     return {

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: usage 2, domain 3, capacity/precision 4,
 anything else 5.
 """
 
+import math
+
 
 class MobiusflowError(Exception):
     """Base class for library errors."""
@@ -29,5 +31,18 @@ def whole(v, refusal: str, lo: float = -float("inf"), hi: float = float("inf")) 
         if not isinstance(v, bool) and v == int(v) and lo <= v <= hi:
             return int(v)
     except (TypeError, ValueError, OverflowError):  # int() of None, NaN or an infinity
+        pass
+    raise DomainError(f"{refusal}, got {v!r}")
+
+
+def finite(v, refusal: str, kind=float):
+    """kind(v), a float or an exact Fraction, if v is a finite number (the one rule for
+    points, translations and coordinates); NaN and the infinities are refused with
+    DomainError(f"{refusal}, got {v!r}")."""
+    try:
+        x = kind(v)  # Fraction() itself raises on NaN and the infinities
+        if kind is not float or math.isfinite(x):
+            return x
+    except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{refusal}, got {v!r}")

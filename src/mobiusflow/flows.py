@@ -24,15 +24,14 @@ circle as {k/M}); full generality of finite abelian factors is not modeled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .analytic import AnalyticSeries, birkhoff_sum_direct, eval_series
+from .analytic import AnalyticSeries, birkhoff_sum_direct, e2pi, eval_series
 from .cfrac import AlphaSpec
-from .errors import DomainError, whole
+from .errors import DomainError, finite, whole
 from .polyutil import Poly, affine_orbit_polys, mat_mul, mat_vec, quasi_unipotent
 
 
@@ -44,8 +43,8 @@ class TorusPoint:
     x2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", float(self.x1) % 1.0)
-        object.__setattr__(self, "x2", float(self.x2) % 1.0)
+        object.__setattr__(self, "x1", finite(self.x1, "torus coordinates must be finite") % 1.0)
+        object.__setattr__(self, "x2", finite(self.x2, "torus coordinates must be finite") % 1.0)
 
     def close_to(self, other: "TorusPoint", tol: float) -> bool:
         def circ(a, b):
@@ -176,6 +175,11 @@ def _mat_det(A) -> int:
     return sign * M[m - 1][m - 1]
 
 
+def _exact_point(x: Sequence, what: str = "point") -> list[Fraction]:
+    """The coordinates of an affine point or translation as exact Fractions."""
+    return [finite(t, f"the {what} coordinates must be finite", Fraction) for t in x]
+
+
 @dataclass(eq=False)
 class UnipotentAffine:
     """Affine toral map x -> Wx + b with quasi-unipotent W in GL_m(Z).
@@ -191,9 +195,7 @@ class UnipotentAffine:
     nilpotency_order: int = field(init=False)
 
     def __post_init__(self):
-        if any(e != int(e) for row in self.matrix for e in row):
-            raise DomainError("matrix entries must be integers")
-        W = [list(map(int, row)) for row in self.matrix]
+        W = [[whole(e, "matrix entries must be integers") for e in row] for row in self.matrix]
         m = len(W)
         if m == 0 or any(len(row) != m for row in W):
             raise DomainError("matrix must be square and non-empty")
@@ -202,7 +204,7 @@ class UnipotentAffine:
         if _mat_det(W) not in (1, -1):
             raise DomainError("matrix must lie in GL_m(Z) (det = +-1)")
         self.matrix = tuple(tuple(row) for row in W)
-        self.translation = tuple(Fraction(t) for t in self.translation)
+        self.translation = tuple(_exact_point(self.translation, "translation"))
 
         found = quasi_unipotent(self.matrix)
         if found is None:
@@ -219,11 +221,11 @@ class UnipotentAffine:
         return len(self.matrix)
 
     def step(self, x: Sequence[Fraction]) -> list[Fraction]:
-        v = mat_vec(self.matrix, [Fraction(t) for t in x])
+        v = mat_vec(self.matrix, _exact_point(x))
         return [(v[i] + self.translation[i]) % 1 for i in range(self.dimension)]
 
     def orbit_point(self, x: Sequence[Fraction], n: int) -> list[Fraction]:
-        p = [Fraction(t) for t in x]
+        p = _exact_point(x)
         for _ in range(n):
             p = self.step(p)
         return p
@@ -242,9 +244,8 @@ class PolyPhase:
             raise DomainError("need 0 <= residue < nu")
         if len(self.coeffs) < 1:
             raise DomainError("need at least a constant coefficient")
-        if any(isinstance(c, float) and not math.isfinite(c) for c in self.coeffs):
-            raise DomainError(f"coefficients must be finite, got {self.coeffs}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(finite(c, "coefficients must be finite", Fraction)
+                                                 for c in self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -276,7 +277,7 @@ def unipotent_phase_poly(aff: UnipotentAffine, x: Sequence, v: Sequence[int],
     if len(x) != aff.dimension or len(v) != aff.dimension:
         raise DomainError(f"the map acts on {aff.dimension} coordinates; the point has "
                           f"{len(x)} and the character {len(v)}")
-    (poly,) = affine_orbit_polys(aff.matrix, aff.translation, [Fraction(t) for t in x],
+    (poly,) = affine_orbit_polys(aff.matrix, aff.translation, _exact_point(x),
                                  aff.nu, l, rows=([int(c) for c in v],))
     # t = (n - l)/nu
     poly_n = poly.compose_linear(Fraction(1, aff.nu), Fraction(-l, aff.nu))
@@ -286,6 +287,4 @@ def unipotent_phase_poly(aff: UnipotentAffine, x: Sequence, v: Sequence[int],
 def character_value(aff: UnipotentAffine, x: Sequence, v: Sequence[int], n: int) -> complex:
     """psi(T^n x) computed by exact matrix iteration (oracle path)."""
     p = aff.orbit_point(x, n)
-    phase = sum(Fraction(int(vi)) * pi for vi, pi in zip(v, p)) % 1
-    return complex(math.cos(2 * math.pi * float(phase)),
-                   math.sin(2 * math.pi * float(phase)))
+    return e2pi(sum(Fraction(int(vi)) * pi for vi, pi in zip(v, p)))

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import correlate
 from .analytic import (AnalyticSeries, COEFF_FLOOR, cobounding_series, coboundary_residual,
-                       e2pi_m1)
+                       e2pi_m1, _geometric_coeffs)
 from .cfrac import AlphaSpec
 from .errors import CapacityError, DomainError
 
@@ -101,13 +101,20 @@ def build_alpha(tau: float, K: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Alp
         q.append(a_next * q[k] + q[k - 1])
         k += 1
 
-    for j in range(RATIO_START_INDEX, len(q) - 1):
-        log_ratio = math.log(q[j + 1]) - tau * q[j]
-        if not math.log(RATIO_BRACKET[0]) <= log_ratio <= math.log(RATIO_BRACKET[1]):
-            raise DomainError(f"growth ratio left {RATIO_BRACKET} at k={j}")
+    for k, _, in_bracket in _log_ratios(tau, q):
+        if not in_bracket:
+            raise DomainError(f"growth ratio left {RATIO_BRACKET} at k={k}")
 
     return AlphaSpec.from_quotients(quots, kind="furstenberg",
                                     label=f"furstenberg(tau={tau}, K={K})")
+
+
+def _log_ratios(tau: float, q: Sequence[int]) -> list[tuple[int, float, bool]]:
+    """(k, log(q_{k+1}/e^{tau q_k}), whether it lies in the log of RATIO_BRACKET)
+    per constructed level k >= RATIO_START_INDEX."""
+    lo, hi = (math.log(b) for b in RATIO_BRACKET)
+    logs = [(k, math.log(q[k + 1]) - tau * q[k]) for k in range(RATIO_START_INDEX, len(q) - 1)]
+    return [(k, r, lo <= r <= hi) for k, r in logs]
 
 
 def _denominators(alpha: AlphaSpec) -> list[int]:
@@ -164,13 +171,8 @@ def build_correction(alpha: AlphaSpec, tau: float, M) -> tuple[AnalyticSeries, A
         raise DomainError(f"correction window M={M} below the top denominator")
     m_cap = min(int(math.log(1.0 / COEFF_FLOOR) / (2 * tau)) + 2,
                 M if isinstance(M, int) else int(M))
-    d = {0: complex(1.0)}
-    for m in range(1, m_cap + 1):
-        v = math.exp(-2.0 * tau * m)
-        if v <= COEFF_FLOOR:
-            break
-        d[m] = d[-m] = complex(v)
-    H = AnalyticSeries(coeffs=d, tau=2.0 * tau, tau2=2.0 * tau, label=f"smooth(2tau={2*tau})")
+    H = AnalyticSeries(coeffs={0: complex(1.0), **_geometric_coeffs(2.0 * tau, m_cap)},
+                       tau=2.0 * tau, tau2=2.0 * tau, label=f"smooth(2tau={2*tau})")
     H.c_low = 1.0
     G = cobounding_series(H, alpha, exclude_divisible_by=None, M=None)
     return H, G
@@ -218,18 +220,9 @@ class FurstenbergSystem:
 
     def ratio_report(self) -> list[dict]:
         """q_{k+1}/e^{tau q_k} per constructed level, in log space."""
-        q_all = _denominators(self.alpha)
-        out = []
-        for k in range(RATIO_START_INDEX, len(q_all) - 1):
-            log_ratio = math.log(q_all[k + 1]) - self.tau * q_all[k]
-            out.append({
-                "k": k,
-                "log_ratio": log_ratio,
-                "ratio": math.exp(log_ratio) if abs(log_ratio) < 700 else None,
-                "in_bracket": math.log(RATIO_BRACKET[0]) <= log_ratio
-                              <= math.log(RATIO_BRACKET[1]),
-            })
-        return out
+        return [{"k": k, "log_ratio": r, "ratio": math.exp(r) if abs(r) < 700 else None,
+                 "in_bracket": in_bracket}
+                for k, r, in_bracket in _log_ratios(self.tau, _denominators(self.alpha))]
 
 
 def combined_coeff_log_bounds(sys: FurstenbergSystem, k: int) -> tuple[float, float]:

@@ -48,10 +48,15 @@ import numpy as np  # noqa: F401 (bench/spans.py wraps nilflow.np.exp)
 
 from . import correlate
 from .analytic import e2pi
-from .errors import DomainError
+from .errors import DomainError, finite
 from .flows import integer_frequencies
 from .mobius import MobiusTable
 from .polyutil import affine_orbit_polys, mat_vec, quasi_unipotent
+
+
+def _coordinate(v) -> Fraction:
+    """A coordinate as an exact Fraction; DomainError on NaN or an infinity."""
+    return finite(v, "Heisenberg coordinates must be finite", Fraction)
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class HeisenbergElement:
 
     def __init__(self, v1, v2, v3):
         for name, v in (("v1", v1), ("v2", v2), ("v3", v3)):
-            object.__setattr__(self, name, Fraction(v))
+            object.__setattr__(self, name, _coordinate(v))
 
     @classmethod
     def identity(cls) -> "HeisenbergElement":
@@ -91,13 +96,13 @@ def heis_inv(a: HeisenbergElement) -> HeisenbergElement:
 
 def coord_first_from_second(v: Sequence) -> tuple[Fraction, Fraction, Fraction]:
     """psi_exp o psi^{-1}: (v1, v2, v3) -> (v1, v2, v3 + v1 v2 / 2)."""
-    v1, v2, v3 = (Fraction(t) for t in v)
+    v1, v2, v3 = map(_coordinate, v)
     return (v1, v2, v3 + v1 * v2 / 2)
 
 
 def coord_second_from_first(u: Sequence) -> tuple[Fraction, Fraction, Fraction]:
     """psi o psi_exp^{-1}: (u1, u2, u3) -> (u1, u2, u3 - u1 u2 / 2)."""
-    u1, u2, u3 = (Fraction(t) for t in u)
+    u1, u2, u3 = map(_coordinate, u)
     return (u1, u2, u3 - u1 * u2 / 2)
 
 

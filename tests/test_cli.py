@@ -4,16 +4,20 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mobiusflow.cli import main
+from mobiusflow.analytic import AnalyticSeries
+from mobiusflow.cfrac import AlphaSpec, cf_expand, classify_case
+from mobiusflow.cli import _bsz_sequence, main
 from mobiusflow.correlate import THREADS_MAX
 from mobiusflow.furstenberg import FurstenbergSystem
 
@@ -532,3 +536,46 @@ def test_skew_config_parts_of_wrong_type_domain_exit(configs, tmp_path, capsys, 
     code, _, err = run_cli(["correlate", "--config", str(path), "--b", "0,1",
                             "--checkpoints", "100"], capsys)
     assert code == 3 and "JSON object" in err
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_runs_end_to_end_in_strict_json(capsys):
+    """The lemma suites pass, and the infinite cut-condition logs are written as "inf":
+    they used to print as Infinity, which a strict parser refuses."""
+    code, out, _ = run_cli(["verify", "--seed", "0"], capsys)
+    rep = _strict_json(out)
+    assert code == 0 and rep["all_pass"] is True
+    assert rep["cut_condition_growth"]["rhs_logs"][-1] == "inf"
+
+
+@pytest.mark.parametrize("tau, label", [(0.5, "A"), (0.3, "NoSharpScale")])
+def test_classify_bootstraps_b_as_classify_case_does(capsys, tau, label):
+    """Without --partition-b the CLI takes classify_case's bootstrap of B; the label and
+    scales it reports are those of classify_case called with that B (at tau = 0.3 the
+    bootstrap moves B from 8 to 16 and the sharp scale 3 goes)."""
+    quotients = [0, 3, 10**6] + [1] * 30
+    h = {"type": "geometric", "tau": tau}
+    code, out, _ = run_cli(["classify", "--alpha", "quotients:" + ",".join(map(str, quotients)),
+                            "--h", json.dumps(h), "--n", "1e6"], capsys)
+    rep = _strict_json(out)
+    cf = cf_expand(AlphaSpec.from_quotients(quotients), len(quotients) - 1)
+    want = classify_case(cf, AnalyticSeries.geometric(tau), 10**6, d1=2, b2=1, B=rep["B"])
+    assert code == 0 and rep["label"] == want.label == label
+    assert (rep["B"] > 8) == (label == "NoSharpScale")
+    assert rep["scales"] == list(want.scales) and rep["successors"] == list(want.successors)
+    assert rep["M"] == list(want.M) and rep["Phi_J"] == want.Phi_J
+
+
+def test_rotation_sequence_is_e_array_of_the_old_formula():
+    """The bsz rotation:θ sequence is analytic.e_array, bit for bit the exp it replaced."""
+    n = np.arange(1, 50_001, dtype=np.int64)
+    for theta in (math.sqrt(2) - 1, 0.123, 1e-7):
+        old = np.exp(2j * np.pi * np.mod(n.astype(np.float64) * theta, 1.0))
+        f = _bsz_sequence(f"rotation:{theta!r}")
+        assert np.array_equal(f(n).view(np.float64), old.view(np.float64))

@@ -387,7 +387,8 @@ def test_bsz_tau_domain(table):
         bsz_test(rotation_sequence(0.3), tau=0.5, M=100, N=1000, table=table)
 
 
-@pytest.mark.parametrize("M, N", [(0, 1000), (-5, 1000), (100, 0), (100, -3), (100, 10**9)])
+@pytest.mark.parametrize("M, N", [(0, 1000), (-5, 1000), (100, 0), (100, -3), (100, 10**9),
+                                  (2.5, 100), (100, 2.5)])
 def test_bsz_refuses_empty_or_unsieved_ranges(table, M, N):
     with pytest.raises(DomainError):
         bsz_test(rotation_sequence(0.3), tau=0.25, M=M, N=N, table=table)

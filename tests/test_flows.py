@@ -269,3 +269,33 @@ def test_quasi_unipotence_sweep_over_gl2():
         assert nilpotent_power(S, nu), S
         assert not any(nilpotent_power(S, j) for j in range(1, nu)), S
     assert count == 104
+
+
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize("v", NON_FINITE)
+def test_torus_point_refuses_non_finite_coordinates(v):
+    """TorusPoint(nan, 0) used to be accepted with x1 = nan."""
+    for xs in ((v, 0.0), (0.0, v)):
+        with pytest.raises(DomainError, match="finite"):
+            TorusPoint(*xs)
+
+
+@pytest.mark.parametrize("v", NON_FINITE)
+def test_affine_matrix_refuses_non_finite_entries(v):
+    """A NaN entry used to raise ValueError, and an infinite one OverflowError."""
+    with pytest.raises(DomainError, match="integers"):
+        UnipotentAffine(matrix=((1, v), (0, 1)), translation=(0, 0))
+
+
+@pytest.mark.parametrize("v", NON_FINITE)
+def test_affine_translation_and_point_refuse_non_finite_coordinates(v):
+    """Fraction() of NaN or an infinity used to escape as ValueError or OverflowError."""
+    with pytest.raises(DomainError, match="translation coordinates must be finite"):
+        UnipotentAffine(matrix=((1, 1), (0, 1)), translation=(v, 0))
+    aff = UnipotentAffine(matrix=((1, 1), (0, 1)), translation=(Fraction(1, 3), 0))
+    for call in (lambda x: unipotent_phase_poly(aff, x, (0, 1), 0),
+                 lambda x: aff.orbit_point(x, 3), aff.step):
+        with pytest.raises(DomainError, match="point coordinates must be finite"):
+            call((0.25, v))

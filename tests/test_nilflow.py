@@ -462,3 +462,14 @@ def test_correlate_needs_a_checkpoint(table):
     with pytest.raises(DomainError, match="need at least one checkpoint"):
         correlate_nil(T, HeisenbergElement.identity(), NilObservable.character(1, 0, 0),
                       table, [])
+
+
+@pytest.mark.parametrize("v", (float("nan"), float("inf"), -float("inf")))
+def test_heisenberg_element_refuses_non_finite_coordinates(v):
+    """HeisenbergElement(nan, 0, 0) used to raise ValueError from Fraction, and inf
+    OverflowError; so did the coordinate maps."""
+    for coords in ((v, 0, 0), (0, v, 0), (0, 0, v)):
+        for build in (lambda c: HeisenbergElement(*c), coord_first_from_second,
+                      coord_second_from_first):
+            with pytest.raises(DomainError, match="finite"):
+                build(coords)

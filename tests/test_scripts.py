@@ -38,3 +38,18 @@ def test_decay_script_refuses_a_count_that_is_no_integer(tmp_path, n_max):
     decay = _run("run_decay_experiments.py", "--n-max", n_max, "--out-dir", str(tmp_path))
     assert decay.returncode == 2 and "invalid count value" in decay.stderr, decay.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("script, args, code", [
+    ("run_decay_experiments.py", ("--n-max", "1e4", "--threads", "0", "--out-dir"), 2),
+    ("run_decay_experiments.py", ("--n-max", "1e4", "--threads", "300", "--out-dir"), 2),
+    ("irregularity_run.py", ("--depth", "2", "--out"), 3),
+    ("irregularity_run.py", ("--tau", "20", "--out"), 3),
+])
+def test_scripts_end_in_exit_codes_not_tracebacks(tmp_path, script, args, code):
+    """A thread count out of range is a usage error, refused before the sieve, and a
+    library error maps to the CLI's exit codes; each used to exit 1 with a traceback."""
+    run = _run(script, *args, str(tmp_path / "out"))
+    assert run.returncode == code and run.stderr.strip(), run.stderr
+    assert "Traceback" not in run.stderr, run.stderr
+    assert not list(tmp_path.iterdir())
